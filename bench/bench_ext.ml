@@ -5,14 +5,15 @@
 
 let pf = Format.printf
 
-let describe_discrete name (report : Discrete.report) =
-  match report.Discrete.outcome with
-  | Discrete.Proved cert ->
-    pf "%-28s | proved  | level %.4f | %d iters | %5.1f s@." name cert.Discrete.level
-      report.Discrete.candidate_iterations report.Discrete.total_time
-  | Discrete.Failed _ ->
+let describe_discrete name report =
+  let st = report.Engine.stats in
+  match report.Engine.outcome with
+  | Engine.Proved cert ->
+    pf "%-28s | proved  | level %.4f | %d iters | %5.1f s@." name cert.Engine.level
+      st.Engine.candidate_iterations st.Engine.total_time
+  | Engine.Failed _ ->
     pf "%-28s | failed  | %10s | %d iters | %5.1f s@." name "-"
-      report.Discrete.candidate_iterations report.Discrete.total_time
+      st.Engine.candidate_iterations st.Engine.total_time
 
 let discrete_bench () =
   Bench_common.hr "Extension: discrete-time verification (incl. stateful controllers)";

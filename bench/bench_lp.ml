@@ -7,7 +7,7 @@
    NN-controlled Dubins error dynamics at hidden width Nh generate the
    positivity/decrease rows (plus X0/safe-rect separation rows), and each
    round appends one exact Lie-derivative counterexample cut, exactly what
-   Engine.find_generator does per CEGIS iteration.
+   the Cegis loop does per CEGIS iteration.
 
    Reported per round: wall clock and lp.pivots for each of the three
    solves, with status/objective parity enforced (exit 1 on divergence).

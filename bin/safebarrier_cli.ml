@@ -683,14 +683,7 @@ let lyapunov_cmd =
     | Lyapunov.Proved cert ->
       Format.printf "STABLE: Lyapunov-like generator W(x) = %s@."
         (Expr.to_string (Template.w_expr cert.Lyapunov.template cert.Lyapunov.coeffs))
-    | Lyapunov.Failed reason ->
-      let msg =
-        match reason with
-        | Lyapunov.Lp_failed s -> "LP failed: " ^ s
-        | Lyapunov.Cex_budget_exhausted -> "counterexample budget exhausted"
-        | Lyapunov.Solver_inconclusive s -> "solver inconclusive on " ^ s
-      in
-      Format.printf "INCONCLUSIVE: %s@." msg);
+    | Lyapunov.Failed reason -> Format.printf "INCONCLUSIVE: %s@." (reason_string reason));
     Format.printf "  %d iteration(s), LP %.3fs, SMT %.3fs, total %.3fs@."
       report.Lyapunov.iterations report.Lyapunov.lp_time report.Lyapunov.smt_time
       report.Lyapunov.total_time

@@ -14,26 +14,27 @@
 
 let pf = Format.printf
 
-let describe name (report : Discrete.report) =
-  match report.Discrete.outcome with
-  | Discrete.Proved cert ->
+let describe name report =
+  let st = report.Engine.stats in
+  match report.Engine.outcome with
+  | Engine.Proved cert ->
     pf "%-22s PROVED   level %.4f, %d iteration(s), %d counterexample(s), %.1f s@." name
-      cert.Discrete.level report.Discrete.candidate_iterations
-      (List.length report.Discrete.counterexamples)
-      report.Discrete.total_time
-  | Discrete.Failed reason ->
+      cert.Engine.level st.Engine.candidate_iterations
+      (List.length report.Engine.counterexamples)
+      st.Engine.total_time
+  | Engine.Failed reason ->
     let msg =
       match reason with
-      | Discrete.Lp_failed s -> "LP failed: " ^ s
-      | Discrete.Cex_budget_exhausted -> "counterexample budget exhausted"
-      | Discrete.Level_range_empty -> "no separating level"
-      | Discrete.Level_budget_exhausted -> "level search exhausted"
-      | Discrete.Solver_inconclusive s -> "solver inconclusive (" ^ s ^ ")"
-      | Discrete.Timeout stage -> "deadline exceeded during " ^ stage
-      | Discrete.Seed_shortfall (got, wanted) ->
+      | Engine.Lp_failed s -> "LP failed: " ^ s
+      | Engine.Cex_budget_exhausted -> "counterexample budget exhausted"
+      | Engine.Level_range_empty -> "no separating level"
+      | Engine.Level_budget_exhausted -> "level search exhausted"
+      | Engine.Solver_inconclusive s -> "solver inconclusive (" ^ s ^ ")"
+      | Engine.Timeout stage -> "deadline exceeded during " ^ stage
+      | Engine.Seed_shortfall (got, wanted) ->
         Printf.sprintf "seed shortfall: %d of %d" got wanted
     in
-    pf "%-22s no proof (%s), %.1f s@." name msg report.Discrete.total_time
+    pf "%-22s no proof (%s), %.1f s@." name msg st.Engine.total_time
 
 let () =
   (* Baseline: the feedforward reference controller in discrete time

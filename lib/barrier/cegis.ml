@@ -1,0 +1,262 @@
+type failure_reason =
+  | Lp_failed of string
+  | Cex_budget_exhausted
+  | Level_range_empty
+  | Level_budget_exhausted
+  | Solver_inconclusive of string
+  | Timeout of string
+  | Seed_shortfall of int * int
+
+type cut =
+  | Cex of float array
+  | Trace of Ode.trace
+  | Exact_trace of Ode.trace
+  | Shape_cut of float array * float array
+
+type obligation = {
+  name : string;
+  formula : float array -> Formula.t;
+  violates : float array -> float array -> bool;
+  cuts : float array -> cut list;
+}
+
+type stats = {
+  mutable iterations : int;
+  mutable lp_time : float;
+  mutable lp_calls : int;
+  mutable lp_rows : int;
+  mutable smt_time : float;
+  mutable smt_calls : int;
+  mutable smt_branches : int;
+  mutable sim_time : float;
+  mutable budget_stop : Budget.stop option;
+}
+
+let fresh_stats () =
+  {
+    iterations = 0;
+    lp_time = 0.0;
+    lp_calls = 0;
+    lp_rows = 0;
+    smt_time = 0.0;
+    smt_calls = 0;
+    smt_branches = 0;
+    sim_time = 0.0;
+    budget_stop = None;
+  }
+
+let rect_bounds vars rect =
+  Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
+
+let in_rect rect x =
+  let ok = ref true in
+  Array.iteri (fun i (lo, hi) -> if x.(i) < lo || x.(i) > hi then ok := false) rect;
+  !ok
+
+(* A counterexample is "repeated" when it lies within tolerance of any
+   previously accumulated one — adding it again cuts nothing from the LP. *)
+let cex_repeated ?(tol = 1e-9) cexs x = List.exists (fun prev -> Vec.dist2 prev x < tol) cexs
+
+let sample_outside ~rng ~domain ~excluded n =
+  let rec draw acc k guard =
+    if k = 0 || guard > 100 * n then List.rev acc
+    else begin
+      let x = Array.map (fun (lo, hi) -> Rng.uniform rng lo hi) domain in
+      if in_rect excluded x then draw acc k (guard + 1) else draw (x :: acc) (k - 1) (guard + 1)
+    end
+  in
+  draw [] n 0
+
+let simulate ?(budget = Budget.unlimited) ~rect ~dt ~steps ~converged field x0 =
+  (* The budget check inside the stop predicate means even a stalled or
+     divergent field cannot keep a single trace running past the
+     deadline. *)
+  let stop _t x = Vec.norm2 x < converged || (not (in_rect rect x)) || Budget.expired budget in
+  let tr = Ode.simulate_until ~stop field ~t0:0.0 ~x0 ~dt ~t_end:(dt *. float_of_int steps) in
+  let keep =
+    Array.to_list (Array.mapi (fun i x -> (tr.Ode.times.(i), x)) tr.Ode.states)
+    |> List.filter (fun (_, x) -> in_rect rect x)
+  in
+  match keep with
+  | [] -> { Ode.times = [| 0.0 |]; states = [| x0 |] }
+  | _ ->
+    {
+      Ode.times = Array.of_list (List.map fst keep);
+      states = Array.of_list (List.map snd keep);
+    }
+
+type t = {
+  budget : Budget.t;
+  synthesis : Synthesis.options;
+  smt : Solver.options;
+  max_iters : int;
+  template : Template.t;
+  field : Ode.field;
+  bounds : (string * float * float) list;
+  stats : stats;
+  seeds : Ode.trace list;
+  exact_seeds : Ode.trace list;
+  mutable cuts : cut list;  (* every refinement, newest first *)
+  mutable witnesses : float array list;
+  mutable lp : Synthesis.Incremental.t option;
+}
+
+let create ~stats ?(exact_traces = []) ~budget ~synthesis ~smt ~max_iters
+    ~template ~field ~domain traces =
+  {
+    budget;
+    synthesis;
+    smt;
+    max_iters;
+    template;
+    field;
+    bounds = rect_bounds (Template.vars template) domain;
+    stats;
+    seeds = traces;
+    exact_seeds = exact_traces;
+    cuts = [];
+    witnesses = [];
+    lp = None;
+  }
+
+let picked t f = List.filter_map f t.cuts
+let traces t = picked t (function Trace tr -> Some tr | _ -> None) @ t.seeds
+let witnesses t = t.witnesses
+
+(* The LP is created lazily on the first solve (a warm-start hint may pass
+   every obligation with zero LP solves), from the seeds and every cut so
+   far, and then lives across iterations and runs: with
+   [lp_engine = Revised] each re-solve starts from the previous optimal
+   basis. *)
+let live_lp t =
+  match t.lp with
+  | Some lp -> lp
+  | None ->
+    let lp =
+      Synthesis.Incremental.create ~options:t.synthesis
+        ~cex_points:(picked t (function Cex x -> Some x | _ -> None))
+        ~exact_traces:(picked t (function Exact_trace tr -> Some tr | _ -> None) @ t.exact_seeds)
+        ~shape_cuts:(picked t (function Shape_cut (f, v) -> Some (f, v) | _ -> None))
+        ~template:t.template ~field:t.field (traces t)
+    in
+    t.lp <- Some lp;
+    lp
+
+let refine t cut =
+  t.cuts <- cut :: t.cuts;
+  match (t.lp, cut) with
+  | None, _ -> ()
+  | Some lp, Cex x -> Synthesis.Incremental.add_cex lp x
+  | Some lp, Trace tr -> Synthesis.Incremental.add_trace lp tr
+  | Some lp, Exact_trace tr -> Synthesis.Incremental.add_exact_trace lp tr
+  | Some lp, Shape_cut (f, v) -> Synthesis.Incremental.add_shape_cut lp (f, v)
+
+let c_cex_cuts = Obs.Metrics.counter "cegis.cex_cuts"
+
+let timeout t stage stop =
+  t.stats.budget_stop <- Some stop;
+  Error (Timeout stage)
+
+let solve_lp t =
+  let outcome, dt =
+    Timing.time (fun () ->
+        Obs.Trace.with_span "synthesis.lp" (fun () ->
+            Synthesis.Incremental.solve ~budget:t.budget (live_lp t)))
+  in
+  t.stats.lp_time <- t.stats.lp_time +. dt;
+  t.stats.lp_calls <- t.stats.lp_calls + 1;
+  t.stats.lp_rows <- Synthesis.Incremental.row_count (live_lp t);
+  match outcome with
+  | Synthesis.Lp_infeasible -> Error (Lp_failed "LP infeasible")
+  | Synthesis.Margin_too_small m -> Error (Lp_failed (Printf.sprintf "margin %.2e too small" m))
+  | Synthesis.Lp_timed_out stop -> timeout t "lp" stop
+  | Synthesis.Candidate { coeffs; _ } -> Ok coeffs
+
+(* Decide one obligation for one candidate.  The δ-refinement retries
+   re-decide the SAME formula with a tighter delta, so it is prepared once
+   and the options are overridden per call — the Lie-derivative tapes of
+   an NN controller are the most expensive compile in the pipeline. *)
+let decide t ob coeffs =
+  let timed_smt f =
+    let r, dt = Timing.time (fun () -> Obs.Trace.with_span "condition5" f) in
+    t.stats.smt_time <- t.stats.smt_time +. dt;
+    r
+  in
+  let vars = Template.vars t.template in
+  let prepared =
+    timed_smt (fun () ->
+        Solver.prepare ~options:t.smt ~vars:(Array.to_list vars) (ob.formula coeffs))
+  in
+  (* A δ-sat witness is spurious when the candidate's true margin at the
+     point is below the solver's delta; check the exact condition there
+     and refine delta rather than adding a useless cut (dReal's
+     recommended usage). *)
+  let rec go options refinements =
+    let verdict, st =
+      timed_smt (fun () ->
+          Solver.solve_prepared ~options ~budget:t.budget prepared ~bounds:t.bounds)
+    in
+    t.stats.smt_calls <- t.stats.smt_calls + 1;
+    t.stats.smt_branches <- t.stats.smt_branches + st.Solver.branches;
+    match verdict with
+    | Solver.Unsat -> `Unsat
+    | Solver.Unknown -> (
+      match st.Solver.interrupted with
+      | Some ((Budget.Deadline | Budget.Cancelled) as stop) -> `Timeout stop
+      | Some Budget.Branch_budget | None -> `Unknown)
+    | Solver.Delta_sat witness ->
+      let x =
+        Array.map (fun v -> Option.value (List.assoc_opt v witness) ~default:0.0) vars
+      in
+      if ob.violates coeffs x then `Cex x
+      else if refinements >= 4 then
+        (* Not refutable at the finest delta but not a genuine violation
+           either: the margin at x is within solver resolution.  Use it as
+           a tightening cut, unless the same point keeps recurring. *)
+        `Near_cex x
+      else go { options with Solver.delta = options.Solver.delta /. 100.0 } (refinements + 1)
+  in
+  go t.smt 0
+
+(* The first obligation with a witness, or [Ok None] when all are Unsat.
+   Witnesses are compared against the *whole* history, not just the most
+   recent one: an alternating pair (A, B, A, …) would otherwise burn every
+   iteration re-adding ineffective cuts. *)
+let rec check t coeffs = function
+  | [] -> Ok None
+  | ob :: rest -> (
+    let repeated x = cex_repeated t.witnesses x in
+    match decide t ob coeffs with
+    | `Unsat -> check t coeffs rest
+    | `Timeout stop -> timeout t ob.name stop
+    | `Unknown -> Error (Solver_inconclusive ob.name)
+    | `Near_cex x when repeated x ->
+      Error (Solver_inconclusive (ob.name ^ ": margin at solver resolution"))
+    | `Cex x when repeated x ->
+      Error (Solver_inconclusive (ob.name ^ ": counterexample cut ineffective"))
+    | `Near_cex x | `Cex x -> Ok (Some (ob, x)))
+
+let run ?warm t obligations =
+  let rec attempt ?warm iter =
+    match Budget.check t.budget with
+    | Some stop -> timeout t "candidate loop" stop
+    | None ->
+      if iter > t.max_iters then Error Cex_budget_exhausted
+      else begin
+        t.stats.iterations <- t.stats.iterations + 1;
+        let candidate = match warm with Some coeffs -> Ok coeffs | None -> solve_lp t in
+        match Result.bind candidate (fun coeffs -> check t coeffs obligations) with
+        | Error reason -> Error reason
+        | Ok None -> candidate
+        | Ok (Some (ob, x)) ->
+          Obs.Metrics.incr c_cex_cuts;
+          t.witnesses <- x :: t.witnesses;
+          let cuts, dt =
+            Timing.time (fun () -> Obs.Trace.with_span "cex_simulation" (fun () -> ob.cuts x))
+          in
+          t.stats.sim_time <- t.stats.sim_time +. dt;
+          List.iter (refine t) cuts;
+          attempt (iter + 1)
+      end
+  in
+  attempt ?warm 1

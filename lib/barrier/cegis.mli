@@ -1,0 +1,125 @@
+(** The counterexample-guided loop of the paper's Fig. 1 (upper loop),
+    shared by every engine: an LP proposes a candidate generator, δ-SAT
+    queries check it, and each genuine witness becomes new LP rows.
+
+    An engine supplies {!obligation}s — what to check and how a witness
+    refines the LP.  The core owns the rest: the lazily created,
+    warm-started {!Synthesis.Incremental} LP, one {!Solver.prepare} per
+    candidate and obligation, δ-refinement of spurious witnesses, the
+    full-history repeated-witness guard, budget checks, the
+    [synthesis.lp] / [condition5] / [cex_simulation] spans, the
+    [cegis.cex_cuts] counter and the time accounting.  (The
+    learner/verifier split of Peruffo, Ahmed and Abate,
+    arXiv:2007.03251.) *)
+
+(** The failure vocabulary of every engine, re-exported and documented as
+    {!Engine.failure_reason}.  The loop itself produces [Lp_failed],
+    [Cex_budget_exhausted], [Solver_inconclusive] and [Timeout]. *)
+type failure_reason =
+  | Lp_failed of string
+  | Cex_budget_exhausted
+  | Level_range_empty
+  | Level_budget_exhausted
+  | Solver_inconclusive of string
+  | Timeout of string
+  | Seed_shortfall of int * int
+
+(** LP rows from a witness, one {!Synthesis.Incremental} [add_*] each. *)
+type cut =
+  | Cex of float array  (** exact Lie-derivative cut *)
+  | Trace of Ode.trace  (** subsampled trace rows *)
+  | Exact_trace of Ode.trace  (** every-step trace rows *)
+  | Shape_cut of float array * float array  (** [(face_point, x0_vertex)] *)
+
+type obligation = {
+  name : string;  (** stage label in [Timeout] and [Solver_inconclusive] *)
+  formula : float array -> Formula.t;
+      (** the δ-SAT query for candidate coefficients; Unsat discharges it *)
+  violates : float array -> float array -> bool;
+      (** [violates coeffs x]: the exact check at a δ-sat witness.  A
+          spurious witness makes the core refine δ (÷100, at most 4
+          times), then cut it as a near-violation. *)
+  cuts : float array -> cut list;
+      (** the rows a witness adds, in order (traces are simulated here) *)
+}
+
+type stats = {
+  mutable iterations : int;  (** candidate rounds *)
+  mutable lp_time : float;
+  mutable lp_calls : int;
+  mutable lp_rows : int;  (** rows in the last LP *)
+  mutable smt_time : float;  (** preparing and deciding obligations *)
+  mutable smt_calls : int;
+  mutable smt_branches : int;
+  mutable sim_time : float;  (** witness trace simulation *)
+  mutable budget_stop : Budget.stop option;  (** the stop behind a [Timeout] *)
+}
+(** Caller-owned, so an engine adds its own stages (seed simulation,
+    level-search stops) to the same record. *)
+
+val fresh_stats : unit -> stats
+
+type t
+(** One live loop: the LP, its row sources and the witness history, kept
+    across {!run}s. *)
+
+val create :
+  stats:stats ->
+  ?exact_traces:Ode.trace list ->
+  budget:Budget.t ->
+  synthesis:Synthesis.options ->
+  smt:Solver.options ->
+  max_iters:int ->
+  template:Template.t ->
+  field:Ode.field ->
+  domain:(float * float) array ->
+  Ode.trace list ->
+  t
+(** [domain] bounds every obligation query, per template variable.  The
+    traces and [exact_traces] seed the LP. *)
+
+val run : ?warm:float array -> t -> obligation list -> (float array, failure_reason) result
+(** Candidates (at most [max_iters] per run) until every obligation is
+    Unsat in order.  [warm] replaces the first LP solve.  A witness within
+    1e-9 of any earlier one ends the run with [Solver_inconclusive
+    "<name>: counterexample cut ineffective"] (["…: margin at solver
+    resolution"] for a near-violation). *)
+
+val refine : t -> cut -> unit
+(** Add rows outside {!run} (the discrete engine's shape cuts). *)
+
+val traces : t -> Ode.trace list
+(** Witness traces, newest first, then the seeds. *)
+
+val witnesses : t -> float array list
+(** Every witness that was cut, newest first. *)
+
+(** {1 Helpers shared by the engines} *)
+
+val rect_bounds : string array -> (float * float) array -> (string * float * float) list
+
+val in_rect : (float * float) array -> float array -> bool
+
+val cex_repeated : ?tol:float -> float array list -> float array -> bool
+(** Is [x] within Euclidean distance [tol] (default 1e-9) of {e any}
+    accumulated witness?  Checking them all is what detects alternating
+    pairs (A, B, A, …). *)
+
+val sample_outside :
+  rng:Rng.t -> domain:(float * float) array -> excluded:(float * float) array -> int ->
+  float array list
+(** Up to [n] uniform samples from [domain \ excluded]; fewer when [100 n]
+    draws do not suffice. *)
+
+val simulate :
+  ?budget:Budget.t ->
+  rect:(float * float) array ->
+  dt:float ->
+  steps:int ->
+  converged:float ->
+  Ode.field ->
+  float array ->
+  Ode.trace
+(** RK4 trace stopped once [‖x‖ < converged], on leaving [rect] or at the
+    budget's expiry; samples outside [rect] are dropped, keeping at least
+    the initial state. *)

@@ -69,33 +69,6 @@ let default_config ~dim =
     smt = Solver.default_options;
   }
 
-type certificate = { template : Template.t; coeffs : float array; level : float }
-
-type failure_reason =
-  | Lp_failed of string
-  | Cex_budget_exhausted
-  | Level_range_empty
-  | Level_budget_exhausted
-  | Solver_inconclusive of string
-  | Timeout of string
-  | Seed_shortfall of int * int
-
-type outcome = Proved of certificate | Failed of failure_reason
-
-type report = {
-  outcome : outcome;
-  candidate_iterations : int;
-  level_iterations : int;
-  counterexamples : float array list;
-  lp_time : float;
-  smt_time : float;
-  total_time : float;
-  budget_stop : Budget.stop option;
-}
-
-let rect_bounds vars rect =
-  Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
-
 let condition5_formula system config template coeffs =
   (* W(F(x)) - W(x) in the per-monomial factored form (tight interval
      evaluation; see Template.basis_delta_exprs). *)
@@ -106,14 +79,9 @@ let condition5_formula system config template coeffs =
   in
   Formula.and_
     [
-      Formula.outside_rect (rect_bounds system.vars config.x0_rect);
+      Formula.outside_rect (Cegis.rect_bounds system.vars config.x0_rect);
       Formula.ge w_step (Expr.const (-.config.gamma));
     ]
-
-let in_rect rect x =
-  let ok = ref true in
-  Array.iteri (fun i (lo, hi) -> if x.(i) < lo || x.(i) > hi then ok := false) rect;
-  !ok
 
 let iterate ?(budget = Budget.unlimited) system config x0 =
   (* The budget check bounds the orbit even when [map_numeric] stalls, and
@@ -124,7 +92,7 @@ let iterate ?(budget = Budget.unlimited) system config x0 =
     if
       k > config.horizon
       || Vec.norm2 x < 1e-6
-      || (not (in_rect config.safe_rect x))
+      || (not (Cegis.in_rect config.safe_rect x))
       || (not (Array.for_all Float.is_finite x))
       || Budget.expired budget
     then List.rev acc
@@ -139,163 +107,63 @@ let iterate ?(budget = Budget.unlimited) system config x0 =
       states = Array.of_list (List.map snd samples);
     }
 
-(* The decrease rows need exact discrete semantics: force finite-difference
-   mode with no subsampling (a decrease row is then exactly
-   W(x_{k+1}) - W(x_k) <= -m rho, the discrete condition). *)
-let force_discrete_options options x0_rect safe_rect =
-  {
-    options with
-    Synthesis.mode = Synthesis.Finite_difference;
-    exclude_rect =
-      (match options.Synthesis.exclude_rect with
-      | Some _ as e -> e
-      | None -> Some x0_rect);
-    separation_rects =
-      (match options.Synthesis.separation_rects with
-      | Some _ as s -> s
-      | None -> Some (x0_rect, safe_rect));
-  }
-
-let sample_initial_states ~rng config n =
-  let dim = Array.length config.safe_rect in
-  let rec draw acc k guard =
-    if k = 0 || guard > 100 * n then List.rev acc
-    else begin
-      let x =
-        Array.init dim (fun i ->
-            let lo, hi = config.safe_rect.(i) in
-            Rng.uniform rng lo hi)
-      in
-      if in_rect config.x0_rect x then draw acc k (guard + 1)
-      else draw (x :: acc) (k - 1) (guard + 1)
-    end
-  in
-  draw [] n 0
+(* A one-step orbit: its finite-difference row is exactly the discrete
+   decrease constraint W(F(x)) - W(x) <= -m rho(x). *)
+let step_orbit system x = { Ode.times = [| 0.0; 1.0 |]; states = [| x; system.map_numeric x |] }
 
 let verify ?config ?(budget = Budget.unlimited) ~rng system =
   let config =
     match config with Some c -> c | None -> default_config ~dim:(Array.length system.vars)
   in
   let t_start = Timing.now () in
-  let budget_stop = ref None in
-  let timeout stage stop =
-    budget_stop := Some stop;
-    Error (Timeout stage)
-  in
-  let synthesis_options = force_discrete_options config.synthesis config.x0_rect config.unsafe_rect in
+  let stats = Cegis.fresh_stats () in
   let template = Template.make config.template_kind system.vars in
-  let seeds = sample_initial_states ~rng config config.n_seed in
-  let traces = ref (List.map (iterate ~budget system config) seeds) in
-  let shape_cuts = ref [] in
+  let sample = Cegis.sample_outside ~rng ~domain:config.safe_rect ~excluded:config.x0_rect in
+  let seeds = sample config.n_seed in
+  let traces = List.map (iterate ~budget system config) seeds in
   (* One-step probe orbits scattered over D: long orbits cluster around the
      attractor, leaving the LP blind to off-manifold states (e.g. hidden
      states inconsistent with the plant errors) exactly where the SMT check
      then fails.  Probes give the LP one-step decrease information
-     everywhere. *)
-  let probes = sample_initial_states ~rng config config.n_probes in
-  (* Each probe costs one [map_numeric] call, so poll the budget per probe:
-     a stalled map must not let this loop run past the deadline. *)
-  let cut_traces =
-    ref
-      (List.filter_map
-         (fun x ->
-           if Budget.expired budget then None
-           else
-             Some
-               { Ode.times = [| 0.0; 1.0 |]; states = [| x; system.map_numeric x |] })
-         probes)
+     everywhere.  Each probe costs one [map_numeric] call, so poll the
+     budget per probe: a stalled map must not let this loop run past the
+     deadline. *)
+  let probes =
+    List.filter_map
+      (fun x -> if Budget.expired budget then None else Some (step_orbit system x))
+      (sample config.n_probes)
   in
-  let cexs = ref [] in
-  let lp_time = ref 0.0 and smt_time = ref 0.0 in
-  let candidate_iterations = ref 0 in
-  let field _t x = system.map_numeric x in
-  let rec attempt iter =
-    match Budget.check budget with
-    | Some stop -> timeout "candidate loop" stop
-    | None ->
-    if iter > config.max_candidate_iters then Error Cex_budget_exhausted
-    else begin
-      incr candidate_iterations;
-      let outcome, dt =
-        Timing.time (fun () ->
-            (* CEX points are injected as exact two-point orbits rather than
-               Lie cuts (the FD row of x_star and F(x_star) is the exact discrete
-               decrease constraint at x_star). *)
-            Synthesis.synthesize ~options:synthesis_options ~budget
-              ~exact_traces:!cut_traces ~shape_cuts:!shape_cuts ~template ~field
-              !traces)
-      in
-      lp_time := !lp_time +. dt;
-      match outcome with
-      | Synthesis.Lp_infeasible -> Error (Lp_failed "LP infeasible")
-      | Synthesis.Margin_too_small m ->
-        Error (Lp_failed (Printf.sprintf "margin %.2e too small" m))
-      | Synthesis.Lp_timed_out stop -> timeout "lp" stop
-      | Synthesis.Candidate { coeffs; _ } -> (
-        let formula = condition5_formula system config template coeffs in
-        let bounds = rect_bounds system.vars config.safe_rect in
-        let w = Template.w_eval template coeffs in
-        (* A delta-sat witness can be spurious when the certificate's true
-           margin at the witness is below the solver's delta; check the
-           exact condition at the point and, if it does not actually
-           violate, re-solve with a tighter delta (dReal's recommended
-           usage).  Only genuinely violating witnesses become cuts. *)
-        let genuinely_violates x =
-          w (system.map_numeric x) -. w x >= -.config.gamma
-        in
-        let rec decide options refinements =
-          let (verdict, st), dt =
-            Timing.time (fun () -> Solver.solve ~options ~budget ~bounds formula)
-          in
-          smt_time := !smt_time +. dt;
-          match verdict with
-          | Solver.Unsat -> `Unsat
-          | Solver.Unknown -> (
-            match st.Solver.interrupted with
-            | Some ((Budget.Deadline | Budget.Cancelled) as stop) -> `Timeout stop
-            | Some Budget.Branch_budget | None -> `Unknown)
-          | Solver.Delta_sat witness ->
-            let x_star =
-              Array.map
-                (fun v -> match List.assoc_opt v witness with Some x -> x | None -> 0.0)
-                system.vars
-            in
-            if genuinely_violates x_star then `Cex x_star
-            else if refinements >= 4 then `Near_cex x_star
-            else
-              decide { options with Solver.delta = options.Solver.delta /. 100.0 }
-                (refinements + 1)
-        in
-        let continue_with x_star =
-          cexs := x_star :: !cexs;
-          let cut_trace =
-            {
-              Ode.times = [| 0.0; 1.0 |];
-              states = [| x_star; system.map_numeric x_star |];
-            }
-          in
-          cut_traces := cut_trace :: !cut_traces;
-          traces := iterate ~budget system config x_star :: !traces;
-          attempt (iter + 1)
-        in
-        let repeated x =
-          match !cexs with prev :: _ -> Vec.dist2 prev x < 1e-9 | [] -> false
-        in
-        match decide config.smt 0 with
-        | `Unsat -> Ok coeffs
-        | `Timeout stop -> timeout "condition (5)" stop
-        | `Unknown -> Error (Solver_inconclusive "condition (5)")
-        | `Near_cex x_star ->
-          if repeated x_star then
-            Error (Solver_inconclusive "condition (5): margin at solver resolution")
-          else continue_with x_star
-        | `Cex x_star ->
-          if repeated x_star then
-            Error (Solver_inconclusive "condition (5): counterexample cut ineffective")
-          else continue_with x_star)
-    end
+  let cegis =
+    Cegis.create ~stats ~exact_traces:probes ~budget
+      ~synthesis:
+        {
+          (Synthesis.with_region config.synthesis ~x0_rect:config.x0_rect
+             ~safe_rect:config.unsafe_rect)
+          with
+          (* Trace rows must be the discrete decrease W(x_{k+1}) - W(x_k). *)
+          Synthesis.mode = Synthesis.Finite_difference;
+        }
+      ~smt:config.smt ~max_iters:config.max_candidate_iters ~template
+      ~field:(fun _t x -> system.map_numeric x)
+      ~domain:config.safe_rect traces
   in
-  let level_iterations = ref 0 in
+  (* A counterexample is cut exactly by its two-point orbit (not a Lie
+     cut), plus the rows of its full orbit. *)
+  let decrease =
+    {
+      Cegis.name = "condition (5)";
+      formula = condition5_formula system config template;
+      violates =
+        (fun coeffs x ->
+          let w = Template.w_eval template coeffs in
+          w (system.map_numeric x) -. w x >= -.config.gamma);
+      cuts =
+        (fun x ->
+          [
+            Cegis.Exact_trace (step_orbit system x); Cegis.Trace (iterate ~budget system config x);
+          ]);
+    }
+  in
   (* Shape-refinement outer loop: when level-set selection fails because
      the candidate's sublevel ellipsoids cannot separate X0 from U, cut the
      LP at the exact blocking geometry — the worst X0 vertex paired with
@@ -339,73 +207,49 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
     | exception Lu.Singular -> None
     end
   in
+  let levels = ref [] in
   let rec outer round =
     match Budget.check budget with
     | Some stop ->
-      budget_stop := Some stop;
-      Failed (Timeout "level")
+      stats.budget_stop <- Some stop;
+      Engine.Failed (Engine.Timeout "level")
     | None ->
-    if round > config.max_level_iters then Failed Level_budget_exhausted
+    if round > config.max_level_iters then Engine.Failed Engine.Level_budget_exhausted
     else begin
-      match attempt 1 with
-      | Error reason -> Failed reason
+      match Cegis.run cegis [ decrease ] with
+      | Error reason -> Engine.Failed reason
       | Ok coeffs -> (
-        let spec =
-          {
-            Level_search.vars = system.vars;
-            x0_rect = config.x0_rect;
-            safe_rect = config.safe_rect;
-            unsafe_rect = config.unsafe_rect;
-            smt = config.smt;
-            max_iters = config.max_level_iters;
-          }
-        in
-        let result = Level_search.search ~budget spec template coeffs in
-        smt_time := !smt_time +. result.Level_search.smt_time;
-        level_iterations := !level_iterations + result.Level_search.iterations;
-        match result.Level_search.level with
-        | Ok level -> Proved { template; coeffs; level }
-        | Error Level_search.Range_empty -> (
+        match
+          Engine.find_level ~budget stats levels ~vars:system.vars ~x0_rect:config.x0_rect
+            ~safe_rect:config.safe_rect ~unsafe_rect:config.unsafe_rect ~smt:config.smt
+            ~max_iters:config.max_level_iters template coeffs
+        with
+        | Ok level -> Engine.Proved { Engine.template; coeffs; level }
+        | Error Engine.Level_range_empty -> (
+          (* The live LP gets the blocking geometry as one more row. *)
           match blocking_cut coeffs with
-          | Some cut ->
-            shape_cuts := cut :: !shape_cuts;
+          | Some (face, vertex) ->
+            Cegis.refine cegis (Cegis.Shape_cut (face, vertex));
             outer (round + 1)
-          | None -> Failed Level_range_empty)
-        | Error Level_search.Budget_exhausted -> Failed Level_budget_exhausted
-        | Error (Level_search.Inconclusive what) -> Failed (Solver_inconclusive what)
-        | Error (Level_search.Timed_out stop) ->
-          budget_stop := Some stop;
-          Failed (Timeout "level"))
+          | None -> Engine.Failed Engine.Level_range_empty)
+        | Error reason -> Engine.Failed reason)
     end
   in
   let outcome =
     if List.length seeds < config.n_seed then
-      Failed (Seed_shortfall (List.length seeds, config.n_seed))
+      Engine.Failed (Engine.Seed_shortfall (List.length seeds, config.n_seed))
     else outer 1
   in
-  {
-    outcome;
-    candidate_iterations = !candidate_iterations;
-    level_iterations = !level_iterations;
-    counterexamples = !cexs;
-    lp_time = !lp_time;
-    smt_time = !smt_time;
-    total_time = Timing.now () -. t_start;
-    budget_stop = !budget_stop;
-  }
+  Engine.make_report ~t_start stats !levels ~traces:(Cegis.traces cegis)
+    ~counterexamples:(Cegis.witnesses cegis) outcome
 
 (* --- Case-study closed loops ------------------------------------------ *)
 
+(* One forward-Euler step of the continuous error dynamics under a held
+   steering command [u]. *)
 let plant_step ?(dynamics = Error_dynamics.default_config) ~dt derr theta_err u =
-  let ddot =
-    (-.dynamics.Error_dynamics.v
-     *. Float.sin (dynamics.Error_dynamics.theta_r -. theta_err)
-     *. Float.cos dynamics.Error_dynamics.theta_r)
-    +. (dynamics.Error_dynamics.v
-        *. Float.cos (dynamics.Error_dynamics.theta_r -. theta_err)
-        *. Float.sin dynamics.Error_dynamics.theta_r)
-  in
-  (derr +. (dt *. ddot), theta_err -. (dt *. u))
+  let f = Error_dynamics.field dynamics ~controller:(fun _ _ -> u) 0.0 [| derr; theta_err |] in
+  (derr +. (dt *. f.(0)), theta_err +. (dt *. f.(1)))
 
 (* Symbolic per-step increments of the Euler-discretized plant:
    delta_derr = dt * ddot(theta_err), delta_theta = -dt * u. *)

@@ -61,34 +61,6 @@ val default_config : dim:int -> config
     condition (5) unprovable) and safe bounds [[-1, 1]] (the reachable
     range of tanh states). *)
 
-type certificate = { template : Template.t; coeffs : float array; level : float }
-
-type failure_reason =
-  | Lp_failed of string
-  | Cex_budget_exhausted
-  | Level_range_empty
-  | Level_budget_exhausted
-  | Solver_inconclusive of string
-  | Timeout of string
-      (** the threaded budget expired; the payload names the stage *)
-  | Seed_shortfall of int * int
-      (** [(got, wanted)] seed samples from [safe_rect \ x0_rect] *)
-
-type outcome = Proved of certificate | Failed of failure_reason
-
-type report = {
-  outcome : outcome;
-  candidate_iterations : int;
-  level_iterations : int;
-  counterexamples : float array list;
-  lp_time : float;
-  smt_time : float;
-  total_time : float;
-  budget_stop : Budget.stop option;
-      (** which budget limit ended the run, when the outcome is a
-          [Timeout] *)
-}
-
 val condition5_formula : system -> config -> Template.t -> float array -> Formula.t
 (** [∃x ∈ D \ X0: W(F(x)) − W(x) ≥ −γ] — UNSAT certifies the discrete
     decrease condition. *)
@@ -98,10 +70,15 @@ val iterate : ?budget:Budget.t -> system -> config -> Vec.t -> Ode.trace
     truncated at the safe rectangle, at the first non-finite state, and at
     the budget's deadline. *)
 
-val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> system -> report
-(** [budget] (default unlimited) bounds orbit iteration, the LP, and every
-    SMT query; on exhaustion the outcome is [Failed (Timeout stage)] with
-    the stop recorded in [budget_stop]. *)
+val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> system -> Engine.report
+(** The pipeline through {!Cegis} with one obligation, the discrete
+    decrease; when no level separates X0 from U for a degree-2 candidate,
+    the blocking geometry becomes a shape cut in the same live LP and the
+    loop resumes.  The report's [smt5_*] stats cover condition (5),
+    [smt67_time] every level search, and [traces] the orbits.  [budget]
+    (default unlimited) bounds orbit iteration, the LP, and every SMT
+    query; on exhaustion the outcome is [Failed (Timeout stage)] with the
+    stop recorded in [stats.budget_stop]. *)
 
 (** {1 Case-study closed loops} *)
 

@@ -62,7 +62,7 @@ type stats = {
   budget_stop : Budget.stop option;
 }
 
-type failure_reason =
+type failure_reason = Cegis.failure_reason =
   | Lp_failed of string
   | Cex_budget_exhausted
   | Level_range_empty
@@ -80,22 +80,20 @@ type report = {
   counterexamples : float array list;
 }
 
-let rect_bounds vars rect =
-  Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
-
 (* The Lie derivative ∇W·f as a symbolic expression. *)
-let lie_derivative_expr system cert =
-  let grads = Template.grad_exprs cert.template cert.coeffs in
+let lie_derivative_expr system template coeffs =
+  let grads = Template.grad_exprs template coeffs in
   Expr.sum
     (Array.to_list (Array.mapi (fun i g -> Expr.( * ) g system.symbolic_field.(i)) grads))
 
-let condition5_formula system config cert =
-  let lie = lie_derivative_expr system cert in
+let decrease_formula system ~outside ~gamma template coeffs =
   Formula.and_
-    [
-      Formula.outside_rect (rect_bounds system.vars config.x0_rect);
-      Formula.ge lie (Expr.const (-.config.gamma));
-    ]
+    [ outside; Formula.ge (lie_derivative_expr system template coeffs) (Expr.const (-.gamma)) ]
+
+let condition5_formula system config cert =
+  decrease_formula system
+    ~outside:(Formula.outside_rect (Cegis.rect_bounds system.vars config.x0_rect))
+    ~gamma:config.gamma cert.template cert.coeffs
 
 let condition6_formula cert =
   Formula.gt (Template.w_expr cert.template cert.coeffs) (Expr.const cert.level)
@@ -103,324 +101,89 @@ let condition6_formula cert =
 let condition7_formula cert =
   Formula.le (Template.w_expr cert.template cert.coeffs) (Expr.const cert.level)
 
-let in_rect rect x =
-  let ok = ref true in
-  Array.iteri
-    (fun i (lo, hi) -> if x.(i) < lo || x.(i) > hi then ok := false)
-    rect;
-  !ok
+(* A witness genuinely violates the decrease condition when the exact Lie
+   derivative at the point is >= -gamma; a counterexample contributes its
+   exact Lie cut and the rows of its simulated trace. *)
+let decrease_obligation ~name ~outside ~gamma ~simulate system template =
+  {
+    Cegis.name;
+    formula = decrease_formula system ~outside ~gamma template;
+    violates =
+      (fun coeffs x ->
+        let basis = Template.basis_lie template x (system.numeric_field 0.0 x) in
+        let lie = ref 0.0 in
+        Array.iteri (fun k b -> lie := !lie +. (coeffs.(k) *. b)) basis;
+        !lie >= -.gamma);
+    cuts = (fun x -> [ Cegis.Cex x; Cegis.Trace (simulate x) ]);
+  }
 
 let sample_initial_states ~rng config n =
-  let dim = Array.length config.safe_rect in
-  let rec draw acc k guard =
-    if k = 0 then Ok (List.rev acc)
-    else if guard > 100 * n then
-      (* Rejection sampling stalled: X0 (nearly) covers the safe rectangle.
-         An explicit shortfall beats silently under-seeding the LP. *)
-      Error (n - k)
-    else begin
-      let x = Array.init dim (fun i ->
-          let lo, hi = config.safe_rect.(i) in
-          Rng.uniform rng lo hi)
-      in
-      if in_rect config.x0_rect x then draw acc k (guard + 1)
-      else draw (x :: acc) (k - 1) (guard + 1)
-    end
-  in
-  draw [] n 0
+  (* Rejection sampling stalls when X0 (nearly) covers the safe rectangle;
+     an explicit shortfall beats silently under-seeding the LP. *)
+  let seeds = Cegis.sample_outside ~rng ~domain:config.safe_rect ~excluded:config.x0_rect n in
+  if List.length seeds = n then Ok seeds else Error (List.length seeds)
 
 (* Simulate one trace; stop once the state converges to the equilibrium or
    leaves the safe rectangle.  Samples outside the safe rectangle are
    dropped: condition (5) is only checked inside it, so constraining W
    there would needlessly over-constrain (or kill) the LP. *)
-let simulate_trace ?(budget = Budget.unlimited) config system x0 =
-  (* The budget check inside the stop predicate means even a stalled or
-     divergent field cannot keep a single trace running past the
-     deadline. *)
-  let stop _t x =
-    Vec.norm2 x < 1e-4
-    || (not (in_rect config.safe_rect x))
-    || Budget.expired budget
-  in
-  let tr =
-    Ode.simulate_until ~stop system.numeric_field ~t0:0.0 ~x0
-      ~dt:config.sim_dt
-      ~t_end:(config.sim_dt *. float_of_int config.sim_steps)
-  in
-  let keep =
-    Array.to_list (Array.mapi (fun i x -> (tr.Ode.times.(i), x)) tr.Ode.states)
-    |> List.filter (fun (_, x) -> in_rect config.safe_rect x)
-  in
-  match keep with
-  | [] -> { Ode.times = [| 0.0 |]; states = [| x0 |] }
-  | _ ->
-    {
-      Ode.times = Array.of_list (List.map fst keep);
-      states = Array.of_list (List.map snd keep);
-    }
+let simulate_trace ?budget config system x0 =
+  Cegis.simulate ?budget ~rect:config.safe_rect ~dt:config.sim_dt ~steps:config.sim_steps
+    ~converged:1e-4 system.numeric_field x0
 
-(* Mutable accumulators for the pipeline's timing breakdown. *)
-type accounting = {
-  mutable lp_time : float;
-  mutable lp_calls : int;
-  mutable lp_rows : int;
-  mutable smt5_time : float;
-  mutable smt5_calls : int;
-  mutable smt5_branches : int;
-  mutable smt67_time : float;
-  mutable smt6_time : float;
-  mutable smt7_time : float;
-  mutable sim_time : float;
-  mutable candidate_iterations : int;
-  mutable level_iterations : int;
-  mutable budget_stop : Budget.stop option;
-}
-
-let fresh_accounting () =
-  {
-    lp_time = 0.0;
-    lp_calls = 0;
-    lp_rows = 0;
-    smt5_time = 0.0;
-    smt5_calls = 0;
-    smt5_branches = 0;
-    smt67_time = 0.0;
-    smt6_time = 0.0;
-    smt7_time = 0.0;
-    sim_time = 0.0;
-    candidate_iterations = 0;
-    level_iterations = 0;
-    budget_stop = None;
-  }
-
-(* A counterexample is "repeated" when it lies within tolerance of any
-   previously accumulated one — adding it again cuts nothing from the LP. *)
-let cex_repeated ?(tol = 1e-9) cexs x =
-  List.exists (fun prev -> Vec.dist2 prev x < tol) cexs
-
-let witness_to_state vars witness =
-  Array.map
-    (fun v ->
-      match List.assoc_opt v witness with
-      | Some x -> x
-      | None -> 0.0)
-    vars
-
-(* Phase 1 (Fig. 1 upper loop): LP candidate + condition (5) with CEX
-   refinement.  Returns the accepted coefficients or a failure.
-
-   [warm_start] (certificate-store reuse) is a coefficient vector tried as
-   the very first candidate *instead of* an LP solve: on a cache-nearby
-   problem the stored generator often still satisfies condition (5), which
-   skips the LP entirely; when the check refutes it, the witness becomes an
-   ordinary CEX cut and the loop falls back to cold CEGIS from iteration 2
-   with that cut already in place. *)
-let c_cex_cuts = Obs.Metrics.counter "cegis.cex_cuts"
-
-let find_generator ~budget ?warm_start config system acc template traces_ref cexs_ref =
-  let timeout stage stop =
-    acc.budget_stop <- Some stop;
-    Error (Timeout stage)
-  in
-  let warm_start =
-    match warm_start with
-    | Some coeffs when Array.length coeffs = Template.dimension template -> Some coeffs
-    | _ -> None  (* arity mismatch: the hint is unusable, ignore it *)
-  in
-  (* The incremental LP is created lazily on the first synthesis call (a
-     warm-start hint may satisfy condition (5) with zero LP solves) and
-     then lives across CEGIS iterations: each counterexample appends a cut
-     and its simulated trace's rows, and with [lp_engine = Revised] every
-     re-solve starts from the previous iteration's optimal basis. *)
-  let inc = ref None in
-  let get_inc () =
-    match !inc with
-    | Some i -> i
-    | None ->
-      let i =
-        Synthesis.Incremental.create ~options:config.synthesis ~cex_points:!cexs_ref
-          ~template ~field:system.numeric_field !traces_ref
-      in
-      inc := Some i;
-      i
-  in
-  let rec attempt ?warm iter =
-    match Budget.check budget with
-    | Some stop -> timeout "candidate loop" stop
-    | None ->
-    if iter > config.max_candidate_iters then Error Cex_budget_exhausted
-    else begin
-      acc.candidate_iterations <- acc.candidate_iterations + 1;
-      let candidate =
-        match warm with
-        | Some coeffs -> Ok coeffs
-        | None ->
-          let outcome, lp_dt =
-            Timing.time (fun () ->
-                Obs.Trace.with_span "synthesis.lp" (fun () ->
-                    Synthesis.Incremental.solve ~budget (get_inc ())))
-          in
-          acc.lp_time <- acc.lp_time +. lp_dt;
-          acc.lp_calls <- acc.lp_calls + 1;
-          acc.lp_rows <- Synthesis.Incremental.row_count (get_inc ());
-          (match outcome with
-          | Synthesis.Lp_infeasible -> Error (Lp_failed "LP infeasible")
-          | Synthesis.Margin_too_small m ->
-            Error (Lp_failed (Printf.sprintf "margin %.2e too small" m))
-          | Synthesis.Lp_timed_out stop -> timeout "lp" stop
-          | Synthesis.Candidate { coeffs; _ } -> Ok coeffs)
-      in
-      match candidate with
-      | Error _ as e -> e
-      | Ok coeffs ->
-        let cert = { template; coeffs; level = 0.0 } in
-        let formula = condition5_formula system config cert in
-        let bounds = rect_bounds system.vars config.safe_rect in
-        (* The δ-refinement retries below re-decide the SAME formula with a
-           tighter delta, so prepare once and override options per call —
-           the Lie-derivative tapes of an NN controller are the most
-           expensive compile in the pipeline. *)
-        let prepared, prep_dt =
-          Timing.time (fun () ->
-              Obs.Trace.with_span "condition5" (fun () ->
-                  Solver.prepare ~options:config.smt
-                    ~vars:(List.map (fun (n, _, _) -> n) bounds)
-                    formula))
-        in
-        acc.smt5_time <- acc.smt5_time +. prep_dt;
-        (* A delta-sat witness is spurious when the certificate's true
-           margin at the point is below the solver's delta; check the
-           exact Lie derivative at the witness and refine delta rather
-           than adding a useless cut (dReal's recommended usage). *)
-        let genuinely_violates x =
-          let f = system.numeric_field 0.0 x in
-          let basis = Template.basis_lie template x f in
-          let lie = ref 0.0 in
-          Array.iteri (fun k b -> lie := !lie +. (coeffs.(k) *. b)) basis;
-          !lie >= -.config.gamma
-        in
-        let rec decide options refinements =
-          let (verdict, st), smt_dt =
-            Timing.time (fun () ->
-                Obs.Trace.with_span "condition5" (fun () ->
-                    Solver.solve_prepared ~options ~budget prepared ~bounds))
-          in
-          acc.smt5_time <- acc.smt5_time +. smt_dt;
-          acc.smt5_calls <- acc.smt5_calls + 1;
-          acc.smt5_branches <- acc.smt5_branches + st.Solver.branches;
-          match verdict with
-          | Solver.Unsat -> `Unsat
-          | Solver.Unknown -> (
-            match st.Solver.interrupted with
-            | Some ((Budget.Deadline | Budget.Cancelled) as stop) -> `Timeout stop
-            | Some Budget.Branch_budget | None -> `Unknown)
-          | Solver.Delta_sat witness ->
-            let x_star = witness_to_state system.vars witness in
-            if genuinely_violates x_star then `Cex x_star
-            else if refinements >= 4 then
-              (* Not refutable at the finest delta but not a genuine
-                 violation either: the candidate's margin at x_star is
-                 within solver resolution of -gamma.  Use it as a
-                 tightening cut (CEGIS on near-violations), unless the
-                 same point keeps recurring. *)
-              `Near_cex x_star
-            else
-              decide
-                { options with Solver.delta = options.Solver.delta /. 100.0 }
-                (refinements + 1)
-        in
-        let continue_with x_star =
-          Obs.Metrics.incr c_cex_cuts;
-          cexs_ref := x_star :: !cexs_ref;
-          let trace, sim_dt =
-            Timing.time (fun () ->
-                Obs.Trace.with_span "cex_simulation" (fun () ->
-                    simulate_trace ~budget config system x_star))
-          in
-          acc.sim_time <- acc.sim_time +. sim_dt;
-          traces_ref := trace :: !traces_ref;
-          (* Feed the live LP; if it has not been created yet (warm-start
-             hint failed before any solve) the cut and trace are already in
-             [cexs_ref]/[traces_ref] and will seed it on creation. *)
-          (match !inc with
-          | Some i ->
-            Synthesis.Incremental.add_cex i x_star;
-            Synthesis.Incremental.add_trace i trace
-          | None -> ());
-          attempt (iter + 1)
-        in
-        (* Compare against *every* accumulated counterexample, not just the
-           most recent one: an alternating pair of witnesses (A, B, A, …)
-           would otherwise never be detected and the loop would burn all
-           [max_candidate_iters] iterations re-adding ineffective cuts. *)
-        let repeated x = cex_repeated !cexs_ref x in
-        (match decide config.smt 0 with
-        | `Unsat -> Ok coeffs
-        | `Timeout stop -> timeout "condition (5)" stop
-        | `Unknown -> Error (Solver_inconclusive "condition (5)")
-        | `Near_cex x_star ->
-          if repeated x_star then
-            Error (Solver_inconclusive "condition (5): margin at solver resolution")
-          else continue_with x_star
-        | `Cex x_star ->
-          if repeated x_star then
-            Error (Solver_inconclusive "condition (5): counterexample cut ineffective")
-          else continue_with x_star)
-    end
-  in
-  attempt ?warm:warm_start 1
-
-(* Phase 2 (Fig. 1 lower loop) is shared with the discrete-time engine. *)
-let find_level ~budget config system acc template coeffs =
-  let spec =
-    {
-      Level_search.vars = system.vars;
-      x0_rect = config.x0_rect;
-      safe_rect = config.safe_rect;
-      (* [unsafe_rect] holds the rectangle whose *complement* is the unsafe
-         set (see Level_search.spec): here the safe rectangle itself. *)
-      unsafe_rect = config.safe_rect;
-      smt = config.smt;
-      max_iters = config.max_level_iters;
-    }
-  in
+(* Phase 2 (Fig. 1 lower loop), shared with the discrete-time engine:
+   one level search, kept in [levels] for the report; a budget stop is
+   recorded in [acc].  [unsafe_rect] holds the rectangle whose complement
+   is the unsafe set (see Level_search.spec). *)
+let find_level ~budget acc levels ~vars ~x0_rect ~safe_rect ~unsafe_rect ~smt ~max_iters
+    template coeffs =
+  let spec = { Level_search.vars; x0_rect; safe_rect; unsafe_rect; smt; max_iters } in
   let result = Level_search.search ~budget spec template coeffs in
-  acc.smt67_time <- acc.smt67_time +. result.Level_search.smt_time;
-  acc.smt6_time <- acc.smt6_time +. result.Level_search.smt6_time;
-  acc.smt7_time <- acc.smt7_time +. result.Level_search.smt7_time;
-  acc.level_iterations <- acc.level_iterations + result.Level_search.iterations;
-  match result.Level_search.level with
-  | Ok level -> Ok level
-  | Error Level_search.Range_empty -> Error Level_range_empty
-  | Error Level_search.Budget_exhausted -> Error Level_budget_exhausted
-  | Error (Level_search.Inconclusive what) -> Error (Solver_inconclusive what)
-  | Error (Level_search.Timed_out stop) ->
-    acc.budget_stop <- Some stop;
-    Error (Timeout "level")
+  levels := result :: !levels;
+  if Option.is_some result.Level_search.budget_stop then
+    acc.Cegis.budget_stop <- result.Level_search.budget_stop;
+  result.Level_search.level
+
+let make_report ~t_start (acc : Cegis.stats) levels ~traces ~counterexamples outcome =
+  let sum f = List.fold_left (fun total r -> total +. f r) 0.0 levels in
+  {
+    outcome;
+    stats =
+      {
+        candidate_iterations = acc.iterations;
+        level_iterations = List.fold_left (fun n r -> n + r.Level_search.iterations) 0 levels;
+        lp_time = acc.lp_time;
+        lp_calls = acc.lp_calls;
+        smt5_time = acc.smt_time;
+        smt5_calls = acc.smt_calls;
+        smt5_branches = acc.smt_branches;
+        smt67_time = sum (fun r -> r.Level_search.smt_time);
+        smt6_time = sum (fun r -> r.Level_search.smt6_time);
+        smt7_time = sum (fun r -> r.Level_search.smt7_time);
+        sim_time = acc.sim_time;
+        total_time = Timing.now () -. t_start;
+        lp_rows = acc.lp_rows;
+        budget_stop = acc.budget_stop;
+      };
+    traces;
+    counterexamples;
+  }
 
 let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~rng system =
   Obs.Trace.with_span "engine.verify" @@ fun () ->
-  (* The LP constrains W only where condition (5) is checked: D \ X0. *)
   let config =
-    let synthesis =
-      {
-        config.synthesis with
-        Synthesis.exclude_rect =
-          (match config.synthesis.Synthesis.exclude_rect with
-          | Some _ as e -> e
-          | None -> Some config.x0_rect);
-        separation_rects =
-          (match config.synthesis.Synthesis.separation_rects with
-          | Some _ as s -> s
-          | None -> Some (config.x0_rect, config.safe_rect));
-      }
-    in
-    { config with synthesis }
+    {
+      config with
+      synthesis =
+        Synthesis.with_region config.synthesis ~x0_rect:config.x0_rect
+          ~safe_rect:config.safe_rect;
+    }
   in
   let t_start = Timing.now () in
-  let acc = fresh_accounting () in
+  let acc = Cegis.fresh_stats () in
+  let levels = ref [] in
   let template = Template.make config.template_kind system.vars in
-  let traces_ref = ref [] and cexs_ref = ref [] in
+  let traces = ref [] and cexs = ref [] in
   let run_pipeline () =
     match sample_initial_states ~rng config config.n_seed with
     | Error got -> Failed (Seed_shortfall (got, config.n_seed))
@@ -428,7 +191,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
       (* Seed traces are mutually independent, so they fan out over the
          domain pool; results come back in seed order, so the trace list
          (and everything downstream of it) is identical for any [jobs]. *)
-      let traces, seed_sim_dt =
+      let seed_traces, seed_sim_dt =
         Timing.time (fun () ->
             Obs.Trace.with_span "seed_simulation" (fun () ->
                 Array.to_list
@@ -439,7 +202,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
                      (Array.of_list seeds))))
       in
       acc.sim_time <- acc.sim_time +. seed_sim_dt;
-      traces_ref := traces;
+      traces := seed_traces;
       (* A stalled/divergent field truncates traces at the deadline (see
          [simulate_trace]); catch the stop here so the LP never runs on a
          partial seed set after time is up. *)
@@ -448,39 +211,42 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
         acc.budget_stop <- Some stop;
         Failed (Timeout "seed simulation")
       | None -> (
-        match
-          find_generator ~budget ?warm_start config system acc template traces_ref cexs_ref
-        with
+        (* Phase 1 (Fig. 1 upper loop).  [warm_start] (certificate-store
+           reuse) is tried as the first candidate instead of an LP solve; a
+           hint of the wrong arity is unusable and ignored. *)
+        let warm =
+          match warm_start with
+          | Some coeffs when Array.length coeffs = Template.dimension template -> Some coeffs
+          | _ -> None
+        in
+        let cegis =
+          Cegis.create ~stats:acc ~budget ~synthesis:config.synthesis ~smt:config.smt
+            ~max_iters:config.max_candidate_iters ~template ~field:system.numeric_field
+            ~domain:config.safe_rect seed_traces
+        in
+        let outside = Formula.outside_rect (Cegis.rect_bounds system.vars config.x0_rect) in
+        let generator =
+          Cegis.run ?warm cegis
+            [
+              decrease_obligation ~name:"condition (5)" ~outside ~gamma:config.gamma
+                ~simulate:(simulate_trace ~budget config system) system template;
+            ]
+        in
+        traces := Cegis.traces cegis;
+        cexs := Cegis.witnesses cegis;
+        match generator with
         | Error reason -> Failed reason
         | Ok coeffs -> (
-          match find_level ~budget config system acc template coeffs with
-          | Error reason -> Failed reason
-          | Ok level -> Proved { template; coeffs; level })))
+          match
+            find_level ~budget acc levels ~vars:system.vars ~x0_rect:config.x0_rect
+              ~safe_rect:config.safe_rect ~unsafe_rect:config.safe_rect ~smt:config.smt
+              ~max_iters:config.max_level_iters template coeffs
+          with
+          | Ok level -> Proved { template; coeffs; level }
+          | Error reason -> Failed reason)))
   in
   let outcome = run_pipeline () in
-  let total_time = Timing.now () -. t_start in
-  {
-    outcome;
-    stats =
-      {
-        candidate_iterations = acc.candidate_iterations;
-        level_iterations = acc.level_iterations;
-        lp_time = acc.lp_time;
-        lp_calls = acc.lp_calls;
-        smt5_time = acc.smt5_time;
-        smt5_calls = acc.smt5_calls;
-        smt5_branches = acc.smt5_branches;
-        smt67_time = acc.smt67_time;
-        smt6_time = acc.smt6_time;
-        smt7_time = acc.smt7_time;
-        sim_time = acc.sim_time;
-        total_time;
-        lp_rows = acc.lp_rows;
-        budget_stop = acc.budget_stop;
-      };
-    traces = !traces_ref;
-    counterexamples = !cexs_ref;
-  }
+  make_report ~t_start acc !levels ~traces:!traces ~counterexamples:!cexs outcome
 
 let exit_code = function
   | Proved _ -> 0
@@ -640,17 +406,19 @@ let dump_smt2 ?(config = default_config) system cert ~dir =
   in
   let p5 =
     write "condition5.smt2"
-      (rect_bounds system.vars config.safe_rect)
+      (Cegis.rect_bounds system.vars config.safe_rect)
       (condition5_formula system config cert)
   in
-  let p6 = write "condition6.smt2" (rect_bounds vars config.x0_rect) (condition6_formula cert) in
+  let p6 =
+    write "condition6.smt2" (Cegis.rect_bounds vars config.x0_rect) (condition6_formula cert)
+  in
   let query_rect =
     Level_search.condition7_query_rect cert.template cert.coeffs ~level:cert.level
       ~unsafe_rect:config.safe_rect
   in
   let formula7 =
     Formula.and_
-      [ condition7_formula cert; Formula.outside_rect (rect_bounds vars config.safe_rect) ]
+      [ condition7_formula cert; Formula.outside_rect (Cegis.rect_bounds vars config.safe_rect) ]
   in
-  let p7 = write "condition7.smt2" (rect_bounds vars query_rect) formula7 in
+  let p7 = write "condition7.smt2" (Cegis.rect_bounds vars query_rect) formula7 in
   [ p5; p6; p7 ]

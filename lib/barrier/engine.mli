@@ -73,7 +73,8 @@ type stats = {
           [Timeout] *)
 }
 
-type failure_reason =
+(** Shared by every engine (defined by the common {!Cegis} loop). *)
+type failure_reason = Cegis.failure_reason =
   | Lp_failed of string  (** infeasible LP or vanishing margin *)
   | Cex_budget_exhausted  (** condition (5) kept producing counterexamples *)
   | Level_range_empty  (** X0 cannot be separated from U by any level *)
@@ -82,7 +83,8 @@ type failure_reason =
   | Timeout of string
       (** the threaded budget expired; the payload names the stage
           ("seed simulation", "lp", "candidate loop", "condition (5)",
-          "level") *)
+          "level"; the Lyapunov engine's obligations are "decrease" and
+          "positivity") *)
   | Seed_shortfall of int * int
       (** [(got, wanted)]: rejection sampling could not draw enough seed
           states from [safe_rect \ x0_rect] *)
@@ -108,12 +110,47 @@ val condition7_formula : certificate -> Formula.t
     the [x ∈ U] half depends on the query rectangle and is conjoined by
     the callers. *)
 
-val cex_repeated : ?tol:float -> float array list -> float array -> bool
-(** [cex_repeated cexs x] — is [x] within Euclidean distance [tol]
-    (default 1e-9) of {e any} accumulated counterexample?  This is the
-    staleness check of the CEGIS loop; comparing against every CEX (not
-    just the latest) is what detects alternating witness pairs
-    (A, B, A, B, …).  Exposed for regression tests. *)
+val decrease_obligation :
+  name:string ->
+  outside:Formula.t ->
+  gamma:float ->
+  simulate:(float array -> Ode.trace) ->
+  system ->
+  Template.t ->
+  Cegis.obligation
+(** The continuous-time decrease query [∃x : outside(x) ∧ ∇W·f(x) ≥ −γ]
+    as a CEGIS obligation, over the region [outside] (D \ X0 for a
+    barrier, as in {!condition5_formula}; outside the equilibrium ball for
+    {!Lyapunov}).  A witness is genuine when the exact Lie derivative
+    there is [≥ −γ], and it is cut by its exact Lie row plus the rows of
+    its [simulate]d trace. *)
+
+val find_level :
+  budget:Budget.t ->
+  Cegis.stats ->
+  Level_search.result list ref ->
+  vars:string array ->
+  x0_rect:(float * float) array ->
+  safe_rect:(float * float) array ->
+  unsafe_rect:(float * float) array ->
+  smt:Solver.options ->
+  max_iters:int ->
+  Template.t ->
+  float array ->
+  (float, failure_reason) result
+(** One {!Level_search.search} (the lower loop of Fig. 1), prepended to
+    the list for {!make_report}; a budget stop lands in the stats. *)
+
+val make_report :
+  t_start:float ->
+  Cegis.stats ->
+  Level_search.result list ->
+  traces:Ode.trace list ->
+  counterexamples:float array list ->
+  outcome ->
+  report
+(** Assemble a report from the CEGIS accumulators and every level search
+    of the run; [total_time] is measured from [t_start]. *)
 
 val sample_initial_states :
   rng:Rng.t -> config -> int -> (float array list, int) Result.t

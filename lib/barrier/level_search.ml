@@ -7,27 +7,16 @@ type spec = {
   max_iters : int;
 }
 
-type failure =
-  | Range_empty
-  | Budget_exhausted
-  | Inconclusive of string
-  | Timed_out of Budget.stop
-
 type result = {
-  level : (float, failure) Result.t;
+  level : (float, Cegis.failure_reason) Result.t;
   iterations : int;
   smt_time : float;
   smt6_time : float;
   smt7_time : float;
+  budget_stop : Budget.stop option;
 }
 
 let c_bisections = Obs.Metrics.counter "level_search.bisections"
-
-let rect_bounds vars rect =
-  Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
-
-let condition6 template coeffs level =
-  Formula.gt (Template.w_expr template coeffs) (Expr.const level)
 
 (* Only finitely-bounded dimensions of the unsafe rectangle generate
    membership atoms. *)
@@ -40,13 +29,6 @@ let outside_unsafe spec =
            (v, (if Float.is_finite lo then lo else -1e12), if Float.is_finite hi then hi else 1e12))
   in
   Formula.outside_rect dims
-
-let condition7 spec template coeffs level =
-  Formula.and_
-    [
-      Formula.le (Template.w_expr template coeffs) (Expr.const level);
-      outside_unsafe spec;
-    ]
 
 (* Ellipsoid center: -P⁻¹b/2 for W = x'Px + b'x (zero for pure
    quadratics).  Only degree-2 templates have one — [Poly 2] enumerates
@@ -112,6 +94,10 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
   Obs.Trace.with_span "level_search.search" @@ fun () ->
   let iterations = ref 0 in
   let smt6_time = ref 0.0 and smt7_time = ref 0.0 in
+  (* A deadline/cancellation stop, from the budget check between
+     iterations or from inside an SMT query: the caller then reports
+     Timeout rather than Inconclusive. *)
+  let interrupted = ref None in
   let w_of_point x = Template.w_eval template coeffs x in
   let finish level =
     {
@@ -120,6 +106,7 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
       smt_time = !smt6_time +. !smt7_time;
       smt6_time = !smt6_time;
       smt7_time = !smt7_time;
+      budget_stop = !interrupted;
     }
   in
   let range =
@@ -132,9 +119,8 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
           ~unsafe_complement_rect:spec.unsafe_rect
       with
       | range -> Ok range
-      | exception Levelset.Not_definite -> Error Range_empty
-      | exception Invalid_argument _ -> Error Range_empty
-      | exception Lu.Singular -> Error Range_empty)
+      | exception (Levelset.Not_definite | Invalid_argument _ | Lu.Singular) ->
+        Error Cegis.Level_range_empty)
     else
       (* No ellipsoid to analyze: seed from the sampled heuristic range
          (the SMT bisection below still gates both conditions). *)
@@ -145,7 +131,7 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
   match range with
   | Error e -> finish (Error e)
   | Ok { Levelset.l_min; l_max } ->
-    if l_min >= l_max then finish (Error Range_empty)
+    if l_min >= l_max then finish (Error Cegis.Level_range_empty)
     else begin
       (* The bisection varies only the level constant, never the template
          shape, so both conditions are prepared ONCE with the level as a
@@ -181,9 +167,7 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
              ])
       in
       (* Each query gets the shared budget; a deadline/cancellation stop is
-         distinguished (via [stats.interrupted]) from a plain Unknown so the
-         caller can report Timeout rather than Inconclusive. *)
-      let interrupted = ref None in
+         distinguished (via [stats.interrupted]) from a plain Unknown. *)
       let solve span_name acc prepared level bounds =
         let (verdict, stats), dt =
           Timing.time (fun () ->
@@ -200,25 +184,27 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
       in
       let rec refine lo hi iter =
         match Budget.check budget with
-        | Some stop -> Error (Timed_out stop)
+        | Some stop ->
+          interrupted := Some stop;
+          Error (Cegis.Timeout "level")
         | None ->
-        if iter > spec.max_iters then Error Budget_exhausted
+        if iter > spec.max_iters then Error Cegis.Level_budget_exhausted
         else begin
           incr iterations;
           Obs.Metrics.incr c_bisections;
           let level = 0.5 *. (lo +. hi) in
           let timed_out_or kind =
-            match !interrupted with
-            | Some stop -> Error (Timed_out stop)
-            | None -> Error (Inconclusive kind)
+            if Option.is_some !interrupted then Error (Cegis.Timeout "level")
+            else Error (Cegis.Solver_inconclusive kind)
           in
           match
             solve "condition6" smt6_time cond6_prep level
-              (rect_bounds spec.vars spec.x0_rect)
+              (Cegis.rect_bounds spec.vars spec.x0_rect)
           with
           | Solver.Unknown -> timed_out_or "condition (6)"
           | Solver.Delta_sat _ ->
-            if hi -. level < 1e-12 then Error Budget_exhausted else refine level hi (iter + 1)
+            if hi -. level < 1e-12 then Error Cegis.Level_budget_exhausted
+            else refine level hi (iter + 1)
           | Solver.Unsat -> (
             (* Bounded query domain for this level: the ellipsoid bounding
                box for quadratic kinds, the boundary shell for Poly. *)
@@ -227,11 +213,12 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
             in
             match
               solve "condition7" smt7_time cond7_prep level
-                (rect_bounds spec.vars query_rect)
+                (Cegis.rect_bounds spec.vars query_rect)
             with
             | Solver.Unknown -> timed_out_or "condition (7)"
             | Solver.Delta_sat _ ->
-              if level -. lo < 1e-12 then Error Budget_exhausted else refine lo level (iter + 1)
+              if level -. lo < 1e-12 then Error Cegis.Level_budget_exhausted
+              else refine lo level (iter + 1)
             | Solver.Unsat -> Ok level)
         end
       in

@@ -24,27 +24,19 @@ type spec = {
   max_iters : int;
 }
 
-type failure =
-  | Range_empty  (** no level can separate X0 from U for this W *)
-  | Budget_exhausted
-  | Inconclusive of string  (** an SMT query returned Unknown *)
-  | Timed_out of Budget.stop
-      (** the threaded budget's deadline/cancellation fired, either between
-          refinement iterations or inside an SMT query *)
-
 type result = {
-  level : (float, failure) Result.t;
+  level : (float, Cegis.failure_reason) Result.t;
+      (** [Level_range_empty] (no level separates X0 from U for this W),
+          [Level_budget_exhausted], [Solver_inconclusive] (an SMT query
+          returned Unknown) or [Timeout "level"] *)
   iterations : int;
   smt_time : float;  (** seconds spent in conditions (6)/(7) combined *)
   smt6_time : float;  (** seconds spent in condition (6) queries *)
   smt7_time : float;  (** seconds spent in condition (7) queries *)
+  budget_stop : Budget.stop option;
+      (** the budget's deadline/cancellation behind a [Timeout], fired
+          between refinement iterations or inside an SMT query *)
 }
-
-val condition6 : Template.t -> float array -> float -> Formula.t
-(** [∃x: W(x) > ℓ] (to be solved over the X0 bounds). *)
-
-val condition7 : spec -> Template.t -> float array -> float -> Formula.t
-(** [∃x: W(x) ≤ ℓ ∧ x ∉ unsafe_rect] (finite dimensions only). *)
 
 val ellipsoid_center : Template.t -> float array -> Mat.t -> Vec.t
 (** Center of the sublevel ellipsoids: [-P⁻¹b/2] for

@@ -29,12 +29,7 @@ let default_config =
 
 type certificate = { template : Template.t; coeffs : float array }
 
-type failure_reason =
-  | Lp_failed of string
-  | Cex_budget_exhausted
-  | Solver_inconclusive of string
-
-type outcome = Proved of certificate | Failed of failure_reason
+type outcome = Proved of certificate | Failed of Engine.failure_reason
 
 type report = {
   outcome : outcome;
@@ -43,10 +38,8 @@ type report = {
   lp_time : float;
   smt_time : float;
   total_time : float;
+  budget_stop : Budget.stop option;
 }
-
-let bounds_of vars rect =
-  Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
 
 (* ‖x‖² ≥ r² as a formula over the system variables. *)
 let outside_ball vars radius =
@@ -55,12 +48,6 @@ let outside_ball vars radius =
   in
   Formula.ge norm2 (Expr.const (radius *. radius))
 
-let lie_expr system (cert : certificate) =
-  let grads = Template.grad_exprs cert.template cert.coeffs in
-  Expr.sum
-    (Array.to_list
-       (Array.mapi (fun i g -> Expr.( * ) g system.Engine.symbolic_field.(i)) grads))
-
 let positivity_formula system config cert =
   Formula.and_
     [
@@ -68,39 +55,7 @@ let positivity_formula system config cert =
       Formula.le (Template.w_expr cert.template cert.coeffs) (Expr.const 0.0);
     ]
 
-let decrease_formula system config cert =
-  Formula.and_
-    [
-      outside_ball system.Engine.vars config.ball_radius;
-      Formula.ge (lie_expr system cert) (Expr.const (-.config.gamma));
-    ]
-
-let in_rect rect x =
-  let ok = ref true in
-  Array.iteri (fun i (lo, hi) -> if x.(i) < lo || x.(i) > hi then ok := false) rect;
-  !ok
-
-let simulate_trace config system x0 =
-  let stop _t x =
-    Vec.norm2 x < 0.5 *. config.ball_radius || not (in_rect config.domain_rect x)
-  in
-  let tr =
-    Ode.simulate_until ~stop system.Engine.numeric_field ~t0:0.0 ~x0 ~dt:config.sim_dt
-      ~t_end:(config.sim_dt *. float_of_int config.sim_steps)
-  in
-  let keep =
-    Array.to_list (Array.mapi (fun i x -> (tr.Ode.times.(i), x)) tr.Ode.states)
-    |> List.filter (fun (_, x) -> in_rect config.domain_rect x)
-  in
-  match keep with
-  | [] -> { Ode.times = [| 0.0 |]; states = [| x0 |] }
-  | _ ->
-    {
-      Ode.times = Array.of_list (List.map fst keep);
-      states = Array.of_list (List.map snd keep);
-    }
-
-let verify ?(config = default_config) ~rng system =
+let verify ?(config = default_config) ?(budget = Budget.unlimited) ~rng system =
   let t_start = Timing.now () in
   let template = Template.make config.template_kind system.Engine.vars in
   (* Synthesis must only constrain W outside the ball; over-approximate the
@@ -109,7 +64,7 @@ let verify ?(config = default_config) ~rng system =
      samples stay, which is harmless since rho >= min_rho filters the
      worst). *)
   let r = config.ball_radius /. Float.sqrt 2.0 in
-  let synthesis_options =
+  let synthesis =
     {
       config.synthesis with
       Synthesis.exclude_rect =
@@ -118,78 +73,46 @@ let verify ?(config = default_config) ~rng system =
       separation_rects = None;
     }
   in
+  let simulate =
+    Cegis.simulate ~budget ~rect:config.domain_rect ~dt:config.sim_dt ~steps:config.sim_steps
+      ~converged:(0.5 *. config.ball_radius) system.Engine.numeric_field
+  in
   let seeds =
-    let dim = Array.length config.domain_rect in
     List.init config.n_seed (fun _ ->
-        Array.init dim (fun i ->
-            let lo, hi = config.domain_rect.(i) in
-            Rng.uniform rng lo hi))
+        Array.map (fun (lo, hi) -> Rng.uniform rng lo hi) config.domain_rect)
   in
-  let traces = ref (List.map (simulate_trace config system) seeds) in
-  let cexs = ref [] in
-  let lp_time = ref 0.0 and smt_time = ref 0.0 in
-  let iterations = ref 0 in
-  let rec attempt iter =
-    if iter > config.max_candidate_iters then Failed Cex_budget_exhausted
-    else begin
-      incr iterations;
-      let outcome, dt =
-        Timing.time (fun () ->
-            Synthesis.synthesize ~options:synthesis_options ~cex_points:!cexs ~template
-              ~field:system.Engine.numeric_field !traces)
-      in
-      lp_time := !lp_time +. dt;
-      match outcome with
-      | Synthesis.Lp_infeasible -> Failed (Lp_failed "LP infeasible")
-      | Synthesis.Margin_too_small m ->
-        Failed (Lp_failed (Printf.sprintf "margin %.2e too small" m))
-      | Synthesis.Lp_timed_out stop ->
-        (* This engine takes no budget, so a stop can only come from a
-           caller-supplied synthesis option; report it as an LP failure. *)
-        Failed (Lp_failed ("LP timed out: " ^ Budget.string_of_stop stop))
-      | Synthesis.Candidate { coeffs; _ } ->
-        let cert = { template; coeffs } in
-        let bounds = bounds_of system.Engine.vars config.domain_rect in
-        let check formula =
-          let (verdict, _), dt =
-            Timing.time (fun () -> Solver.solve ~options:config.smt ~bounds formula)
-          in
-          smt_time := !smt_time +. dt;
-          verdict
-        in
-        (match check (decrease_formula system config cert) with
-        | Solver.Unknown -> Failed (Solver_inconclusive "decrease")
-        | Solver.Delta_sat witness ->
-          let x_star =
-            Array.map
-              (fun v -> match List.assoc_opt v witness with Some x -> x | None -> 0.0)
-              system.Engine.vars
-          in
-          cexs := x_star :: !cexs;
-          traces := simulate_trace config system x_star :: !traces;
-          attempt (iter + 1)
-        | Solver.Unsat -> (
-          match check (positivity_formula system config cert) with
-          | Solver.Unsat -> Proved cert
-          | Solver.Unknown -> Failed (Solver_inconclusive "positivity")
-          | Solver.Delta_sat witness ->
-            (* W not positive at the witness: add it as a seed state so the
-               positivity rows of the next LP cover that region. *)
-            let x_star =
-              Array.map
-                (fun v -> match List.assoc_opt v witness with Some x -> x | None -> 0.0)
-                system.Engine.vars
-            in
-            traces := simulate_trace config system x_star :: !traces;
-            attempt (iter + 1)))
-    end
+  let stats = Cegis.fresh_stats () in
+  let cegis =
+    Cegis.create ~stats ~budget ~synthesis ~smt:config.smt ~max_iters:config.max_candidate_iters
+      ~template ~field:system.Engine.numeric_field ~domain:config.domain_rect
+      (List.map simulate seeds)
   in
-  let outcome = attempt 1 in
+  let decrease =
+    Engine.decrease_obligation ~name:"decrease"
+      ~outside:(outside_ball system.Engine.vars config.ball_radius)
+      ~gamma:config.gamma ~simulate system template
+  in
+  (* W not positive at a witness: its trace seeds the positivity rows of
+     the next LP around that region. *)
+  let positivity =
+    {
+      Cegis.name = "positivity";
+      formula = (fun coeffs -> positivity_formula system config { template; coeffs });
+      violates = (fun coeffs x -> Template.w_eval template coeffs x <= 0.0);
+      cuts = (fun x -> [ Cegis.Trace (simulate x) ]);
+    }
+  in
+  let outcome =
+    match Cegis.run cegis [ decrease; positivity ] with
+    | Ok coeffs -> Proved { template; coeffs }
+    | Error reason -> Failed reason
+  in
   {
     outcome;
-    iterations = !iterations;
-    counterexamples = !cexs;
-    lp_time = !lp_time;
-    smt_time = !smt_time;
+    iterations = stats.iterations;
+    counterexamples = Cegis.witnesses cegis;
+    lp_time = stats.lp_time;
+    smt_time = stats.smt_time;
     total_time = Timing.now () -. t_start;
+    budget_stop = stats.budget_stop;
   }

@@ -33,27 +33,28 @@ val default_config : config
 
 type certificate = { template : Template.t; coeffs : float array }
 
-type failure_reason =
-  | Lp_failed of string
-  | Cex_budget_exhausted
-  | Solver_inconclusive of string
-
-type outcome = Proved of certificate | Failed of failure_reason
+type outcome = Proved of certificate | Failed of Engine.failure_reason
 
 type report = {
   outcome : outcome;
   iterations : int;
   counterexamples : float array list;
+      (** every decrease and positivity witness that was cut *)
   lp_time : float;
   smt_time : float;
   total_time : float;
+  budget_stop : Budget.stop option;
+      (** which budget limit ended the run, when the outcome is a
+          [Timeout] *)
 }
 
 val positivity_formula : Engine.system -> config -> certificate -> Formula.t
 (** [∃x ∈ D: ‖x‖ ≥ r ∧ W(x) ≤ 0] — UNSAT certifies positivity. *)
 
-val decrease_formula : Engine.system -> config -> certificate -> Formula.t
-(** [∃x ∈ D: ‖x‖ ≥ r ∧ ∇W·f(x) ≥ −γ] — UNSAT certifies decrease. *)
-
-val verify : ?config:config -> rng:Rng.t -> Engine.system -> report
-(** Run the Lyapunov variant of the pipeline. *)
+val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> Engine.system -> report
+(** Run the Lyapunov variant of the pipeline through {!Cegis} with two
+    obligations: decrease ({!Engine.decrease_obligation} outside the ball,
+    [∃x ∈ D: ‖x‖ ≥ r ∧ ∇W·f(x) ≥ −γ]), then positivity.  [budget]
+    (default unlimited) bounds simulation, the LP and every SMT query; on
+    exhaustion the outcome is [Failed (Timeout stage)] with the stop
+    recorded in [budget_stop]. *)

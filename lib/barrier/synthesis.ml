@@ -23,6 +23,13 @@ let default_options =
     lp_engine = Lp.Revised;
   }
 
+let with_region options ~x0_rect ~safe_rect =
+  {
+    options with
+    exclude_rect = Some (Option.value options.exclude_rect ~default:x0_rect);
+    separation_rects = Some (Option.value options.separation_rects ~default:(x0_rect, safe_rect));
+  }
+
 let excluded options x =
   match options.exclude_rect with
   | None -> false
@@ -140,21 +147,24 @@ let grid_range ~x0_rect ~safe_rect j =
    are SMT-checked afterward. *)
 let separation_alpha = 0.1
 
+(* The row W(face) >= (1 + alpha) W(vertex), from the two basis vectors. *)
+let separation_row p phi_f phi_v =
+  let row = Array.make (p + 1) 0.0 in
+  for k = 0 to p - 1 do
+    row.(k) <- phi_f.(k) -. ((1.0 +. separation_alpha) *. phi_v.(k))
+  done;
+  { Lp.coeffs = row; relation = Lp.Ge; rhs = 0.0 }
+
+let shape_cut_row ~template p (face_point, vertex) =
+  separation_row p (Template.eval_basis template face_point) (Template.eval_basis template vertex)
+
 let separation_rows options ~template =
   match options.separation_rects with
   | None -> []
   | Some (x0_rect, safe_rect) ->
     let p = Template.dimension template in
     let n = Array.length x0_rect in
-    (* All corners of X0. *)
-    let rec corners i acc =
-      if i = n then List.map (fun xs -> Array.of_list (List.rev xs)) acc
-      else begin
-        let lo, hi = x0_rect.(i) in
-        corners (i + 1) (List.concat_map (fun xs -> [ lo :: xs; hi :: xs ]) acc)
-      end
-    in
-    let vertices = corners 0 [ [] ] in
+    let vertices = Levelset.rect_vertices x0_rect in
     let grid_points j =
       let lo, hi = grid_range ~x0_rect ~safe_rect j in
       [ lo; 0.5 *. (lo +. hi) -. (0.25 *. (hi -. lo)); 0.5 *. (lo +. hi);
@@ -185,18 +195,15 @@ let separation_rows options ~template =
     List.concat_map
       (fun v ->
         let phi_v = Template.eval_basis template v in
-        List.map
-          (fun f ->
-            let phi_f = Template.eval_basis template f in
-            let row = Array.make (p + 1) 0.0 in
-            for k = 0 to p - 1 do
-              row.(k) <- phi_f.(k) -. ((1.0 +. separation_alpha) *. phi_v.(k))
-            done;
-            { Lp.coeffs = row; relation = Lp.Ge; rhs = 0.0 })
-          face_points)
+        List.map (fun f -> separation_row p (Template.eval_basis template f) phi_v) face_points)
       vertices
 
-let build_problem options ~cex_points ~exact_traces ~template ~field traces =
+(* Last line of defence against faulty dynamics: a row with a NaN/Inf
+   coefficient would poison the whole tableau.  Dropping it only removes a
+   sampled constraint — the SMT checks still gate any certificate. *)
+let finite_row r = Array.for_all Float.is_finite r.Lp.coeffs && Float.is_finite r.Lp.rhs
+
+let build_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field traces =
   let p = Template.dimension template in
   let trace_rows = List.concat_map (rows_of_trace options ~template ~field) traces in
   let exact_rows =
@@ -208,15 +215,10 @@ let build_problem options ~cex_points ~exact_traces ~template ~field traces =
       (fun x -> if rho x >= options.min_rho then Some (cex_row ~template ~field p x) else None)
       cex_points
   in
-  (* Last line of defence against faulty dynamics: a row with a NaN/Inf
-     coefficient would poison the whole tableau.  Dropping it only removes
-     a sampled constraint — the SMT checks still gate any certificate. *)
-  let finite_row r =
-    Array.for_all Float.is_finite r.Lp.coeffs && Float.is_finite r.Lp.rhs
-  in
   let rows =
     List.filter finite_row
-      (separation_rows options ~template @ cut_rows @ exact_rows @ trace_rows)
+      (List.map (shape_cut_row ~template p) shape_cuts
+      @ separation_rows options ~template @ cut_rows @ exact_rows @ trace_rows)
   in
   let objective = Array.make (p + 1) 0.0 in
   objective.(p) <- -1.0;
@@ -227,15 +229,6 @@ let build_problem options ~cex_points ~exact_traces ~template ~field traces =
   in
   { Lp.objective; constraints = rows; bounds }
 
-let shape_cut_row ~template p (face_point, vertex) =
-  let phi_f = Template.eval_basis template face_point in
-  let phi_v = Template.eval_basis template vertex in
-  let row = Array.make (p + 1) 0.0 in
-  for k = 0 to p - 1 do
-    row.(k) <- phi_f.(k) -. ((1.0 +. separation_alpha) *. phi_v.(k))
-  done;
-  { Lp.coeffs = row; relation = Lp.Ge; rhs = 0.0 }
-
 let outcome_of_result options p result =
   match result with
   | Lp.Infeasible -> Lp_infeasible
@@ -245,23 +238,6 @@ let outcome_of_result options p result =
     let margin = x.(p) in
     if margin <= options.min_margin then Margin_too_small margin
     else Candidate { coeffs = Array.sub x 0 p; margin }
-
-let assemble_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field traces =
-  let problem = build_problem options ~cex_points ~exact_traces ~template ~field traces in
-  let p = Template.dimension template in
-  {
-    problem with
-    Lp.constraints =
-      List.map (shape_cut_row ~template p) shape_cuts @ problem.Lp.constraints;
-  }
-
-let synthesize ?(options = default_options) ?budget ?(cex_points = [])
-    ?(exact_traces = []) ?(shape_cuts = []) ~template ~field traces =
-  let problem =
-    assemble_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field traces
-  in
-  outcome_of_result options (Template.dimension template)
-    (Lp.minimize ~engine:options.lp_engine ?budget problem)
 
 let count_rows ?(options = default_options) ~template traces =
   let field _ x = Vec.zeros (Vec.dim x) in
@@ -281,14 +257,10 @@ module Incremental = struct
     lp : Lp.Incremental.t;
   }
 
-  let finite_row r =
-    Array.for_all Float.is_finite r.Lp.coeffs && Float.is_finite r.Lp.rhs
-
   let create ?(options = default_options) ?(cex_points = []) ?(exact_traces = [])
       ?(shape_cuts = []) ~template ~field traces =
     let problem =
-      assemble_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field
-        traces
+      build_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field traces
     in
     {
       options;
@@ -298,8 +270,6 @@ module Incremental = struct
       lp = Lp.Incremental.create ~engine:options.lp_engine problem;
     }
 
-  (* Same last-line-of-defence filter as [build_problem]: a non-finite row
-     (faulty dynamics) is dropped, not added. *)
   let add_row t row = if finite_row row then Lp.Incremental.add_constraint t.lp row
 
   let add_cex t x =

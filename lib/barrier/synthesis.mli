@@ -43,6 +43,12 @@ type options = {
 
 val default_options : options
 
+val with_region :
+  options -> x0_rect:(float * float) array -> safe_rect:(float * float) array -> options
+(** Default an unset [exclude_rect] to [x0_rect] and unset
+    [separation_rects] to [(x0_rect, safe_rect)]: the LP then constrains
+    [W] only where the decrease condition is checked, [D \ X0]. *)
+
 type candidate = { coeffs : float array; margin : float }
 
 type outcome =
@@ -51,41 +57,6 @@ type outcome =
   | Margin_too_small of float
   | Lp_timed_out of Budget.stop
       (** the LP hit the budget's deadline/cancellation before terminating *)
-
-val synthesize :
-  ?options:options ->
-  ?budget:Budget.t ->
-  ?cex_points:float array list ->
-  ?exact_traces:Ode.trace list ->
-  ?shape_cuts:(float array * float array) list ->
-  template:Template.t ->
-  field:Ode.field ->
-  Ode.trace list ->
-  outcome
-(** Solve the LP over all rows generated from the traces.  [field] is used
-    in [Lie_derivative] mode and for [cex_points].
-
-    [budget] bounds the simplex (polled per pivot); on exhaustion the
-    outcome is [Lp_timed_out].  Rows containing non-finite coefficients
-    (possible only with faulty dynamics) are dropped rather than poisoning
-    the tableau.
-
-    [cex_points] are counterexample states from failed condition-(5)
-    checks; each contributes an *exact* Lie-derivative cut
-    ∇W(x_star)·f(x_star) ≤ −m·ρ(x_star) regardless of [mode] —
-    finite-difference trace rows average the decrease over a sampling
-    window and can miss an instantaneous violation at x_star, which would
-    stall the CEGIS loop.
-
-    [exact_traces] are processed with [subsample = 1] regardless of
-    [options] — the discrete-time engine uses them for its two-point
-    counterexample orbits, whose decrease rows must not be dropped by
-    subsampling.
-
-    [shape_cuts] are [(face_point, x0_vertex)] pairs from failed level-set
-    selections; each adds the hard separation row
-    [W(face_point) ≥ 1.1 · W(x0_vertex)] (the shape-refinement CEGIS
-    loop). *)
 
 val count_rows : ?options:options -> template:Template.t -> Ode.trace list -> int
 (** Number of LP rows the traces would generate (diagnostics). *)
@@ -122,11 +93,30 @@ module Incremental : sig
     field:Ode.field ->
     Ode.trace list ->
     t
-  (** Same row generation as {!synthesize} on the same arguments. *)
+  (** Assemble the LP over all rows generated from the traces.  [field] is
+      used in [Lie_derivative] mode and for [cex_points].  Rows containing
+      non-finite coefficients (possible only with faulty dynamics) are
+      dropped here and by every [add_*] rather than poisoning the simplex.
+
+      [cex_points] are counterexample states from failed decrease checks;
+      each contributes an {e exact} Lie-derivative cut
+      ∇W(x_star)·f(x_star) ≤ −m·ρ(x_star) regardless of [mode] —
+      finite-difference trace rows average the decrease over a sampling
+      window and can miss an instantaneous violation at x_star, which
+      would stall the CEGIS loop.
+
+      [exact_traces] are processed with [subsample = 1] regardless of
+      [options] — the discrete-time engine uses them for its two-point
+      counterexample orbits, whose decrease rows must not be dropped by
+      subsampling.
+
+      [shape_cuts] are [(face_point, x0_vertex)] pairs from failed
+      level-set selections; each adds the hard separation row
+      [W(face_point) ≥ 1.1 · W(x0_vertex)] (the shape-refinement loop). *)
 
   val add_cex : t -> float array -> unit
   (** Append the exact Lie-derivative cut for a counterexample state
-      (skipped when [ρ(x) < min_rho], matching {!synthesize}). *)
+      (skipped when [ρ(x) < min_rho], as in {!create}). *)
 
   val add_trace : t -> Ode.trace -> unit
   (** Append the rows of one more trace (subsampled per [options]). *)
@@ -148,5 +138,6 @@ module Incremental : sig
       testing and benchmarking against {!Lp.minimize}. *)
 
   val solve : ?budget:Budget.t -> t -> outcome
-  (** Solve the accumulated LP; same outcome mapping as {!synthesize}. *)
+  (** Solve the accumulated LP.  [budget] bounds the simplex (polled per
+      pivot); on exhaustion the outcome is [Lp_timed_out]. *)
 end

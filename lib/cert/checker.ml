@@ -31,6 +31,7 @@ type stats = {
 
 let exit_code = function Certified -> 0 | Rejected _ -> 1
 
+(* Deliberately not Cegis.rect_bounds: the audit shares no engine code. *)
 let rect_bounds vars rect =
   Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
 

@@ -148,7 +148,8 @@ let stable_traces () =
 
 let test_synthesize_stable_system () =
   match
-    Synthesis.synthesize ~template:quad ~field:stable_field (stable_traces ())
+    Synthesis.Incremental.create ~template:quad ~field:stable_field (stable_traces ())
+    |> Synthesis.Incremental.solve
   with
   | Synthesis.Candidate { coeffs; margin } ->
     Alcotest.(check bool) (Printf.sprintf "margin %.4f > 0" margin) true (margin > 0.0);
@@ -161,7 +162,10 @@ let test_synthesize_stable_system () =
 
 let test_synthesize_lie_mode () =
   let options = { Synthesis.default_options with Synthesis.mode = Synthesis.Lie_derivative } in
-  match Synthesis.synthesize ~options ~template:quad ~field:stable_field (stable_traces ()) with
+  match
+    Synthesis.Incremental.create ~options ~template:quad ~field:stable_field (stable_traces ())
+    |> Synthesis.Incremental.solve
+  with
   | Synthesis.Candidate { margin; _ } ->
     Alcotest.(check bool) "lie margin positive" true (margin > 0.0)
   | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _ ->
@@ -175,7 +179,10 @@ let test_synthesize_unstable_rejected () =
       (fun x0 -> Ode.simulate unstable ~t0:0.0 ~x0 ~dt:0.1 ~steps:30)
       [ [| 0.5; 0.5 |]; [| -0.5; 0.3 |] ]
   in
-  match Synthesis.synthesize ~template:quad ~field:unstable traces with
+  match
+    Synthesis.Incremental.create ~template:quad ~field:unstable traces
+    |> Synthesis.Incremental.solve
+  with
   | Synthesis.Candidate { margin; _ } -> Alcotest.failf "found margin %g on unstable system" margin
   | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ -> ()
   | Synthesis.Lp_timed_out _ -> Alcotest.fail "unexpected LP timeout"
@@ -188,14 +195,19 @@ let test_cex_cut_forces_change () =
   let traces =
     [ Ode.simulate spiral ~t0:0.0 ~x0:[| 2.0; 0.0 |] ~dt:0.05 ~steps:400 ]
   in
-  (match Synthesis.synthesize ~template:quad ~field:spiral traces with
+  (match
+     Synthesis.Incremental.create ~template:quad ~field:spiral traces
+     |> Synthesis.Incremental.solve
+   with
   | Synthesis.Candidate _ -> ()
   | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _ ->
     Alcotest.fail "spiral should admit a quadratic generator");
   (* Now inject a fake CEX point: rows must still produce a candidate that
      decreases at that exact point. *)
   match
-    Synthesis.synthesize ~cex_points:[ [| 0.0; 1.5 |] ] ~template:quad ~field:spiral traces
+    Synthesis.Incremental.create ~cex_points:[ [| 0.0; 1.5 |] ] ~template:quad ~field:spiral
+      traces
+    |> Synthesis.Incremental.solve
   with
   | Synthesis.Candidate { coeffs; margin } ->
     let lie = Template.basis_lie quad [| 0.0; 1.5 |] (spiral 0.0 [| 0.0; 1.5 |]) in
@@ -384,16 +396,16 @@ let test_level_search_identity_form () =
 let test_level_search_indefinite_fails () =
   let coeffs = [| 1.0; 0.0; -1.0 |] in
   match (Level_search.search level_spec quad coeffs).Level_search.level with
-  | Error Level_search.Range_empty -> ()
+  | Error Engine.Level_range_empty -> ()
   | Ok _ -> Alcotest.fail "indefinite form cannot have an ellipsoidal level set"
-  | Error _ -> Alcotest.fail "expected Range_empty"
+  | Error _ -> Alcotest.fail "expected Level_range_empty"
 
 let test_level_search_too_flat_fails () =
   (* W nearly flat in y: the sublevel set through the X0 corners pokes out
      of the safe rect in y — no valid level. *)
   let coeffs = [| 1.0; 0.0; 0.01 |] in
   match (Level_search.search level_spec quad coeffs).Level_search.level with
-  | Error Level_search.Range_empty -> ()
+  | Error Engine.Level_range_empty -> ()
   | Ok level -> Alcotest.failf "found level %.4f for a too-flat form" level
   | Error _ -> ()
 
@@ -616,13 +628,60 @@ let test_cex_repeated_alternating () =
      look at EVERY accumulated counterexample within tolerance. *)
   let a = [| 0.5; -0.25 |] and b = [| -1.0; 0.75 |] in
   let a' = [| 0.5 +. 1e-10; -0.25 |] in
-  Alcotest.(check bool) "A repeats in [B; A]" true (Engine.cex_repeated [ b; a ] a);
-  Alcotest.(check bool) "A not repeated in [B]" false (Engine.cex_repeated [ b ] a);
-  Alcotest.(check bool) "empty history never repeats" false (Engine.cex_repeated [] a);
+  Alcotest.(check bool) "A repeats in [B; A]" true (Cegis.cex_repeated [ b; a ] a);
+  Alcotest.(check bool) "A not repeated in [B]" false (Cegis.cex_repeated [ b ] a);
+  Alcotest.(check bool) "empty history never repeats" false (Cegis.cex_repeated [] a);
   (* Within the default tolerance a jittered revisit still counts. *)
-  Alcotest.(check bool) "near-duplicate within tol" true (Engine.cex_repeated [ b; a ] a');
+  Alcotest.(check bool) "near-duplicate within tol" true (Cegis.cex_repeated [ b; a ] a');
   Alcotest.(check bool) "near-duplicate outside tight tol" false
-    (Engine.cex_repeated ~tol:1e-12 [ b; a ] a')
+    (Cegis.cex_repeated ~tol:1e-12 [ b; a ] a')
+
+let test_cegis_alternating_witnesses_stop () =
+  (* An obligation whose witnesses alternate A, B, A, B (its cuts change
+     nothing) must stop on the third iteration as an ineffective cut, not
+     burn all [max_iters] and report Cex_budget_exhausted — which is what a
+     guard comparing only with the latest witness does. *)
+  let a = [| 1.0; 0.5 |] and b = [| -0.5; 1.0 |] in
+  (* Satisfiable only in a tiny box around [p], so the δ-sat witness is
+     (deterministically) that box's point. *)
+  let pin p =
+    Formula.and_
+      (List.concat
+         (List.mapi
+            (fun i v ->
+              [
+                Formula.ge (Expr.var v) (Expr.const (p.(i) -. 1e-7));
+                Formula.le (Expr.var v) (Expr.const (p.(i) +. 1e-7));
+              ])
+            (Array.to_list vars2)))
+  in
+  let calls = ref 0 in
+  let alternating =
+    {
+      Cegis.name = "alternating";
+      formula =
+        (fun _ ->
+          incr calls;
+          pin (if !calls mod 2 = 1 then a else b));
+      violates = (fun _ _ -> true);
+      cuts = (fun _ -> []);
+    }
+  in
+  let stats = Cegis.fresh_stats () in
+  let cegis =
+    Cegis.create ~stats ~budget:Budget.unlimited ~synthesis:Synthesis.default_options
+      ~smt:Solver.default_options ~max_iters:20 ~template:quad ~field:stable_field
+      ~domain:[| (-3.0, 3.0); (-3.0, 3.0) |] (stable_traces ())
+  in
+  (match Cegis.run cegis [ alternating ] with
+  | Error (Engine.Solver_inconclusive msg) ->
+    Alcotest.(check string) "ineffective cut" "alternating: counterexample cut ineffective" msg
+  | Error Engine.Cex_budget_exhausted -> Alcotest.fail "alternating witnesses burned the budget"
+  | Error _ -> Alcotest.fail "unexpected failure"
+  | Ok _ -> Alcotest.fail "the obligation never discharges");
+  Alcotest.(check int) "stopped on the third iteration" 3 stats.Cegis.iterations;
+  Alcotest.(check int) "two distinct witnesses cut" 2 (List.length (Cegis.witnesses cegis));
+  Alcotest.(check int) "one warm LP solve per iteration" 3 stats.Cegis.lp_calls
 
 (* Full-pipeline parity: Poly 2 enumerates exactly the Quadratic_linear
    basis, so on the same seed the LP sees the same rows and the whole
@@ -711,6 +770,8 @@ let () =
           Alcotest.test_case "condition formulas" `Quick test_condition_formulas_semantics;
           Alcotest.test_case "repeated cex detects alternation" `Quick
             test_cex_repeated_alternating;
+          Alcotest.test_case "cegis stops alternating witnesses" `Quick
+            test_cegis_alternating_witnesses_stop;
           Alcotest.test_case "barrier expression" `Quick test_barrier_expr;
           Alcotest.test_case "seed sampling respects D" `Quick test_sample_initial_states;
           Alcotest.test_case "seed shortfall explicit" `Quick test_seed_shortfall;

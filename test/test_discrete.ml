@@ -123,10 +123,10 @@ let test_discrete_symbolic_matches_numeric () =
 let test_discrete_feedforward_proved () =
   let sys = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
   let report = Discrete.verify ~rng:(Rng.create 5) sys in
-  match report.Discrete.outcome with
-  | Discrete.Proved cert ->
-    Alcotest.(check bool) "positive level" true (cert.Discrete.level > 0.0)
-  | Discrete.Failed _ -> Alcotest.fail "discrete feedforward case must prove"
+  match report.Engine.outcome with
+  | Engine.Proved cert ->
+    Alcotest.(check bool) "positive level" true (cert.Engine.level > 0.0)
+  | Engine.Failed _ -> Alcotest.fail "discrete feedforward case must prove"
 
 let test_discrete_unsafe_rejected () =
   let bad =
@@ -134,9 +134,9 @@ let test_discrete_unsafe_rejected () =
       [ { Nn.weights = [| [| 0.0; -1.0 |] |]; biases = [| 0.0 |]; activation = Nn.Linear } ]
   in
   let sys = Discrete.of_network ~dt:0.1 bad in
-  match (Discrete.verify ~rng:(Rng.create 5) sys).Discrete.outcome with
-  | Discrete.Proved _ -> Alcotest.fail "proved an unstable discrete loop"
-  | Discrete.Failed _ -> ()
+  match (Discrete.verify ~rng:(Rng.create 5) sys).Engine.outcome with
+  | Engine.Proved _ -> Alcotest.fail "proved an unstable discrete loop"
+  | Engine.Failed _ -> ()
 
 let test_discrete_orbit_truncation () =
   let sys = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
@@ -197,12 +197,12 @@ let test_rnn_closed_loop_proved () =
         { Solver.default_options with Solver.delta = 1e-5; max_branches = 2_000_000 };
     }
   in
-  match (Discrete.verify ~config ~rng:(Rng.create 5) sys).Discrete.outcome with
-  | Discrete.Proved cert ->
-    Alcotest.(check bool) "positive level" true (cert.Discrete.level > 0.0);
+  match (Discrete.verify ~config ~rng:(Rng.create 5) sys).Engine.outcome with
+  | Engine.Proved cert ->
+    Alcotest.(check bool) "positive level" true (cert.Engine.level > 0.0);
     Alcotest.(check int) "six coefficients (3-var quadratic)" 6
-      (Array.length cert.Discrete.coeffs)
-  | Discrete.Failed _ -> Alcotest.fail "leaky RNN closed loop must prove"
+      (Array.length cert.Engine.coeffs)
+  | Engine.Failed _ -> Alcotest.fail "leaky RNN closed loop must prove"
 
 (* --- RNN rollout & training ------------------------------------------- *)
 

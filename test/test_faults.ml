@@ -126,10 +126,10 @@ let test_discrete_stalled_map_deadline () =
   Alcotest.(check bool)
     (Printf.sprintf "returned in %.2f s (deadline 2 s)" elapsed)
     true (elapsed < 3.0);
-  match report.Discrete.outcome with
-  | Discrete.Proved _ -> Alcotest.fail "stalled map must not yield a certificate"
-  | Discrete.Failed (Discrete.Timeout _) -> ()
-  | Discrete.Failed _ -> Alcotest.fail "expected a structured Timeout"
+  match report.Engine.outcome with
+  | Engine.Proved _ -> Alcotest.fail "stalled map must not yield a certificate"
+  | Engine.Failed (Engine.Timeout _) -> ()
+  | Engine.Failed _ -> Alcotest.fail "expected a structured Timeout"
 
 let test_discrete_nan_map_truncates () =
   let base = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
@@ -143,6 +143,23 @@ let test_discrete_nan_map_truncates () =
       if not (Array.for_all Float.is_finite x) then
         Alcotest.fail "non-finite state in discrete orbit")
     tr.Ode.states
+
+(* --- Lyapunov engine under faults ---------------------------------------- *)
+
+let test_lyapunov_stalled_field_deadline () =
+  let system = faulty_system (Faults.Stall 0.05) in
+  let budget = Budget.with_timeout 2.0 in
+  let t0 = Timing.now () in
+  let report = Lyapunov.verify ~budget ~rng:(Rng.create 22) system in
+  let elapsed = Timing.now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "returned in %.2f s (deadline 2 s)" elapsed)
+    true (elapsed < 3.0);
+  Alcotest.(check bool) "budget stop recorded" true (report.Lyapunov.budget_stop <> None);
+  match report.Lyapunov.outcome with
+  | Lyapunov.Proved _ -> Alcotest.fail "stalled field must not yield a certificate"
+  | Lyapunov.Failed (Engine.Timeout _) -> ()
+  | Lyapunov.Failed _ -> Alcotest.fail "expected a structured Timeout"
 
 (* --- CMA-ES under a stalled objective ----------------------------------- *)
 
@@ -202,6 +219,11 @@ let () =
         [
           Alcotest.test_case "stalled map meets deadline" `Quick test_discrete_stalled_map_deadline;
           Alcotest.test_case "NaN map truncates orbit" `Quick test_discrete_nan_map_truncates;
+        ] );
+      ( "lyapunov",
+        [
+          Alcotest.test_case "stalled field meets deadline" `Quick
+            test_lyapunov_stalled_field_deadline;
         ] );
       ( "cmaes",
         [ Alcotest.test_case "budget stop" `Quick test_cmaes_budget_stop ] );

@@ -254,6 +254,46 @@ let test_report_golden () =
   Alcotest.(check string) "run_report.json snapshot" golden
     (Obs.Json.to_string (golden_report ()))
 
+(* --- Engines -------------------------------------------------------------- *)
+
+(* The discrete and Lyapunov engines run through the shared CEGIS core, so
+   their runs are traced like the continuous engine's: LP and condition
+   spans, and one [cegis.cex_cuts] tick per reported counterexample.  The
+   sparse-seed variants (rng seed 1 with two seeds) are known to need one
+   counterexample, so the equality is checked on a non-zero count too. *)
+let test_engine_spans_and_cuts () =
+  let traced label ~min_cexs run =
+    with_clean_sinks (fun () ->
+        Obs.Trace.enable ();
+        Obs.Metrics.enable ();
+        let cexs = run () in
+        let names = List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name) (Obs.Trace.spans ()) in
+        List.iter
+          (fun n -> Alcotest.(check bool) (label ^ ": " ^ n ^ " span") true (List.mem n names))
+          [ "synthesis.lp"; "condition5" ];
+        let cuts =
+          Option.value ~default:0 (List.assoc_opt "cegis.cex_cuts" (Obs.Metrics.dump_counters ()))
+        in
+        Alcotest.(check int) (label ^ ": cegis.cex_cuts = counterexamples") cexs cuts;
+        Alcotest.(check bool) (label ^ ": counterexamples exercised") true (cexs >= min_cexs))
+  in
+  let ff = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let discrete ?config seed () =
+    List.length (Discrete.verify ?config ~rng:(Rng.create seed) ff).Engine.counterexamples
+  in
+  let system = Case_study.system_of_network Case_study.reference_controller in
+  let lyapunov ?config seed () =
+    List.length (Lyapunov.verify ?config ~rng:(Rng.create seed) system).Lyapunov.counterexamples
+  in
+  traced "discrete" ~min_cexs:0 (discrete 5);
+  traced "discrete, two seeds" ~min_cexs:1
+    (discrete
+       ~config:{ (Discrete.default_config ~dim:2) with Discrete.n_seed = 2; n_probes = 0 }
+       1);
+  traced "lyapunov" ~min_cexs:0 (lyapunov 9);
+  traced "lyapunov, two seeds" ~min_cexs:1
+    (lyapunov ~config:{ Lyapunov.default_config with Lyapunov.n_seed = 2 } 1)
+
 let () =
   Alcotest.run "obs"
     [
@@ -281,4 +321,6 @@ let () =
           Alcotest.test_case "printer round-trip" `Quick test_report_roundtrip_through_printer;
           Alcotest.test_case "golden snapshot" `Quick test_report_golden;
         ] );
+      ( "engines",
+        [ Alcotest.test_case "discrete and lyapunov spans" `Quick test_engine_spans_and_cuts ] );
     ]
