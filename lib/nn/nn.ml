@@ -1,6 +1,6 @@
 type activation = Tansig | Logsig | Relu | Linear
 
-let apply_activation act x =
+let[@inline] apply_activation act x =
   match act with
   | Tansig -> Float.tanh x
   | Logsig -> 1.0 /. (1.0 +. Float.exp (-.x))
@@ -72,11 +72,49 @@ let hidden_widths net =
     List.filteri (fun i _ -> i < List.length layers - 1) layers
     |> List.map (fun l -> Mat.rows l.weights)
 
+(* Per-domain ping-pong scratch for hidden-layer outputs, each grown to the
+   widest layer seen: a layer reads one buffer and writes the other, so a
+   forward pass allocates only its output array. *)
+let scratch_key = Domain.DLS.new_key (fun () -> [| [||]; [||] |])
+
+let scratch_buffer scratch k m =
+  if Array.length scratch.(k) < m then scratch.(k) <- Array.create_float m;
+  scratch.(k)
+
+(* [dst.(i) <- act (Σ_j w.(i).(j)·v.(j) + b.(i))] over the first [n]
+   entries of [v]: summed from 0.0 in j order, then biased, then
+   activated — the operation order of
+   [Vec.map act (Vec.add (Mat.mul_vec w v) b)], so bit-identical to it. *)
+let layer_into l v n dst =
+  let w = l.weights and b = l.biases in
+  let m = Array.length w in
+  if Mat.cols w <> n then invalid_arg "Nn.eval: layer input dimension mismatch";
+  if Array.length b <> m then invalid_arg "Nn.eval: bias length mismatch";
+  for i = 0 to m - 1 do
+    let row = Array.unsafe_get w i in
+    if Array.length row <> n then invalid_arg "Nn.eval: ragged weight matrix";
+    let acc = ref 0.0 in
+    for j = 0 to n - 1 do
+      acc := !acc +. (Array.unsafe_get row j *. Array.unsafe_get v j)
+    done;
+    Array.unsafe_set dst i (apply_activation l.activation (!acc +. Array.unsafe_get b i))
+  done
+
 let eval net x =
   if Vec.dim x <> net.input_dim then invalid_arg "Nn.eval: input dimension mismatch";
-  List.fold_left
-    (fun v l -> Vec.map (apply_activation l.activation) (Vec.add (Mat.mul_vec l.weights v) l.biases))
-    x net.layers
+  let rec go scratch v n k = function
+    | [] -> v
+    | [ l ] ->
+      let out = Array.create_float (Array.length l.weights) in
+      layer_into l v n out;
+      out
+    | l :: rest ->
+      let m = Array.length l.weights in
+      let dst = scratch_buffer scratch k m in
+      layer_into l v n dst;
+      go scratch dst m (1 - k) rest
+  in
+  go (Domain.DLS.get scratch_key) x net.input_dim 0 net.layers
 
 let eval1 net x =
   let out = eval net x in

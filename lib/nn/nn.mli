@@ -41,7 +41,10 @@ val output_dim : t -> int
 val hidden_widths : t -> int list
 
 val eval : t -> Vec.t -> Vec.t
-(** Forward pass; raises [Invalid_argument] on input-dimension mismatch. *)
+(** Forward pass; raises [Invalid_argument] on input-dimension mismatch.
+    Bit-identical to folding [Vec.map act (Vec.add (Mat.mul_vec w v) b)]
+    over the layers, but hidden layers go through per-domain scratch
+    buffers, so a call allocates only its output array. *)
 
 val eval1 : t -> Vec.t -> float
 (** Forward pass of a single-output network. *)

@@ -118,16 +118,41 @@ let controller_exprs plant controller =
              plant.name label v)
       | None -> Ok exprs)
 
+(* The point evaluator of expressions over [vars] that simulation uses:
+   one tape per expression, compiled here once ([Tape.eval_point] is
+   bit-identical to [Expr.eval]).  The closure owns one set of tape
+   buffers and lends it out through an atomic slot; a caller that finds
+   the slot empty (another domain is mid-evaluation) makes its own set,
+   and whichever caller returns last leaves its set in the slot.  Raises
+   [Expr.Unbound_variable] if an expression mentions a name outside
+   [vars]. *)
+let point_evaluator vars exprs =
+  let index_of v =
+    match Array.find_index (String.equal v) vars with
+    | Some i -> i
+    | None -> raise (Expr.Unbound_variable v)
+  in
+  let tapes =
+    Array.map (fun expr -> Tape.compile ~index_of { Formula.expr; rel = Formula.Le0 }) exprs
+  in
+  let fresh () = Array.map Tape.make_buffers tapes in
+  let slot = Atomic.make (fresh ()) in
+  fun x ->
+    let buffers = match Atomic.exchange slot [||] with [||] -> fresh () | b -> b in
+    let out = Array.create_float (Array.length tapes) in
+    for i = 0 to Array.length tapes - 1 do
+      out.(i) <- Tape.eval_point tapes.(i) buffers.(i) x
+    done;
+    Atomic.set slot buffers;
+    out
+
 let controller_fn plant controller =
   match controller with
   | Zero ->
     let zeros = Array.make plant.control_dim 0.0 in
     fun _x -> zeros
   | Network net -> fun x -> Nn.eval net x
-  | Analytic { exprs; _ } ->
-    fun x ->
-      let env = Array.to_list (Array.mapi (fun i v -> (v, x.(i))) plant.vars) in
-      Array.map (fun e -> Expr.eval_env env e) exprs
+  | Analytic { exprs; _ } -> point_evaluator plant.vars exprs
 
 type closed = {
   plant : t;
@@ -143,15 +168,16 @@ let close ?(params = []) plant controller =
   let get name = List.assoc name resolved in
   let* u = controller_exprs plant controller in
   let symbolic = plant.symbolic_field ~get ~u in
-  let numeric =
+  let* numeric =
     match plant.numeric_field with
-    | Some f -> f ~get ~controller:(controller_fn plant controller)
-    | None ->
+    | Some f -> Ok (f ~get ~controller:(controller_fn plant controller))
+    | None -> (
       (* Evaluate the closed-loop expressions directly: what is verified is
          exactly what is simulated. *)
-      fun _t x ->
-        let env = Array.to_list (Array.mapi (fun i v -> (v, x.(i))) plant.vars) in
-        Array.map (fun e -> Expr.eval_env env e) symbolic
+      match point_evaluator plant.vars symbolic with
+      | eval -> Ok (fun _t x -> eval x)
+      | exception Expr.Unbound_variable v ->
+        Error (Printf.sprintf "plant %s: field mentions unknown variable %S" plant.name v))
   in
   Ok
     {

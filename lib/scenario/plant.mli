@@ -43,8 +43,10 @@ type t = {
       (** optional hand-written numeric field (e.g. [dubins_error]
           delegates to [Error_dynamics] for bit-compatibility with the
           pre-registry pipeline).  When [None], the numeric field
-          evaluates the closed-loop symbolic expressions, so the deployed
-          implementation equals the verified model by construction. *)
+          evaluates the closed-loop symbolic expressions through tapes
+          compiled once at {!close} (bit-identical to [Expr.eval]), so the
+          deployed implementation equals the verified model by
+          construction. *)
   controller_of_width : (int -> Nn.t) option;
       (** optional width-parameterized controller family (the Dubins
           benchmark sweep); may raise [Invalid_argument] on bad widths *)
@@ -89,8 +91,10 @@ val close : ?params:(string * float) list -> t -> controller -> (closed, string)
     controller arity — a [Network] must map the full state to exactly
     [control_dim] outputs, [Analytic] expressions must number
     [control_dim] and mention only plant variables — then splices the
-    controller into the field symbolically and numerically.  Every error
-    names the plant and the offending piece. *)
+    controller into the field symbolically and numerically, compiling the
+    point evaluators simulation uses (DESIGN.md §5n).  A symbolic field
+    that mentions a name outside [vars] is an error.  Every error names
+    the plant and the offending piece. *)
 
 val close_exn : ?params:(string * float) list -> t -> controller -> closed
 (** [close], raising [Invalid_argument] — for registry-internal plants

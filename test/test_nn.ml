@@ -96,6 +96,52 @@ let prop_relu_symbolic =
       let sym = (Nn.to_exprs net [| Expr.var "v" |]).(0) in
       Float.abs (Nn.eval1 net [| v |] -. Expr.eval_env [ ("v", v) ] sym) < 1e-9)
 
+(* --- fused forward pass ------------------------------------------------- *)
+
+(* The composition [Nn.eval] must reproduce bit for bit. *)
+let reference_eval net x =
+  List.fold_left
+    (fun v l ->
+      Vec.map (Nn.apply_activation l.Nn.activation)
+        (Vec.add (Mat.mul_vec l.Nn.weights v) l.Nn.biases))
+    x net.Nn.layers
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) a b
+
+let activations = [| Nn.Tansig; Nn.Logsig; Nn.Relu; Nn.Linear |]
+
+(* A network of 1–3 layers drawn from [seed]: each layer's width lies on
+   one side of 256 or the other, its activation is any of the four. *)
+let random_network seed =
+  let rng = Rng.create seed in
+  let width () = if Rng.int rng 2 = 0 then 1 + Rng.int rng 8 else 250 + Rng.int rng 20 in
+  let spec =
+    List.init (1 + Rng.int rng 3) (fun _ -> (width (), activations.(Rng.int rng 4)))
+  in
+  let input_dim = 1 + Rng.int rng 4 in
+  let x = Array.init input_dim (fun _ -> Rng.uniform rng (-3.0) 3.0) in
+  (Nn.create ~rng ~input_dim spec, x)
+
+let prop_eval_bit_identical =
+  QCheck.Test.make ~name:"fused eval is bit-identical to the layer composition" ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let net, x = random_network seed in
+      same_bits (Nn.eval net x) (reference_eval net x))
+
+(* The hidden-layer scratch is per domain: two domains evaluating at once
+   give the sequential results. *)
+let test_eval_two_domains () =
+  let inputs = Array.init 200 (fun i -> random_network (i mod 7)) in
+  let run jobs = Pool.parallel_map ~jobs (fun (net, x) -> Nn.eval net x) inputs in
+  let sequential = run 1 and parallel = run 2 in
+  Array.iteri
+    (fun i s ->
+      if not (same_bits s parallel.(i)) then Alcotest.failf "input %d differs under jobs 2" i)
+    sequential
+
 let test_serialization_roundtrip () =
   let net = Nn.controller ~rng:(rng ()) ~hidden:5 in
   let s = Nn.to_string net in
@@ -218,6 +264,8 @@ let () =
           Alcotest.test_case "shape validation" `Quick test_shape_validation;
           Alcotest.test_case "output dim" `Quick test_output_dim;
           Alcotest.test_case "bounded tansig output" `Quick test_controller_output_bounded;
+          QCheck_alcotest.to_alcotest prop_eval_bit_identical;
+          Alcotest.test_case "jobs 2 equals jobs 1" `Quick test_eval_two_domains;
         ] );
       ( "parameters",
         [

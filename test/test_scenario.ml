@@ -401,6 +401,77 @@ let test_dubins_verify_parity () =
       Alcotest.(check bool) "bit-identical trace" true (ta = tb))
     a.Engine.traces b.Engine.traces
 
+(* --- compiled plant fields ------------------------------------------------ *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) a b
+
+(* The tree-walking reference the compiled field must reproduce bit for bit. *)
+let reference_field (system : Engine.system) x =
+  let env = Array.to_list (Array.mapi (fun i v -> (v, x.(i))) system.Engine.vars) in
+  Array.map (Expr.eval_env env) system.Engine.symbolic_field
+
+let random_states rng (rect : (float * float) array) n =
+  Array.init n (fun _ -> Array.map (fun (lo, hi) -> Rng.uniform rng lo hi) rect)
+
+(* Every registry plant without a hand-written numeric field simulates
+   through compiled tapes: exactly [Expr.eval_env] of its symbolic field,
+   called sequentially and from two domains sharing one closure. *)
+let test_compiled_fields_bit_identical () =
+  let symbolic_plants =
+    List.filter (fun (p : Plant.t) -> Option.is_none p.Plant.numeric_field) (Registry.plants ())
+  in
+  Alcotest.(check bool) "some plants simulate their symbolic field" true (symbolic_plants <> []);
+  List.iter
+    (fun (plant : Plant.t) ->
+      let system = (ok_or_fail (Plant.close plant plant.Plant.default_controller)).Plant.system in
+      let states = random_states (Rng.create 11) plant.Plant.default_safe 400 in
+      let field x = system.Engine.numeric_field 0.0 x in
+      Array.iter
+        (fun x ->
+          if not (bits_equal (field x) (reference_field system x)) then
+            Alcotest.failf "%s: compiled field differs from Expr.eval_env" plant.Plant.name)
+        states;
+      let concurrent = Pool.parallel_map ~jobs:2 field states in
+      Array.iteri
+        (fun i x ->
+          if not (bits_equal concurrent.(i) (reference_field system x)) then
+            Alcotest.failf "%s: compiled field differs under two domains" plant.Plant.name)
+        states)
+    symbolic_plants
+
+(* An analytic controller under dubins_error's hand-written field runs
+   through the same compiled evaluator: u is [Expr.eval] of its expression. *)
+let test_analytic_controller_compiled () =
+  let plant = Option.get (Registry.find_plant "dubins_error") in
+  let u = Error_dynamics.symbolic_controller Case_study.reference_controller in
+  let closed =
+    ok_or_fail (Plant.close plant (Plant.Analytic { label = "reference (symbolic)"; exprs = [| u |] }))
+  in
+  let expected x =
+    let env = [ (Error_dynamics.var_derr, x.(0)); (Error_dynamics.var_theta_err, x.(1)) ] in
+    Error_dynamics.field Error_dynamics.default_config
+      ~controller:(fun _ _ -> Expr.eval_env env u)
+      0.0 x
+  in
+  Array.iter
+    (fun x ->
+      if not (bits_equal (closed.Plant.system.Engine.numeric_field 0.0 x) (expected x)) then
+        Alcotest.fail "analytic controller differs from Expr.eval_env")
+    (random_states (Rng.create 12) plant.Plant.default_safe 300)
+
+(* A field over a name the plant does not declare cannot be compiled: the
+   closing fails and names it. *)
+let test_field_unknown_variable () =
+  let duffing = Option.get (Registry.find_plant "duffing") in
+  let stray =
+    { duffing with Plant.symbolic_field = (fun ~get:_ ~u -> [| Expr.var "zz"; u.(0) |]) }
+  in
+  Alcotest.(check string) "unknown field variable"
+    "plant duffing: field mentions unknown variable \"zz\""
+    (error_of (Plant.close stray duffing.Plant.default_controller))
+
 let () =
   Alcotest.run "scenario"
     [
@@ -431,5 +502,13 @@ let () =
           Alcotest.test_case "symbolic DAG fingerprint" `Quick test_dubins_symbolic_parity;
           QCheck_alcotest.to_alcotest prop_dubins_numeric_parity;
           Alcotest.test_case "verify pipeline parity" `Quick test_dubins_verify_parity;
+        ] );
+      ( "compiled",
+        [
+          Alcotest.test_case "bit-identical to Expr.eval_env" `Quick
+            test_compiled_fields_bit_identical;
+          Alcotest.test_case "analytic controller compiled" `Quick
+            test_analytic_controller_compiled;
+          Alcotest.test_case "unknown field variable" `Quick test_field_unknown_variable;
         ] );
     ]
