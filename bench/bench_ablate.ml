@@ -3,7 +3,7 @@
 
 let verify_with config width seed =
   let net = Bench_common.controller_for width in
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   Engine.verify ~config ~rng:(Rng.create seed) system
 
 (* A1: finite-difference vs Lie-derivative LP decrease rows. *)
@@ -34,7 +34,7 @@ let ablate_icp () =
   List.iter
     (fun width ->
       let net = Bench_common.controller_for width in
-      let system = Case_study.system_of_network net in
+      let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
       let config = Engine.default_config in
       (* A fixed, known-good candidate so both modes decide the same query. *)
       let template = Template.make Template.Quadratic system.Engine.vars in

@@ -76,8 +76,8 @@ let run ~label ~expect ?network ~store ~rng system =
   (result, wall)
 
 let bench_width nh =
-  let net = Case_study.controller_of_width nh in
-  let system = Case_study.system_of_network net in
+  let net = Error_dynamics.controller_of_width nh in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let store = fresh_store () in
   (* Cold: empty store, full CEGIS, artifact exported. *)
   let cold, cold_wall_s =
@@ -94,10 +94,10 @@ let bench_width nh =
   in
   (* Warm: a different controller of the same width class under the same
      config finds the stored entry as a nearby donor. *)
-  let other = Case_study.controller_of_width ~rng_seed:42 nh in
+  let other = Error_dynamics.controller_of_width ~rng_seed:42 nh in
   let warm, warm_wall_s =
     run ~label:"warm" ~expect:"warm" ~network:other ~store ~rng:(Rng.create 7)
-      (Case_study.system_of_network other)
+      ((Plant.close_exn Registry.dubins_error (Plant.Network other)).Plant.system)
   in
   let row =
     {

@@ -7,18 +7,8 @@ let hr title =
     title
 
 let controller_for width =
-  if width = 2 then Case_study.reference_controller
-  else Case_study.controller_of_width width
-
-let reason_string = function
-  | Engine.Lp_failed s -> "LP failed: " ^ s
-  | Engine.Cex_budget_exhausted -> "CEX budget exhausted"
-  | Engine.Level_range_empty -> "level range empty"
-  | Engine.Level_budget_exhausted -> "level budget exhausted"
-  | Engine.Solver_inconclusive s -> "solver inconclusive: " ^ s
-  | Engine.Timeout stage -> "deadline exceeded during " ^ stage
-  | Engine.Seed_shortfall (got, wanted) ->
-    Printf.sprintf "seed shortfall: %d of %d" got wanted
+  if width = 2 then Error_dynamics.reference_controller
+  else Error_dynamics.controller_of_width width
 
 (* Load the CMA-ES-trained controller shipped with the repo, looking both
    from the source tree and from _build. *)

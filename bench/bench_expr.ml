@@ -72,7 +72,7 @@ type row = {
 }
 
 let bench_width ~min_time nh =
-  let net = Case_study.controller_of_width nh in
+  let net = Error_dynamics.controller_of_width nh in
   let e = Error_dynamics.symbolic_controller net in
   let vars = [| Error_dynamics.var_derr; Error_dynamics.var_theta_err |] in
   let index_of v = if String.equal v vars.(0) then 0 else 1 in
@@ -106,7 +106,7 @@ let bench_width ~min_time nh =
   (* Condition (5) end to end, smoke-sized (the bench_par --smoke query):
      fixed quadratic certificate over a shrunk safe box — an unsat
      refutation, so branch-and-prune sweeps the whole box. *)
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config =
     { Engine.default_config with Engine.safe_rect = [| (-1.2, 1.2); (-0.6, 0.6) |] }
   in

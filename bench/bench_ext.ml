@@ -3,6 +3,10 @@
    the falsification baseline, and the affine-arithmetic enclosure
    comparison (ablation A4). *)
 
+(* The paper's case study closed around [net]. *)
+let dubins_system net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
+
 let pf = Format.printf
 
 let describe_discrete name report =
@@ -17,9 +21,9 @@ let describe_discrete name report =
 
 let discrete_bench () =
   Bench_common.hr "Extension: discrete-time verification (incl. stateful controllers)";
-  let ff = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let ff = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   describe_discrete "feedforward, dt=0.1" (Discrete.verify ~rng:(Rng.create 5) ff);
-  let ff2 = Discrete.of_network ~dt:0.05 Case_study.reference_controller in
+  let ff2 = Discrete.of_network ~dt:0.05 Error_dynamics.reference_controller in
   describe_discrete "feedforward, dt=0.05" (Discrete.verify ~rng:(Rng.create 5) ff2);
   (* The future-work case: a leaky recurrent controller over the augmented
      3-D state.  Needs the tight-delta configuration (see DESIGN.md) and a
@@ -45,7 +49,7 @@ let discrete_bench () =
 
 let lyapunov_bench () =
   Bench_common.hr "Extension: simulation-guided Lyapunov analysis (ref. [11])";
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system = dubins_system Error_dynamics.reference_controller in
   let report = Lyapunov.verify ~rng:(Rng.create 9) system in
   (match report.Lyapunov.outcome with
   | Lyapunov.Proved cert ->
@@ -60,7 +64,7 @@ let falsify_bench () =
   let config = Engine.default_config in
   pf "%-26s | %10s | %9s | %s@." "controller" "outcome" "rollouts" "robustness";
   let run name net seed =
-    let system = Case_study.system_of_network net in
+    let system = dubins_system net in
     match
       Falsify.falsify ~rng:(Rng.create seed) ~field:system.Engine.numeric_field
         ~x0_rect:config.Engine.x0_rect ~safe_rect:config.Engine.safe_rect ()
@@ -70,7 +74,7 @@ let falsify_bench () =
     | Falsify.Not_falsified { best_robustness; evaluations; _ } ->
       pf "%-26s | %10s | %9d | %.4f (best)@." name "resisted" evaluations best_robustness
   in
-  run "verified reference" Case_study.reference_controller 3;
+  run "verified reference" Error_dynamics.reference_controller 3;
   let destabilizing =
     Nn.of_layers ~input_dim:2
       [
@@ -102,7 +106,7 @@ let affine_bench () =
     let aw = Interval.width (Affine.to_interval (Affine.eval_expr ctx lookup expr)) in
     pf "%-34s | %12.5f | %12.5f | %.2fx@." name iw aw (iw /. aw)
   in
-  let u = Error_dynamics.symbolic_controller Case_study.reference_controller in
+  let u = Error_dynamics.symbolic_controller Error_dynamics.reference_controller in
   let box v =
     if String.equal v Error_dynamics.var_derr then Interval.make (-1.0) 1.0
     else Interval.make (-0.2) 0.2
@@ -110,7 +114,7 @@ let affine_bench () =
   compare_widths "controller output u" u box;
   (* The Lie-derivative-style expression (the condition-5 body): heavy
      variable reuse, where correlations pay off. *)
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system = dubins_system Error_dynamics.reference_controller in
   let template = Template.make Template.Quadratic system.Engine.vars in
   let cert = { Engine.template; coeffs = [| 0.6; 1.0; 1.0 |]; level = 0.0 } in
   let f5 = Engine.condition5_formula system Engine.default_config cert in

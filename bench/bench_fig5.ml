@@ -15,9 +15,9 @@ let run ~seed =
       net
     | None ->
       Format.printf "# controller: hand-crafted reference@.";
-      Case_study.reference_controller
+      Error_dynamics.reference_controller
   in
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config = Engine.default_config in
   let rng = Rng.create seed in
   let report = Engine.verify ~config ~rng system in
@@ -26,7 +26,7 @@ let run ~seed =
   (match report.Engine.outcome with
   | Engine.Failed reason ->
     Format.printf "VERIFICATION FAILED: %s — no level set to plot@."
-      (Bench_common.reason_string reason)
+      (Cegis.string_of_failure reason)
   | Engine.Proved cert ->
     Format.printf "# W(x) = %s,  level = %.6f@."
       (Expr.to_string (Template.w_expr cert.Engine.template cert.Engine.coeffs))

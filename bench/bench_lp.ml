@@ -76,8 +76,8 @@ type round = {
 let () =
   let smoke, nh, rounds, out = parse_args () in
   Obs.Metrics.enable ();
-  let net = Case_study.controller_of_width nh in
-  let system = Case_study.system_of_network net in
+  let net = Error_dynamics.controller_of_width nh in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config = Engine.default_config in
   (* The engine's synthesis setup: subsampled trace rows, X0 excluded,
      separation shape rows on. *)

@@ -38,7 +38,7 @@ let tape_interval_eval_test width =
    one of the small box-membership atoms. *)
 let lie_atom width =
   let net = Bench_common.controller_for width in
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config = Engine.default_config in
   let template = Template.make Template.Quadratic system.Engine.vars in
   let cert = { Engine.template; coeffs = [| 0.6; 1.0; 1.0 |]; level = 0.0 } in
@@ -95,7 +95,7 @@ let lp_solve_test () =
   Test.make ~name:"lp_solve_200_rows" (Staged.stage (fun () -> ignore (Lp.minimize problem)))
 
 let rk4_trace_test () =
-  let net = Case_study.reference_controller in
+  let net = Error_dynamics.reference_controller in
   let field = Error_dynamics.field_of_network Error_dynamics.default_config net in
   Test.make ~name:"rk4_trace_100_steps"
     (Staged.stage (fun () ->

@@ -42,7 +42,7 @@ let verdict_string = function
 
 type run = {
   jobs : int;
-  scheduler : string;  (* "sequential" | "static" | "stealing" *)
+  scheduler : string;  (* "sequential" (jobs = 1) | "stealing" *)
   wall_s : float;
   branches : int;
   steals : int;
@@ -66,9 +66,9 @@ let () =
   let net =
     match (smoke, pretrained ()) with
     | false, Some net -> net
-    | _ -> Case_study.reference_controller
+    | _ -> Error_dynamics.reference_controller
   in
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let base = Engine.default_config in
   let config =
     if smoke then
@@ -140,8 +140,8 @@ let () =
          (fun i v -> (v, fst config.Engine.safe_rect.(i), snd config.Engine.safe_rect.(i)))
          system.Engine.vars)
   in
-  let time_once jobs scheduler =
-    let options = { Solver.default_options with Solver.delta; jobs; scheduler } in
+  let time_once jobs =
+    let options = { Solver.default_options with Solver.delta; jobs } in
     let (verdict, stats), dt = Timing.time (fun () -> Solver.solve ~options ~bounds formula) in
     (dt, stats, verdict_string verdict)
   in
@@ -150,13 +150,14 @@ let () =
      the wall clock is unaffected while every run carries its counter
      snapshot into the JSON. *)
   Obs.Metrics.enable ();
-  let bench_run jobs scheduler sched_name =
+  let bench_run jobs =
+    let sched_name = if jobs <= 1 then "sequential" else "stealing" in
     Obs.Metrics.reset ();
     let best = ref infinity
     and stats = ref None
     and verdict = ref "unknown" in
     for _ = 1 to max 1 repeats do
-      let dt, st, v = time_once jobs scheduler in
+      let dt, st, v = time_once jobs in
       if dt < !best then begin
         best := dt;
         stats := Some st;
@@ -178,20 +179,7 @@ let () =
       counters = List.filter (fun (_, v) -> v <> 0) (Obs.Metrics.dump_counters ());
     }
   in
-  (* jobs=1 is scheduler-independent (one sequential search), so it runs
-     once; every parallel width runs under both schedulers so the JSON
-     carries the static-vs-stealing comparison per commit. *)
-  let runs =
-    List.concat_map
-      (fun jobs ->
-        if jobs <= 1 then [ bench_run jobs Solver.Work_stealing "sequential" ]
-        else begin
-          let st = bench_run jobs Solver.Static_split "static" in
-          let ws = bench_run jobs Solver.Work_stealing "stealing" in
-          [ st; ws ]
-        end)
-      jobs_list
-  in
+  let runs = List.map bench_run jobs_list in
   let t1 =
     match List.find_opt (fun r -> r.jobs = 1) runs with
     | Some r -> r.wall_s
@@ -225,44 +213,14 @@ let () =
           Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) r.counters) );
       ]
   in
-  (* Head-to-head block at the widest parallel width: the number the CI
-     smoke gate and EXPERIMENTS.md read directly. *)
-  let comparison =
-    let max_jobs = List.fold_left (fun acc r -> max acc r.jobs) 1 runs in
-    let find sched =
-      List.find_opt (fun r -> r.jobs = max_jobs && r.scheduler = sched) runs
-    in
-    match (find "static", find "stealing") with
-    | Some st, Some ws when max_jobs > 1 ->
-      let batched =
-        match List.assoc_opt "tape.batched_sweeps" ws.counters with Some n -> n | None -> 0
-      in
-      [
-        ( "comparison",
-          Obs.Json.Obj
-            [
-              ("jobs", Obs.Json.Int max_jobs);
-              ("static_wall_s", Obs.Json.Float st.wall_s);
-              ("stealing_wall_s", Obs.Json.Float ws.wall_s);
-              ( "stealing_speedup_vs_static",
-                Obs.Json.Float (if ws.wall_s > 0.0 then st.wall_s /. ws.wall_s else 1.0) );
-              ("steals", Obs.Json.Int ws.steals);
-              ("steal_failures", Obs.Json.Int ws.steal_failures);
-              ("frontier_high_water", Obs.Json.Int ws.frontier_high_water);
-              ("batched_sweeps", Obs.Json.Int batched);
-            ] );
-      ]
-    | _ -> []
-  in
   Obs.Json.write_file out
     (Obs.Json.Obj
-       ([
-          ("bench", Obs.Json.String "parallel_condition5_dubins");
-          ("smoke", Obs.Json.Bool smoke);
-          ("delta", Obs.Json.Float delta);
-          ("repeats", Obs.Json.Int repeats);
-          ("recommended_domains", Obs.Json.Int (Pool.default_jobs ()));
-          ("runs", Obs.Json.List (List.map run_json runs));
-        ]
-       @ comparison));
+       [
+         ("bench", Obs.Json.String "parallel_condition5_dubins");
+         ("smoke", Obs.Json.Bool smoke);
+         ("delta", Obs.Json.Float delta);
+         ("repeats", Obs.Json.Int repeats);
+         ("recommended_domains", Obs.Json.Int (Pool.default_jobs ()));
+         ("runs", Obs.Json.List (List.map run_json runs));
+       ]);
   Format.printf "wrote %s@." out

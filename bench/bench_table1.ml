@@ -32,7 +32,7 @@ type row = {
 
 let run_one width seed =
   let net = Bench_common.controller_for width in
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let rng = Rng.create seed in
   let report = Engine.verify ~rng system in
   let st = report.Engine.stats in

@@ -16,26 +16,28 @@
 
 open Cmdliner
 
-let reason_string = function
-  | Engine.Lp_failed s -> "LP failed: " ^ s
-  | Engine.Cex_budget_exhausted -> "counterexample budget exhausted"
-  | Engine.Level_range_empty -> "no level separates X0 from U"
-  | Engine.Level_budget_exhausted -> "level-set search budget exhausted"
-  | Engine.Solver_inconclusive s -> "SMT solver inconclusive on " ^ s
-  | Engine.Timeout stage -> "deadline exceeded during " ^ stage
-  | Engine.Seed_shortfall (got, wanted) ->
-    Printf.sprintf "only %d of %d seed states could be sampled" got wanted
-
 let outcome_string = function
   | Engine.Proved _ -> "proved"
-  | Engine.Failed reason -> reason_string reason
+  | Engine.Failed reason -> Cegis.string_of_failure reason
 
-let load_controller network width =
-  match network with
-  | Some path -> Nn.load path
-  | None ->
-    if width = 2 then Case_study.reference_controller
-    else Case_study.controller_of_width width
+let close_or_exit ?params plant controller =
+  match Plant.close ?params plant controller with
+  | Ok closed -> closed
+  | Error msg ->
+    Format.eprintf "safebarrier: %s@." msg;
+    exit 2
+
+(* The Dubins case study closed around the --network file, else the
+   built-in controller of hidden width [width]. *)
+let dubins_closed network width =
+  let net =
+    match network with
+    | Some path -> Nn.load path
+    | None ->
+      if width = 2 then Error_dynamics.reference_controller
+      else Error_dynamics.controller_of_width width
+  in
+  close_or_exit Registry.dubins_error (Plant.Network net)
 
 let print_report report =
   let st = report.Engine.stats in
@@ -45,7 +47,8 @@ let print_report report =
     Format.printf "  W(x)  = %s@."
       (Expr.to_string (Template.w_expr cert.Engine.template cert.Engine.coeffs));
     Format.printf "  level = %.6f   (barrier B(x) = W(x) - level)@." cert.Engine.level
-  | Engine.Failed reason -> Format.printf "RESULT: INCONCLUSIVE — %s@." (reason_string reason));
+  | Engine.Failed reason ->
+    Format.printf "RESULT: INCONCLUSIVE — %s@." (Cegis.string_of_failure reason));
   Format.printf
     "  iterations: %d candidate, %d level   counterexamples: %d@."
     st.Engine.candidate_iterations st.Engine.level_iterations
@@ -146,18 +149,6 @@ let jobs_arg =
   in
   Arg.(value & opt int (Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let scheduler_arg =
-  let doc =
-    "Parallel δ-SAT scheduler: $(b,stealing) (dynamic work-stealing deques, the default) or \
-     $(b,static) (static 2^k box split, kept as a differential-testing oracle).  Both produce \
-     the same verdicts; stealing rebalances margin-tight boxes across idle workers."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("stealing", Solver.Work_stealing); ("static", Solver.Static_split) ])
-        Solver.Work_stealing
-    & info [ "scheduler" ] ~docv:"SCHED" ~doc)
-
 let store_arg =
   let doc =
     "Certificate store directory.  Before running CEGIS the store is probed: an exact \
@@ -187,8 +178,7 @@ let report_arg =
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
-let make_config ?(lp_engine = Lp.Revised) ?(scheduler = Solver.Work_stealing) ?template ~lie
-    ~linear_terms ~gamma ~jobs () =
+let make_config ?(lp_engine = Lp.Revised) ?template ~lie ~linear_terms ~gamma ~jobs () =
   let base = Engine.default_config in
   {
     base with
@@ -203,13 +193,14 @@ let make_config ?(lp_engine = Lp.Revised) ?(scheduler = Solver.Work_stealing) ?t
       (match template with
       | Some k -> k
       | None -> if linear_terms then Template.Quadratic_linear else Template.Quadratic);
-    smt = { base.Engine.smt with Solver.jobs; scheduler };
+    smt = { base.Engine.smt with Solver.jobs };
     jobs;
   }
 
-let verify_via_store ~config ~budget ~rng ~store ~no_cache ~plant ?network system =
+let verify_via_store ~config ~budget ~rng ~store ~no_cache ~closed =
   let result =
-    Cache.verify ~config ~budget ~use_cache:(not no_cache) ?network ~plant ~store ~rng system
+    Cache.verify ~config ~budget ~use_cache:(not no_cache) ?network:closed.Plant.network
+      ~plant:closed.Plant.id ~store ~rng closed.Plant.system
   in
   Format.printf "certificate store: %s@." (Cache.string_of_source result.Cache.source);
   (match result.Cache.exported with
@@ -227,13 +218,7 @@ let scenario_arg =
   in
   Arg.(value & opt (some file) None & info [ "scenario" ] ~docv:"FILE" ~doc)
 
-type problem = {
-  system : Engine.system;
-  config : Engine.config;
-  plant : Artifact.plant_id;
-  network : Nn.t option;
-  controller_label : string;
-}
+type problem = { closed : Plant.closed; config : Engine.config; controller_label : string }
 
 let problem_of_scenario ~base ~network path =
   match
@@ -246,21 +231,13 @@ let problem_of_scenario ~base ~network path =
     let closed =
       match network with
       | None -> e.Scenario.closed
-      | Some npath -> (
-        match
-          Plant.close ~params:e.Scenario.closed.Plant.params e.Scenario.closed.Plant.plant
-            (Plant.Network (Nn.load npath))
-        with
-        | Ok c -> c
-        | Error msg ->
-          Format.eprintf "safebarrier: %s@." msg;
-          exit 2)
+      | Some npath ->
+        close_or_exit ~params:e.Scenario.closed.Plant.params e.Scenario.closed.Plant.plant
+          (Plant.Network (Nn.load npath))
     in
     {
-      system = closed.Plant.system;
+      closed;
       config = e.Scenario.config;
-      plant = closed.Plant.id;
-      network = closed.Plant.network;
       controller_label = Plant.controller_label closed.Plant.controller;
     }
 
@@ -270,12 +247,9 @@ let resolve_problem ~scenario ~network ~width ~config =
   match scenario with
   | Some path -> problem_of_scenario ~base:config ~network path
   | None ->
-    let net = load_controller network width in
     {
-      system = Case_study.system_of_network net;
+      closed = dubins_closed network width;
       config;
-      plant = Artifact.dubins_plant_id;
-      network = Some net;
       controller_label =
         (match network with
         | Some p -> p
@@ -284,15 +258,15 @@ let resolve_problem ~scenario ~network ~width ~config =
 
 let verify_cmd =
   let run scenario width network seed lie linear_terms template lp_engine gamma deadline
-      restarts seed_retry jobs scheduler store no_cache trace_file report_file =
+      restarts seed_retry jobs store no_cache trace_file report_file =
     if trace_file <> None || report_file <> None then begin
       Obs.Trace.enable ();
       Obs.Metrics.enable ()
     end;
-    let cli_config = make_config ~lp_engine ~scheduler ?template ~lie ~linear_terms ~gamma ~jobs () in
+    let cli_config = make_config ~lp_engine ?template ~lie ~linear_terms ~gamma ~jobs () in
     let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
-    let system = problem.system in
-    let config = problem.config in
+    let { closed; config; _ } = problem in
+    let system = closed.Plant.system in
     let budget =
       match deadline with None -> Budget.unlimited | Some s -> Budget.with_timeout s
     in
@@ -307,37 +281,27 @@ let verify_cmd =
       (match report_file with
       | None -> ()
       | Some path ->
+        (* A store run's total is the store wall time, with the lookup and
+           audit around the engine as its own [cache] stage. *)
         let stats = report.Engine.stats in
-        let extra_stages, total_seconds =
+        let report, extra_stages =
           match !store_wall with
           | Some dt when dt > stats.Engine.total_time ->
-            ( [
-                Obs.Report.stage ~name:"cache"
-                  ~seconds:(dt -. stats.Engine.total_time)
-                  ();
-              ],
-              dt )
-          | Some dt -> ([], Float.max dt stats.Engine.total_time)
-          | None -> ([], stats.Engine.total_time)
+            ( { report with Engine.stats = { stats with Engine.total_time = dt } },
+              [ Obs.Report.stage ~name:"cache" ~seconds:(dt -. stats.Engine.total_time) () ] )
+          | _ -> (report, [])
         in
         let meta =
           [
             ("controller", Obs.Json.String problem.controller_label);
-            ("plant", Obs.Json.String problem.plant.Artifact.name);
+            ("plant", Obs.Json.String closed.Plant.plant.Plant.name);
             ("jobs", Obs.Json.Int config.Engine.jobs);
             ("seed", Obs.Json.Int seed);
             ("gamma", Obs.Json.Float config.Engine.gamma);
           ]
         in
-        let doc =
-          Obs.Report.make
-            ~meta:(Engine.outcome_meta report.Engine.outcome @ meta)
-            ~stages:(Engine.run_stages ~extra:extra_stages stats)
-            ~total_seconds
-            ~counters:(Obs.Metrics.dump_counters () |> List.filter (fun (_, v) -> v <> 0))
-            ~spans:(Obs.Trace.spans ()) ()
-        in
-        Obs.Report.write_file path doc;
+        Obs.Report.write_file path
+          (Engine.run_report ~meta ~extra_stages ~spans:(Obs.Trace.spans ()) report);
         Format.printf "run report: %s@." path);
       finish_report report
     in
@@ -350,8 +314,7 @@ let verify_cmd =
       | Some root ->
         let result, dt =
           Timing.time (fun () ->
-              verify_via_store ~config ~budget ~rng ~store:root ~no_cache ~plant:problem.plant
-                ?network:problem.network system)
+              verify_via_store ~config ~budget ~rng ~store:root ~no_cache ~closed)
         in
         store_wall := Some dt;
         Some result.Cache.report
@@ -394,7 +357,7 @@ let verify_cmd =
     Term.(
       const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
       $ linear_template_arg $ template_arg $ lp_engine_arg $ gamma_arg $ deadline_arg
-      $ restarts_arg $ seed_retry_arg $ jobs_arg $ scheduler_arg $ store_arg $ no_cache_arg
+      $ restarts_arg $ seed_retry_arg $ jobs_arg $ store_arg $ no_cache_arg
       $ trace_arg $ report_arg)
 
 (* --- export ----------------------------------------------------------- *)
@@ -404,14 +367,13 @@ let export_cmd =
     let doc = "Certificate store directory to export into." in
     Arg.(value & opt string "data/certs" & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  let run scenario width network seed lie linear_terms template lp_engine gamma jobs scheduler
-      store =
-    let cli_config = make_config ~lp_engine ~scheduler ?template ~lie ~linear_terms ~gamma ~jobs () in
+  let run scenario width network seed lie linear_terms template lp_engine gamma jobs store =
+    let cli_config = make_config ~lp_engine ?template ~lie ~linear_terms ~gamma ~jobs () in
     let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
     let rng = Rng.create seed in
     let result =
       verify_via_store ~config:problem.config ~budget:Budget.unlimited ~rng ~store
-        ~no_cache:false ~plant:problem.plant ?network:problem.network problem.system
+        ~no_cache:false ~closed:problem.closed
     in
     match result.Cache.report.Engine.outcome with
     | Engine.Proved _ ->
@@ -430,8 +392,7 @@ let export_cmd =
     (Cmd.info "export" ~doc)
     Term.(
       const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
-      $ linear_template_arg $ template_arg $ lp_engine_arg $ gamma_arg $ jobs_arg
-      $ scheduler_arg $ store)
+      $ linear_template_arg $ template_arg $ lp_engine_arg $ gamma_arg $ jobs_arg $ store)
 
 (* --- check ------------------------------------------------------------ *)
 
@@ -599,7 +560,7 @@ let sweep_cmd =
       (fun width ->
         let totals = ref (0.0, 0.0, 0.0, 0.0) in
         for i = 1 to seeds do
-          let system = Case_study.system_of_network (Case_study.controller_of_width width) in
+          let system = (dubins_closed None width).Plant.system in
           let report = Engine.verify ~rng:(Rng.create (1000 + i)) system in
           let st = report.Engine.stats in
           let a, b, c, d = !totals in
@@ -622,8 +583,7 @@ let sweep_cmd =
 
 let portrait_cmd =
   let run network width seed =
-    let net = load_controller network width in
-    let system = Case_study.system_of_network net in
+    let system = (dubins_closed network width).Plant.system in
     let config = Engine.default_config in
     let report = Engine.verify ~config ~rng:(Rng.create seed) system in
     (match report.Engine.outcome with
@@ -633,7 +593,8 @@ let portrait_cmd =
       Array.iter
         (fun (x, y) -> Format.printf "%.5f %.5f@." x y)
         (Levelset.boundary_points ~p ~level:cert.Engine.level ~n:90)
-    | Engine.Failed reason -> Format.printf "# verification failed: %s@." (reason_string reason));
+    | Engine.Failed reason ->
+      Format.printf "# verification failed: %s@." (Cegis.string_of_failure reason));
     List.iteri
       (fun k tr ->
         if k < 10 then begin
@@ -652,8 +613,7 @@ let falsify_cmd =
     Arg.(value & opt int 300 & info [ "budget" ] ~docv:"N" ~doc:"Simulation budget.")
   in
   let run network width seed budget =
-    let net = load_controller network width in
-    let system = Case_study.system_of_network net in
+    let system = (dubins_closed network width).Plant.system in
     let config = Engine.default_config in
     let options = { Falsify.default_options with Falsify.budget } in
     match
@@ -676,14 +636,14 @@ let falsify_cmd =
 
 let lyapunov_cmd =
   let run network width seed =
-    let net = load_controller network width in
-    let system = Case_study.system_of_network net in
+    let system = (dubins_closed network width).Plant.system in
     let report = Lyapunov.verify ~rng:(Rng.create seed) system in
     (match report.Lyapunov.outcome with
     | Lyapunov.Proved cert ->
       Format.printf "STABLE: Lyapunov-like generator W(x) = %s@."
         (Expr.to_string (Template.w_expr cert.Lyapunov.template cert.Lyapunov.coeffs))
-    | Lyapunov.Failed reason -> Format.printf "INCONCLUSIVE: %s@." (reason_string reason));
+    | Lyapunov.Failed reason ->
+      Format.printf "INCONCLUSIVE: %s@." (Cegis.string_of_failure reason));
     Format.printf "  %d iteration(s), LP %.3fs, SMT %.3fs, total %.3fs@."
       report.Lyapunov.iterations report.Lyapunov.lp_time report.Lyapunov.smt_time
       report.Lyapunov.total_time
@@ -698,13 +658,12 @@ let smt2_cmd =
     Arg.(value & opt string "queries" & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   let run network width seed dir =
-    let net = load_controller network width in
-    let system = Case_study.system_of_network net in
+    let system = (dubins_closed network width).Plant.system in
     let report = Engine.verify ~rng:(Rng.create seed) system in
     match report.Engine.outcome with
     | Engine.Failed reason ->
       Format.printf "verification failed (%s); no certificate to export@."
-        (reason_string reason)
+        (Cegis.string_of_failure reason)
     | Engine.Proved cert ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let files = Engine.dump_smt2 system cert ~dir in

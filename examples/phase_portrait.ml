@@ -11,8 +11,8 @@
    Run with: dune exec examples/phase_portrait.exe *)
 
 let () =
-  let net = Case_study.reference_controller in
-  let system = Case_study.system_of_network net in
+  let net = Error_dynamics.reference_controller in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config = Engine.default_config in
   let report = Engine.verify ~config ~rng:(Rng.create 7) system in
 

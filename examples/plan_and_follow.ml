@@ -33,8 +33,9 @@ let () =
   (* 2. Certify the tracking controller once (straight-line error model, as
      in the paper; the certificate bounds the error dynamics that any
      slowly-curving path induces). *)
-  let controller = Case_study.reference_controller in
-  let report = Engine.verify ~rng:(Rng.create 7) (Case_study.system_of_network controller) in
+  let controller = Error_dynamics.reference_controller in
+  let closed = Plant.close_exn Registry.dubins_error (Plant.Network controller) in
+  let report = Engine.verify ~rng:(Rng.create 7) closed.Plant.system in
   (match report.Engine.outcome with
   | Engine.Proved cert ->
     pf "controller certified: B(x) = W(x) - %.4f@." cert.Engine.level

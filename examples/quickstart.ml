@@ -12,13 +12,13 @@
 
 let () =
   (* 1. The controller: u = 0.6·tanh(0.8·derr) + 0.8·tanh(θerr). *)
-  let controller = Case_study.reference_controller in
+  let controller = Error_dynamics.reference_controller in
   Format.printf "controller: %d parameters, u(1.0, 0.1) = %.4f@."
     (Nn.num_params controller)
     (Nn.eval1 controller [| 1.0; 0.1 |]);
 
   (* 2. Close the loop symbolically and numerically, then verify. *)
-  let system = Case_study.system_of_network controller in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network controller)).Plant.system in
   let report = Engine.verify ~rng:(Rng.create 2024) system in
 
   (match report.Engine.outcome with

@@ -13,9 +13,9 @@ let () =
   Format.printf "%s@." (String.make 58 '-');
   List.iter
     (fun width ->
-      let net = Case_study.controller_of_width width in
+      let net = Error_dynamics.controller_of_width width in
       let expr_size = Expr.size (Error_dynamics.symbolic_controller net) in
-      let system = Case_study.system_of_network net in
+      let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
       let report = Engine.verify ~rng:(Rng.create 11) system in
       let st = report.Engine.stats in
       let tag =

@@ -23,23 +23,13 @@ let describe name report =
       (List.length report.Engine.counterexamples)
       st.Engine.total_time
   | Engine.Failed reason ->
-    let msg =
-      match reason with
-      | Engine.Lp_failed s -> "LP failed: " ^ s
-      | Engine.Cex_budget_exhausted -> "counterexample budget exhausted"
-      | Engine.Level_range_empty -> "no separating level"
-      | Engine.Level_budget_exhausted -> "level search exhausted"
-      | Engine.Solver_inconclusive s -> "solver inconclusive (" ^ s ^ ")"
-      | Engine.Timeout stage -> "deadline exceeded during " ^ stage
-      | Engine.Seed_shortfall (got, wanted) ->
-        Printf.sprintf "seed shortfall: %d of %d" got wanted
-    in
-    pf "%-22s no proof (%s), %.1f s@." name msg st.Engine.total_time
+    pf "%-22s no proof (%s), %.1f s@." name (Cegis.string_of_failure reason)
+      st.Engine.total_time
 
 let () =
   (* Baseline: the feedforward reference controller in discrete time
      (forward-Euler plant, dt = 0.1). *)
-  let ff = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let ff = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   describe "feedforward (dt=0.1)" (Discrete.verify ~rng:(Rng.create 5) ff);
 
   (* A leaky recurrent controller approximating the same control law:

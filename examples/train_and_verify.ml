@@ -48,7 +48,7 @@ let () =
 
   (* Formal verification. *)
   Format.printf "@.verifying with the barrier-certificate pipeline...@.";
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let report = Engine.verify ~rng:(Rng.create 7) system in
   (match report.Engine.outcome with
   | Engine.Proved cert ->

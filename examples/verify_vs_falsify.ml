@@ -12,7 +12,7 @@ let pf = Format.printf
 
 let analyze name net =
   pf "@.--- %s ---@." name;
-  let system = Case_study.system_of_network net in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config = Engine.default_config in
   (* Verification. *)
   let report = Engine.verify ~config ~rng:(Rng.create 7) system in
@@ -35,7 +35,7 @@ let analyze name net =
 
 let () =
   analyze "stabilizing controller (u = 0.6 tanh(0.8 d) + 0.8 tanh(th))"
-    Case_study.reference_controller;
+    Error_dynamics.reference_controller;
   let destabilizing =
     Nn.of_layers ~input_dim:2
       [

@@ -7,6 +7,15 @@ type failure_reason =
   | Timeout of string
   | Seed_shortfall of int * int
 
+let string_of_failure = function
+  | Lp_failed s -> "lp failed: " ^ s
+  | Cex_budget_exhausted -> "cex budget exhausted"
+  | Level_range_empty -> "level range empty"
+  | Level_budget_exhausted -> "level budget exhausted"
+  | Solver_inconclusive s -> "solver inconclusive: " ^ s
+  | Timeout s -> "timeout: " ^ s
+  | Seed_shortfall (got, wanted) -> Printf.sprintf "seed shortfall: %d/%d" got wanted
+
 type cut =
   | Cex of float array
   | Trace of Ode.trace

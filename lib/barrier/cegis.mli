@@ -24,6 +24,11 @@ type failure_reason =
   | Timeout of string
   | Seed_shortfall of int * int
 
+val string_of_failure : failure_reason -> string
+(** One-line description, e.g. ["timeout: condition (5)"] or
+    ["seed shortfall: 3/50"].  Every printer uses it, and it is the serve
+    protocol's ["failure"] field ({!Engine.outcome_meta}). *)
+
 (** LP rows from a witness, one {!Synthesis.Incremental} [add_*] each. *)
 type cut =
   | Cex of float array  (** exact Lie-derivative cut *)

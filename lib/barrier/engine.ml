@@ -266,15 +266,6 @@ let run_stages ?(extra = []) (stats : stats) =
   @ extra
 
 let outcome_meta outcome =
-  let reason_string = function
-    | Lp_failed s -> "lp failed: " ^ s
-    | Cex_budget_exhausted -> "cex budget exhausted"
-    | Level_range_empty -> "level range empty"
-    | Level_budget_exhausted -> "level budget exhausted"
-    | Solver_inconclusive s -> "solver inconclusive: " ^ s
-    | Timeout s -> "timeout: " ^ s
-    | Seed_shortfall (got, wanted) -> Printf.sprintf "seed shortfall: %d/%d" got wanted
-  in
   match outcome with
   | Proved cert ->
     [
@@ -284,7 +275,7 @@ let outcome_meta outcome =
   | Failed reason ->
     [
       ("outcome", Obs.Json.String "failed");
-      ("failure", Obs.Json.String (reason_string reason));
+      ("failure", Obs.Json.String (Cegis.string_of_failure reason));
     ]
 
 let run_report ?generated_at ?(meta = []) ?(extra_stages = []) ?(spans = []) report =

@@ -7,7 +7,8 @@
 
     The engine is generic over the system: any autonomous vector field given
     both numerically (for simulation) and symbolically (for SMT).  The
-    Dubins case study instantiates it via {!Case_study}. *)
+    Dubins case study instantiates it via [Plant.close] on
+    [Registry.dubins_error]. *)
 
 type system = {
   vars : string array;  (** state variable names, fixing coordinate order *)

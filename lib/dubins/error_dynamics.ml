@@ -41,3 +41,45 @@ let symbolic_controller net =
   if Nn.output_dim net <> 1 || net.Nn.input_dim <> 2 then
     invalid_arg "Error_dynamics.symbolic_controller: controller must be 2-in 1-out";
   (Nn.to_exprs net [| Expr.var var_derr; Expr.var var_theta_err |]).(0)
+
+(* u = 0.6·tanh(0.8·derr) + 0.8·tanh(1.0·θerr): linearization
+   θ̈err + 0.8·θ̇err + 0.48·θerr = 0 about the origin (V = 1), so the closed
+   loop is locally exponentially stable, and saturation keeps |u| < 1.4
+   globally.  Output layer is Linear so the sum is exact. *)
+let reference_controller =
+  let hidden =
+    {
+      Nn.weights = [| [| 0.8; 0.0 |]; [| 0.0; 1.0 |] |];
+      biases = [| 0.0; 0.0 |];
+      activation = Nn.Tansig;
+    }
+  in
+  let output =
+    { Nn.weights = [| [| 0.6; 0.8 |] |]; biases = [| 0.0 |]; activation = Nn.Linear }
+  in
+  Nn.of_layers ~input_dim:2 [ hidden; output ]
+
+let controller_of_width ?(rng_seed = 1) width =
+  if width < 2 || width mod 2 <> 0 then
+    invalid_arg "Error_dynamics.controller_of_width: width must be a positive multiple of 2";
+  (* Deterministically permute hidden neurons so the expression tree is not
+     trivially ordered (harmless to the function: sums commute). *)
+  match (Nn.widen reference_controller ~factor:(width / 2)).Nn.layers with
+  | [ hidden; output ] ->
+    let perm = Array.init width Fun.id in
+    Rng.shuffle (Rng.create rng_seed) perm;
+    let hidden' =
+      {
+        hidden with
+        Nn.weights = Array.map (fun p -> hidden.Nn.weights.(p)) perm;
+        biases = Array.map (fun p -> hidden.Nn.biases.(p)) perm;
+      }
+    in
+    let output' =
+      {
+        output with
+        Nn.weights = Array.map (fun row -> Array.map (fun p -> row.(p)) perm) output.Nn.weights;
+      }
+    in
+    Nn.of_layers ~input_dim:2 [ hidden'; output' ]
+  | _ -> assert false

@@ -56,3 +56,17 @@ val symbolic_controller : Nn.t -> Expr.t
 (** Controller output as an expression in [var_derr], [var_theta_err].
     Raises [Invalid_argument] unless the network has 2 inputs and 1
     output. *)
+
+(** {1 Controllers} *)
+
+val reference_controller : Nn.t
+(** A fixed, hand-crafted stabilizing controller — two tansig hidden
+    neurons computing [u = a·tanh(b·derr) + c·tanh(d·θ_err)] — used for
+    deterministic tests and as the base of the scaling sweep.  It
+    stabilizes the error dynamics for [V = 1]. *)
+
+val controller_of_width : ?rng_seed:int -> int -> Nn.t
+(** Controller with the given hidden width for the scaling sweep: the
+    reference controller widened ({!Nn.widen}) to [width] (a positive
+    multiple of 2, else [Invalid_argument]), with deterministically
+    shuffled hidden-neuron order. *)

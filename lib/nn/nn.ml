@@ -72,6 +72,31 @@ let hidden_widths net =
     List.filteri (fun i _ -> i < List.length layers - 1) layers
     |> List.map (fun l -> Mat.rows l.weights)
 
+let widen net ~factor =
+  if factor < 1 then invalid_arg "Nn.widen: factor must be >= 1";
+  match net.layers with
+  | [ hidden; output ] ->
+    let nh = Mat.rows hidden.weights in
+    let wide_hidden =
+      {
+        hidden with
+        weights =
+          Mat.init (nh * factor) (Mat.cols hidden.weights) (fun i j ->
+              hidden.weights.(i / factor).(j));
+        biases = Vec.init (nh * factor) (fun i -> hidden.biases.(i / factor));
+      }
+    in
+    let wide_output =
+      {
+        output with
+        weights =
+          Mat.init (Mat.rows output.weights) (nh * factor) (fun i j ->
+              output.weights.(i).(j / factor) /. float_of_int factor);
+      }
+    in
+    of_layers ~input_dim:net.input_dim [ wide_hidden; wide_output ]
+  | _ -> invalid_arg "Nn.widen: single-hidden-layer networks only"
+
 (* Per-domain ping-pong scratch for hidden-layer outputs, each grown to the
    widest layer seen: a layer reads one buffer and writes the other, so a
    forward pass allocates only its output array. *)

@@ -40,6 +40,16 @@ val output_dim : t -> int
 
 val hidden_widths : t -> int list
 
+val widen : t -> factor:int -> t
+(** Function-preserving widening: each hidden neuron is replicated [factor]
+    times with its outgoing weights divided by [factor].  The network
+    computes the same function up to floating-point association, while
+    the verification problem grows with it — this is how the Table-1
+    sweep scales a controller to 1000 neurons without retraining (the
+    paper trains each width; the verification workload, which is what
+    Table 1 measures, is preserved).  Requires a single-hidden-layer
+    network. *)
+
 val eval : t -> Vec.t -> Vec.t
 (** Forward pass; raises [Invalid_argument] on input-dimension mismatch.
     Bit-identical to folding [Vec.map act (Vec.add (Mat.mul_vec w v) b)]

@@ -64,11 +64,8 @@ let widened_default plant width =
     match plant.default_controller with
     | Network net -> (
       match Nn.hidden_widths net with
-      | [ base ] when width >= base && width mod base = 0 -> (
-        match Case_study.widen_controller net ~factor:(width / base) with
-        | wide -> Ok wide
-        | exception Invalid_argument reason ->
-          Error (Printf.sprintf "plant %s: %s" plant.name reason))
+      | [ base ] when width >= base && width mod base = 0 ->
+        Ok (Nn.widen net ~factor:(width / base))
       | [ base ] ->
         Error
           (Printf.sprintf "plant %s: width %d is not a positive multiple of %d" plant.name

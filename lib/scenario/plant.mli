@@ -74,7 +74,7 @@ val widened_default : t -> int -> (Nn.t, string) result
 (** The width-[n] member of the plant's controller family:
     [controller_of_width] when the plant provides one, otherwise the
     default [Network] controller widened by neuron duplication
-    ({!Case_study.widen_controller} semantics).  [Error] when the plant has
+    ({!Nn.widen}).  [Error] when the plant has
     no width-parameterized family or the width does not divide evenly. *)
 
 type closed = {

@@ -12,7 +12,7 @@ let tansig_controller ~input_dim ~hidden_weights ~output_weights =
       };
     ]
 
-(* --- dubins_error: the paper's case study, bit-compatible migration ---- *)
+(* --- dubins_error: the paper's case study ------------------------------ *)
 
 let dubins_error =
   {
@@ -30,16 +30,15 @@ let dubins_error =
           { Error_dynamics.v = get "v"; theta_r = get "theta_r" }
           ~u:u.(0));
     numeric_field =
-      (* Delegate to Error_dynamics so the composed system is bit-identical
-         to the legacy Case_study.system_of_network pipeline (Nn.eval1 is
-         (Nn.eval ..).(0), so the controller wrapper is exact). *)
+      (* Delegate to Error_dynamics: simulation runs the fused Nn.eval
+         kernel directly, not a field tape (DESIGN.md §5n). *)
       Some
         (fun ~get ~controller ->
           Error_dynamics.field
             { Error_dynamics.v = get "v"; theta_r = get "theta_r" }
             ~controller:(fun derr theta_err -> (controller [| derr; theta_err |]).(0)));
-    controller_of_width = Some Case_study.controller_of_width;
-    default_controller = Plant.Network Case_study.reference_controller;
+    controller_of_width = Some Error_dynamics.controller_of_width;
+    default_controller = Plant.Network Error_dynamics.reference_controller;
     default_x0 = Engine.default_config.Engine.x0_rect;
     default_safe = Engine.default_config.Engine.safe_rect;
     default_gamma = Engine.default_config.Engine.gamma;

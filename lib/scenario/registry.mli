@@ -4,10 +4,11 @@
 
     {2 Plants}
 
-    - [dubins_error] — the paper's Dubins-vehicle error dynamics, migrated
-      from {!Case_study}; delegates its numeric field to [Error_dynamics]
-      and builds its symbolic field through the same constructors, so the
-      composed system is bit-compatible with the pre-registry pipeline.
+    - [dubins_error] — the paper's Dubins-vehicle error dynamics over
+      {!Error_dynamics}, with {!Error_dynamics.reference_controller} as
+      the default and {!Error_dynamics.controller_of_width} as the width
+      family.  It is the only constructor of the case study's closed loop:
+      every caller goes through {!Plant.close} on {!dubins_error}.
     - [inverted_pendulum], [duffing] — the benchmarks of Zhao et al.
       (arXiv:2009.09826), each with a hand-crafted stabilizing tansig
       controller.
@@ -22,6 +23,9 @@
     Each built-in scenario pairs a plant (+ parameters) with a controller
     and a [Should_prove]/[Should_fail] expectation; the scenario-suite CI
     job runs all of them at [--jobs 1,4] and asserts the expectations. *)
+
+val dubins_error : Plant.t
+(** The paper's case study (also reachable as [find_plant "dubins_error"]). *)
 
 val plants : unit -> Plant.t list
 (** All registered plants, in registration order. *)

@@ -19,7 +19,6 @@ type t = {
   linear_terms : bool option;
   template : Template.kind option;
   jobs : int option;
-  scheduler : Solver.scheduler option;
   lp_engine : Lp.engine option;
   max_branches : int option;
   expectation : expectation option;
@@ -43,7 +42,6 @@ let make ~plant () =
     linear_terms = None;
     template = None;
     jobs = None;
-    scheduler = None;
     lp_engine = None;
     max_branches = None;
     expectation = None;
@@ -54,8 +52,7 @@ let ( let* ) r f = Result.bind r f
 let known_fields =
   [
     "name"; "description"; "plant"; "params"; "controller"; "x0"; "safe"; "gamma"; "delta";
-    "n_seed"; "sim_dt"; "sim_steps"; "lie"; "linear_terms"; "template"; "jobs"; "scheduler";
-    "lp_engine";
+    "n_seed"; "sim_dt"; "sim_steps"; "lie"; "linear_terms"; "template"; "jobs"; "lp_engine";
     "max_branches"; "expectation";
   ]
 
@@ -164,13 +161,6 @@ let of_json json =
     in
     let* jobs = opt "jobs" "int" as_int in
     let* max_branches = opt "max_branches" "int" as_int in
-    let* scheduler =
-      match get "scheduler" with
-      | None | Some Obs.Json.Null -> Ok None
-      | Some (Obs.Json.String "static") -> Ok (Some Solver.Static_split)
-      | Some (Obs.Json.String "stealing") -> Ok (Some Solver.Work_stealing)
-      | Some _ -> Error "scenario: field \"scheduler\" must be \"static\" or \"stealing\""
-    in
     let* lp_engine =
       match get "lp_engine" with
       | None | Some Obs.Json.Null -> Ok None
@@ -204,7 +194,6 @@ let of_json json =
         linear_terms;
         template;
         jobs;
-        scheduler;
         lp_engine;
         max_branches;
         expectation;
@@ -245,10 +234,6 @@ let to_json t =
         opt "linear_terms" (fun b -> Obs.Json.Bool b) t.linear_terms;
         opt "template" (fun k -> str (Template.kind_to_string k)) t.template;
         opt "jobs" (fun n -> Obs.Json.Int n) t.jobs;
-        opt "scheduler"
-          (fun s ->
-            str (match s with Solver.Static_split -> "static" | Solver.Work_stealing -> "stealing"))
-          t.scheduler;
         opt "lp_engine"
           (fun e -> str (match e with Lp.Tableau -> "tableau" | Lp.Revised -> "revised"))
           t.lp_engine;
@@ -309,7 +294,6 @@ let elaborate ~plants ?(base = Engine.default_config) ?dir t =
       Solver.delta = dflt base.Engine.smt.Solver.delta t.delta;
       max_branches = dflt base.Engine.smt.Solver.max_branches t.max_branches;
       jobs = dflt base.Engine.smt.Solver.jobs t.jobs;
-      scheduler = dflt base.Engine.smt.Solver.scheduler t.scheduler;
     }
   in
   let synthesis =

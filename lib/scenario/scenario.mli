@@ -1,6 +1,6 @@
 (** Scenario configuration documents: one JSON object describing a complete
     verification problem — plant, parameter overrides, controller,
-    rectangles, γ/δ, and solver/scheduler/LP options — elaborated against a
+    rectangles, γ/δ, and solver/LP options — elaborated against a
     plant registry into an {!Engine.system} and {!Engine.config}.
 
     {2 File grammar}
@@ -19,8 +19,8 @@
      "n_seed": <int>, "sim_dt": <number>, "sim_steps": <int>,
      "lie": <bool>, "linear_terms": <bool>,
      "template": "quadratic" | "quadratic_linear" | "poly:<d>",
-     "jobs": <int>, "scheduler": "static" | "stealing",
-     "lp_engine": "tableau" | "revised", "max_branches": <int>,
+     "jobs": <int>, "lp_engine": "tableau" | "revised",
+     "max_branches": <int>,
      "expectation": "should_prove" | "should_fail"}
     v}
 
@@ -55,7 +55,6 @@ type t = {
       (** names the template kind outright; wins over the legacy
           [linear_terms] boolean when both are present *)
   jobs : int option;
-  scheduler : Solver.scheduler option;
   lp_engine : Lp.engine option;
   max_branches : int option;
   expectation : expectation option;

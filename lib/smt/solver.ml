@@ -16,8 +16,6 @@ type branching = Widest | Smear
 
 type engine = Tree_eval | Tape_eval
 
-type scheduler = Static_split | Work_stealing
-
 type options = {
   delta : float;
   max_branches : int;
@@ -26,7 +24,6 @@ type options = {
   use_mvf : bool;
   jobs : int;
   engine : engine;
-  scheduler : scheduler;
   steal_seed : int;
 }
 
@@ -39,7 +36,6 @@ let default_options =
     use_mvf = true;
     jobs = 1;
     engine = Tape_eval;
-    scheduler = Work_stealing;
     steal_seed = 0;
   }
 
@@ -199,10 +195,10 @@ let prepare_atoms names atoms =
 
 (* One expansion step of the branch-and-prune search: everything that
    happens to a box after it is claimed — contraction, MVF pruning, the
-   three witness tests, bisection and the batched child pre-filter.  All
-   three drivers (sequential, static split, work-stealing) call this same
-   closure, so the verdict logic cannot drift between schedulers: any
-   scheduler merely chooses the order in which boxes are expanded. *)
+   three witness tests, bisection and the batched child pre-filter.  Both
+   drivers (sequential and work-stealing) call this same closure, so the
+   verdict logic cannot drift between them: a driver merely chooses the
+   order in which boxes are expanded. *)
 type step =
   | Step_pruned
   | Step_witness of float array
@@ -315,7 +311,7 @@ let make_stepper ~opts st rts =
      already excludes an atom's target is exactly a child whose first
      [revise] would raise Empty_box on its root meet, so dropping it here
      never changes a verdict — it only skips the push/claim cycle the
-     doomed box would have cost.  The filter is scheduler- and
+     doomed box would have cost.  The filter is driver- and
      job-independent, keeping counters identical across both. *)
   let can_pair = List.for_all (fun rt -> rt.forward_pair <> None) rts in
   let filter_children c1 c2 =
@@ -414,74 +410,6 @@ let solve_conjunction ~opts ~budget st names rts initial =
   | Some mid -> witness_of names mid
   | None -> Unsat
 
-(* Split a box into [2^k] subboxes by repeatedly bisecting each piece's
-   widest dimension — the static domain decomposition behind the
-   [Static_split] scheduler (dReal's parallel branch-and-prune does the
-   same at its root); kept as the differential oracle for the default
-   work-stealing scheduler. *)
-let split_box k initial =
-  let split_one d =
-    let widest = ref 0 and best_w = ref (Interval.width d.(0)) in
-    Array.iteri
-      (fun i iv ->
-        let w = Interval.width iv in
-        if w > !best_w then begin
-          widest := i;
-          best_w := w
-        end)
-      d;
-    if !best_w <= 0.0 then [ d ]
-    else begin
-      let left, right = Interval.split d.(!widest) in
-      let a = Array.copy d and b = Array.copy d in
-      a.(!widest) <- left;
-      b.(!widest) <- right;
-      [ a; b ]
-    end
-  in
-  let rec go k boxes = if k = 0 then boxes else go (k - 1) (List.concat_map split_one boxes) in
-  go k [ initial ]
-
-let splits_for jobs =
-  let rec go k = if 1 lsl k >= jobs then k else go (k + 1) in
-  go 0
-
-(* Decide one conjunction with [opts.jobs] domains and a static 2^k split:
-   the initial box is split up front into [2^k >= jobs] subboxes searched
-   concurrently under a shared cancellation switch (first witness wins).
-   Soundness of the merge: the subboxes cover the initial box, so Unsat
-   holds only when every subbox is Unsat; any budget stop in a witness-free
-   merge degrades the verdict to Unknown exactly as in the sequential
-   search. *)
-let solve_conjunction_static ~opts ~budget st names make_rts initial =
-  let boxes = Array.of_list (split_box (splits_for opts.jobs) initial) in
-  let sw = Budget.switch () in
-  let task_budget = Budget.with_switch sw budget in
-  let run box =
-    let st_l = fresh_state () in
-    let outcome =
-      match solve_conjunction ~opts ~budget:task_budget st_l names (make_rts ()) box with
-      | Delta_sat w ->
-        Budget.fire sw;
-        `Sat w
-      | Unsat -> `Unsat
-      | Unknown -> `Stop Budget.Branch_budget (* not produced by the search *)
-      | exception Budget_exhausted stop -> `Stop stop
-    in
-    (outcome, st_l)
-  in
-  let results = Pool.parallel_map ~jobs:opts.jobs run boxes in
-  Array.iter (fun (_, s) -> merge_state st s) results;
-  let first pred = Array.find_opt (fun (o, _) -> pred o) results in
-  match first (function `Sat _ -> true | _ -> false) with
-  | Some (`Sat w, _) -> Delta_sat w
-  | _ -> (
-    (* No witness anywhere, so the switch never fired: every [`Stop
-       Cancelled] is an external cancellation and propagates as such. *)
-    match first (function `Stop _ -> true | _ -> false) with
-    | Some (`Stop stop, _) -> raise (Budget_exhausted stop)
-    | _ -> Unsat)
-
 (* Dynamic work-stealing driver (the default for [jobs > 1]).
 
    Topology: one private deque of open boxes per worker.  The owner treats
@@ -498,18 +426,17 @@ let solve_conjunction_static ~opts ~budget st names make_rts initial =
    exactly the condition under which the merge may answer Unsat.  The
    first witness (or budget stop) lands in a CAS-once cell that doubles as
    the cancellation epoch: workers poll it between boxes and drain out
-   promptly, mirroring the static scheduler's Budget.switch cancellation.
+   promptly.
 
    Verdict determinism: stealing only permutes the order in which open
    boxes are expanded, and every verdict-relevant decision (the stepper)
    is a pure function of the box, so on runs that decide (no budget stop)
-   the Sat/Unsat answer is identical across [jobs], [scheduler] and
-   [steal_seed]; only which witness is reported (among equally valid
-   ones), the stats and the steal counters may vary.
+   the Sat/Unsat answer is identical across [jobs] and [steal_seed] and
+   equal to the sequential search's; only which witness is reported
+   (among equally valid ones), the stats and the steal counters may vary.
 
-   Unlike the static scheduler — whose subbox searches each get the full
-   [max_branches] — the stealing workers share one global branch count
-   continuing the query's running total, matching the sequential bound. *)
+   The workers share one global branch count continuing the query's
+   running total, matching the sequential [max_branches] bound. *)
 
 type wdeque = {
   dq_lock : Mutex.t;
@@ -696,11 +623,7 @@ let solve_conjunction_steal ~opts ~budget st names make_rts initial =
 
 let solve_conjunction_par ~opts ~budget st names make_rts initial =
   if opts.jobs <= 1 then solve_conjunction ~opts ~budget st names (make_rts ()) initial
-  else begin
-    match opts.scheduler with
-    | Work_stealing -> solve_conjunction_steal ~opts ~budget st names make_rts initial
-    | Static_split -> solve_conjunction_static ~opts ~budget st names make_rts initial
-  end
+  else solve_conjunction_steal ~opts ~budget st names make_rts initial
 
 (* Prepared queries: the formula-shaped work of [solve] — validation, DNF
    expansion, symbolic differentiation, tape compilation — factored out so

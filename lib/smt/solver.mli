@@ -29,14 +29,14 @@ type stats = {
   max_depth : int;
   steals : int;
       (** boxes migrated between workers by the work-stealing scheduler
-          (0 for sequential and static-split runs) *)
+          (0 for sequential runs) *)
   steal_failures : int;
       (** full victim scans that found every deque empty — a proxy for
           worker idle pressure *)
   frontier_high_water : int;
       (** peak number of simultaneously open/in-flight boxes under the
           work-stealing scheduler (available parallelism high-water mark;
-          0 for sequential and static-split runs) *)
+          0 for sequential runs) *)
   elapsed : float;  (** seconds *)
   interrupted : Budget.stop option;
       (** [Some stop] iff the search was cut short by the per-call branch
@@ -58,23 +58,6 @@ type engine = Tree_eval
           once per [solve] call and shared across parallel tasks.  Same
           enclosures and verdicts as [Tree_eval], faster. *)
 
-type scheduler =
-  | Static_split
-      (** split the initial box into [2^k >= jobs] subboxes up front, one
-          task each — the historical scheduler, kept as the differential
-          oracle ([--scheduler static]).  Load-blind: one margin-tight
-          subbox pins a single domain while the others drain.  Each subbox
-          search gets the full [max_branches] bound. *)
-  | Work_stealing
-      (** the default: each worker owns a private LIFO deque of open boxes
-          (depth-first locally, evaluation buffers cache-hot); an idle
-          worker steals the {e oldest} — widest, shallowest — box from a
-          victim, so load follows the work wherever branching concentrates.
-          All workers share one global branch count continuing the query's
-          running total, matching the sequential [max_branches] semantics.
-          First witness (or budget stop) lands in a CAS-once cell that
-          cancels the siblings. *)
-
 type options = {
   delta : float;  (** box-size threshold for δ-sat answers, default 1e-3 *)
   max_branches : int;  (** search budget per disjunct, default 200_000 *)
@@ -89,19 +72,25 @@ type options = {
   jobs : int;
       (** domain-parallel search width, default 1 (sequential).  With
           [jobs > 1] the conjunction is searched concurrently on the global
-          {!Pool} under [scheduler]: the first witness cancels the
-          siblings, Unsat requires every explored subbox Unsat, and a
-          budget stop in a witness-free merge degrades to Unknown exactly
-          as in the sequential search.  The sat/unsat verdict is
-          independent of [jobs], of [scheduler] and of steal interleaving;
-          only the choice of witness (among equally valid ones) and the
-          stats may vary. *)
+          {!Pool} by work stealing: each worker owns a private LIFO deque
+          of open boxes (depth-first locally, evaluation buffers
+          cache-hot), and an idle worker steals the {e oldest} — widest,
+          shallowest — box from a victim, so load follows the work
+          wherever branching concentrates.  All workers share one global
+          branch count continuing the query's running total, matching the
+          sequential [max_branches] semantics.  The first witness (or
+          budget stop) lands in a CAS-once cell that cancels the siblings,
+          Unsat requires every explored box Unsat, and a budget stop in a
+          witness-free merge degrades to Unknown exactly as in the
+          sequential search.  The sat/unsat verdict is that of the
+          sequential search, independent of [jobs] and of steal
+          interleaving; only the choice of witness (among equally valid
+          ones) and the stats may vary. *)
   engine : engine;
       (** evaluation/contraction engine, default [Tape_eval].  Verdicts are
           engine-independent on any query where both engines decide (the
           tape contracts at least as tightly, so it can only decide more
           boxes per branch). *)
-  scheduler : scheduler;  (** default [Work_stealing]; ignored at [jobs <= 1] *)
   steal_seed : int;
       (** perturbs the work-stealing victim-scan rotation; distinct seeds
           give distinct, reproducible steal interleavings (the parity

@@ -54,15 +54,15 @@ let child ?timeout ?branches parent =
   in
   { deadline; pool; cancel = parent.cancel }
 
+let deadline_stop t =
+  match t.deadline with Some d when Timing.now () >= d -> Some Deadline | _ -> None
+
 let check t =
   if t.cancel () then Some Cancelled
   else
     match t.pool with
     | Some p when Atomic.get p <= 0 -> Some Branch_budget
-    | _ -> (
-      match t.deadline with
-      | Some d when Timing.now () >= d -> Some Deadline
-      | _ -> None)
+    | _ -> deadline_stop t
 
 let expired t = check t <> None
 
@@ -73,9 +73,14 @@ let remaining t =
 
 let remaining_branches t = Option.map (fun p -> Stdlib.max 0 (Atomic.get p)) t.pool
 
+(* Decide from this call's own post-decrement value, never a re-read of
+   the pool: a re-read could deny a call whose branches were granted when
+   another domain drains the pool in between. *)
 let consume_branches t n =
-  (match t.pool with Some p -> ignore (Atomic.fetch_and_add p (-n)) | None -> ());
-  check t
+  let left = match t.pool with Some p -> Atomic.fetch_and_add p (-n) - n | None -> max_int in
+  if t.cancel () then Some Cancelled
+  else if left <= 0 then Some Branch_budget
+  else deadline_stop t
 
 type switch = bool Atomic.t
 

@@ -78,8 +78,11 @@ val remaining_branches : t -> int option
 
 val consume_branches : t -> int -> stop option
 (** [consume_branches t n] draws [n] from the shared pool and then behaves
-    like {!check} (reporting [Branch_budget] when the pool was already
-    dry).  With no pool configured it is exactly [check t]. *)
+    like {!check}, except that [Branch_budget] is decided from this call's
+    own draw: it is reported exactly when the pool held [n] or fewer
+    branches before the draw, however other domains interleave.  So a
+    pool of [b] grants exactly [b - 1] unit draws.  With no pool
+    configured it is exactly [check t].  Allocates nothing. *)
 
 val string_of_stop : stop -> string
 

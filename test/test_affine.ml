@@ -123,7 +123,7 @@ let test_tighter_than_interval_on_nn () =
   (* On the exported reference controller, affine enclosures should not be
      (much) wider than interval ones, and on the cancellation-heavy
      decrease expression they should be strictly tighter. *)
-  let u = Error_dynamics.symbolic_controller Case_study.reference_controller in
+  let u = Error_dynamics.symbolic_controller Error_dynamics.reference_controller in
   let box v =
     if String.equal v Error_dynamics.var_derr then ival (-1.0) 1.0 else ival (-0.2) 0.2
   in

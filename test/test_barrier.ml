@@ -1,6 +1,10 @@
 (* Tests for the barrier core: templates, LP synthesis, level-set geometry,
    and the engine's SMT formula builders. *)
 
+(* The paper's case study closed around [net]. *)
+let dubins_system net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
+
 let check_float = Alcotest.(check (float 1e-9))
 
 let vars2 = [| "d"; "th" |]
@@ -457,7 +461,7 @@ let test_level_search_compiles_once () =
 
 (* --- Engine formulas ------------------------------------------------------- *)
 
-let reference_system = Case_study.system_of_network Case_study.reference_controller
+let reference_system = dubins_system Error_dynamics.reference_controller
 
 let test_condition_formulas_semantics () =
   let config = Engine.default_config in
@@ -549,7 +553,7 @@ let test_verify_resilient_ladder () =
   let config = { Engine.default_config with Engine.max_candidate_iters = 1; n_seed = 3 } in
   let res =
     Engine.verify_resilient ~config ~restarts:2 ~rng:(Rng.create 9)
-      (Case_study.system_of_network Case_study.reference_controller)
+      (dubins_system Error_dynamics.reference_controller)
   in
   Alcotest.(check bool) "at least one attempt" true (List.length res.Engine.attempts >= 1);
   Alcotest.(check bool) "at most 3 attempts" true (List.length res.Engine.attempts <= 3);
@@ -688,7 +692,7 @@ let test_cegis_alternating_witnesses_stop () =
    CEGIS run must land on the same verdict — and on a proof, the same
    certificate to the bit. *)
 let test_poly2_verify_parity () =
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system = dubins_system Error_dynamics.reference_controller in
   let verify_with kind =
     let config = { Engine.default_config with Engine.template_kind = kind } in
     Engine.verify ~config ~rng:(Rng.create 7) system

@@ -4,6 +4,10 @@
    cold / hit / warm flows.  Everything runs against the paper's Dubins
    case study with small controllers so the whole file stays fast. *)
 
+(* The paper's case study closed around [net]. *)
+let dubins_system net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
+
 let temp_root =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "sb_cert_test_%d" (Unix.getpid ()))
@@ -14,8 +18,8 @@ let fresh_store =
     incr counter;
     Filename.concat temp_root (string_of_int !counter)
 
-let network = Case_study.controller_of_width 10
-let system = Case_study.system_of_network network
+let network = Error_dynamics.controller_of_width 10
+let system = dubins_system network
 let config = Engine.default_config
 
 (* One proved certificate, shared by the read-only tests. *)
@@ -135,9 +139,9 @@ let test_poly_audit_certifies () =
 
 let test_fingerprint_sensitivity () =
   let fp = Artifact.fingerprint ~network system config in
-  let other_net = Case_study.controller_of_width 12 in
+  let other_net = Error_dynamics.controller_of_width 12 in
   let fp_net =
-    Artifact.fingerprint ~network:other_net (Case_study.system_of_network other_net) config
+    Artifact.fingerprint ~network:other_net (dubins_system other_net) config
   in
   Alcotest.(check bool) "different network, different combined" true
     (fp.Artifact.combined <> fp_net.Artifact.combined);
@@ -247,7 +251,7 @@ let test_audit_rejects_wrong_fingerprint () =
       (Checker.string_of_verdict v));
   (* The artifact binds a specific controller: auditing against a different
      one must fail the nn-hash comparison. *)
-  match audit ~network:(Case_study.controller_of_width 12) a with
+  match audit ~network:(Error_dynamics.controller_of_width 12) a with
   | Checker.Rejected (Checker.Fingerprint_mismatch { field = "network"; _ }) -> ()
   | v ->
     Alcotest.failf "wrong network: expected nn mismatch, got %s" (Checker.string_of_verdict v)
@@ -328,10 +332,10 @@ let test_cache_cold_then_hit () =
 let test_cache_warm_start_nearby () =
   let root = fresh_store () in
   let _ = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 7) system in
-  let other = Case_study.controller_of_width 12 in
+  let other = Error_dynamics.controller_of_width 12 in
   let second =
     Cache.verify ~config ~network:other ~store:root ~rng:(Rng.create 7)
-      (Case_study.system_of_network other)
+      (dubins_system other)
   in
   match second.Cache.source with
   | Cache.Warm_started { donor } ->
@@ -441,8 +445,8 @@ let test_cache_parameterization_isolation () =
    scripts); their exact text is part of the artifact contract, so any
    change must be a conscious golden-file update. *)
 let test_dump_smt2_golden () =
-  let net = Case_study.reference_controller in
-  let sys = Case_study.system_of_network net in
+  let net = Error_dynamics.reference_controller in
+  let sys = dubins_system net in
   let template = Template.make Template.Quadratic sys.Engine.vars in
   let cert = { Engine.template; coeffs = [| 1.0; 0.5; 2.0 |]; level = 1.0 } in
   let dir = Filename.concat temp_root "smt2" in
@@ -498,7 +502,7 @@ let test_fsck_quarantines_each_corruption () =
   let entry_dir = Store.save ~root ~network a in
   let healthy = other_artifact () in
   let healthy_fp = healthy.Artifact.fingerprint.Artifact.combined in
-  ignore (Store.save ~root ~network:(Case_study.controller_of_width 10) healthy);
+  ignore (Store.save ~root ~network:(Error_dynamics.controller_of_width 10) healthy);
   let plant name f =
     let d = Filename.concat root name in
     Sys.mkdir d 0o755;
@@ -558,7 +562,7 @@ let test_fsck_network_mismatch () =
   let dir = Store.save ~root ~network a in
   (* Swap in a parseable but different controller. *)
   write_raw (Filename.concat dir Store.network_file)
-    (Nn.to_string (Case_study.controller_of_width 12));
+    (Nn.to_string (Error_dynamics.controller_of_width 12));
   let report = Store.fsck ~quarantine:true ~root () in
   (match report.Store.findings with
   | [ { Store.issue = Store.Network_mismatch _; _ } ] -> ()

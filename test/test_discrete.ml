@@ -103,7 +103,7 @@ let test_rnn_validation () =
 (* --- Discrete engine ------------------------------------------------- *)
 
 let test_discrete_symbolic_matches_numeric () =
-  let sys = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let sys = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let rng = Rng.create 3 in
   for _ = 1 to 100 do
     let x = [| Rng.uniform rng (-4.0) 4.0; Rng.uniform rng (-1.4) 1.4 |] in
@@ -121,7 +121,7 @@ let test_discrete_symbolic_matches_numeric () =
   done
 
 let test_discrete_feedforward_proved () =
-  let sys = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let sys = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let report = Discrete.verify ~rng:(Rng.create 5) sys in
   match report.Engine.outcome with
   | Engine.Proved cert ->
@@ -139,7 +139,7 @@ let test_discrete_unsafe_rejected () =
   | Engine.Failed _ -> ()
 
 let test_discrete_orbit_truncation () =
-  let sys = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let sys = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let config = Discrete.default_config ~dim:2 in
   let tr = Discrete.iterate sys config [| 3.0; 0.5 |] in
   Alcotest.(check bool) "nonempty" true (Ode.trace_length tr >= 1);
@@ -261,7 +261,10 @@ let test_train_rnn_improves () =
 (* --- Lyapunov mode ---------------------------------------------------- *)
 
 let test_lyapunov_reference_proved () =
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system =
+    (Plant.close_exn Registry.dubins_error (Plant.Network Error_dynamics.reference_controller))
+      .Plant.system
+  in
   let report = Lyapunov.verify ~rng:(Rng.create 9) system in
   match report.Lyapunov.outcome with
   | Lyapunov.Proved cert ->
@@ -271,9 +274,8 @@ let test_lyapunov_reference_proved () =
   | Lyapunov.Failed _ -> Alcotest.fail "Lyapunov mode must prove the reference controller"
 
 let test_lyapunov_unstable_rejected () =
-  let unstable_u _ _ = -0.5 in
-  let u_expr = Expr.const (-0.5) in
-  let system = Case_study.system_of_controller ~controller:unstable_u u_expr in
+  let unstable_u = Plant.Analytic { label = "constant turn"; exprs = [| Expr.const (-0.5) |] } in
+  let system = (Plant.close_exn Registry.dubins_error unstable_u).Plant.system in
   match (Lyapunov.verify ~rng:(Rng.create 9) system).Lyapunov.outcome with
   | Lyapunov.Proved _ -> Alcotest.fail "proved a constant-turn loop stable"
   | Lyapunov.Failed _ -> ()
@@ -281,7 +283,10 @@ let test_lyapunov_unstable_rejected () =
 (* --- SMT-LIB export ---------------------------------------------------- *)
 
 let test_smt2_export () =
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system =
+    (Plant.close_exn Registry.dubins_error (Plant.Network Error_dynamics.reference_controller))
+      .Plant.system
+  in
   let report = Engine.verify ~rng:(Rng.create 2024) system in
   match report.Engine.outcome with
   | Engine.Failed _ -> Alcotest.fail "reference must prove"

@@ -109,7 +109,7 @@ let test_paper_form_equals_simplified () =
   done
 
 let test_numeric_vs_symbolic_field () =
-  let net = Case_study.reference_controller in
+  let net = Error_dynamics.reference_controller in
   let u_expr = Error_dynamics.symbolic_controller net in
   let sym = Error_dynamics.symbolic_field cfg ~u:u_expr in
   let num = Error_dynamics.field_of_network cfg net in
@@ -128,7 +128,7 @@ let test_theta_dot_is_minus_u () =
   check_float "theta_err_dot = -u" (-0.7) f.(1)
 
 let test_reference_controller_stabilizes () =
-  let controller d th = Nn.eval1 Case_study.reference_controller [| d; th |] in
+  let controller d th = Nn.eval1 Error_dynamics.reference_controller [| d; th |] in
   let tr = Error_dynamics.simulate cfg ~controller ~x0:(3.0, 0.5) ~dt:0.05 ~steps:2000 in
   let final = Ode.final_state tr in
   Alcotest.(check bool)
@@ -140,14 +140,14 @@ let prop_stabilizes_from_domain =
   QCheck.Test.make ~name:"reference controller converges from the safe rect" ~count:40
     QCheck.(pair (float_range (-4.5) 4.5) (float_range (-1.4) 1.4))
     (fun (d0, th0) ->
-      let controller d th = Nn.eval1 Case_study.reference_controller [| d; th |] in
+      let controller d th = Nn.eval1 Error_dynamics.reference_controller [| d; th |] in
       let tr = Error_dynamics.simulate cfg ~controller ~x0:(d0, th0) ~dt:0.05 ~steps:4000 in
       Vec.norm2 (Ode.final_state tr) < 0.05)
 
 (* --- World-frame closed loop ------------------------------------------- *)
 
 let test_rollout_tracks_straight () =
-  let net = Case_study.reference_controller in
+  let net = Error_dynamics.reference_controller in
   let long_path = Path.straight ~theta_r:(Float.pi /. 2.0) ~length:40.0 in
   let r =
     Dubins_car.rollout ~v:1.0 ~path:long_path ~dt:0.1 ~steps:600
@@ -163,7 +163,7 @@ let test_rollout_tracks_straight () =
     (Float.abs last_derr < 0.05)
 
 let test_rollout_stops_at_end () =
-  let net = Case_study.reference_controller in
+  let net = Error_dynamics.reference_controller in
   let r =
     Dubins_car.rollout ~v:1.0 ~path:straight_x ~dt:0.1 ~steps:500
       ~x0:(Dubins_car.start_pose straight_x) net
@@ -182,7 +182,7 @@ let test_start_pose () =
 let test_cost_zero_for_perfect_tracking () =
   (* A hand controller on a straight path from an on-path start has near-zero
      errors, so the cost is small and dominated by the u² term. *)
-  let net = Case_study.reference_controller in
+  let net = Error_dynamics.reference_controller in
   let j = Training.cost ~v:1.0 ~path:straight_x ~dt:0.1 ~steps:120 net in
   Alcotest.(check bool) (Printf.sprintf "J=%.3f small" j) true (j < 10.0)
 
@@ -193,7 +193,7 @@ let test_cost_penalizes_offset () =
       [ { Nn.weights = [| [| 0.0; 0.0 |] |]; biases = [| 0.0 |]; activation = Nn.Linear } ]
   in
   let good = Training.cost ~v:1.0 ~path:Path.paper_training_path ~dt:0.2 ~steps:700
-      Case_study.reference_controller in
+      Error_dynamics.reference_controller in
   let bad = Training.cost ~v:1.0 ~path:Path.paper_training_path ~dt:0.2 ~steps:700 zero_net in
   Alcotest.(check bool) (Printf.sprintf "good %.0f < bad %.0f" good bad) true (good < bad)
 

@@ -94,7 +94,7 @@ let test_to_path_followable () =
   let r =
     Dubins_car.rollout ~v:1.0 ~path ~dt:0.05
       ~steps:(int_of_float (Path.total_length path /. 0.05 *. 1.5))
-      ~x0:(Dubins_car.start_pose path) Case_study.reference_controller
+      ~x0:(Dubins_car.start_pose path) Error_dynamics.reference_controller
   in
   let max_derr =
     Array.fold_left (fun m d -> Float.max m (Float.abs d)) 0.0 r.Dubins_car.derr

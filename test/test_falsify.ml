@@ -33,7 +33,8 @@ let constant_controller c =
   Nn.of_layers ~input_dim:2
     [ { Nn.weights = [| [| 0.0; 0.0 |] |]; biases = [| c |]; activation = Nn.Linear } ]
 
-let field_of net = (Case_study.system_of_network net).Engine.numeric_field
+let field_of net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system.Engine.numeric_field
 
 let test_falsifies_constant_turn () =
   (* u = 1 turns forever: θ_err leaves the safe band quickly. *)
@@ -77,7 +78,7 @@ let test_verified_controller_never_falsifies () =
       let options = { Falsify.default_options with Falsify.method_; budget = 300 } in
       match
         Falsify.falsify ~options ~rng:(Rng.create seed)
-          ~field:(field_of Case_study.reference_controller) ~x0_rect ~safe_rect ()
+          ~field:(field_of Error_dynamics.reference_controller) ~x0_rect ~safe_rect ()
       with
       | Falsify.Falsified { x0; _ } ->
         Alcotest.failf "verified controller falsified from (%g, %g)!" x0.(0) x0.(1)
@@ -89,7 +90,7 @@ let test_budget_respected () =
   let options = { Falsify.default_options with Falsify.budget = 50; method_ = Falsify.Random_search } in
   match
     Falsify.falsify ~options ~rng:(Rng.create 6)
-      ~field:(field_of Case_study.reference_controller) ~x0_rect ~safe_rect ()
+      ~field:(field_of Error_dynamics.reference_controller) ~x0_rect ~safe_rect ()
   with
   | Falsify.Not_falsified { evaluations; _ } ->
     Alcotest.(check bool)

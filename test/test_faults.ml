@@ -3,7 +3,9 @@
    failure within its deadline when the dynamics are faulty — no hangs, no
    NaN escaping into a certificate, no unstructured exceptions. *)
 
-let reference_system = Case_study.system_of_network Case_study.reference_controller
+let reference_system =
+  (Plant.close_exn Registry.dubins_error (Plant.Network Error_dynamics.reference_controller))
+    .Plant.system
 
 let faulty_system injection =
   {
@@ -115,7 +117,7 @@ let test_ill_conditioned_lp_survives () =
 (* --- Discrete engine under faults -------------------------------------- *)
 
 let test_discrete_stalled_map_deadline () =
-  let base = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let base = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let system =
     { base with Discrete.map_numeric = Faults.wrap_map (Faults.Stall 0.05) base.Discrete.map_numeric }
   in
@@ -132,7 +134,7 @@ let test_discrete_stalled_map_deadline () =
   | Engine.Failed _ -> Alcotest.fail "expected a structured Timeout"
 
 let test_discrete_nan_map_truncates () =
-  let base = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let base = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let system =
     { base with Discrete.map_numeric = Faults.wrap_map (Faults.Nan_after 3) base.Discrete.map_numeric }
   in

@@ -3,7 +3,11 @@
    and validation of the produced certificates against the definition of a
    strict barrier certificate. *)
 
-let reference_system = Case_study.system_of_network Case_study.reference_controller
+(* The paper's case study closed around [net]. *)
+let dubins_system net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
+
+let reference_system = dubins_system Error_dynamics.reference_controller
 
 let verify ?config seed system =
   Engine.verify ?config ~rng:(Rng.create seed) system
@@ -12,18 +16,7 @@ let proved name report =
   match report.Engine.outcome with
   | Engine.Proved cert -> cert
   | Engine.Failed reason ->
-    let msg =
-      match reason with
-      | Engine.Lp_failed s -> "LP failed: " ^ s
-      | Engine.Cex_budget_exhausted -> "CEX budget exhausted"
-      | Engine.Level_range_empty -> "level range empty"
-      | Engine.Level_budget_exhausted -> "level budget exhausted"
-      | Engine.Solver_inconclusive s -> "solver inconclusive: " ^ s
-      | Engine.Timeout stage -> "deadline exceeded during " ^ stage
-      | Engine.Seed_shortfall (got, wanted) ->
-        Printf.sprintf "seed shortfall: %d of %d" got wanted
-    in
-    Alcotest.failf "%s: expected Proved, got %s" name msg
+    Alcotest.failf "%s: expected Proved, got %s" name (Cegis.string_of_failure reason)
 
 (* --- The paper's case study ---------------------------------------------- *)
 
@@ -83,7 +76,7 @@ let test_certificate_satisfies_barrier_conditions () =
 let test_widened_controllers_proved () =
   List.iter
     (fun width ->
-      let system = Case_study.system_of_network (Case_study.controller_of_width width) in
+      let system = dubins_system (Error_dynamics.controller_of_width width) in
       let report = verify 11 system in
       ignore (proved (Printf.sprintf "width %d" width) report))
     [ 10; 40 ]
@@ -93,7 +86,7 @@ let test_pretrained_controller_proved () =
   let path = "../data/trained_nh10.nn" in
   if Sys.file_exists path then begin
     let net = Nn.load path in
-    let system = Case_study.system_of_network net in
+    let system = dubins_system net in
     let report = verify 7 system in
     let cert = proved "pretrained" report in
     Alcotest.(check bool) "level positive" true (cert.Engine.level > 0.0)
@@ -127,7 +120,7 @@ let constant_controller c =
 let test_unsafe_zero_controller () =
   (* u = 0: θerr never changes, derr drifts — nothing decreases.  The
      pipeline must fail, not prove. *)
-  let system = Case_study.system_of_network (constant_controller 0.0) in
+  let system = dubins_system (constant_controller 0.0) in
   let report = verify 5 system in
   (match report.Engine.outcome with
   | Engine.Proved _ -> Alcotest.fail "proved an unsafe (zero) controller"
@@ -146,7 +139,7 @@ let test_unsafe_destabilizing_controller () =
         { Nn.weights = [| [| -0.5; -0.5 |] |]; biases = [| 0.0 |]; activation = Nn.Linear };
       ]
   in
-  let system = Case_study.system_of_network bad in
+  let system = dubins_system bad in
   let report = verify 5 system in
   (match report.Engine.outcome with
   | Engine.Proved _ -> Alcotest.fail "proved a destabilizing controller"
@@ -154,7 +147,7 @@ let test_unsafe_destabilizing_controller () =
 
 let test_saturated_controller_rejected () =
   (* u = +1 constant: rotates forever, no barrier. *)
-  let system = Case_study.system_of_network (constant_controller 1.0) in
+  let system = dubins_system (constant_controller 1.0) in
   let report = verify 5 system in
   match report.Engine.outcome with
   | Engine.Proved _ -> Alcotest.fail "proved a constant-turn controller"

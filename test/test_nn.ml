@@ -227,10 +227,10 @@ let test_controller_output_bounded () =
   done
 
 let test_widen_preserves_function () =
-  let base = Case_study.reference_controller in
+  let base = Error_dynamics.reference_controller in
   List.iter
     (fun factor ->
-      let wide = Case_study.widen_controller base ~factor in
+      let wide = Nn.widen base ~factor in
       Alcotest.(check int) "width" (2 * factor) (List.hd (Nn.hidden_widths wide));
       let r = rng () in
       for _ = 1 to 100 do
@@ -241,18 +241,18 @@ let test_widen_preserves_function () =
     [ 1; 3; 50 ]
 
 let test_controller_of_width () =
-  let net = Case_study.controller_of_width 10 in
+  let net = Error_dynamics.controller_of_width 10 in
   Alcotest.(check (list int)) "width 10" [ 10 ] (Nn.hidden_widths net);
   let r = rng () in
   for _ = 1 to 100 do
     let input = [| Rng.uniform r (-5.0) 5.0; Rng.uniform r (-1.5) 1.5 |] in
     if
-      Float.abs (Nn.eval1 net input -. Nn.eval1 Case_study.reference_controller input) > 1e-12
+      Float.abs (Nn.eval1 net input -. Nn.eval1 Error_dynamics.reference_controller input) > 1e-12
     then Alcotest.fail "controller_of_width changed the function"
   done;
   Alcotest.check_raises "odd width rejected"
-    (Invalid_argument "Case_study.controller_of_width: width must be a positive multiple of 2")
-    (fun () -> ignore (Case_study.controller_of_width 7))
+    (Invalid_argument "Error_dynamics.controller_of_width: width must be a positive multiple of 2")
+    (fun () -> ignore (Error_dynamics.controller_of_width 7))
 
 let () =
   Alcotest.run "nn"

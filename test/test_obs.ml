@@ -277,11 +277,14 @@ let test_engine_spans_and_cuts () =
         Alcotest.(check int) (label ^ ": cegis.cex_cuts = counterexamples") cexs cuts;
         Alcotest.(check bool) (label ^ ": counterexamples exercised") true (cexs >= min_cexs))
   in
-  let ff = Discrete.of_network ~dt:0.1 Case_study.reference_controller in
+  let ff = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
   let discrete ?config seed () =
     List.length (Discrete.verify ?config ~rng:(Rng.create seed) ff).Engine.counterexamples
   in
-  let system = Case_study.system_of_network Case_study.reference_controller in
+  let system =
+    (Plant.close_exn Registry.dubins_error (Plant.Network Error_dynamics.reference_controller))
+      .Plant.system
+  in
   let lyapunov ?config seed () =
     List.length (Lyapunov.verify ?config ~rng:(Rng.create seed) system).Lyapunov.counterexamples
   in

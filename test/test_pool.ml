@@ -73,27 +73,55 @@ let test_map_nested_no_deadlock () =
 
 let test_budget_concurrent_accounting () =
   (* N domains hammering consume_branches on one shared pool: the pool
-     must drain exactly, never double-granting a branch. *)
-  let total = 10_000 in
-  let budget = Budget.make ~branches:total ()
-  and granted = Atomic.make 0 in
-  let worker _ =
-    let continue_ = ref true in
-    while !continue_ do
-      match Budget.consume_branches budget 1 with
-      | None -> Atomic.incr granted
-      | Some Budget.Branch_budget -> continue_ := false
-      | Some s -> Alcotest.failf "unexpected stop: %s" (Budget.string_of_stop s)
-    done
+     must drain exactly, never double-granting a branch and never denying
+     one.  A lost grant needs an unlucky interleaving at the very end of
+     the pool, so the drain repeats, and the domains meet at a start line
+     so that all of them are still drawing when the pool runs dry. *)
+  let total = 10_000 and domains = 4 in
+  for round = 1 to 30 do
+    let budget = Budget.make ~branches:total ()
+    and granted = Atomic.make 0
+    and ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      let continue_ = ref true in
+      while !continue_ do
+        match Budget.consume_branches budget 1 with
+        | None -> Atomic.incr granted
+        | Some Budget.Branch_budget -> continue_ := false
+        | Some s -> failwith ("unexpected stop: " ^ Budget.string_of_stop s)
+      done
+    in
+    List.iter Domain.join (List.init domains (fun _ -> Domain.spawn worker));
+    (* The atomic fetch-and-add hands each call a distinct post-decrement
+       value, and exactly those with a positive remainder are granted —
+       [total - 1] of them, no matter how the domains interleave. *)
+    Alcotest.(check int)
+      (Printf.sprintf "exact concurrent accounting, round %d" round)
+      (total - 1) (Atomic.get granted);
+    Alcotest.(check bool) "drained pool reports zero" true
+      (Budget.remaining_branches budget = Some 0)
+  done
+
+let test_budget_grant_is_own_draw () =
+  (* The cancel hook runs between a call's draw and its decision, so it
+     can drain the pool at exactly the worst moment: the outer call drew
+     the second-to-last branch and must still be granted. *)
+  let budget = ref Budget.unlimited and drained = ref false in
+  let cancel () =
+    if not !drained then begin
+      drained := true;
+      Alcotest.(check bool) "inner draw takes the last branch" true
+        (Budget.consume_branches !budget 1 = Some Budget.Branch_budget)
+    end;
+    false
   in
-  ignore (Pool.parallel_map ~jobs:4 worker (Array.init 4 (fun i -> i)));
-  (* consume-then-check semantics: the atomic fetch-and-add hands each call
-     a distinct post-decrement value, and exactly those with a positive
-     remainder are granted — [total - 1] of them, with no double grant no
-     matter how the four domains interleave. *)
-  Alcotest.(check int) "exact concurrent accounting" (total - 1) (Atomic.get granted);
-  Alcotest.(check (option int)) "drained pool reports zero" (Some 0)
-    (Budget.remaining_branches budget)
+  budget := Budget.make ~branches:2 ~cancel ();
+  Alcotest.(check bool) "outer draw granted" true (Budget.consume_branches !budget 1 = None);
+  Alcotest.(check (option int)) "pool empty" (Some 0) (Budget.remaining_branches !budget)
 
 let test_switch_cancels () =
   let sw = Budget.switch () in
@@ -158,6 +186,7 @@ let () =
         [
           Alcotest.test_case "concurrent branch accounting" `Quick
             test_budget_concurrent_accounting;
+          Alcotest.test_case "grant decided by own draw" `Quick test_budget_grant_is_own_draw;
           Alcotest.test_case "switch cancels" `Quick test_switch_cancels;
           Alcotest.test_case "first witness wins" `Quick test_switch_first_witness_wins;
         ] );

@@ -1,9 +1,8 @@
 (* Tests for the scenario subsystem (lib/scenario): JSON round-trips, exact
    loader error messages, elaboration override precedence, registry
-   invariants, the Benchmark_systems shim, and — crucially — bit-level
-   parity of the registry's dubins_error plant with the legacy
-   Case_study.system_of_network pipeline (the migration's compatibility
-   contract). *)
+   invariants, the Benchmark_systems shim, and the dubins_error plant's
+   pinned dynamics hashes (the certificate store's cache key) and fused
+   numeric field. *)
 
 let temp_root =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -44,7 +43,6 @@ let full_scenario =
     linear_terms = Some false;
     template = Some (Template.Poly 3);
     jobs = Some 3;
-    scheduler = Some Solver.Static_split;
     lp_engine = Some Lp.Tableau;
     max_branches = Some 5000;
     expectation = Some Scenario.Should_fail;
@@ -103,9 +101,9 @@ let test_parse_errors () =
          ("x0", Obs.Json.List [ Obs.Json.List [ Obs.Json.Float 0.0 ] ]);
        ])
     "scenario: field \"x0\" must be a list of [lo, hi] number pairs";
-  check "scheduler misspelled"
-    (obj [ ("plant", Obs.Json.String "duffing"); ("scheduler", Obs.Json.String "work") ])
-    "scenario: field \"scheduler\" must be \"static\" or \"stealing\"";
+  check "scheduler is not a field"
+    (obj [ ("plant", Obs.Json.String "duffing"); ("scheduler", Obs.Json.String "stealing") ])
+    "scenario: unknown field \"scheduler\"";
   check "lp_engine misspelled"
     (obj [ ("plant", Obs.Json.String "duffing"); ("lp_engine", Obs.Json.String "simplex") ])
     "scenario: field \"lp_engine\" must be \"tableau\" or \"revised\"";
@@ -145,7 +143,7 @@ let test_elaborate_errors () =
     "plant pendulum has no width-parameterized controller family";
   (* A controller network with the wrong shape is an elaboration error that
      names the mismatch, not a crash. *)
-  let bad_net = Case_study.controller_of_width 4 in
+  let bad_net = Error_dynamics.controller_of_width 4 in
   let poly_3d = Option.get (Registry.find_plant "poly_3d") in
   Alcotest.(check string) "arity-mismatched network"
     "plant poly_3d: controller network takes 2 inputs but the plant has 3 state variables"
@@ -193,7 +191,6 @@ let test_override_precedence () =
       delta = Some 0.125;
       n_seed = Some 33;
       jobs = Some 4;
-      scheduler = Some Solver.Static_split;
       lie = Some true;
       linear_terms = Some true;
       lp_engine = Some Lp.Tableau;
@@ -210,8 +207,6 @@ let test_override_precedence () =
   Alcotest.(check int) "n_seed overridden" 33 c.Engine.n_seed;
   Alcotest.(check int) "jobs: engine" 4 c.Engine.jobs;
   Alcotest.(check int) "jobs: solver" 4 c.Engine.smt.Solver.jobs;
-  Alcotest.(check bool) "scheduler overridden" true
-    (c.Engine.smt.Solver.scheduler = Solver.Static_split);
   Alcotest.(check bool) "lie mode" true
     (c.Engine.synthesis.Synthesis.mode = Synthesis.Lie_derivative);
   Alcotest.(check bool) "template escalated" true
@@ -340,72 +335,47 @@ let test_benchmark_shim () =
   Alcotest.(check int) "benchmark configs keep n_seed = 30" 30
     Benchmark_systems.damped_pendulum.Benchmark_systems.config.Engine.n_seed
 
-(* --- dubins parity with the legacy pipeline ---------------------------- *)
-
-let dubins_closed net =
-  let plant = Option.get (Registry.find_plant "dubins_error") in
-  ok_or_fail (Plant.close plant (Plant.Network net))
-
-(* Same Expr DAG fingerprint: the registry plant builds its symbolic field
-   through the same constructors as Case_study, so the dynamics hash — the
-   string the cert cache keys on — must be identical. *)
-let test_dubins_symbolic_parity () =
-  List.iter
-    (fun width ->
-      let net =
-        if width = 2 then Case_study.reference_controller
-        else Case_study.controller_of_width width
-      in
-      let legacy = Case_study.system_of_network net in
-      let registry = (dubins_closed net).Plant.system in
-      Alcotest.(check string)
-        (Printf.sprintf "dynamics hash, width %d" width)
-        (Artifact.hash_dynamics legacy)
-        (Artifact.hash_dynamics registry);
-      Alcotest.(check bool) "variable names" true (legacy.Engine.vars = registry.Engine.vars))
-    [ 2; 4; 10 ]
-
-(* Bit-identical numeric fields at arbitrary states: qcheck over the safe
-   rectangle (and beyond), exact float equality. *)
-let prop_dubins_numeric_parity =
-  QCheck.Test.make ~name:"dubins numeric field is bit-identical to Case_study" ~count:300
-    QCheck.(triple (int_range 1 5) (float_range (-6.0) 6.0) (float_range (-1.5) 1.5))
-    (fun (half_width, derr, theta_err) ->
-      let net = Case_study.controller_of_width (2 * half_width) in
-      let legacy = Case_study.system_of_network net in
-      let registry = (dubins_closed net).Plant.system in
-      let x = [| derr; theta_err |] in
-      let a = legacy.Engine.numeric_field 0.0 x in
-      let b = registry.Engine.numeric_field 0.0 x in
-      Int64.equal (Int64.bits_of_float a.(0)) (Int64.bits_of_float b.(0))
-      && Int64.equal (Int64.bits_of_float a.(1)) (Int64.bits_of_float b.(1)))
-
-(* Full-pipeline parity: identical verdict, certificate, and traces for the
-   reference controller under the same rng. *)
-let test_dubins_verify_parity () =
-  let net = Case_study.reference_controller in
-  let legacy = Case_study.system_of_network net in
-  let registry = (dubins_closed net).Plant.system in
-  let run system = Engine.verify ~rng:(Rng.create 7) system in
-  let a = run legacy and b = run registry in
-  (match (a.Engine.outcome, b.Engine.outcome) with
-  | Engine.Proved ca, Engine.Proved cb ->
-    Alcotest.(check bool) "identical coefficients" true (ca.Engine.coeffs = cb.Engine.coeffs);
-    Alcotest.(check (float 0.0)) "identical level" ca.Engine.level cb.Engine.level
-  | _ -> Alcotest.fail "dubins reference controller must prove on both paths");
-  Alcotest.(check int) "same trace count"
-    (List.length a.Engine.traces)
-    (List.length b.Engine.traces);
-  List.iter2
-    (fun (ta : Ode.trace) (tb : Ode.trace) ->
-      Alcotest.(check bool) "bit-identical trace" true (ta = tb))
-    a.Engine.traces b.Engine.traces
-
-(* --- compiled plant fields ------------------------------------------------ *)
+(* --- dubins_error closed loop ------------------------------------------- *)
 
 let bits_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)) a b
+
+let dubins_closed net = ok_or_fail (Plant.close Registry.dubins_error (Plant.Network net))
+
+(* The dynamics hash is the string the certificate store keys on, so it is
+   pinned: certificates stored by earlier builds must stay cache hits. *)
+let test_dubins_symbolic_parity () =
+  List.iter
+    (fun (width, hash) ->
+      let net =
+        if width = 2 then Error_dynamics.reference_controller
+        else Error_dynamics.controller_of_width width
+      in
+      let system = (dubins_closed net).Plant.system in
+      Alcotest.(check string)
+        (Printf.sprintf "dynamics hash, width %d" width)
+        hash (Artifact.hash_dynamics system))
+    [
+      (2, "a2b94748c6b7e368f28d3fe379f97329");
+      (4, "e0c8349a32f20c8c8b48b7aaa2d789c3");
+      (10, "a0f1fffdb200ddc31d2b8a72aeaf739a");
+    ]
+
+(* The plant simulates through the fused network kernel: bit-identical to
+   [Error_dynamics.field_of_network] at arbitrary states (the safe
+   rectangle and beyond). *)
+let prop_dubins_numeric_parity =
+  QCheck.Test.make ~name:"dubins numeric field is bit-identical to field_of_network" ~count:300
+    QCheck.(triple (int_range 1 5) (float_range (-6.0) 6.0) (float_range (-1.5) 1.5))
+    (fun (half_width, derr, theta_err) ->
+      let net = Error_dynamics.controller_of_width (2 * half_width) in
+      let fused = Error_dynamics.field_of_network Error_dynamics.default_config net in
+      let registry = (dubins_closed net).Plant.system in
+      let x = [| derr; theta_err |] in
+      bits_equal (fused 0.0 x) (registry.Engine.numeric_field 0.0 x))
+
+(* --- compiled plant fields ------------------------------------------------ *)
 
 (* The tree-walking reference the compiled field must reproduce bit for bit. *)
 let reference_field (system : Engine.system) x =
@@ -445,7 +415,7 @@ let test_compiled_fields_bit_identical () =
    through the same compiled evaluator: u is [Expr.eval] of its expression. *)
 let test_analytic_controller_compiled () =
   let plant = Option.get (Registry.find_plant "dubins_error") in
-  let u = Error_dynamics.symbolic_controller Case_study.reference_controller in
+  let u = Error_dynamics.symbolic_controller Error_dynamics.reference_controller in
   let closed =
     ok_or_fail (Plant.close plant (Plant.Analytic { label = "reference (symbolic)"; exprs = [| u |] }))
   in
@@ -501,7 +471,6 @@ let () =
         [
           Alcotest.test_case "symbolic DAG fingerprint" `Quick test_dubins_symbolic_parity;
           QCheck_alcotest.to_alcotest prop_dubins_numeric_parity;
-          Alcotest.test_case "verify pipeline parity" `Quick test_dubins_verify_parity;
         ] );
       ( "compiled",
         [

@@ -412,12 +412,9 @@ let test_solver_parallel_agreement () =
     cases
 
 let test_solver_parallel_stats_merged () =
-  (* Parallel runs must still account every branch.  Under the static
-     scheduler the merged stats of a jobs=4 refutation cover all 2^k
-     subboxes, so the count is at least one visit each; under work
-     stealing the same query may legitimately finish in fewer claimed
-     boxes (no up-front split), but never zero, and the steal counters
-     must come back merged rather than lost. *)
+  (* Parallel runs must still account every branch: a jobs=4 refutation
+     claims at least one box, and the frontier counter must come back
+     merged rather than lost. *)
   let f =
     Formula.and_
       [
@@ -425,15 +422,7 @@ let test_solver_parallel_stats_merged () =
         Formula.ge (Expr.( + ) x y) (Expr.const 1.6);
       ]
   in
-  let static =
-    { Solver.default_options with Solver.jobs = 4; scheduler = Solver.Static_split }
-  in
-  let verdict, st = Solver.solve ~options:static ~bounds:bounds2 f in
-  expect_unsat "parallel circle (static)" verdict;
-  Alcotest.(check bool) "static branches accounted" true (st.Solver.branches >= 4);
-  let stealing =
-    { Solver.default_options with Solver.jobs = 4; scheduler = Solver.Work_stealing }
-  in
+  let stealing = { Solver.default_options with Solver.jobs = 4 } in
   let verdict, st = Solver.solve ~options:stealing ~bounds:bounds2 f in
   expect_unsat "parallel circle (stealing)" verdict;
   Alcotest.(check bool) "stealing branches accounted" true (st.Solver.branches >= 1);
@@ -529,14 +518,14 @@ let prop_solver_sound_on_linear =
       | Solver.Unsat -> not !found
       | Solver.Delta_sat _ | Solver.Unknown -> true)
 
-let prop_scheduler_parity =
-  (* The sat/unsat verdict must be independent of the job count, of the
-     scheduler, and of the steal interleaving (exercised through distinct
-     victim-rotation seeds): the branch-and-prune tree is deterministic
-     given the options, so every traversal order reaches the same
-     conclusion.  Witnesses may differ between runs, but every Delta_sat
-     witness must δ-hold. *)
-  QCheck.Test.make ~name:"verdict parity across jobs, schedulers and steal seeds" ~count:30
+let prop_parallel_parity =
+  (* The sat/unsat verdict of the work-stealing search must equal the
+     sequential search's, whatever the steal interleaving (exercised
+     through distinct victim-rotation seeds): the branch-and-prune tree is
+     deterministic given the options, so every traversal order reaches the
+     same conclusion.  Witnesses may differ between runs, but every
+     Delta_sat witness must δ-hold. *)
+  QCheck.Test.make ~name:"verdict parity across jobs and steal seeds" ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -560,21 +549,18 @@ let prop_scheduler_parity =
         | _ -> Formula.or_ [ atom (); Formula.and_ [ atom (); atom () ] ]
       in
       let delta = 1e-2 in
-      let run jobs scheduler steal_seed =
+      let run jobs steal_seed =
         fst
           (Solver.solve
-             ~options:{ Solver.default_options with Solver.delta; jobs; scheduler; steal_seed }
+             ~options:{ Solver.default_options with Solver.delta; jobs; steal_seed }
              ~bounds:bounds2 f)
       in
       let witness_ok = function
         | Solver.Delta_sat w -> Formula.holds_delta delta w f
         | Solver.Unsat | Solver.Unknown -> true
       in
-      let base = run 1 Solver.Work_stealing 0 in
-      let runs =
-        run 4 Solver.Static_split 0
-        :: List.map (fun s -> run 4 Solver.Work_stealing s) [ 1; 2; 3 ]
-      in
+      let base = run 1 0 in
+      let runs = List.map (run 4) [ 1; 2; 3 ] in
       witness_ok base
       && List.for_all
            (fun v ->
@@ -715,6 +701,6 @@ let () =
           Alcotest.test_case "imbalanced workload steals" `Quick test_solver_steal_imbalanced;
           Alcotest.test_case "prepared query reuse" `Quick test_solver_prepared_reuse;
           QCheck_alcotest.to_alcotest prop_solver_sound_on_linear;
-          QCheck_alcotest.to_alcotest prop_scheduler_parity;
+          QCheck_alcotest.to_alcotest prop_parallel_parity;
         ] );
     ]

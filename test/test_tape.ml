@@ -62,7 +62,7 @@ let test_dag_zero_signs_distinct () =
 let test_dag_partials_share_primal () =
   (* Derivatives of a controller re-mention tanh(net_i): interning them
      into the primal's pool must reuse those nodes wholesale. *)
-  let net = Case_study.controller_of_width 10 in
+  let net = Error_dynamics.controller_of_width 10 in
   let e = Error_dynamics.symbolic_controller net in
   let dd = Expr.diff Error_dynamics.var_derr e
   and dt = Expr.diff Error_dynamics.var_theta_err e in
@@ -254,7 +254,7 @@ let test_batch_edges () =
 let test_nn_tape_parity () =
   (* The exported width-10 controller: point evaluation and interval
      forward through the tape agree with the tree on random points/boxes. *)
-  let net = Case_study.controller_of_width 10 in
+  let net = Error_dynamics.controller_of_width 10 in
   let e = Error_dynamics.symbolic_controller net in
   let index_of v = if String.equal v Error_dynamics.var_derr then 0 else 1 in
   let tape = Tape.compile ~index_of { Formula.expr = e; rel = Formula.Le0 } in
@@ -370,8 +370,8 @@ let test_engine_agreement_dubins () =
   (* Smoke-sized Dubins barrier queries (the bench_par --smoke setup):
      conditions (5), (6) and (7) must get the same verdict from both
      engines at jobs 1 and 4. *)
-  let net = Case_study.reference_controller in
-  let system = Case_study.system_of_network net in
+  let net = Error_dynamics.reference_controller in
+  let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config =
     { Engine.default_config with Engine.safe_rect = [| (-1.2, 1.2); (-0.6, 0.6) |] }
   in
