@@ -6,6 +6,10 @@ let hr title =
   pf "@.=== %s =============================================================@."
     title
 
+(* The paper's case study closed around [net]. *)
+let dubins_system net =
+  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
+
 let controller_for width =
   if width = 2 then Error_dynamics.reference_controller
   else Error_dynamics.controller_of_width width

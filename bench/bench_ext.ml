@@ -3,10 +3,6 @@
    the falsification baseline, and the affine-arithmetic enclosure
    comparison (ablation A4). *)
 
-(* The paper's case study closed around [net]. *)
-let dubins_system net =
-  (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system
-
 let pf = Format.printf
 
 let describe_discrete name report =
@@ -49,7 +45,7 @@ let discrete_bench () =
 
 let lyapunov_bench () =
   Bench_common.hr "Extension: simulation-guided Lyapunov analysis (ref. [11])";
-  let system = dubins_system Error_dynamics.reference_controller in
+  let system = Bench_common.dubins_system Error_dynamics.reference_controller in
   let report = Lyapunov.verify ~rng:(Rng.create 9) system in
   (match report.Lyapunov.outcome with
   | Lyapunov.Proved cert ->
@@ -64,7 +60,7 @@ let falsify_bench () =
   let config = Engine.default_config in
   pf "%-26s | %10s | %9s | %s@." "controller" "outcome" "rollouts" "robustness";
   let run name net seed =
-    let system = dubins_system net in
+    let system = Bench_common.dubins_system net in
     match
       Falsify.falsify ~rng:(Rng.create seed) ~field:system.Engine.numeric_field
         ~x0_rect:config.Engine.x0_rect ~safe_rect:config.Engine.safe_rect ()
@@ -114,7 +110,7 @@ let affine_bench () =
   compare_widths "controller output u" u box;
   (* The Lie-derivative-style expression (the condition-5 body): heavy
      variable reuse, where correlations pay off. *)
-  let system = dubins_system Error_dynamics.reference_controller in
+  let system = Bench_common.dubins_system Error_dynamics.reference_controller in
   let template = Template.make Template.Quadratic system.Engine.vars in
   let cert = { Engine.template; coeffs = [| 0.6; 1.0; 1.0 |]; level = 0.0 } in
   let f5 = Engine.condition5_formula system Engine.default_config cert in
@@ -135,20 +131,33 @@ let benchmark_systems_bench () =
   Bench_common.hr "Extension: benchmark system suite (engine generality)";
   pf "%-24s | %-12s | %s@." "system" "expectation" "outcome";
   List.iter
-    (fun b ->
-      let r = Benchmark_systems.run b in
+    (fun name ->
+      let scenario = (Option.get (Registry.find_scenario name)).Registry.scenario in
+      let e = Result.fold ~ok:Fun.id ~error:failwith (Registry.elaborate scenario) in
+      let r =
+        Engine.verify ~config:e.Scenario.config ~rng:(Rng.create 7) e.Scenario.closed.Plant.system
+      in
       let outcome =
         match r.Engine.outcome with
-        | Engine.Proved c -> Printf.sprintf "proved, level %.4f (%.2f s)" c.Engine.level r.Engine.stats.Engine.total_time
-        | Engine.Failed _ -> Printf.sprintf "no certificate (%.2f s)" r.Engine.stats.Engine.total_time
+        | Engine.Proved c ->
+          Printf.sprintf "proved, level %.4f (%.2f s)" c.Engine.level
+            r.Engine.stats.Engine.total_time
+        | Engine.Failed _ ->
+          Printf.sprintf "no certificate (%.2f s)" r.Engine.stats.Engine.total_time
       in
       let expect =
-        match b.Benchmark_systems.expectation with
-        | Benchmark_systems.Should_prove -> "should prove"
-        | Benchmark_systems.Should_fail -> "should fail"
+        match scenario.Scenario.expectation with
+        | Some Scenario.Should_fail -> "should fail"
+        | Some Scenario.Should_prove | None -> "should prove"
       in
-      pf "%-24s | %-12s | %s@." b.Benchmark_systems.name expect outcome)
-    Benchmark_systems.all
+      pf "%-24s | %-12s | %s@." name expect outcome)
+    [
+      "damped-pendulum";
+      "undamped-pendulum";
+      "linear-stable";
+      "linear-saddle";
+      "van-der-pol-reversed";
+    ]
 
 let run () =
   discrete_bench ();

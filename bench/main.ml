@@ -7,26 +7,32 @@
      ablate   A1-A3     design-choice ablations
      ext      —         extensions: discrete time, Lyapunov, falsifier, A4
      micro    —         Bechamel micro-benchmarks of the substrates
+     gates    —         timing gates (stealing, lp, cert, serve); exits 1
+                        if any gate fails, --smoke is the CI size
 
-   Usage: main.exe [table1|fig4|fig5|ablate|ext|micro|all] [--seeds N]
-   Default (no argument): all, with --seeds 3. *)
+   Usage: main.exe [table1|fig4|fig5|ablate|ext|micro|gates|all] [--seeds N] [--smoke]
+   Default (no argument): all (every paper experiment, not the gates),
+   with --seeds 3. *)
 
 let parse_args () =
-  let which = ref "all" and seeds = ref 3 in
+  let which = ref "all" and seeds = ref 3 and smoke = ref false in
   let rec go = function
     | [] -> ()
     | "--seeds" :: n :: rest ->
       seeds := int_of_string n;
+      go rest
+    | "--smoke" :: rest ->
+      smoke := true;
       go rest
     | arg :: rest ->
       which := arg;
       go rest
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!which, !seeds)
+  (!which, !seeds, !smoke)
 
 let () =
-  let which, seeds = parse_args () in
+  let which, seeds, smoke = parse_args () in
   let table1 () = Bench_table1.run ~seeds () in
   let fig4 () = Bench_fig4.run ~seed:42 ~population:15 ~iterations:50 in
   let fig5 () = Bench_fig5.run ~seed:7 in
@@ -40,6 +46,7 @@ let () =
   | "ablate" -> ablate ()
   | "ext" -> ext ()
   | "micro" -> micro ()
+  | "gates" -> if not (Bench_gates.run ~smoke) then exit 1
   | "all" ->
     table1 ();
     fig4 ();
@@ -48,5 +55,6 @@ let () =
     ext ();
     micro ()
   | other ->
-    Format.eprintf "unknown bench %s (expected table1|fig4|fig5|ablate|ext|micro|all)@." other;
+    Format.eprintf "unknown bench %s (expected table1|fig4|fig5|ablate|ext|micro|gates|all)@."
+      other;
     exit 1

@@ -104,17 +104,6 @@ let template_arg =
   in
   Arg.(value & opt (some template_conv) None & info [ "template" ] ~docv:"KIND" ~doc)
 
-let lp_engine_arg =
-  let doc =
-    "Simplex engine for the synthesis LP: $(b,revised) (warm-started revised simplex, the \
-     default) or $(b,tableau) (the dense two-phase tableau, kept as a differential-testing \
-     oracle).  Both produce the same verdicts."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("revised", Lp.Revised); ("tableau", Lp.Tableau) ]) Lp.Revised
-    & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
-
 let gamma_arg =
   let doc = "Slack of the decrease condition (paper: 1e-6)." in
   Arg.(value & opt float 1e-6 & info [ "gamma" ] ~docv:"G" ~doc)
@@ -178,7 +167,7 @@ let report_arg =
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
-let make_config ?(lp_engine = Lp.Revised) ?template ~lie ~linear_terms ~gamma ~jobs () =
+let make_config ?template ~lie ~linear_terms ~gamma ~jobs () =
   let base = Engine.default_config in
   {
     base with
@@ -187,7 +176,6 @@ let make_config ?(lp_engine = Lp.Revised) ?template ~lie ~linear_terms ~gamma ~j
       {
         base.Engine.synthesis with
         Synthesis.mode = (if lie then Synthesis.Lie_derivative else Synthesis.Finite_difference);
-        lp_engine;
       };
     template_kind =
       (match template with
@@ -257,13 +245,13 @@ let resolve_problem ~scenario ~network ~width ~config =
     }
 
 let verify_cmd =
-  let run scenario width network seed lie linear_terms template lp_engine gamma deadline
+  let run scenario width network seed lie linear_terms template gamma deadline
       restarts seed_retry jobs store no_cache trace_file report_file =
     if trace_file <> None || report_file <> None then begin
       Obs.Trace.enable ();
       Obs.Metrics.enable ()
     end;
-    let cli_config = make_config ~lp_engine ?template ~lie ~linear_terms ~gamma ~jobs () in
+    let cli_config = make_config ?template ~lie ~linear_terms ~gamma ~jobs () in
     let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
     let { closed; config; _ } = problem in
     let system = closed.Plant.system in
@@ -356,7 +344,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc)
     Term.(
       const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
-      $ linear_template_arg $ template_arg $ lp_engine_arg $ gamma_arg $ deadline_arg
+      $ linear_template_arg $ template_arg $ gamma_arg $ deadline_arg
       $ restarts_arg $ seed_retry_arg $ jobs_arg $ store_arg $ no_cache_arg
       $ trace_arg $ report_arg)
 
@@ -367,8 +355,8 @@ let export_cmd =
     let doc = "Certificate store directory to export into." in
     Arg.(value & opt string "data/certs" & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  let run scenario width network seed lie linear_terms template lp_engine gamma jobs store =
-    let cli_config = make_config ~lp_engine ?template ~lie ~linear_terms ~gamma ~jobs () in
+  let run scenario width network seed lie linear_terms template gamma jobs store =
+    let cli_config = make_config ?template ~lie ~linear_terms ~gamma ~jobs () in
     let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
     let rng = Rng.create seed in
     let result =
@@ -392,7 +380,7 @@ let export_cmd =
     (Cmd.info "export" ~doc)
     Term.(
       const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
-      $ linear_template_arg $ template_arg $ lp_engine_arg $ gamma_arg $ jobs_arg $ store)
+      $ linear_template_arg $ template_arg $ gamma_arg $ jobs_arg $ store)
 
 (* --- check ------------------------------------------------------------ *)
 
@@ -1080,18 +1068,13 @@ let scenarios_cmd =
                   e.Scenario.closed.Plant.system
               in
               let dt = Unix.gettimeofday () -. t in
-              (* A should-fail scenario must fail structurally — a verdict
-                 about the problem, not a timeout or a sampling shortfall. *)
-              let verdict, structural =
+              let verdict =
                 match report.Engine.outcome with
-                | Engine.Proved _ -> ("proved", true)
-                | Engine.Failed (Engine.Timeout _ | Engine.Seed_shortfall _) -> ("failed", false)
-                | Engine.Failed _ -> ("failed", true)
+                | Engine.Proved _ -> "proved"
+                | Engine.Failed _ -> "failed"
               in
               let ok =
-                match scenario.Scenario.expectation with
-                | Some Scenario.Should_fail -> verdict = "failed" && structural
-                | Some Scenario.Should_prove | None -> verdict = "proved"
+                Scenario.expectation_met scenario.Scenario.expectation report.Engine.outcome
               in
               Format.printf "%-28s %8.2fs  %s%s@." entry.Registry.name dt verdict
                 (if ok then "" else "  UNEXPECTED");

@@ -134,9 +134,8 @@ let witnesses t = t.witnesses
 
 (* The LP is created lazily on the first solve (a warm-start hint may pass
    every obligation with zero LP solves), from the seeds and every cut so
-   far, and then lives across iterations and runs: with
-   [lp_engine = Revised] each re-solve starts from the previous optimal
-   basis. *)
+   far, and then lives across iterations and runs: each re-solve starts
+   from the previous optimal basis. *)
 let live_lp t =
   match t.lp with
   | Some lp -> lp

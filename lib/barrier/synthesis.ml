@@ -8,7 +8,6 @@ type options = {
   min_margin : float;
   exclude_rect : (float * float) array option;
   separation_rects : ((float * float) array * (float * float) array) option;
-  lp_engine : Lp.engine;
 }
 
 let default_options =
@@ -20,7 +19,6 @@ let default_options =
     min_margin = 1e-5;
     exclude_rect = None;
     separation_rects = None;
-    lp_engine = Lp.Revised;
   }
 
 let with_region options ~x0_rect ~safe_rect =
@@ -246,8 +244,8 @@ let count_rows ?(options = default_options) ~template traces =
 (* The CEGIS-facing incremental wrapper: the LP is assembled once from the
    seed traces, and each refinement (counterexample point, its simulated
    trace, a shape cut) appends rows to a live {!Lp.Incremental} instance —
-   so with [options.lp_engine = Lp.Revised] iteration k resolves from
-   iteration k−1's optimal basis instead of a phase-1 cold start. *)
+   so iteration k resolves from iteration k−1's optimal basis instead of a
+   phase-1 cold start. *)
 module Incremental = struct
   type t = {
     options : options;
@@ -267,7 +265,7 @@ module Incremental = struct
       template;
       field;
       p = Template.dimension template;
-      lp = Lp.Incremental.create ~engine:options.lp_engine problem;
+      lp = Lp.Incremental.create problem;
     }
 
   let add_row t row = if finite_row row then Lp.Incremental.add_constraint t.lp row

@@ -34,11 +34,6 @@ type options = {
           separate X0 from U (observed with augmented RNN state spaces).
           The rows are a heuristic sufficient *direction*, not a proof —
           conditions (6)/(7) are still SMT-checked; default [None] *)
-  lp_engine : Lp.engine;
-      (** which simplex solves the synthesis LP; default [Lp.Revised].
-          [Lp.Tableau] retains the original dense two-phase tableau as a
-          differential-testing oracle.  An execution-strategy field: it
-          does not affect certificate fingerprints. *)
 }
 
 val default_options : options
@@ -77,10 +72,8 @@ val grid_range : x0_rect:(float * float) array -> safe_rect:(float * float) arra
 
 (** Incremental synthesis for the CEGIS loop: assemble the LP once from
     the seed traces, then append each refinement (counterexample cut, its
-    simulated trace, shape cuts) and re-[solve].  With
-    [options.lp_engine = Lp.Revised] each re-solve warm-starts from the
-    previous optimal basis; with [Lp.Tableau] it is a cold solve of the
-    accumulated problem (the differential oracle). *)
+    simulated trace, shape cuts) and re-[solve].  Each re-solve
+    warm-starts from the previous optimal basis ({!Lp.Incremental}). *)
 module Incremental : sig
   type t
 

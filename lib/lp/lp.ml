@@ -883,22 +883,19 @@ end
 (* --- Incremental solves ---------------------------------------------------
 
    The CEGIS loop's contract: build once from the trace rows, then
-   [add_constraint] each counterexample cut and [resolve].  With the
-   [Revised] engine a resolve warm-starts from the previous optimal basis
-   (a new primal row is a new dual column — the old basis stays feasible);
-   with the [Tableau] engine every resolve is a cold solve of the
-   accumulated problem, which keeps the oracle semantics identical for
-   differential testing. *)
+   [add_constraint] each counterexample cut and [resolve].  A resolve
+   warm-starts the revised engine from the previous optimal basis (a new
+   primal row is a new dual column — the old basis stays feasible); the
+   accumulated problem is kept for the tableau fallback. *)
 module Incremental = struct
   type t = {
-    engine : engine;
     base : problem;
     mutable added_rev : constr list; (* newest first *)
     mutable n_added : int;
-    rev : Rev.t option; (* Some iff engine = Revised *)
+    rev : Rev.t;
   }
 
-  let create ?(engine = Revised) p =
+  let create p =
     let n = Array.length p.objective in
     List.iter
       (fun c ->
@@ -908,13 +905,7 @@ module Incremental = struct
     Array.iter
       (fun (lo, hi) -> if lo > hi then invalid_arg "Lp: empty variable bound")
       p.bounds;
-    {
-      engine;
-      base = p;
-      added_rev = [];
-      n_added = 0;
-      rev = (match engine with Revised -> Some (Rev.create p) | Tableau -> None);
-    }
+    { base = p; added_rev = []; n_added = 0; rev = Rev.create p }
 
   let problem t =
     { t.base with constraints = t.base.constraints @ List.rev t.added_rev }
@@ -924,23 +915,20 @@ module Incremental = struct
       invalid_arg "Lp: constraint arity mismatch";
     t.added_rev <- c :: t.added_rev;
     t.n_added <- t.n_added + 1;
-    match t.rev with Some r -> Rev.add_constr r c | None -> ()
+    Rev.add_constr t.rev c
 
   let nrows t = List.length t.base.constraints + t.n_added
 
-  let warm t = match t.rev with Some r -> r.Rev.has_basis | None -> false
+  let warm t = t.rev.Rev.has_basis
 
   let resolve_exn ~budget ?max_pivots t =
-    match t.rev with
-    | None -> minimize_exn ~budget ?max_pivots (problem t)
-    | Some r -> (
-      match Rev.solve ~budget ?max_pivots r with
-      | Optimal s when not (check_feasible ~tol:1e-6 (problem t) s.x) ->
-        (* Numerical guard: an optimum the (relative) feasibility check
-           rejects is not trusted; re-solve with the oracle. *)
-        minimize_exn ~budget ?max_pivots (problem t)
-      | result -> result
-      | exception Rev_fallback -> minimize_exn ~budget ?max_pivots (problem t))
+    match Rev.solve ~budget ?max_pivots t.rev with
+    | Optimal s when not (check_feasible ~tol:1e-6 (problem t) s.x) ->
+      (* Numerical guard: an optimum the (relative) feasibility check
+         rejects is not trusted; re-solve with the oracle. *)
+      minimize_exn ~budget ?max_pivots (problem t)
+    | result -> result
+    | exception Rev_fallback -> minimize_exn ~budget ?max_pivots (problem t)
 
   let resolve ?(budget = Budget.unlimited) ?max_pivots t =
     Obs.Trace.with_span "lp.minimize" @@ fun () ->
@@ -953,7 +941,7 @@ let minimize ?(engine = Revised) ?(budget = Budget.unlimited) ?max_pivots p =
     match engine with
     | Tableau -> minimize_exn ~budget ?max_pivots p
     | Revised ->
-      Incremental.resolve_exn ~budget ?max_pivots (Incremental.create ~engine:Revised p)
+      Incremental.resolve_exn ~budget ?max_pivots (Incremental.create p)
   with Stop s -> Timeout s
 
 let maximize ?engine ?budget ?max_pivots p =

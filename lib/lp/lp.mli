@@ -68,17 +68,17 @@ val maximize : ?engine:engine -> ?budget:Budget.t -> ?max_pivots:int -> problem 
 (** Same problem with the objective negated; the reported
     [objective_value] is the maximum. *)
 
-(** Incremental solves for cut loops.  Build once from the initial rows,
-    [add_constraint] each counterexample cut, [resolve] — with the
-    {!Revised} engine each resolve warm-starts from the previous optimal
-    basis (a new primal row is a new dual column, so the old basis stays
-    feasible and no phase 1 is needed); with {!Tableau} each resolve is a
-    cold solve of the accumulated problem, keeping oracle semantics
-    identical for differential testing. *)
+(** Incremental solves for cut loops, on the {!Revised} engine.  Build
+    once from the initial rows, [add_constraint] each counterexample cut,
+    [resolve] — each resolve warm-starts from the previous optimal basis (a
+    new primal row is a new dual column, so the old basis stays feasible
+    and no phase 1 is needed).  An instance the revised engine cannot
+    classify, or an optimum failing the feasibility guard, is re-solved
+    cold by the {!Tableau} engine. *)
 module Incremental : sig
   type t
 
-  val create : ?engine:engine -> problem -> t
+  val create : problem -> t
   (** Raises [Invalid_argument] on arity mismatches or empty bounds. *)
 
   val add_constraint : t -> constr -> unit

@@ -176,7 +176,7 @@ let poly_3d =
     default_gamma = 1e-6;
   }
 
-(* --- plants behind the historical Benchmark_systems suite -------------- *)
+(* --- plants behind the historical five-system suite --------------------- *)
 
 let pendulum =
   let theta = Expr.var "theta" and omega = Expr.var "omega" in

@@ -16,13 +16,15 @@
       (arXiv:2007.03251); [poly_3d] exercises the engine's
       dimension-genericity beyond 2-D.
     - [pendulum], [linear_2d], [van_der_pol_reversed] — the plants behind
-      the historical {!Benchmark_systems} suite.
+      the historical five-system suite (damped/undamped pendulum, stable
+      and saddle linear, reversed Van der Pol).
 
     {2 Scenarios}
 
     Each built-in scenario pairs a plant (+ parameters) with a controller
-    and a [Should_prove]/[Should_fail] expectation; the scenario-suite CI
-    job runs all of them at [--jobs 1,4] and asserts the expectations. *)
+    and a [Should_prove]/[Should_fail] expectation, checked by
+    {!Scenario.expectation_met}: the tier-1 tests run all of them at jobs 1,
+    and the scenario-suite CI job at [--jobs 1,4]. *)
 
 val dubins_error : Plant.t
 (** The paper's case study (also reachable as [find_plant "dubins_error"]). *)

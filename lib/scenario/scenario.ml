@@ -1,5 +1,12 @@
 type expectation = Should_prove | Should_fail
 
+let expectation_met expectation (outcome : Engine.outcome) =
+  match (expectation, outcome) with
+  | (Some Should_prove | None), Engine.Proved _ -> true
+  | Some Should_fail, Engine.Failed (Engine.Timeout _ | Engine.Seed_shortfall _) -> false
+  | Some Should_fail, Engine.Failed _ -> true
+  | (Some Should_prove | None), Engine.Failed _ | Some Should_fail, Engine.Proved _ -> false
+
 type controller_spec = Builtin | Zero_controller | Width of int | File of string
 
 type t = {
@@ -19,7 +26,6 @@ type t = {
   linear_terms : bool option;
   template : Template.kind option;
   jobs : int option;
-  lp_engine : Lp.engine option;
   max_branches : int option;
   expectation : expectation option;
 }
@@ -42,7 +48,6 @@ let make ~plant () =
     linear_terms = None;
     template = None;
     jobs = None;
-    lp_engine = None;
     max_branches = None;
     expectation = None;
   }
@@ -52,8 +57,8 @@ let ( let* ) r f = Result.bind r f
 let known_fields =
   [
     "name"; "description"; "plant"; "params"; "controller"; "x0"; "safe"; "gamma"; "delta";
-    "n_seed"; "sim_dt"; "sim_steps"; "lie"; "linear_terms"; "template"; "jobs"; "lp_engine";
-    "max_branches"; "expectation";
+    "n_seed"; "sim_dt"; "sim_steps"; "lie"; "linear_terms"; "template"; "jobs"; "max_branches";
+    "expectation";
   ]
 
 let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
@@ -161,13 +166,6 @@ let of_json json =
     in
     let* jobs = opt "jobs" "int" as_int in
     let* max_branches = opt "max_branches" "int" as_int in
-    let* lp_engine =
-      match get "lp_engine" with
-      | None | Some Obs.Json.Null -> Ok None
-      | Some (Obs.Json.String "tableau") -> Ok (Some Lp.Tableau)
-      | Some (Obs.Json.String "revised") -> Ok (Some Lp.Revised)
-      | Some _ -> Error "scenario: field \"lp_engine\" must be \"tableau\" or \"revised\""
-    in
     let* expectation =
       match get "expectation" with
       | None | Some Obs.Json.Null -> Ok None
@@ -194,7 +192,6 @@ let of_json json =
         linear_terms;
         template;
         jobs;
-        lp_engine;
         max_branches;
         expectation;
       })
@@ -234,9 +231,6 @@ let to_json t =
         opt "linear_terms" (fun b -> Obs.Json.Bool b) t.linear_terms;
         opt "template" (fun k -> str (Template.kind_to_string k)) t.template;
         opt "jobs" (fun n -> Obs.Json.Int n) t.jobs;
-        opt "lp_engine"
-          (fun e -> str (match e with Lp.Tableau -> "tableau" | Lp.Revised -> "revised"))
-          t.lp_engine;
         opt "max_branches" (fun n -> Obs.Json.Int n) t.max_branches;
         opt "expectation"
           (fun e -> str (match e with Should_prove -> "should_prove" | Should_fail -> "should_fail"))
@@ -304,7 +298,6 @@ let elaborate ~plants ?(base = Engine.default_config) ?dir t =
         | None -> base.Engine.synthesis.Synthesis.mode
         | Some true -> Synthesis.Lie_derivative
         | Some false -> Synthesis.Finite_difference);
-      lp_engine = dflt base.Engine.synthesis.Synthesis.lp_engine t.lp_engine;
     }
   in
   let config =

@@ -19,8 +19,7 @@
      "n_seed": <int>, "sim_dt": <number>, "sim_steps": <int>,
      "lie": <bool>, "linear_terms": <bool>,
      "template": "quadratic" | "quadratic_linear" | "poly:<d>",
-     "jobs": <int>, "lp_engine": "tableau" | "revised",
-     "max_branches": <int>,
+     "jobs": <int>, "max_branches": <int>,
      "expectation": "should_prove" | "should_fail"}
     v}
 
@@ -29,6 +28,11 @@
     offending field. *)
 
 type expectation = Should_prove | Should_fail
+
+val expectation_met : expectation option -> Engine.outcome -> bool
+(** The one expectation rule of the scenario suite: [Should_prove] (and a
+    missing expectation) needs [Proved]; [Should_fail] needs [Failed] for
+    a reason about the problem, never [Timeout] or [Seed_shortfall]. *)
 
 type controller_spec =
   | Builtin  (** the plant's bundled default controller *)
@@ -55,7 +59,6 @@ type t = {
       (** names the template kind outright; wins over the legacy
           [linear_terms] boolean when both are present *)
   jobs : int option;
-  lp_engine : Lp.engine option;
   max_branches : int option;
   expectation : expectation option;
 }

@@ -573,29 +573,45 @@ let test_verify_resilient_ladder () =
 
 (* --- Benchmark systems ------------------------------------------------ *)
 
+(* Elaborate a registry scenario at [jobs] and verify it at rng seed 7. *)
+let verify_scenario ?jobs (entry : Registry.entry) =
+  let scenario = { entry.Registry.scenario with Scenario.jobs } in
+  match Registry.elaborate scenario with
+  | Error reason -> Alcotest.failf "%s: %s" entry.Registry.name reason
+  | Ok e ->
+    let report =
+      Engine.verify ~config:e.Scenario.config ~rng:(Rng.create 7) e.Scenario.closed.Plant.system
+    in
+    (e, report)
+
+(* Every registry scenario meets its expectation under the suite's rule: a
+   should-fail scenario must fail structurally, never by a timeout. *)
 let test_benchmark_expectations () =
   List.iter
-    (fun b ->
-      let report = Benchmark_systems.run b in
-      match (b.Benchmark_systems.expectation, report.Engine.outcome) with
-      | Benchmark_systems.Should_prove, Engine.Proved _ -> ()
-      | Benchmark_systems.Should_fail, Engine.Failed _ -> ()
-      | Benchmark_systems.Should_prove, Engine.Failed _ ->
-        Alcotest.failf "%s: expected proof, engine failed" b.Benchmark_systems.name
-      | Benchmark_systems.Should_fail, Engine.Proved _ ->
-        Alcotest.failf "%s: engine proved an uncertifiable system!" b.Benchmark_systems.name)
-    Benchmark_systems.all
+    (fun entry ->
+      let _, report = verify_scenario ~jobs:1 entry in
+      if
+        not
+          (Scenario.expectation_met entry.Registry.scenario.Scenario.expectation
+             report.Engine.outcome)
+      then
+        Alcotest.failf "%s: %s" entry.Registry.name
+          (match report.Engine.outcome with
+          | Engine.Proved _ -> "engine proved a should-fail scenario"
+          | Engine.Failed reason -> Cegis.string_of_failure reason))
+    (Registry.scenarios ())
 
 let test_benchmark_certificates_valid () =
   (* Dense numeric re-check of each proved certificate's decrease
      condition. *)
   List.iter
-    (fun b ->
-      match (Benchmark_systems.run b).Engine.outcome with
+    (fun name ->
+      let e, report = verify_scenario (Option.get (Registry.find_scenario name)) in
+      match report.Engine.outcome with
       | Engine.Failed _ -> ()
       | Engine.Proved cert ->
-        let config = b.Benchmark_systems.config in
-        let system = b.Benchmark_systems.system in
+        let config = e.Scenario.config in
+        let system = e.Scenario.closed.Plant.system in
         let grads = Template.grad_exprs cert.Engine.template cert.Engine.coeffs in
         let inside_x0 x =
           Array.for_all Fun.id
@@ -618,12 +634,17 @@ let test_benchmark_certificates_valid () =
                     +. (Expr.eval_env env grads.(1) *. f.(1))
                   in
                   if lie >= -.config.Engine.gamma then
-                    Alcotest.failf "%s: decrease violated at (%g, %g): %g"
-                      b.Benchmark_systems.name a bb lie
+                    Alcotest.failf "%s: decrease violated at (%g, %g): %g" name a bb lie
                 end)
               (Floatx.linspace t_lo t_hi 21))
           (Floatx.linspace d_lo d_hi 21))
-    Benchmark_systems.all
+    [
+      "damped-pendulum";
+      "undamped-pendulum";
+      "linear-stable";
+      "linear-saddle";
+      "van-der-pol-reversed";
+    ]
 
 let test_cex_repeated_alternating () =
   (* Regression: the CEGIS loop's stall detector used to compare a new

@@ -293,7 +293,7 @@ let test_incremental_warm_agrees () =
       bounds = [| (0.0, 10.0); (0.0, 10.0) |];
     }
   in
-  let inc = Lp.Incremental.create ~engine:Lp.Revised p in
+  let inc = Lp.Incremental.create p in
   Alcotest.(check bool) "first solve is cold" false (Lp.Incremental.warm inc);
   let s0 = optimal (Lp.Incremental.resolve inc) in
   check_float "initial optimum" (-36.0) s0.Lp.objective_value;
@@ -503,7 +503,7 @@ let prop_warm_resolve_agrees_with_cold =
           bounds = Array.init n (fun _ -> (-4.0, 4.0));
         }
       in
-      let inc = Lp.Incremental.create ~engine:Lp.Revised base in
+      let inc = Lp.Incremental.create base in
       let steps = 1 + Rng.int rng 4 in
       let ok = ref true in
       ignore (Lp.Incremental.resolve inc);

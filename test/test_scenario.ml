@@ -1,6 +1,6 @@
 (* Tests for the scenario subsystem (lib/scenario): JSON round-trips, exact
    loader error messages, elaboration override precedence, registry
-   invariants, the Benchmark_systems shim, and the dubins_error plant's
+   invariants, the historical pendulum entries, and the dubins_error plant's
    pinned dynamics hashes (the certificate store's cache key) and fused
    numeric field. *)
 
@@ -43,7 +43,6 @@ let full_scenario =
     linear_terms = Some false;
     template = Some (Template.Poly 3);
     jobs = Some 3;
-    lp_engine = Some Lp.Tableau;
     max_branches = Some 5000;
     expectation = Some Scenario.Should_fail;
   }
@@ -104,9 +103,6 @@ let test_parse_errors () =
   check "scheduler is not a field"
     (obj [ ("plant", Obs.Json.String "duffing"); ("scheduler", Obs.Json.String "stealing") ])
     "scenario: unknown field \"scheduler\"";
-  check "lp_engine misspelled"
-    (obj [ ("plant", Obs.Json.String "duffing"); ("lp_engine", Obs.Json.String "simplex") ])
-    "scenario: field \"lp_engine\" must be \"tableau\" or \"revised\"";
   check "expectation misspelled"
     (obj [ ("plant", Obs.Json.String "duffing"); ("expectation", Obs.Json.String "proves") ])
     "scenario: field \"expectation\" must be \"should_prove\" or \"should_fail\"";
@@ -193,7 +189,6 @@ let test_override_precedence () =
       jobs = Some 4;
       lie = Some true;
       linear_terms = Some true;
-      lp_engine = Some Lp.Tableau;
       max_branches = Some 777;
     }
   in
@@ -211,8 +206,6 @@ let test_override_precedence () =
     (c.Engine.synthesis.Synthesis.mode = Synthesis.Lie_derivative);
   Alcotest.(check bool) "template escalated" true
     (c.Engine.template_kind = Template.Quadratic_linear);
-  Alcotest.(check bool) "lp engine overridden" true
-    (c.Engine.synthesis.Synthesis.lp_engine = Lp.Tableau);
   Alcotest.(check int) "max_branches overridden" 777 c.Engine.smt.Solver.max_branches
 
 let test_template_precedence () =
@@ -309,18 +302,14 @@ let test_plant_identities_distinct () =
   Alcotest.(check string) "param order irrelevant" (Artifact.hash_plant saddle_id)
     (Artifact.hash_plant shuffled)
 
-(* --- benchmark shim ----------------------------------------------------- *)
+(* --- historical systems -------------------------------------------------- *)
 
-let test_benchmark_shim () =
-  Alcotest.(check (list string)) "same five benchmarks, same order"
-    [
-      "damped-pendulum";
-      "undamped-pendulum";
-      "linear-stable";
-      "linear-saddle";
-      "van-der-pol-reversed";
-    ]
-    (List.map (fun b -> b.Benchmark_systems.name) Benchmark_systems.all);
+let elaborate_entry name =
+  match Registry.find_scenario name with
+  | None -> Alcotest.failf "no registry scenario %S" name
+  | Some entry -> ok_or_fail (Registry.elaborate entry.Registry.scenario)
+
+let test_historical_systems () =
   (* The undamped pendulum must fold back to the historical closed form:
      zero damping and zero torque leave [θ̇ = ω, ω̇ = −sin θ] exactly. *)
   let theta = Expr.var "theta" and omega = Expr.var "omega" in
@@ -331,9 +320,9 @@ let test_benchmark_shim () =
         (Printf.sprintf "undamped field dim %d" i)
         (Expr.to_string old_field.(i))
         (Expr.to_string e))
-    Benchmark_systems.undamped_pendulum.Benchmark_systems.system.Engine.symbolic_field;
-  Alcotest.(check int) "benchmark configs keep n_seed = 30" 30
-    Benchmark_systems.damped_pendulum.Benchmark_systems.config.Engine.n_seed
+    (elaborate_entry "undamped-pendulum").Scenario.closed.Plant.system.Engine.symbolic_field;
+  Alcotest.(check int) "damped-pendulum keeps n_seed = 30" 30
+    (elaborate_entry "damped-pendulum").Scenario.config.Engine.n_seed
 
 (* --- dubins_error closed loop ------------------------------------------- *)
 
@@ -465,7 +454,7 @@ let () =
         [
           Alcotest.test_case "invariants over all plants" `Quick test_registry_invariants;
           Alcotest.test_case "plant identities distinct" `Quick test_plant_identities_distinct;
-          Alcotest.test_case "benchmark shim preserved" `Quick test_benchmark_shim;
+          Alcotest.test_case "historical systems pinned" `Quick test_historical_systems;
         ] );
       ( "dubins-parity",
         [

@@ -367,7 +367,7 @@ let test_engine_agreement_formulas () =
   check_engines_agree "tanh bound" [ ("x", -100.0, 100.0) ] tanh_unsat
 
 let test_engine_agreement_dubins () =
-  (* Smoke-sized Dubins barrier queries (the bench_par --smoke setup):
+  (* Smoke-sized Dubins barrier queries (the stealing timing gate's smoke setup):
      conditions (5), (6) and (7) must get the same verdict from both
      engines at jobs 1 and 4. *)
   let net = Error_dynamics.reference_controller in
