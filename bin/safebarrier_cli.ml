@@ -20,25 +20,6 @@ let outcome_string = function
   | Engine.Proved _ -> "proved"
   | Engine.Failed reason -> Cegis.string_of_failure reason
 
-let close_or_exit ?params plant controller =
-  match Plant.close ?params plant controller with
-  | Ok closed -> closed
-  | Error msg ->
-    Format.eprintf "safebarrier: %s@." msg;
-    exit 2
-
-(* The Dubins case study closed around the --network file, else the
-   built-in controller of hidden width [width]. *)
-let dubins_closed network width =
-  let net =
-    match network with
-    | Some path -> Nn.load path
-    | None ->
-      if width = 2 then Error_dynamics.reference_controller
-      else Error_dynamics.controller_of_width width
-  in
-  close_or_exit Registry.dubins_error (Plant.Network net)
-
 let print_report report =
   let st = report.Engine.stats in
   (match report.Engine.outcome with
@@ -71,8 +52,11 @@ let finish_report report =
 (* --- verify ---------------------------------------------------------- *)
 
 let width_arg =
-  let doc = "Hidden-layer width of the built-in (widened reference) controller." in
-  Arg.(value & opt int 10 & info [ "width"; "w" ] ~docv:"N" ~doc)
+  let doc =
+    "Hidden-layer width of the controller, from the plant's width family.  Without it the \
+     Dubins case study uses width 10; ignored under --scenario."
+  in
+  Arg.(value & opt (some int) None & info [ "width"; "w" ] ~docv:"N" ~doc)
 
 let network_arg =
   let doc = "Load the controller from a network file instead of the built-in one." in
@@ -105,8 +89,8 @@ let template_arg =
   Arg.(value & opt (some template_conv) None & info [ "template" ] ~docv:"KIND" ~doc)
 
 let gamma_arg =
-  let doc = "Slack of the decrease condition (paper: 1e-6)." in
-  Arg.(value & opt float 1e-6 & info [ "gamma" ] ~docv:"G" ~doc)
+  let doc = "Slack of the decrease condition (default: the plant's; paper: 1e-6)." in
+  Arg.(value & opt (some float) None & info [ "gamma" ] ~docv:"G" ~doc)
 
 let deadline_arg =
   let doc =
@@ -122,13 +106,6 @@ let restarts_arg =
      deadline, if any, is shared across all attempts."
   in
   Arg.(value & opt int 0 & info [ "restarts" ] ~docv:"N" ~doc)
-
-let seed_retry_arg =
-  let doc =
-    "Restrict restarts to fresh-seed retries only: re-run with new seed traces but without \
-     widening delta, tightening the subsample, or escalating the template."
-  in
-  Arg.(value & flag & info [ "seed-retry" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -167,24 +144,6 @@ let report_arg =
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
-let make_config ?template ~lie ~linear_terms ~gamma ~jobs () =
-  let base = Engine.default_config in
-  {
-    base with
-    Engine.gamma;
-    synthesis =
-      {
-        base.Engine.synthesis with
-        Synthesis.mode = (if lie then Synthesis.Lie_derivative else Synthesis.Finite_difference);
-      };
-    template_kind =
-      (match template with
-      | Some k -> k
-      | None -> if linear_terms then Template.Quadratic_linear else Template.Quadratic);
-    smt = { base.Engine.smt with Solver.jobs };
-    jobs;
-  }
-
 let verify_via_store ~config ~budget ~rng ~store ~no_cache ~closed =
   let result =
     Cache.verify ~config ~budget ~use_cache:(not no_cache) ?network:closed.Plant.network
@@ -196,64 +155,48 @@ let verify_via_store ~config ~budget ~rng ~store ~no_cache ~closed =
   | None -> ());
   result
 
-(* --- scenario resolution ---------------------------------------------- *)
+(* --- the verification problem ------------------------------------------ *)
 
 let scenario_arg =
   let doc =
     "Load the verification problem (plant, parameters, controller, rectangles, solver \
-     options) from a scenario file instead of the built-in Dubins case study.  Scenario \
-     fields override the corresponding flags; --network still replaces the controller."
+     options) from a scenario file instead of the built-in Dubins case study.  Fields the \
+     file sets override the corresponding flags, which fill the ones it leaves unset; the \
+     file's controller stands (--width is ignored), and --network still replaces it."
   in
   Arg.(value & opt (some file) None & info [ "scenario" ] ~docv:"FILE" ~doc)
 
-type problem = { closed : Plant.closed; config : Engine.config; controller_label : string }
-
-let problem_of_scenario ~base ~network path =
-  match
-    Result.bind (Scenario.load path) (Registry.elaborate ~base ~dir:(Filename.dirname path))
-  with
+let or_exit = function
+  | Ok e -> e
   | Error msg ->
     Format.eprintf "safebarrier: %s@." msg;
     exit 2
-  | Ok e ->
-    let closed =
-      match network with
-      | None -> e.Scenario.closed
-      | Some npath ->
-        close_or_exit ~params:e.Scenario.closed.Plant.params e.Scenario.closed.Plant.plant
-          (Plant.Network (Nn.load npath))
-    in
-    {
-      closed;
-      config = e.Scenario.config;
-      controller_label = Plant.controller_label closed.Plant.controller;
-    }
 
-(* [config] is the CLI-flag configuration; a scenario file starts from it
-   and overrides whatever it specifies. *)
-let resolve_problem ~scenario ~network ~width ~config =
-  match scenario with
-  | Some path -> problem_of_scenario ~base:config ~network path
-  | None ->
-    {
-      closed = dubins_closed network width;
-      config;
-      controller_label =
-        (match network with
-        | Some p -> p
-        | None -> Printf.sprintf "builtin-width-%d" width);
-    }
+(* [verify]/[export]'s problem, elaborated when the command calls it. *)
+let problem_term =
+  let make scenario network width lie linear_terms template gamma jobs () =
+    or_exit
+      (Registry.problem ?scenario ?network:(Option.map Nn.load network) ?width ?gamma ~lie
+         ~linear_terms ?template ~jobs ())
+  in
+  Term.(
+    const make $ scenario_arg $ network_arg $ width_arg $ lie_arg $ linear_template_arg
+    $ template_arg $ gamma_arg $ jobs_arg)
+
+(* The Dubins case study, under --network and --width only. *)
+let case_study_term =
+  let make network width =
+    or_exit (Registry.problem ?network:(Option.map Nn.load network) ?width ())
+  in
+  Term.(const make $ network_arg $ width_arg)
 
 let verify_cmd =
-  let run scenario width network seed lie linear_terms template gamma deadline
-      restarts seed_retry jobs store no_cache trace_file report_file =
+  let run problem seed deadline restarts store no_cache trace_file report_file =
     if trace_file <> None || report_file <> None then begin
       Obs.Trace.enable ();
       Obs.Metrics.enable ()
     end;
-    let cli_config = make_config ?template ~lie ~linear_terms ~gamma ~jobs () in
-    let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
-    let { closed; config; _ } = problem in
+    let { Scenario.closed; config; _ } = problem () in
     let system = closed.Plant.system in
     let budget =
       match deadline with None -> Budget.unlimited | Some s -> Budget.with_timeout s
@@ -281,7 +224,7 @@ let verify_cmd =
         in
         let meta =
           [
-            ("controller", Obs.Json.String problem.controller_label);
+            ("controller", Obs.Json.String (Plant.controller_label closed.Plant.controller));
             ("plant", Obs.Json.String closed.Plant.plant.Plant.name);
             ("jobs", Obs.Json.Int config.Engine.jobs);
             ("seed", Obs.Json.Int seed);
@@ -293,48 +236,32 @@ let verify_cmd =
         Format.printf "run report: %s@." path);
       finish_report report
     in
+    let resilient () =
+      let res = Engine.verify_resilient ~config ~budget ~restarts ~rng system in
+      List.iteri
+        (fun i a ->
+          Format.printf "attempt %d (%s): %s@." (i + 1) a.Engine.label
+            (outcome_string a.Engine.report.Engine.outcome))
+        res.Engine.attempts;
+      res.Engine.best
+    in
     (* With a store, the cached/warm-started run replaces the plain first
-       attempt; the restart ladders below only engage if it fails (and run
-       cold — escalated configs no longer match the store fingerprint, so
-       their proofs are not exported). *)
-    let first_report =
-      match store with
-      | Some root ->
+       attempt; the restart ladder only engages if it fails (and runs cold —
+       escalated configs no longer match the store fingerprint, so their
+       proofs are not exported). *)
+    finish
+      (match store with
+      | Some root -> (
         let result, dt =
           Timing.time (fun () ->
               verify_via_store ~config ~budget ~rng ~store:root ~no_cache ~closed)
         in
         store_wall := Some dt;
-        Some result.Cache.report
-      | None -> if restarts = 0 then Some (Engine.verify ~config ~budget ~rng system) else None
-    in
-    match first_report with
-    | Some ({ Engine.outcome = Engine.Proved _; _ } as report) -> finish report
-    | first ->
-      if restarts = 0 then finish (Option.get first)
-      else if seed_retry then begin
-        (* Plain fresh-seed restarts: same config every time, new seed traces. *)
-        let rec go attempt =
-          let report = Engine.verify ~config ~budget ~rng:(Rng.split rng) system in
-          Format.printf "attempt %d (fresh seed traces): %s@." (attempt + 1)
-            (outcome_string report.Engine.outcome);
-          match report.Engine.outcome with
-          | Engine.Proved _ -> report
-          | Engine.Failed _ when attempt < restarts && not (Budget.expired budget) ->
-            go (attempt + 1)
-          | Engine.Failed _ -> report
-        in
-        finish (go 0)
-      end
-      else begin
-        let res = Engine.verify_resilient ~config ~budget ~restarts ~rng system in
-        List.iteri
-          (fun i a ->
-            Format.printf "attempt %d (%s): %s@." (i + 1) a.Engine.label
-              (outcome_string a.Engine.report.Engine.outcome))
-          res.Engine.attempts;
-        finish res.Engine.best
-      end
+        match result.Cache.report with
+        | { Engine.outcome = Engine.Failed _; _ } when restarts > 0 -> resilient ()
+        | report -> report)
+      | None when restarts = 0 -> Engine.verify ~config ~budget ~rng system
+      | None -> resilient ())
   in
   let doc =
     "Verify safety of an NN-controlled plant via a barrier certificate (default: the Dubins \
@@ -343,10 +270,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc)
     Term.(
-      const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
-      $ linear_template_arg $ template_arg $ gamma_arg $ deadline_arg
-      $ restarts_arg $ seed_retry_arg $ jobs_arg $ store_arg $ no_cache_arg
-      $ trace_arg $ report_arg)
+      const run $ problem_term $ seed_arg $ deadline_arg $ restarts_arg $ store_arg
+      $ no_cache_arg $ trace_arg $ report_arg)
 
 (* --- export ----------------------------------------------------------- *)
 
@@ -355,13 +280,11 @@ let export_cmd =
     let doc = "Certificate store directory to export into." in
     Arg.(value & opt string "data/certs" & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  let run scenario width network seed lie linear_terms template gamma jobs store =
-    let cli_config = make_config ?template ~lie ~linear_terms ~gamma ~jobs () in
-    let problem = resolve_problem ~scenario ~network ~width ~config:cli_config in
-    let rng = Rng.create seed in
+  let run problem seed store =
+    let { Scenario.closed; config; _ } = problem () in
     let result =
-      verify_via_store ~config:problem.config ~budget:Budget.unlimited ~rng ~store
-        ~no_cache:false ~closed:problem.closed
+      verify_via_store ~config ~budget:Budget.unlimited ~rng:(Rng.create seed) ~store
+        ~no_cache:false ~closed
     in
     match result.Cache.report.Engine.outcome with
     | Engine.Proved _ ->
@@ -378,9 +301,7 @@ let export_cmd =
   let doc = "Verify a controller and persist the certificate artifact to a store." in
   Cmd.v
     (Cmd.info "export" ~doc)
-    Term.(
-      const run $ scenario_arg $ width_arg $ network_arg $ seed_arg $ lie_arg
-      $ linear_template_arg $ template_arg $ gamma_arg $ jobs_arg $ store)
+    Term.(const run $ problem_term $ seed_arg $ store)
 
 (* --- check ------------------------------------------------------------ *)
 
@@ -404,53 +325,21 @@ let check_cmd =
     let doc = "Wall-clock deadline in seconds for the audit." in
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
   in
-  (* Rebuild the closed-loop system the artifact claims to certify.  The
-     artifact records its plant identity (name, version, params hash), so a
-     registry plant under its default parameters rebuilds without help;
-     anything else (non-default parameters, a plant not in this binary's
-     registry, a controller that was not a network) needs the scenario
-     document as the problem statement. *)
-  let rebuild_system ~scenario dir (entry : Store.entry) =
-    let a = entry.Store.artifact in
+  (* Rebuild the closed-loop system the artifact claims to certify: the
+     --scenario document, else the artifact's registry plant at its
+     registry identity, with the stored network (the binding under audit)
+     as the controller when there is one. *)
+  let rebuild_system ~scenario (entry : Store.entry) =
     let fail fmt = Format.kasprintf (fun m -> Format.eprintf "check: %s@." m; exit 1) fmt in
-    match scenario with
-    | Some path -> (
-      match Result.bind (Scenario.load path) (Registry.elaborate ~dir:(Filename.dirname path)) with
-      | Error msg -> fail "%s" msg
-      | Ok e -> (
-        (* The stored network, when present, is the binding under audit —
-           it replaces whatever controller the scenario names. *)
-        match entry.Store.network with
-        | None -> e.Scenario.closed.Plant.system
-        | Some net -> (
-          match
-            Plant.close ~params:e.Scenario.closed.Plant.params
-              e.Scenario.closed.Plant.plant (Plant.Network net)
-          with
-          | Ok closed -> closed.Plant.system
-          | Error msg -> fail "%s" msg)))
-    | None -> (
-      match entry.Store.network with
-      | None ->
-        fail
-          "%s has no network.nn — pass --scenario FILE naming the plant and controller to \
-           rebuild the closed-loop system"
-          dir
-      | Some net -> (
-        let pid = a.Artifact.plant in
-        match Registry.find_plant pid.Artifact.name with
-        | None ->
-          fail "artifact records unknown plant %S — pass --scenario FILE" pid.Artifact.name
-        | Some plant ->
-          if Plant.identity plant ~params:plant.Plant.params <> pid then
-            fail
-              "artifact was exported under non-default parameters (or another version) of \
-               plant %s — pass --scenario FILE recording them"
-              pid.Artifact.name
-          else (
-            match Plant.close plant (Plant.Network net) with
-            | Ok closed -> closed.Plant.system
-            | Error msg -> fail "%s" msg)))
+    let pid = entry.Store.artifact.Artifact.plant in
+    match Registry.problem ?scenario ~plant:pid.Artifact.name ?network:entry.Store.network () with
+    | Error msg -> fail "%s" msg
+    | Ok e when scenario = None && e.Scenario.closed.Plant.id <> pid ->
+      fail
+        "artifact was exported under non-default parameters (or another version) of plant %s \
+         — pass --scenario FILE recording them"
+        pid.Artifact.name
+    | Ok e -> e.Scenario.closed.Plant.system
   in
   let run dir scenario diverse deadline =
     match Store.load_dir dir with
@@ -458,7 +347,7 @@ let check_cmd =
       Format.eprintf "check: %s: %s@." dir (Store.string_of_error err);
       exit 1
     | Ok entry ->
-      let system = rebuild_system ~scenario dir entry in
+      let system = rebuild_system ~scenario entry in
       let engine = if diverse then Solver.Tree_eval else Solver.Tape_eval in
       let budget =
         match deadline with None -> Budget.unlimited | Some s -> Budget.with_timeout s
@@ -546,10 +435,10 @@ let sweep_cmd =
     Format.printf "%6s | %9s | %8s | %9s | %8s@." "Nh" "avg iters" "LP(s)" "Query(s)" "Total(s)";
     List.iter
       (fun width ->
+        let { Scenario.closed; config; _ } = or_exit (Registry.problem ~width ()) in
         let totals = ref (0.0, 0.0, 0.0, 0.0) in
         for i = 1 to seeds do
-          let system = (dubins_closed None width).Plant.system in
-          let report = Engine.verify ~rng:(Rng.create (1000 + i)) system in
+          let report = Engine.verify ~config ~rng:(Rng.create (1000 + i)) closed.Plant.system in
           let st = report.Engine.stats in
           let a, b, c, d = !totals in
           totals :=
@@ -570,10 +459,8 @@ let sweep_cmd =
 (* --- portrait -------------------------------------------------------- *)
 
 let portrait_cmd =
-  let run network width seed =
-    let system = (dubins_closed network width).Plant.system in
-    let config = Engine.default_config in
-    let report = Engine.verify ~config ~rng:(Rng.create seed) system in
+  let run { Scenario.closed; config; _ } seed =
+    let report = Engine.verify ~config ~rng:(Rng.create seed) closed.Plant.system in
     (match report.Engine.outcome with
     | Engine.Proved cert ->
       let p = Template.p_matrix cert.Engine.template cert.Engine.coeffs in
@@ -592,7 +479,7 @@ let portrait_cmd =
       report.Engine.traces
   in
   let doc = "Phase-portrait data: trajectories and barrier level set (Figure 5)." in
-  Cmd.v (Cmd.info "portrait" ~doc) Term.(const run $ network_arg $ width_arg $ seed_arg)
+  Cmd.v (Cmd.info "portrait" ~doc) Term.(const run $ case_study_term $ seed_arg)
 
 (* --- falsify ----------------------------------------------------------- *)
 
@@ -600,12 +487,11 @@ let falsify_cmd =
   let budget =
     Arg.(value & opt int 300 & info [ "budget" ] ~docv:"N" ~doc:"Simulation budget.")
   in
-  let run network width seed budget =
-    let system = (dubins_closed network width).Plant.system in
-    let config = Engine.default_config in
+  let run { Scenario.closed; config; _ } seed budget =
     let options = { Falsify.default_options with Falsify.budget } in
     match
-      Falsify.falsify ~options ~rng:(Rng.create seed) ~field:system.Engine.numeric_field
+      Falsify.falsify ~options ~rng:(Rng.create seed)
+        ~field:closed.Plant.system.Engine.numeric_field
         ~x0_rect:config.Engine.x0_rect ~safe_rect:config.Engine.safe_rect ()
     with
     | Falsify.Falsified { x0; robustness; trace } ->
@@ -618,14 +504,13 @@ let falsify_cmd =
         evaluations best_robustness best_x0.(0) best_x0.(1)
   in
   let doc = "Search for an unsafe trajectory (robustness-minimizing falsification)." in
-  Cmd.v (Cmd.info "falsify" ~doc) Term.(const run $ network_arg $ width_arg $ seed_arg $ budget)
+  Cmd.v (Cmd.info "falsify" ~doc) Term.(const run $ case_study_term $ seed_arg $ budget)
 
 (* --- lyapunov ---------------------------------------------------------- *)
 
 let lyapunov_cmd =
-  let run network width seed =
-    let system = (dubins_closed network width).Plant.system in
-    let report = Lyapunov.verify ~rng:(Rng.create seed) system in
+  let run (e : Scenario.elaborated) seed =
+    let report = Lyapunov.verify ~rng:(Rng.create seed) e.Scenario.closed.Plant.system in
     (match report.Lyapunov.outcome with
     | Lyapunov.Proved cert ->
       Format.printf "STABLE: Lyapunov-like generator W(x) = %s@."
@@ -637,7 +522,7 @@ let lyapunov_cmd =
       report.Lyapunov.total_time
   in
   let doc = "Prove practical stability via simulation-guided Lyapunov analysis." in
-  Cmd.v (Cmd.info "lyapunov" ~doc) Term.(const run $ network_arg $ width_arg $ seed_arg)
+  Cmd.v (Cmd.info "lyapunov" ~doc) Term.(const run $ case_study_term $ seed_arg)
 
 (* --- smt2 -------------------------------------------------------------- *)
 
@@ -645,9 +530,9 @@ let smt2_cmd =
   let dir =
     Arg.(value & opt string "queries" & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let run network width seed dir =
-    let system = (dubins_closed network width).Plant.system in
-    let report = Engine.verify ~rng:(Rng.create seed) system in
+  let run { Scenario.closed; config; _ } seed dir =
+    let system = closed.Plant.system in
+    let report = Engine.verify ~config ~rng:(Rng.create seed) system in
     match report.Engine.outcome with
     | Engine.Failed reason ->
       Format.printf "verification failed (%s); no certificate to export@."
@@ -660,7 +545,7 @@ let smt2_cmd =
       List.iter (Format.printf "  %s@.") files
   in
   let doc = "Verify, then export the certificate's SMT queries as .smt2 files." in
-  Cmd.v (Cmd.info "smt2" ~doc) Term.(const run $ network_arg $ width_arg $ seed_arg $ dir)
+  Cmd.v (Cmd.info "smt2" ~doc) Term.(const run $ case_study_term $ seed_arg $ dir)
 
 (* --- report-validate --------------------------------------------------- *)
 
@@ -884,10 +769,6 @@ let request_cmd =
     let doc = "Exit 1 unless every response has this status (e.g. ok, shed, invalid)." in
     Arg.(value & opt (some string) None & info [ "expect-status" ] ~docv:"STATUS" ~doc)
   in
-  let gamma =
-    let doc = "Condition-(5) slack override." in
-    Arg.(value & opt (some float) None & info [ "gamma" ] ~docv:"G" ~doc)
-  in
   let plant =
     let doc = "Registry plant to verify against (daemon-side resolution)." in
     Arg.(value & opt (some string) None & info [ "plant" ] ~docv:"NAME" ~doc)
@@ -907,7 +788,7 @@ let request_cmd =
           List.init count (fun i ->
               let id = if count = 1 then id else Printf.sprintf "%s-%d" id (i + 1) in
               Protocol.verify_line ~id ?network_path:network ?plant ?scenario_path:scenario
-                ~width ~seed ?gamma ?timeout ~lie ~linear_terms ~no_cache ())
+                ?width ~seed ?gamma ?timeout ~lie ~linear_terms ~no_cache ())
     in
     let deadline = Unix.gettimeofday () +. wait_ready in
     let rec connect () =
@@ -965,7 +846,7 @@ let request_cmd =
     (Cmd.info "request" ~doc)
     Term.(
       const run $ socket_arg $ id $ network_arg $ plant $ scenario $ width_arg $ seed_arg
-      $ gamma $ timeout $ lie_arg $ linear_template_arg $ no_cache_arg $ raw $ ping $ count
+      $ gamma_arg $ timeout $ lie_arg $ linear_template_arg $ no_cache_arg $ raw $ ping $ count
       $ wait_ready $ expect)
 
 (* --- scenarios --------------------------------------------------------- *)

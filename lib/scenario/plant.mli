@@ -57,16 +57,8 @@ type t = {
   default_gamma : float;
 }
 
-val resolve_params : t -> (string * float) list -> ((string * float) list, string) result
-(** Apply overrides to the defaults, keeping canonical order.  [Error]
-    names the first unknown parameter and lists the known ones. *)
-
 val identity : t -> params:(string * float) list -> Artifact.plant_id
 (** The fingerprint identity for this plant at fully resolved parameters. *)
-
-val controller_network : controller -> Nn.t option
-(** The [Nn.t] behind a [Network] controller (for store export), else
-    [None]. *)
 
 val controller_label : controller -> string
 
@@ -81,13 +73,14 @@ type closed = {
   plant : t;
   params : (string * float) list;  (** resolved, canonical order *)
   controller : controller;
-  network : Nn.t option;  (** [controller_network controller] *)
+  network : Nn.t option;  (** the [Nn.t] of a [Network] controller, for store export *)
   id : Artifact.plant_id;
   system : Engine.system;
 }
 
 val close : ?params:(string * float) list -> t -> controller -> (closed, string) result
-(** Compose the closed loop.  Validates parameters ({!resolve_params}) and
+(** Compose the closed loop.  Validates parameters (overrides of the
+    defaults, canonical order; an unknown one is an error naming it) and
     controller arity — a [Network] must map the full state to exactly
     [control_dim] outputs, [Analytic] expressions must number
     [control_dim] and mention only plant variables — then splices the

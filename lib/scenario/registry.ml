@@ -348,4 +348,33 @@ let scenarios () = all_scenarios
 
 let find_scenario name = List.find_opt (fun e -> String.equal e.name name) all_scenarios
 
-let elaborate ?base ?dir scenario = Scenario.elaborate ~plants:find_plant ?base ?dir scenario
+let elaborate ?network scenario = Scenario.elaborate ~plants:find_plant ?network scenario
+
+let document ?plant ?width ?gamma ?(lie = false) ?(linear_terms = false) ?template ?jobs () =
+  {
+    (Scenario.make ~plant:(Option.value plant ~default:"dubins_error") ()) with
+    Scenario.controller =
+      (match (plant, width) with
+      | _, Some w -> Scenario.Width w
+      | None, None -> Scenario.Width 10
+      | Some _, None -> Scenario.Builtin);
+    gamma;
+    lie = (if lie then Some true else None);
+    template =
+      (match template with None when linear_terms -> Some Template.Quadratic_linear | t -> t);
+    jobs;
+  }
+
+let problem ?scenario ?plant ?network ?width ?gamma ?lie ?linear_terms ?template ?jobs () =
+  let document ?plant ?width () =
+    document ?plant ?width ?gamma ?lie ?linear_terms ?template ?jobs ()
+  in
+  let doc =
+    match scenario with
+    | None -> Ok (document ?plant ?width ())
+    | Some path ->
+      Result.map
+        (fun file -> Scenario.override (document ~plant:file.Scenario.plant ()) file)
+        (Scenario.load path)
+  in
+  Result.bind doc (elaborate ?network)

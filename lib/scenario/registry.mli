@@ -44,6 +44,38 @@ val scenarios : unit -> entry list
 
 val find_scenario : string -> entry option
 
-val elaborate :
-  ?base:Engine.config -> ?dir:string -> Scenario.t -> (Scenario.elaborated, string) result
-(** {!Scenario.elaborate} with this registry's plant lookup. *)
+val elaborate : ?network:Nn.t -> Scenario.t -> (Scenario.elaborated, string) result
+(** {!Scenario.elaborate} with this registry's plant lookup: the one place
+    a loaded network replaces a document's controller. *)
+
+val document :
+  ?plant:string ->
+  ?width:int ->
+  ?gamma:float ->
+  ?lie:bool ->
+  ?linear_terms:bool ->
+  ?template:Template.kind ->
+  ?jobs:int ->
+  unit ->
+  Scenario.t
+(** The document CLI flags or serve request fields state: [plant] under
+    its [width] controller, else its own one — with neither, the Dubins
+    case study at width 10.  [false] leaves [lie]/[linear_terms] unset;
+    [linear_terms] is [template = Quadratic_linear]. *)
+
+val problem :
+  ?scenario:string ->
+  ?plant:string ->
+  ?network:Nn.t ->
+  ?width:int ->
+  ?gamma:float ->
+  ?lie:bool ->
+  ?linear_terms:bool ->
+  ?template:Template.kind ->
+  ?jobs:int ->
+  unit ->
+  (Scenario.elaborated, string) result
+(** The CLI's problem: a [scenario] file over the flags' {!document} (the
+    flags fill what the file leaves unset; its plant and controller stand,
+    so [plant] and [width] are ignored), elaborated with [network] as the
+    controller. *)

@@ -243,29 +243,52 @@ let load path =
   match Obs.Json.read_file path with
   | Error reason -> errf "%s: %s" path reason
   | Ok json -> (
-    match of_json json with Ok t -> Ok t | Error reason -> errf "%s: %s" path reason)
+    match of_json json with
+    | Ok ({ controller = File p; _ } as t) when Filename.is_relative p ->
+      Ok { t with controller = File (Filename.concat (Filename.dirname path) p) }
+    | Ok t -> Ok t
+    | Error reason -> errf "%s: %s" path reason)
 
 let save path t = Obs.Json.write_file path (to_json t)
 
+(* A merge of the two documents' JSON fields: every field, present and
+   future, follows the one rule. *)
+let override base top =
+  if not (String.equal base.plant top.plant) then invalid_arg "Scenario.override: two plants";
+  let fields t = match to_json t with Obs.Json.Obj f -> f | _ -> [] in
+  let set = fields top in
+  let is_set k = List.mem_assoc k set in
+  let template_set = is_set "template" || is_set "linear_terms" in
+  let inherited (k, _) =
+    (not (is_set k)) && k <> "params"
+    && not (template_set && (k = "template" || k = "linear_terms"))
+  in
+  match of_json (Obs.Json.Obj (set @ List.filter inherited (fields base))) with
+  | Error reason -> invalid_arg ("Scenario.override: " ^ reason)
+  | Ok t ->
+    let unset (k, _) = not (List.mem_assoc k top.params) in
+    { t with params = top.params @ List.filter unset base.params }
+
 type elaborated = { scenario : t; closed : Plant.closed; config : Engine.config }
 
-let elaborate ~plants ?(base = Engine.default_config) ?dir t =
+let elaborate ~plants ?(base = Engine.default_config) ?network t =
   let* plant =
     match plants t.plant with
     | Some p -> Ok p
     | None -> errf "scenario: unknown plant %S" t.plant
   in
   let* controller =
-    match t.controller with
-    | Builtin -> Ok plant.Plant.default_controller
-    | Zero_controller -> Ok Plant.Zero
-    | Width w -> Result.map (fun net -> Plant.Network net) (Plant.widened_default plant w)
-    | File path -> (
-      let path =
-        match dir with
-        | Some d when Filename.is_relative path -> Filename.concat d path
-        | _ -> path
-      in
+    match (network, t.controller) with
+    | Some net, _ -> Ok (Plant.Network net)
+    | None, Builtin -> Ok plant.Plant.default_controller
+    | None, Zero_controller -> Ok Plant.Zero
+    | None, Width w -> (
+      (* The bundled network's own width names the bundled network itself,
+         not a member rebuilt from the width family. *)
+      match plant.Plant.default_controller with
+      | Plant.Network net when Nn.hidden_widths net = [ w ] -> Ok plant.Plant.default_controller
+      | _ -> Result.map (fun net -> Plant.Network net) (Plant.widened_default plant w))
+    | None, File path -> (
       match Nn.load path with
       | net -> Ok (Plant.Network net)
       | exception Sys_error reason -> errf "scenario: controller file: %s" reason

@@ -38,7 +38,7 @@ type controller_spec =
   | Builtin  (** the plant's bundled default controller *)
   | Zero_controller
   | Width of int
-  | File of string  (** [.nn] path, resolved against the scenario file's directory *)
+  | File of string  (** [.nn] path; {!load} anchors a relative one at the file's directory *)
 
 type t = {
   name : string option;
@@ -72,9 +72,18 @@ val to_json : t -> Obs.Json.t
 (** [of_json (to_json t) = Ok t] for any well-formed [t]. *)
 
 val load : string -> (t, string) result
-(** Read and parse a scenario file; errors are prefixed with the path. *)
+(** Read and parse a scenario file; errors are prefixed with the path.  A
+    relative [File] controller path is rewritten relative to the file's
+    directory, so the loaded document stands alone. *)
 
 val save : string -> t -> unit
+
+val override : t -> t -> t
+(** [override base top] merges two documents of one plant: every field
+    [top] sets wins over [base]'s ([Builtin] counts as unset), [top]'s
+    [params] overlay [base]'s, and [template] with the legacy
+    [linear_terms] is one choice, taken whole from [top] if it sets
+    either.  Raises [Invalid_argument] on two plants. *)
 
 type elaborated = {
   scenario : t;
@@ -85,16 +94,18 @@ type elaborated = {
 val elaborate :
   plants:(string -> Plant.t option) ->
   ?base:Engine.config ->
-  ?dir:string ->
+  ?network:Nn.t ->
   t ->
   (elaborated, string) result
 (** Resolve the plant through [plants], the controller spec into a
-    {!Plant.controller} ([dir] anchors relative [File] paths), and the
-    option fields into a config.  Precedence per field: scenario value >
-    plant default (rectangles and γ) or [base] value (everything else;
-    default {!Engine.default_config}).  Errors name the field: unknown
-    plant, unknown parameter, rectangle arity mismatch, unreadable
-    controller file, arity-mismatched controller. *)
+    {!Plant.controller} ([Width w] equal to the bundled network's hidden
+    width is the bundled network), and the option fields into a config.
+    A loaded [network] replaces whatever controller the document names.
+    Precedence per field: scenario value > plant default (rectangles and
+    γ) or [base] value (everything else; default {!Engine.default_config}).
+    Errors name the field: unknown plant, unknown parameter, rectangle
+    arity mismatch, unreadable controller file, arity-mismatched
+    controller. *)
 
 val re_emit : elaborated -> t
 (** The scenario as elaborated: resolved parameter values and the concrete

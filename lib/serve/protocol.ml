@@ -2,7 +2,7 @@ type verify_params = {
   network_path : string option;
   plant : string option;
   scenario_path : string option;
-  width : int;
+  width : int option;
   seed : int;
   gamma : float option;
   timeout : float option;
@@ -87,7 +87,7 @@ let parse_line ?(max_bytes = default_max_line_bytes) line =
                     network_path;
                     plant;
                     scenario_path;
-                    width = dflt 10 width;
+                    width;
                     seed = dflt 7 seed;
                     gamma;
                     timeout;

@@ -11,7 +11,10 @@
      "plant": "<registry name>",      plant to verify against (default the
                                       daemon's scenario, else dubins_error)
      "scenario": "<path to .scn>",    full scenario file; overrides plant
-     "width": <int>,                  built-in controller width (default 10)
+     "width": <int>,                  controller width from the plant's width
+                                      family (default: the bundled controller;
+                                      10 when no plant or scenario is named;
+                                      ignored under a scenario file)
      "seed": <int>,                   PRNG seed (default 7)
      "gamma": <finite float>,         condition-(5) slack override
      "timeout": <finite float > 0>,   per-request budget, seconds
@@ -43,7 +46,7 @@ type verify_params = {
   network_path : string option;
   plant : string option;  (** registry plant name; [None] = daemon default *)
   scenario_path : string option;  (** scenario file; takes precedence over [plant] *)
-  width : int;
+  width : int option;  (** [None] = the problem's own controller *)
   seed : int;
   gamma : float option;
   timeout : float option;  (** per-request budget; clamped to the serve deadline *)

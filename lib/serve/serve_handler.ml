@@ -3,120 +3,61 @@ let source_token = function
   | Cache.Cache_hit _ -> "cache_hit"
   | Cache.Warm_started _ -> "warm_start"
 
-(* A request-level rejection: the request named something that does not
-   exist or does not fit the plant.  Distinct from handler crashes (which
-   the daemon maps to "error"): these are answered as "invalid" with the
-   offending request field named, so clients can fix the request rather
-   than retry it. *)
-exception Reject of { field : string; reason : string }
-
-let reject field reason = raise (Reject { field; reason })
-
-let known_plants () =
-  String.concat ", " (List.map (fun p -> p.Plant.name) (Registry.plants ()))
-
-(* Resolve the request to a closed-loop plant + base config.  Precedence:
-   request scenario file > request plant name > the daemon's default
-   scenario > the legacy Dubins case study. *)
-let resolve_problem ~default_scenario (p : Protocol.verify_params) =
-  match (p.Protocol.scenario_path, p.Protocol.plant) with
-  | Some path, _ -> (
-    match Scenario.load path with
-    | Error reason -> reject "scenario" reason
-    | Ok s -> (
-      match Registry.elaborate ~dir:(Filename.dirname path) s with
-      | Error reason -> reject "scenario" reason
-      | Ok e -> (e.Scenario.closed, e.Scenario.config, `Scenario_controller)))
-  | None, Some name -> (
-    match Registry.find_plant name with
-    | None -> reject "plant" (Printf.sprintf "unknown plant %S (known: %s)" name (known_plants ()))
-    | Some plant -> (
-      match Plant.close plant plant.Plant.default_controller with
-      | Error reason -> reject "plant" reason
-      | Ok closed -> (closed, Plant.default_engine_config plant, `Request_controller)))
-  | None, None -> (
-    match default_scenario with
-    | Some (e : Scenario.elaborated) -> (e.Scenario.closed, e.Scenario.config, `Scenario_controller)
-    | None -> (
-      let plant =
-        match Registry.find_plant "dubins_error" with
-        | Some p -> p
-        | None -> assert false (* registry invariant *)
-      in
-      match Plant.close plant plant.Plant.default_controller with
-      | Error reason -> reject "plant" reason
-      | Ok closed -> (closed, Plant.default_engine_config plant, `Request_controller)))
-
-(* Swap the request's controller into the resolved plant.  [network] always
-   wins; [width] applies only when the problem did not come from a scenario
-   file (a scenario's controller choice is part of the problem statement).
-   Arity mismatches are rejections, not crashes: the request is answerable,
-   just wrong about the plant. *)
-let apply_controller ~source (closed : Plant.closed) (p : Protocol.verify_params) =
-  let reclose controller ~field =
-    match Plant.close ~params:closed.Plant.params closed.Plant.plant controller with
-    | Ok c -> c
-    | Error reason -> reject field reason
+(* A failure is a rejection naming the request field to fix: the request
+   is answerable, just wrong about the plant. *)
+let problem ?default (p : Protocol.verify_params) =
+  let ( let* ) = Result.bind in
+  let document ?plant ?width () =
+    Registry.document ?plant ?width ?gamma:p.Protocol.gamma ~lie:p.Protocol.lie
+      ~linear_terms:p.Protocol.linear_terms ()
   in
-  match p.Protocol.network_path with
-  | Some path ->
-    (* A missing/corrupt network file raises out of [Nn.load] and becomes
-       this request's "error" response (crash isolation); only the loaded
-       network's shape is validated here. *)
-    reclose (Plant.Network (Nn.load path)) ~field:"network"
-  | None -> (
-    match source with
-    | `Scenario_controller -> closed
-    | `Request_controller -> (
-      let plant = closed.Plant.plant in
-      let default_width =
-        match plant.Plant.default_controller with
-        | Plant.Network net -> (
-          match Nn.hidden_widths net with [ w ] -> Some w | _ -> None)
-        | Plant.Analytic _ | Plant.Zero -> None
-      in
-      if default_width = Some p.Protocol.width then closed
-      else
-        match Plant.widened_default plant p.Protocol.width with
-        | Ok net -> reclose (Plant.Network net) ~field:"width"
-        | Error reason -> reject "width" reason))
-
-let config_of_params base (p : Protocol.verify_params) =
-  {
-    base with
-    Engine.gamma = Option.value ~default:base.Engine.gamma p.Protocol.gamma;
-    synthesis =
-      {
-        base.Engine.synthesis with
-        Synthesis.mode =
-          (if p.Protocol.lie then Synthesis.Lie_derivative
-           else base.Engine.synthesis.Synthesis.mode);
-      };
-    template_kind =
-      (if p.Protocol.linear_terms then Template.Quadratic_linear else base.Engine.template_kind);
-    (* Request-level parallelism comes from the daemon's worker domains;
-       each verification runs sequentially inside its worker. *)
-  }
+  (* The request over a scenario file: the file's controller stands. *)
+  let over (file : Scenario.t) = Scenario.override file (document ~plant:file.Scenario.plant ()) in
+  let* doc, daemon =
+    match (p.Protocol.scenario_path, p.Protocol.plant, default) with
+    | Some path, _, _ -> (
+      match Scenario.load path with
+      | Ok file -> Ok (over file, None)
+      | Error reason -> Error ("scenario", reason))
+    | None, Some plant, _ when Registry.find_plant plant = None ->
+      let known = List.map (fun p -> p.Plant.name) (Registry.plants ()) in
+      Error
+        ("plant", Printf.sprintf "unknown plant %S (known: %s)" plant (String.concat ", " known))
+    | None, None, Some (e : Scenario.elaborated) -> Ok (over e.Scenario.scenario, Some e)
+    | None, plant, _ -> Ok (document ?plant ?width:p.Protocol.width (), None)
+  in
+  let elaborate network =
+    Result.map_error
+      (fun reason ->
+        match (p.Protocol.network_path, p.Protocol.scenario_path) with
+        | Some _, _ -> ("network", reason)
+        | None, Some _ -> ("scenario", reason)
+        | None, None -> ("width", reason))
+      (Registry.elaborate ?network doc)
+  in
+  (* A missing/corrupt network file raises out of [Nn.load] and becomes
+     this request's "error" response (crash isolation).  The daemon's
+     scenario keeps the controller it was started with. *)
+  match (Option.map Nn.load p.Protocol.network_path, daemon) with
+  | None, Some e when doc = e.Scenario.scenario -> Ok e
+  | None, Some e -> elaborate e.Scenario.closed.Plant.network
+  | network, _ -> elaborate network
 
 let make ?store ?scenario () : Daemon.handler =
-  let default_scenario =
-    match scenario with
-    | None -> None
-    | Some path -> (
-      match Result.bind (Scenario.load path) (Registry.elaborate ~dir:(Filename.dirname path)) with
-      | Ok e -> Some e
-      | Error reason -> invalid_arg (Printf.sprintf "Serve_handler.make: %s" reason))
+  let default =
+    Option.map
+      (fun path ->
+        match Result.bind (Scenario.load path) Registry.elaborate with
+        | Ok e -> e
+        | Error reason -> invalid_arg (Printf.sprintf "Serve_handler.make: %s" reason))
+      scenario
   in
   fun ~budget (p : Protocol.verify_params) ->
-    match
-      let closed, base_config, controller_source = resolve_problem ~default_scenario p in
-      let closed = apply_controller ~source:controller_source closed p in
-      (closed, config_of_params base_config p)
-    with
-    | exception Reject { field; reason } ->
+    match problem ?default p with
+    | Error (field, reason) ->
       ( "invalid",
         [ ("field", Obs.Json.String field); ("reason", Obs.Json.String reason) ] )
-    | closed, config ->
+    | Ok { Scenario.closed; config; _ } ->
       let system = closed.Plant.system in
       let rng = Rng.create p.Protocol.seed in
       let report, store_fields =

@@ -3,16 +3,13 @@
     Dubins case study), fronted by the certificate cache when a store is
     configured.
 
-    Problem resolution, in precedence order: the request's [scenario] file,
-    the request's [plant] name, the daemon's default scenario ([make
-    ~scenario]), the Dubins case study.  The request's [network] always
-    replaces the resolved controller; [width] selects from the plant's
-    width family unless the problem came from a scenario file.
+    Each request states its problem through {!problem}.
 
     Two failure planes, deliberately distinct:
     - {e rejections} — unknown plant/scenario, arity-mismatched controller,
       bad width: answered as [{"status":"invalid"}] with [field] naming the
-      offending request field and a human-readable [reason];
+      offending request field and a human-readable [reason] (see
+      {!problem});
     - {e crashes} — missing network file, solver blow-ups: the handler
       raises and the daemon's crash isolation turns it into that request's
       [{"status":"error"}] response, keeping the error taxonomy in exactly
@@ -23,10 +20,20 @@ val make : ?store:string -> ?scenario:string -> unit -> Daemon.handler
     [Cache.verify] (exact hits audited, nearby donors warm-started, fresh
     proofs exported, fingerprints carrying the plant identity); without
     [store] it runs the plain engine.  [scenario] is a scenario-file path
-    elaborated once at construction — raises [Invalid_argument] if it does
-    not elaborate.  Response fields: [outcome]/[level] or [failure],
-    [plant], [seconds], and — with a store — [source]
+    elaborated once at construction (its controller kept from then on) —
+    raises [Invalid_argument] if it does not elaborate.  Response fields: [outcome]/[level] or
+    [failure], [plant], [seconds], and — with a store — [source]
     ("cache_hit" | "warm_start" | "cold") plus [exported] for fresh
     proofs. *)
 
-val source_token : Cache.source -> string
+val problem :
+  ?default:Scenario.elaborated ->
+  Protocol.verify_params ->
+  (Scenario.elaborated, string * string) result
+(** A request's problem: its fields' {!Registry.document}, or — under its
+    [scenario] file, else the daemon's [default] when it names no plant —
+    those fields over the file (request over file; [width] ignored).  Its
+    [network] is the controller, else [default]'s; a request changing
+    nothing is [default] itself.  [Error (field, reason)] names [scenario]
+    (file does not load), [plant] (unknown), else [network] if set, else
+    [scenario] if named, else [width].  A bad network file raises. *)

@@ -208,6 +208,43 @@ let test_override_precedence () =
     (c.Engine.template_kind = Template.Quadratic_linear);
   Alcotest.(check int) "max_branches overridden" 777 c.Engine.smt.Solver.max_branches
 
+(* The CLI's problem, a scenario file over the flags' document: the flags
+   fill what the file leaves unset, what the file sets wins, and the file's
+   controller stands. *)
+let test_override_file_over_flags () =
+  let problem ?width doc =
+    let path = fresh_path "flags.scn" in
+    Scenario.save path doc;
+    ok_or_fail
+      (Registry.problem ~scenario:path ?width ~gamma:0.5 ~template:(Template.Poly 4) ~jobs:2 ())
+  in
+  let bundled plant = (Option.get (Registry.find_plant plant)).Plant.default_controller in
+  let duffing = Scenario.make ~plant:"duffing" () in
+  let e = problem duffing in
+  Alcotest.(check (float 0.0)) "flag fills an unset gamma" 0.5 e.Scenario.config.Engine.gamma;
+  Alcotest.(check int) "flag fills unset jobs" 2 e.Scenario.config.Engine.jobs;
+  Alcotest.(check bool) "the file's plant keeps its own controller" true
+    (e.Scenario.closed.Plant.controller = bundled "duffing");
+  let e = problem { duffing with Scenario.gamma = Some 0.25; linear_terms = Some false } in
+  Alcotest.(check (float 0.0)) "a gamma set in the file wins" 0.25 e.Scenario.config.Engine.gamma;
+  Alcotest.(check bool) "the file's linear_terms decides the template" true
+    (e.Scenario.config.Engine.template_kind = Template.Quadratic);
+  (* A Dubins file without a controller is the bundled reference, not the
+     flags' width-10 default nor their --width. *)
+  let e = problem ~width:4 (Scenario.make ~plant:"dubins_error" ()) in
+  Alcotest.(check bool) "the file's unset controller stands" true
+    (e.Scenario.closed.Plant.controller = bundled "dubins_error");
+  (* On one plant the parameters overlay and a set controller wins. *)
+  let dubins = { (Scenario.make ~plant:"dubins_error" ()) with Scenario.params = [ ("v", 2.0) ] } in
+  let flags = Registry.document ~width:10 () in
+  let merged = Scenario.override { flags with Scenario.params = [ ("theta_r", 0.5) ] } dubins in
+  Alcotest.(check bool) "params overlay" true
+    (List.sort compare merged.Scenario.params = [ ("theta_r", 0.5); ("v", 2.0) ]);
+  Alcotest.(check bool) "a controller set in the file wins" true
+    ((Scenario.override flags { dubins with Scenario.controller = Scenario.Width 4 })
+       .Scenario.controller
+    = Scenario.Width 4)
+
 let test_template_precedence () =
   let base = Engine.default_config in
   let with_fields template linear_terms =
@@ -448,6 +485,7 @@ let () =
       ( "elaborate",
         [
           Alcotest.test_case "override precedence" `Quick test_override_precedence;
+          Alcotest.test_case "file over flags" `Quick test_override_file_over_flags;
           Alcotest.test_case "re_emit idempotent" `Quick test_re_emit_idempotent;
         ] );
       ( "registry",

@@ -197,7 +197,7 @@ let test_protocol_roundtrip () =
   match Protocol.parse_line line with
   | Ok { Protocol.id = "r1"; op = Protocol.Verify p } ->
     Alcotest.(check (option string)) "network" (Some "net.nn") p.Protocol.network_path;
-    Alcotest.(check int) "width" 4 p.Protocol.width;
+    Alcotest.(check (option int)) "width" (Some 4) p.Protocol.width;
     Alcotest.(check int) "seed" 11 p.Protocol.seed;
     Alcotest.(check (option (float 0.0))) "gamma" (Some 1e-5) p.Protocol.gamma;
     Alcotest.(check (option (float 0.0))) "timeout" (Some 2.5) p.Protocol.timeout;
@@ -210,7 +210,8 @@ let test_protocol_roundtrip () =
 let test_protocol_defaults_and_ping () =
   (match Protocol.parse_line {|{"id":"d"}|} with
   | Ok { Protocol.op = Protocol.Verify p; _ } ->
-    Alcotest.(check int) "default width" 10 p.Protocol.width;
+    Alcotest.(check (option int)) "no width: the problem's own controller" None
+      p.Protocol.width;
     Alcotest.(check int) "default seed" 7 p.Protocol.seed;
     Alcotest.(check (option string)) "no network" None p.Protocol.network_path;
     Alcotest.(check bool) "no_cache off" false p.Protocol.no_cache
@@ -252,7 +253,7 @@ let test_protocol_rejects () =
 let test_protocol_forward_compat () =
   match Protocol.parse_line {|{"id":"f","op":"verify","future_field":[1,2],"width":3}|} with
   | Ok { Protocol.op = Protocol.Verify p; _ } ->
-    Alcotest.(check int) "width still parsed" 3 p.Protocol.width
+    Alcotest.(check (option int)) "width still parsed" (Some 3) p.Protocol.width
   | _ -> Alcotest.fail "unknown fields must be ignored"
 
 let test_protocol_response_accessors () =
@@ -682,6 +683,134 @@ let test_daemon_real_handler_plants () =
   | _ -> Alcotest.fail "missing scenario must name the scenario field");
   Alcotest.(check int) "no crashes" 0 stats.Daemon.counts.Daemon.errors
 
+(* --- Problem resolution ---------------------------------------------------- *)
+
+let verify_params line =
+  match Protocol.parse_line line with
+  | Ok { Protocol.op = Protocol.Verify p; _ } -> p
+  | _ -> Alcotest.failf "not a verify request: %s" line
+
+let ok_or_fail = function Ok v -> v | Error reason -> Alcotest.fail reason
+
+let combined (e : Scenario.elaborated) =
+  let closed = e.Scenario.closed in
+  (Artifact.fingerprint ?network:closed.Plant.network ~plant:closed.Plant.id closed.Plant.system
+     e.Scenario.config)
+    .Artifact.combined
+
+let request_problem ?default line =
+  match Serve_handler.problem ?default (verify_params line) with
+  | Ok e -> e
+  | Error (field, reason) -> Alcotest.failf "%s: %s" field reason
+
+(* A plant named without a width verifies under its bundled controller:
+   no registry plant is rejected, and none is widened. *)
+let test_plant_requests_without_width () =
+  let handler = Serve_handler.make () in
+  List.iter
+    (fun (plant : Plant.t) ->
+      let name = plant.Plant.name in
+      let line = Protocol.verify_line ~id:name ~plant:name () in
+      (match handler ~budget:(Budget.with_timeout 10.0) (verify_params line) with
+      | "invalid", fields ->
+        Alcotest.failf "%s rejected: %s" name
+          (Obs.Json.to_string ~indent:false (Obs.Json.Obj fields))
+      | _ -> ());
+      let bundled = ok_or_fail (Registry.elaborate (Scenario.make ~plant:name ())) in
+      Alcotest.(check string) (name ^ " under its bundled controller") (combined bundled)
+        (combined (request_problem line)))
+    (Registry.plants ())
+
+(* The registry's [dubins] scenario as [scenarios show dubins] emits it: a
+   Dubins file that leaves its controller unset. *)
+let dubins_file () =
+  let entry = Option.get (Registry.find_scenario "dubins") in
+  let e = ok_or_fail (Registry.elaborate entry.Registry.scenario) in
+  let path = Filename.concat (fresh_dir ()) "dubins.scn" in
+  Scenario.save path (Scenario.re_emit e);
+  path
+
+(* The certificate store's addresses: the CLI's and the request's way of
+   stating each problem land on the same, pinned, entry. *)
+let test_store_fingerprints_pinned () =
+  let id = "fp" and nh10 = "../data/trained_nh10.nn" and duffing = "../examples/duffing.scn" in
+  let dubins = dubins_file () in
+  let cli ?scenario ?network ?width ?gamma ?lie ?linear_terms () =
+    ok_or_fail
+      (Registry.problem ?scenario ?network:(Option.map Nn.load network) ?width ?gamma ?lie
+         ?linear_terms ~jobs:1 ())
+  in
+  List.iter
+    (fun (what, cli, request, want) ->
+      Option.iter
+        (fun cli -> Alcotest.(check string) (what ^ ", CLI") want (combined (cli ())))
+        cli;
+      Alcotest.(check string) (what ^ ", request") want (combined (request_problem request)))
+    [
+      ( "width 2",
+        Some (cli ~width:2),
+        Protocol.verify_line ~id ~width:2 (),
+        "7bc13627a247f9af9fa8987f8eac49d7" );
+      ( "width 10",
+        Some (cli ~width:10),
+        Protocol.verify_line ~id (),
+        "ca503d317c194cedb5fe2ba89e32b8fb" );
+      ( "no flags",
+        Some cli,
+        Protocol.verify_line ~id ~width:10 (),
+        "ca503d317c194cedb5fe2ba89e32b8fb" );
+      ( "network",
+        Some (cli ~network:nh10),
+        Protocol.verify_line ~id ~network_path:nh10 (),
+        "28a3efa22da698d3ea522065a338f069" );
+      ( "width 10, lie, quadratic_linear, gamma 1e-5",
+        Some (cli ~width:10 ~lie:true ~linear_terms:true ~gamma:1e-5),
+        Protocol.verify_line ~id ~width:10 ~lie:true ~linear_terms:true ~gamma:1e-5 (),
+        "ee7ff0ed97db0c1f1a5dc33923b4e830" );
+      ( "duffing scenario",
+        Some (cli ~scenario:duffing),
+        Protocol.verify_line ~id ~scenario_path:duffing (),
+        "1c4bf967cf03e995111b4810a902ea58" );
+      ( "dubins scenario",
+        Some (cli ~scenario:dubins),
+        Protocol.verify_line ~id ~scenario_path:dubins (),
+        "13482df8972b9e3f8811ffc1d168cf61" );
+      ( "dubins scenario, width 4 ignored",
+        Some (cli ~scenario:dubins ~width:4),
+        Protocol.verify_line ~id ~scenario_path:dubins ~width:4 (),
+        "13482df8972b9e3f8811ffc1d168cf61" );
+      ( "plant duffing, width 20",
+        None,
+        Protocol.verify_line ~id ~plant:"duffing" ~width:20 (),
+        "02fa0cc804db62926d319b0b1f8dc063" );
+    ]
+
+(* The daemon's scenario is elaborated once: its controller survives the
+   controller file's removal, and a request that changes nothing reuses
+   it outright. *)
+let test_daemon_scenario_kept () =
+  let dir = fresh_dir () in
+  let net = Filename.concat dir "c.nn" and path = Filename.concat dir "d.scn" in
+  Nn.save (Nn.load "../data/controllers/duffing.nn") net;
+  Scenario.save path
+    { (Scenario.make ~plant:"duffing" ()) with Scenario.controller = Scenario.File "c.nn" };
+  let store = fresh_dir () in
+  let handler = Serve_handler.make ~store ~scenario:path () in
+  let e = ok_or_fail (Registry.problem ~scenario:path ()) in
+  Sys.remove net;
+  let status, fields = handler ~budget:(Budget.with_timeout 10.0) (verify_params {|{"id":"d"}|}) in
+  Alcotest.(check string) "still proves" "ok" status;
+  (match List.assoc_opt "exported" fields with
+  | Some (Obs.Json.String dir) ->
+    Alcotest.(check string) "same store entry" (combined e) (Filename.basename dir)
+  | _ -> Alcotest.fail "fresh proof not exported");
+  Alcotest.(check bool) "an empty request is the daemon's problem" true
+    (request_problem ~default:e {|{"id":"d"}|} == e);
+  let g = request_problem ~default:e {|{"id":"g","gamma":1e-3}|} in
+  Alcotest.(check bool) "the daemon's controller under a request's gamma" true
+    (g.Scenario.closed.Plant.network = e.Scenario.closed.Plant.network);
+  Alcotest.(check (float 0.0)) "the request's gamma" 1e-3 g.Scenario.config.Engine.gamma
+
 (* --- run --------------------------------------------------------------- *)
 
 let () =
@@ -720,5 +849,12 @@ let () =
           Alcotest.test_case "real handler cache hit" `Quick test_daemon_real_handler_cache_hit;
           Alcotest.test_case "real handler plants and scenarios" `Quick
             test_daemon_real_handler_plants;
+        ] );
+      ( "problem",
+        [
+          Alcotest.test_case "plant requests without a width" `Quick
+            test_plant_requests_without_width;
+          Alcotest.test_case "store fingerprints pinned" `Quick test_store_fingerprints_pinned;
+          Alcotest.test_case "daemon scenario kept" `Quick test_daemon_scenario_kept;
         ] );
     ]
