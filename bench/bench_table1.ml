@@ -64,30 +64,7 @@ let bench_width ~seeds width =
     runs = seeds;
   }
 
-let row_json r =
-  Obs.Json.Obj
-    [
-      ("width", Obs.Json.Int r.width);
-      ("avg_iters", Obs.Json.Float r.avg_iters);
-      ("lp_per_call_s", Obs.Json.Float r.lp_per_call);
-      ("query_per_call_s", Obs.Json.Float r.query_per_call);
-      ("generator_total_s", Obs.Json.Float r.generator_total);
-      ("other_s", Obs.Json.Float r.other);
-      ("total_s", Obs.Json.Float r.total);
-      ( "stages",
-        Obs.Json.Obj
-          [
-            ("simulation", Obs.Json.Float r.sim);
-            ("lp", Obs.Json.Float r.lp);
-            ("condition5", Obs.Json.Float r.cond5);
-            ("condition6", Obs.Json.Float r.cond6);
-            ("condition7", Obs.Json.Float r.cond7);
-          ] );
-      ("proved", Obs.Json.Int r.proved);
-      ("runs", Obs.Json.Int r.runs);
-    ]
-
-let run ?(out = "BENCH_table1.json") ~seeds () =
+let run ~seeds () =
   Bench_common.hr "Table 1: safety-verification timing vs hidden-layer width";
   Format.printf
     "%6s | %9s | %8s | %9s | %9s | %8s | %8s | %s@."
@@ -104,14 +81,16 @@ let run ?(out = "BENCH_table1.json") ~seeds () =
         r)
       widths
   in
-  Obs.Json.write_file out
-    (Obs.Json.Obj
-       [
-         ("bench", Obs.Json.String "table1_dubins");
-         ("seeds", Obs.Json.Int seeds);
-         ("rows", Obs.Json.List (List.map row_json rows));
-       ]);
-  Format.printf "wrote %s@." out;
+  Format.printf "@.Per-stage averages (s); coverage = share of the total the stages explain@.";
+  Format.printf "%6s | %10s | %8s | %8s | %8s | %8s | %8s | %s@." "Nh" "simulation" "LP"
+    "cond(5)" "cond(6)" "cond(7)" "total" "coverage";
+  List.iter
+    (fun r ->
+      let staged = r.sim +. r.lp +. r.cond5 +. r.cond6 +. r.cond7 in
+      Format.printf "%6d | %10.4f | %8.4f | %8.4f | %8.4f | %8.4f | %8.4f | %5.1f %%@." r.width
+        r.sim r.lp r.cond5 r.cond6 r.cond7 r.total (100.0 *. staged /. r.total))
+    rows;
   Format.printf
     "@.Shape check vs paper: LP per-call time ~flat; SMT query time grows with Nh;@.\
-     iteration counts stay small (1-3); totals dominated by the SMT query column.@."
+     iteration counts stay small (1-3); totals dominated by the SMT query column.@.";
+  List.for_all (fun r -> r.proved = r.runs) rows

@@ -1,7 +1,8 @@
 (* Benchmark harness regenerating every table and figure of the paper's
    evaluation (see DESIGN.md §4 for the experiment index):
 
-     table1   Table 1   timing vs hidden-layer width
+     table1   Table 1   timing vs hidden-layer width; exits 1 unless every
+                        run of every width proves
      fig4     Figure 4  CMA-ES training evolution
      fig5     Figure 5  phase portrait + barrier level set
      ablate   A1-A3     design-choice ablations
@@ -40,7 +41,7 @@ let () =
   let ext () = Bench_ext.run () in
   let micro () = Bench_micro.run () in
   match which with
-  | "table1" -> table1 ()
+  | "table1" -> if not (table1 ()) then exit 1
   | "fig4" -> fig4 ()
   | "fig5" -> fig5 ()
   | "ablate" -> ablate ()
@@ -48,12 +49,13 @@ let () =
   | "micro" -> micro ()
   | "gates" -> if not (Bench_gates.run ~smoke) then exit 1
   | "all" ->
-    table1 ();
+    let proved = table1 () in
     fig4 ();
     fig5 ();
     ablate ();
     ext ();
-    micro ()
+    micro ();
+    if not proved then exit 1
   | other ->
     Format.eprintf "unknown bench %s (expected table1|fig4|fig5|ablate|ext|micro|gates|all)@."
       other;

@@ -81,7 +81,7 @@ let simulate ?(budget = Budget.unlimited) ~rect ~dt ~steps ~converged field x0 =
      divergent field cannot keep a single trace running past the
      deadline. *)
   let stop _t x = Vec.norm2 x < converged || (not (in_rect rect x)) || Budget.expired budget in
-  let tr = Ode.simulate_until ~stop field ~t0:0.0 ~x0 ~dt ~t_end:(dt *. float_of_int steps) in
+  let tr = Ode.simulate_rk45 ~stop field ~t0:0.0 ~x0 ~dt ~t_end:(dt *. float_of_int steps) in
   let keep =
     Array.to_list (Array.mapi (fun i x -> (tr.Ode.times.(i), x)) tr.Ode.states)
     |> List.filter (fun (_, x) -> in_rect rect x)

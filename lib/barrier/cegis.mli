@@ -125,6 +125,7 @@ val simulate :
   Ode.field ->
   float array ->
   Ode.trace
-(** RK4 trace stopped once [‖x‖ < converged], on leaving [rect] or at the
-    budget's expiry; samples outside [rect] are dropped, keeping at least
-    the initial state. *)
+(** {!Ode.simulate_rk45} trace on the [dt] grid up to [steps·dt], stopped
+    once [‖x‖ < converged], on leaving [rect] or at the budget's expiry;
+    samples outside [rect] are dropped, keeping at least the initial
+    state. *)

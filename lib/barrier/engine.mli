@@ -24,7 +24,10 @@ type config = {
   gamma : float;  (** slack of condition (5), paper value 1e-6 *)
   n_seed : int;  (** number of seed simulations, default 20 *)
   sim_dt : float;
-  sim_steps : int;
+      (** spacing of a trace's sample grid, default 0.05; the integrator's
+          steps are error-controlled and independent of it
+          ({!Ode.simulate_rk45}) *)
+  sim_steps : int;  (** samples per trace after the initial one, default 400 *)
   synthesis : Synthesis.options;
   template_kind : Template.kind;
   max_candidate_iters : int;  (** outer CEX-refinement loop bound *)

@@ -19,7 +19,7 @@ type config = {
   ball_radius : float;  (** radius [r] of the excluded equilibrium ball *)
   gamma : float;  (** strictness slack, default 1e-6 *)
   n_seed : int;
-  sim_dt : float;
+  sim_dt : float;  (** sample grid spacing, as in {!Engine.config} *)
   sim_steps : int;
   synthesis : Synthesis.options;
   template_kind : Template.kind;

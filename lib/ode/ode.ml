@@ -66,21 +66,11 @@ let simulate_until ?(method_ = `Rk4) ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t
     states = Array.of_list (List.map snd samples);
   }
 
-type rk45_options = {
-  rel_tol : float;
-  abs_tol : float;
-  h_init : float;
-  h_min : float;
-  h_max : float;
-  max_steps : int;
-}
-
-let default_rk45 =
-  { rel_tol = 1e-8; abs_tol = 1e-10; h_init = 1e-3; h_min = 1e-12; h_max = 1.0; max_steps = 1_000_000 }
-
-exception Step_size_underflow of float
-
-(* Dormand-Prince 5(4) Butcher tableau. *)
+(* Dormand–Prince 5(4) with dense output (Hairer, Nørsett & Wanner,
+   Solving ODEs I, §II.4–II.6; the DOPRI5 code).  Row 6 of [dp_a] is the
+   fifth-order solution, so stage 7 is the field at the accepted state and
+   doubles as the next step's stage 1 (FSAL): six field evaluations per
+   step. *)
 let dp_c = [| 0.0; 0.2; 0.3; 0.8; 8.0 /. 9.0; 1.0; 1.0 |]
 
 let dp_a =
@@ -94,109 +84,146 @@ let dp_a =
     [| 35.0 /. 384.0; 0.0; 500.0 /. 1113.0; 125.0 /. 192.0; -2187.0 /. 6784.0; 11.0 /. 84.0 |];
   |]
 
-let dp_b5 = [| 35.0 /. 384.0; 0.0; 500.0 /. 1113.0; 125.0 /. 192.0; -2187.0 /. 6784.0; 11.0 /. 84.0; 0.0 |]
-
-let dp_b4 =
+(* Fifth- minus embedded fourth-order weights: the local error estimate. *)
+let dp_e =
   [|
-    5179.0 /. 57600.0;
+    71.0 /. 57600.0;
     0.0;
-    7571.0 /. 16695.0;
-    393.0 /. 640.0;
-    -92097.0 /. 339200.0;
-    187.0 /. 2100.0;
-    1.0 /. 40.0;
+    -71.0 /. 16695.0;
+    71.0 /. 1920.0;
+    -17253.0 /. 339200.0;
+    22.0 /. 525.0;
+    -1.0 /. 40.0;
   |]
 
-let rk45_step f t x h =
-  let n = Vec.dim x in
-  let k = Array.make 7 (Vec.zeros n) in
-  for i = 0 to 6 do
-    let xi = Array.copy x in
-    for j = 0 to i - 1 do
-      let aij = dp_a.(i).(j) in
-      if aij <> 0.0 then
-        for d = 0 to n - 1 do
-          xi.(d) <- xi.(d) +. (h *. aij *. k.(j).(d))
-        done
-    done;
-    k.(i) <- f (t +. (dp_c.(i) *. h)) xi
-  done;
-  let x5 = Array.copy x and x4 = Array.copy x in
-  for i = 0 to 6 do
-    for d = 0 to n - 1 do
-      x5.(d) <- x5.(d) +. (h *. dp_b5.(i) *. k.(i).(d));
-      x4.(d) <- x4.(d) +. (h *. dp_b4.(i) *. k.(i).(d))
-    done
-  done;
-  (x5, x4)
+(* Weights of the fourth-order continuous extension (DOPRI5's [contd5]). *)
+let dp_d =
+  [|
+    -12715105075.0 /. 11282082432.0;
+    0.0;
+    87487479700.0 /. 32700410799.0;
+    -10690763975.0 /. 1880347072.0;
+    701980252875.0 /. 199316789632.0;
+    -1453857185.0 /. 822651844.0;
+    69997945.0 /. 29380423.0;
+  |]
 
-let simulate_rk45 ?(options = default_rk45) f ~t0 ~x0 ~t_end =
+(* The traces are LP data, not proof: 1e-6 keeps the grid samples within
+   ~1e-5 of fixed-step RK4 at dt 0.05 on the Dubins loop for a quarter of
+   its field evaluations.  [h_max] is one retained LP-row interval (10
+   samples at dt 0.05).  [h_min] and [max_steps] only bound faulty fields. *)
+let rel_tol = 1e-6
+let abs_tol = 1e-9
+let h_max = 0.5
+let h_min = 1e-12
+let max_steps = 10_000
+
+let c_field_evals = Obs.Metrics.counter "ode.field_evals"
+
+(* One step of size [h] from [x], with [k.(0)] = f t x already known:
+   fills [k.(1..6)] and returns the fifth-order solution. *)
+let dp_step f t x h k =
+  let stage i =
+    let xi = Array.copy x in
+    Array.iteri
+      (fun j aij ->
+        let a = h *. aij in
+        if a <> 0.0 then Array.iteri (fun d kjd -> xi.(d) <- xi.(d) +. (a *. kjd)) k.(j))
+      dp_a.(i);
+    xi
+  in
+  for i = 1 to 5 do
+    k.(i) <- f (t +. (dp_c.(i) *. h)) (stage i)
+  done;
+  let x5 = stage 6 in
+  k.(6) <- f (t +. h) x5;
+  x5
+
+(* Scaled RMS norm of the local error estimate; <= 1 accepts the step. *)
+let error_norm x x5 h k =
+  let n = Array.length x in
+  let sum = ref 0.0 in
+  for d = 0 to n - 1 do
+    let e = ref 0.0 in
+    Array.iteri (fun j ej -> e := !e +. (ej *. k.(j).(d))) dp_e;
+    let scale = abs_tol +. (rel_tol *. Float.max (Float.abs x.(d)) (Float.abs x5.(d))) in
+    let r = h *. !e /. scale in
+    sum := !sum +. (r *. r)
+  done;
+  sqrt (!sum /. float_of_int n)
+
+(* The dense-output state at [t + theta·h] inside an accepted step. *)
+let dense x x5 h k theta =
+  let theta1 = 1.0 -. theta in
+  Array.mapi
+    (fun d xd ->
+      let ydiff = x5.(d) -. xd in
+      let bspl = (h *. k.(0).(d)) -. ydiff in
+      let r4 = ydiff -. (h *. k.(6).(d)) -. bspl in
+      let r5 = ref 0.0 in
+      Array.iteri (fun j dj -> r5 := !r5 +. (dj *. k.(j).(d))) dp_d;
+      xd +. (theta *. (ydiff +. (theta1 *. (bspl +. (theta *. (r4 +. (theta1 *. h *. !r5))))))))
+    x
+
+let simulate_rk45 ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
+  if not (dt > 0.0) then invalid_arg "Ode.simulate_rk45: dt must be positive";
   if t_end < t0 then invalid_arg "Ode.simulate_rk45: t_end < t0";
-  let { rel_tol; abs_tol; h_init; h_min; h_max; max_steps } = options in
-  let times = ref [ t0 ] and states = ref [ x0 ] in
-  let rec loop t x h steps =
-    if steps > max_steps then raise (Step_size_underflow t);
-    if t >= t_end -. 1e-14 then ()
-    else begin
-      let h = Float.min h (t_end -. t) in
-      let x5, x4 = rk45_step f t x h in
-      if not (all_finite x5 && all_finite x4) then
-        (* Non-finite stage values: error control below would loop on NaN
-           step sizes.  Treat it like an unrecoverable step failure. *)
-        raise (Step_size_underflow t);
-      (* Scaled error norm; <= 1 means the step is acceptable. *)
-      let err = ref 0.0 in
-      for d = 0 to Vec.dim x - 1 do
-        let scale = abs_tol +. (rel_tol *. Float.max (Float.abs x.(d)) (Float.abs x5.(d))) in
-        let e = (x5.(d) -. x4.(d)) /. scale in
-        err := !err +. (e *. e)
-      done;
-      let err = sqrt (!err /. float_of_int (Vec.dim x)) in
-      if err <= 1.0 then begin
-        let t' = t +. h in
-        times := t' :: !times;
-        states := x5 :: !states;
-        let grow = 0.9 *. (Float.max err 1e-10 ** -0.2) in
-        let h' = Floatx.clamp ~lo:h_min ~hi:h_max (h *. Float.min 5.0 grow) in
-        loop t' x5 h' (steps + 1)
-      end
+  let last = int_of_float (Float.floor (((t_end -. t0) /. dt) +. 1e-9)) in
+  let grid i = t0 +. (dt *. float_of_int i) in
+  let times = Array.make (last + 1) t0 and states = Array.make (last + 1) x0 in
+  let count = ref 1 and evals = ref 0 in
+  let f t x =
+    incr evals;
+    f t x
+  in
+  let k = Array.make 7 x0 in
+  (* Record every grid sample in (t, t + h] from the accepted step; false
+     once the trace has ended (stop predicate, non-finite sample, or the
+     last grid sample). *)
+  let emit t x x5 h =
+    let t' = t +. h and live = ref true in
+    while !live && !count <= last && grid !count <= t' +. (1e-9 *. dt) do
+      let tg = grid !count in
+      let theta = (tg -. t) /. h in
+      let xg = if theta >= 1.0 then x5 else dense x x5 h k theta in
+      if not (all_finite xg) then live := false
       else begin
-        let shrink = 0.9 *. (err ** -0.25) in
-        let h' = h *. Float.max 0.1 shrink in
-        if h' < h_min then raise (Step_size_underflow t);
-        loop t x h' (steps + 1)
+        times.(!count) <- tg;
+        states.(!count) <- xg;
+        incr count;
+        if stop tg xg then live := false
+      end
+    done;
+    !live && !count <= last
+  in
+  (* Every way out of the loop ends the trace at the last recorded sample:
+     a non-finite stage, a step below [h_min] and [max_steps] attempts
+     truncate exactly like the end of the grid does. *)
+  let rec loop t x h steps rejected =
+    if steps < max_steps then begin
+      let h = Float.min h (grid last -. t) in
+      let x5 = dp_step f t x h k in
+      if all_finite x5 && Array.for_all all_finite k then begin
+        let err = error_norm x x5 h k in
+        if err <= 1.0 then begin
+          if emit t x x5 h then begin
+            k.(0) <- k.(6);
+            let grow = 0.9 *. (Float.max err 1e-10 ** -0.2) in
+            let grow = Float.min (if rejected then 1.0 else 5.0) grow in
+            loop (t +. h) x5 (Float.min h_max (h *. grow)) (steps + 1) false
+          end
+        end
+        else begin
+          let h' = h *. Float.max 0.1 (0.9 *. (err ** -0.2)) in
+          if h' >= h_min then loop t x h' (steps + 1) true
+        end
       end
     end
   in
-  loop t0 x0 (Float.min h_init h_max) 0;
-  {
-    times = Array.of_list (List.rev !times);
-    states = Array.of_list (List.rev !states);
-  }
-
-let resample tr ~dt =
-  let n = Array.length tr.times in
-  if n = 0 then invalid_arg "Ode.resample: empty trace";
-  let t0 = tr.times.(0) and t_end = tr.times.(n - 1) in
-  let count = 1 + int_of_float (Float.floor (((t_end -. t0) /. dt) +. 1e-12)) in
-  let times = Array.init count (fun i -> t0 +. (dt *. float_of_int i)) in
-  (* Output times are increasing, so one forward cursor over the input
-     brackets every sample in O(n + count) total — restarting the search
-     from index 0 per sample would be O(n·count) on long traces. *)
-  let cursor = ref 0 in
-  let states =
-    Array.map
-      (fun t ->
-        while !cursor + 1 < n && tr.times.(!cursor + 1) < t do
-          incr cursor
-        done;
-        let i = !cursor in
-        if i + 1 >= n then tr.states.(n - 1)
-        else begin
-          let t1 = tr.times.(i) and t2 = tr.times.(i + 1) in
-          let w = if t2 = t1 then 0.0 else (t -. t1) /. (t2 -. t1) in
-          Vec.map2 (fun a b -> a +. (w *. (b -. a))) tr.states.(i) tr.states.(i + 1)
-        end)
-      times
-  in
-  { times; states }
+  if last > 0 && not (stop t0 x0) then begin
+    k.(0) <- f t0 x0;
+    if all_finite k.(0) then loop t0 x0 (Float.min dt h_max) 0 false
+  end;
+  Obs.Metrics.add c_field_evals !evals;
+  if !count = last + 1 then { times; states }
+  else { times = Array.sub times 0 !count; states = Array.sub states 0 !count }

@@ -51,27 +51,21 @@ val simulate_until :
 
 (** {1 Adaptive integration} *)
 
-type rk45_options = {
-  rel_tol : float;  (** relative tolerance, default 1e-8 *)
-  abs_tol : float;  (** absolute tolerance, default 1e-10 *)
-  h_init : float;  (** initial step, default 1e-3 *)
-  h_min : float;  (** smallest allowed step, default 1e-12 *)
-  h_max : float;  (** largest allowed step, default 1.0 *)
-  max_steps : int;  (** safety bound, default 1_000_000 *)
-}
-
-val default_rk45 : rk45_options
-
-exception Step_size_underflow of float
-(** Raised when error control would require a step below [h_min], or when a
-    stage evaluation produces non-finite values; carries the time of
-    failure. *)
-
 val simulate_rk45 :
-  ?options:rk45_options -> field -> t0:float -> x0:Vec.t -> t_end:float -> trace
-(** Dormand–Prince RK45 with PI step-size control; records every accepted
-    step and lands exactly on [t_end]. *)
-
-val resample : trace -> dt:float -> trace
-(** Linear-interpolation resampling of a trace onto a uniform grid with
-    spacing [dt] (useful to compare adaptive and fixed-step runs). *)
+  ?stop:(float -> Vec.t -> bool) ->
+  field ->
+  t0:float ->
+  x0:Vec.t ->
+  dt:float ->
+  t_end:float ->
+  trace
+(** Dormand–Prince 5(4) with error-controlled steps (rel_tol 1e-6, abs_tol
+    1e-9, steps at most 0.5), six field evaluations per step (FSAL).  The
+    trace holds the samples at [t0 + i·dt] for every such time [<= t_end],
+    read off Hairer's fourth-order dense output, so it has the shape
+    {!simulate_until} gives while the steps themselves follow the error
+    control.  [stop] is checked at each sample and the trace ends at the
+    first one where it holds.  A non-finite stage or sample, a step below
+    1e-12 and 10,000 attempted steps all end the trace at the last finite
+    sample, like {!simulate}.  Adds the field evaluations to the
+    [ode.field_evals] counter once per trace. *)

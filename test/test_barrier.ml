@@ -524,6 +524,25 @@ let test_seed_shortfall () =
     Alcotest.(check int) "wanted n_seed" config.Engine.n_seed n
   | _ -> Alcotest.fail "verify must surface the seed shortfall"
 
+let test_seed_field_evals () =
+  (* The seed traces' cost as a deterministic count.  A cold Nh=10 Dubins
+     run (one candidate, so its only traces are the 20 seeds) takes under
+     9,000 field evaluations; fixed-step RK4 on the same sample grid took
+     32,000. *)
+  let system = dubins_system (Error_dynamics.controller_of_width 10) in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let report =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        Engine.verify ~rng:(Rng.create 1) system)
+  in
+  let evals = Obs.Metrics.value (Obs.Metrics.counter "ode.field_evals") in
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "one candidate" 1 report.Engine.stats.Engine.candidate_iterations;
+  Alcotest.(check int) "seed traces only" 20 (List.length report.Engine.traces);
+  Alcotest.(check bool) (Printf.sprintf "%d field evaluations <= 9000" evals) true
+    (evals > 0 && evals <= 9000)
+
 let test_verify_expired_budget () =
   (* An already-expired deadline: verify must return a structured Timeout
      with the stop recorded in the stats, not hang or raise. *)
@@ -800,6 +819,7 @@ let () =
           Alcotest.test_case "barrier expression" `Quick test_barrier_expr;
           Alcotest.test_case "seed sampling respects D" `Quick test_sample_initial_states;
           Alcotest.test_case "seed shortfall explicit" `Quick test_seed_shortfall;
+          Alcotest.test_case "seed simulation field evaluations" `Quick test_seed_field_evals;
           Alcotest.test_case "expired budget times out" `Quick test_verify_expired_budget;
           Alcotest.test_case "branch pool exhaustion" `Quick test_verify_branch_pool_exhaustion;
           Alcotest.test_case "resilient ladder" `Slow test_verify_resilient_ladder;

@@ -36,11 +36,23 @@ let test_simulate_until_truncates_inf () =
         Alcotest.fail "non-finite state left in trace")
     tr.Ode.states
 
-let test_rk45_rejects_nan () =
-  let field = Faults.wrap_field (Faults.Nan_after 2) (fun _t x -> [| -.x.(0) |]) in
-  match Ode.simulate_rk45 field ~t0:0.0 ~x0:[| 1.0 |] ~t_end:5.0 with
-  | _ -> Alcotest.fail "rk45 must reject non-finite stage values"
-  | exception Ode.Step_size_underflow _ -> ()
+let test_rk45_truncates_nan () =
+  let field = Faults.wrap_field (Faults.Nan_after 10) (fun _t x -> [| -.x.(0) |]) in
+  let tr = Ode.simulate_rk45 field ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~t_end:5.0 in
+  Alcotest.(check bool) "truncated before t_end" true
+    (tr.Ode.times.(Ode.trace_length tr - 1) < 5.0 -. 0.05);
+  Array.iter
+    (fun x ->
+      if not (Array.for_all Float.is_finite x) then
+        Alcotest.fail "non-finite state left in trace")
+    tr.Ode.states
+
+let test_rk45_truncates_on_underflow () =
+  (* Every other call scaled by 1e12: no step passes error control, so the
+     step shrinks below its floor and the trace ends where it stood. *)
+  let field = Faults.wrap_field (Faults.Ill_conditioned 1e12) (fun _t x -> [| -.x.(0) |]) in
+  let tr = Ode.simulate_rk45 field ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~t_end:5.0 in
+  Alcotest.(check int) "only the initial sample" 1 (Ode.trace_length tr)
 
 let test_divergence_truncates () =
   (* A geometrically exploding field leaves the safe rectangle (or
@@ -207,7 +219,9 @@ let () =
         [
           Alcotest.test_case "simulate truncates NaN" `Quick test_simulate_truncates_nan;
           Alcotest.test_case "simulate_until truncates Inf" `Quick test_simulate_until_truncates_inf;
-          Alcotest.test_case "rk45 rejects NaN stages" `Quick test_rk45_rejects_nan;
+          Alcotest.test_case "rk45 truncates NaN stages" `Quick test_rk45_truncates_nan;
+          Alcotest.test_case "rk45 truncates on step underflow" `Quick
+            test_rk45_truncates_on_underflow;
           Alcotest.test_case "divergence stays finite" `Quick test_divergence_truncates;
         ] );
       ( "engine",

@@ -1,5 +1,5 @@
 (* Tests for the ODE integrators: convergence order on systems with known
-   closed-form solutions, adaptive error control, trace utilities. *)
+   closed-form solutions, adaptive error control, grid output. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -67,74 +67,71 @@ let test_simulate_until_stop () =
   Alcotest.(check bool) "stopped below threshold" true (final.(0) < 0.5);
   Alcotest.(check bool) "stopped promptly" true (final.(0) > 0.48)
 
+(* Every sample of [tr] within [tol] of the exact solution [exact t]. *)
+let check_exact ~tol exact tr =
+  Array.iteri
+    (fun i t ->
+      Array.iteri
+        (fun d v ->
+          let want = (exact t).(d) in
+          if Float.abs (v -. want) > tol then
+            Alcotest.failf "x%d(%.3f) = %.9f, exact %.9f" d t v want)
+        tr.Ode.states.(i))
+    tr.Ode.times
+
 let test_rk45_accuracy () =
-  let tr = Ode.simulate_rk45 decay ~t0:0.0 ~x0:[| 1.0 |] ~t_end:1.0 in
-  let final = Ode.final_state tr in
-  Alcotest.(check bool) "rk45 meets tolerance" true
-    (Float.abs (final.(0) -. Float.exp (-1.0)) < 1e-6);
-  let t_last = tr.Ode.times.(Ode.trace_length tr - 1) in
-  Alcotest.(check bool) "lands on t_end" true (Float.abs (t_last -. 1.0) < 1e-9)
+  let tr = Ode.simulate_rk45 decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.05 ~t_end:5.0 in
+  Alcotest.(check int) "every grid sample" 101 (Ode.trace_length tr);
+  check_exact ~tol:1e-6 (fun t -> [| Float.exp (-.t) |]) tr
 
 let test_rk45_oscillator_long () =
-  let tr = Ode.simulate_rk45 oscillator ~t0:0.0 ~x0:[| 1.0; 0.0 |] ~t_end:(4.0 *. Float.pi) in
-  let final = Ode.final_state tr in
-  (* Two full periods: back to the start. *)
-  Alcotest.(check bool) "periodic return" true
-    (Float.abs (final.(0) -. 1.0) < 1e-5 && Float.abs final.(1) < 1e-5)
+  (* Two full periods, sampled on a grid that lands on 4π. *)
+  let tr =
+    Ode.simulate_rk45 oscillator ~t0:0.0 ~x0:[| 1.0; 0.0 |] ~dt:(Float.pi /. 20.0)
+      ~t_end:(4.0 *. Float.pi)
+  in
+  Alcotest.(check int) "every grid sample" 81 (Ode.trace_length tr);
+  (* The global error grows about linearly: 1e-6 per period. *)
+  let exact t = [| Float.cos t; -.Float.sin t |] in
+  check_exact ~tol:1e-6 exact
+    { Ode.times = Array.sub tr.Ode.times 0 41; states = Array.sub tr.Ode.states 0 41 };
+  check_exact ~tol:2e-6 exact tr
 
 let test_rk45_adapts_step () =
-  (* A field with a fast transient then slow decay should use varied steps. *)
-  let stiff _t x = [| -50.0 *. x.(0) |] in
-  let tr = Ode.simulate_rk45 stiff ~t0:0.0 ~x0:[| 1.0 |] ~t_end:1.0 in
-  let n = Ode.trace_length tr in
-  let early = tr.Ode.times.(1) -. tr.Ode.times.(0) in
-  let late = tr.Ode.times.(n - 1) -. tr.Ode.times.(n - 2) in
+  (* A fast transient then a slow tail: the steps, and so the field
+     evaluations per unit time, must thin out once the transient is gone.
+     The grid is coarser than either, so it does not pin the steps. *)
+  let early = ref 0 and late = ref 0 in
+  let stiff t x =
+    if t < 0.2 then incr early else if t >= 0.8 then incr late;
+    [| -50.0 *. x.(0) |]
+  in
+  let tr = Ode.simulate_rk45 stiff ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.5 ~t_end:1.0 in
+  Alcotest.(check int) "every grid sample" 3 (Ode.trace_length tr);
   Alcotest.(check bool)
-    (Printf.sprintf "late step %.4g > early %.4g" late early)
-    true (late > early)
+    (Printf.sprintf "%d evaluations in [0, 0.2) > %d in [0.8, 1]" !early !late)
+    true (!early > !late)
 
-let test_resample () =
-  let tr = Ode.simulate_rk45 decay ~t0:0.0 ~x0:[| 1.0 |] ~t_end:1.0 in
-  let rs = Ode.resample tr ~dt:0.1 in
-  Alcotest.(check int) "sample count" 11 (Ode.trace_length rs);
+let test_rk45_grid () =
+  (* Samples sit exactly on t0 + i·dt, wherever the steps fell. *)
+  let t0 = 0.3 and dt = 0.07 in
+  let tr = Ode.simulate_rk45 oscillator ~t0 ~x0:[| 1.0; 0.5 |] ~dt ~t_end:2.0 in
+  Alcotest.(check int) "samples up to t_end" 25 (Ode.trace_length tr);
   Array.iteri
-    (fun i t ->
-      let expected = Float.exp (-.t) in
-      if Float.abs (rs.Ode.states.(i).(0) -. expected) > 1e-3 then
-        Alcotest.failf "resample at %.2f: %g vs %g" t rs.Ode.states.(i).(0) expected)
-    rs.Ode.times
+    (fun i t -> Alcotest.(check (float 0.0)) "grid time" (t0 +. (dt *. float_of_int i)) t)
+    tr.Ode.times;
+  check_float "x0 kept" 1.0 tr.Ode.states.(0).(0)
 
-let test_resample_linear_interp () =
-  (* On a hand-built non-uniform trace, every resampled state must be the
-     exact linear interpolation of its bracketing input samples — the
-     forward-cursor rewrite must not change which segment brackets a
-     sample. *)
+let test_rk45_stop () =
+  (* e^{-t} first drops below 0.5 at the grid sample after ln 2 = 0.693. *)
   let tr =
-    {
-      Ode.times = [| 0.0; 0.3; 0.35; 1.0; 1.1; 2.0 |];
-      states = [| [| 0.0 |]; [| 3.0 |]; [| 2.0 |]; [| 6.5 |]; [| 6.0 |]; [| -1.0 |] |];
-    }
+    Ode.simulate_rk45 ~stop:(fun _ x -> x.(0) < 0.5) decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.01
+      ~t_end:10.0
   in
-  let interp t =
-    let n = Array.length tr.Ode.times in
-    let i = ref 0 in
-    while !i + 1 < n - 1 && tr.Ode.times.(!i + 1) < t do
-      incr i
-    done;
-    let t1 = tr.Ode.times.(!i) and t2 = tr.Ode.times.(!i + 1) in
-    let w = (t -. t1) /. (t2 -. t1) in
-    tr.Ode.states.(!i).(0) +. (w *. (tr.Ode.states.(!i + 1).(0) -. tr.Ode.states.(!i).(0)))
-  in
-  let rs = Ode.resample tr ~dt:0.17 in
-  Alcotest.(check int) "sample count" (1 + int_of_float (Float.floor (2.0 /. 0.17)))
-    (Ode.trace_length rs);
-  Array.iteri
-    (fun i t ->
-      let expected = interp t in
-      if Float.abs (rs.Ode.states.(i).(0) -. expected) > 1e-12 then
-        Alcotest.failf "resample at %.3f: %g vs interpolated %g" t rs.Ode.states.(i).(0)
-          expected)
-    rs.Ode.times
+  Alcotest.(check int) "ends at the first sample below 0.5" 71 (Ode.trace_length tr);
+  check_float "at t = 0.70" 0.70 tr.Ode.times.(70);
+  Alcotest.(check bool) "held there" true ((Ode.final_state tr).(0) < 0.5);
+  Alcotest.(check bool) "not before" true (tr.Ode.states.(69).(0) >= 0.5)
 
 let test_negative_steps_rejected () =
   Alcotest.check_raises "negative steps" (Invalid_argument "Ode.simulate: negative step count")
@@ -152,9 +149,9 @@ let prop_rk4_decay_2d =
 
 let prop_rk45_times_increase =
   QCheck.Test.make ~name:"rk45 trace times strictly increase" ~count:50
-    QCheck.(float_range 0.5 5.0)
-    (fun t_end ->
-      let tr = Ode.simulate_rk45 oscillator ~t0:0.0 ~x0:[| 1.0; 0.5 |] ~t_end in
+    QCheck.(pair (float_range 0.5 5.0) (float_range 0.01 0.7))
+    (fun (t_end, dt) ->
+      let tr = Ode.simulate_rk45 oscillator ~t0:0.0 ~x0:[| 1.0; 0.5 |] ~dt ~t_end in
       let ok = ref true in
       for i = 0 to Ode.trace_length tr - 2 do
         if tr.Ode.times.(i + 1) <= tr.Ode.times.(i) then ok := false
@@ -181,9 +178,8 @@ let () =
           Alcotest.test_case "rk45 accuracy" `Quick test_rk45_accuracy;
           Alcotest.test_case "rk45 long-horizon oscillator" `Quick test_rk45_oscillator_long;
           Alcotest.test_case "rk45 adapts the step" `Quick test_rk45_adapts_step;
-          Alcotest.test_case "resample" `Quick test_resample;
-          Alcotest.test_case "resample matches linear interpolation" `Quick
-            test_resample_linear_interp;
+          Alcotest.test_case "rk45 grid samples" `Quick test_rk45_grid;
+          Alcotest.test_case "rk45 stop predicate" `Quick test_rk45_stop;
           QCheck_alcotest.to_alcotest prop_rk45_times_increase;
         ] );
     ]
