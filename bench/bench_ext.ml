@@ -1,7 +1,6 @@
 (* Benchmarks for the extensions beyond the paper's evaluation: the
-   discrete-time engine (incl. the RNN future-work case), Lyapunov mode,
-   the falsification baseline, and the affine-arithmetic enclosure
-   comparison (ablation A4). *)
+   discrete-time engine (incl. the RNN future-work case), Lyapunov mode
+   and the falsification baseline. *)
 
 let pf = Format.printf
 
@@ -84,49 +83,6 @@ let falsify_bench () =
   in
   run "destabilizing (injected)" destabilizing 3
 
-let affine_bench () =
-  Bench_common.hr "A4: enclosure tightness — affine forms vs plain intervals";
-  pf "%-34s | %12s | %12s | %s@." "expression" "interval" "affine" "ratio";
-  let compare_widths name expr box =
-    let iw = Interval.width (Expr.ieval box expr) in
-    let ctx = Affine.context () in
-    let forms = Hashtbl.create 4 in
-    let lookup v =
-      match Hashtbl.find_opt forms v with
-      | Some f -> f
-      | None ->
-        let f = Affine.of_interval ctx (box v) in
-        Hashtbl.add forms v f;
-        f
-    in
-    let aw = Interval.width (Affine.to_interval (Affine.eval_expr ctx lookup expr)) in
-    pf "%-34s | %12.5f | %12.5f | %.2fx@." name iw aw (iw /. aw)
-  in
-  let u = Error_dynamics.symbolic_controller Error_dynamics.reference_controller in
-  let box v =
-    if String.equal v Error_dynamics.var_derr then Interval.make (-1.0) 1.0
-    else Interval.make (-0.2) 0.2
-  in
-  compare_widths "controller output u" u box;
-  (* The Lie-derivative-style expression (the condition-5 body): heavy
-     variable reuse, where correlations pay off. *)
-  let system = Bench_common.dubins_system Error_dynamics.reference_controller in
-  let template = Template.make Template.Quadratic system.Engine.vars in
-  let cert = { Engine.template; coeffs = [| 0.6; 1.0; 1.0 |]; level = 0.0 } in
-  let f5 = Engine.condition5_formula system Engine.default_config cert in
-  (match Formula.to_dnf f5 with
-  | conj :: _ ->
-    let lie_atom =
-      List.fold_left
-        (fun best a ->
-          if Expr.size a.Formula.expr > Expr.size best.Formula.expr then a else best)
-        (List.hd conj) conj
-    in
-    compare_widths "decrease condition body" lie_atom.Formula.expr box
-  | [] -> ());
-  let diff = Expr.( - ) u u in
-  compare_widths "u - u (pure dependency test)" diff box
-
 let benchmark_systems_bench () =
   Bench_common.hr "Extension: benchmark system suite (engine generality)";
   pf "%-24s | %-12s | %s@." "system" "expectation" "outcome";
@@ -163,5 +119,4 @@ let run () =
   discrete_bench ();
   benchmark_systems_bench ();
   lyapunov_bench ();
-  falsify_bench ();
-  affine_bench ()
+  falsify_bench ()

@@ -1,13 +1,10 @@
-(* Timing gates: four bounds the repository keeps on its own speed, all
+(* Timing gates: three bounds the repository keeps on its own speed, all
    measured on the Dubins case study.
 
      stealing  condition (5) at jobs 1, 2 and 4 returns one verdict, and the
                jobs-4 stealing run takes at most 10 x the jobs-1 wall time
                + 0.25 s (a regression tripwire, not a speedup claim: CI
                runners expose 2-4 vCPUs and the smoke query is tiny)
-     lp        in every CEGIS cut round the cold tableau, cold revised and
-               warm-started solves agree on status and objective, and the
-               warm total beats the cold tableau total (full: by >= 5x)
      cert      cold and cache-hit runs prove on the expected path, and a
                hit is >= 5x faster than cold (Nh 10; full also Nh 100)
      serve     every daemon request is answered ok, the warm batch is all
@@ -115,75 +112,6 @@ let stealing ~smoke =
       (fst (List.assoc 2 runs))
       verdict,
     t4 <= (10.0 *. t1) +. 0.25 )
-
-(* --- lp ------------------------------------------------------------------ *)
-
-let status_string = function
-  | Lp.Optimal _ -> "optimal"
-  | Lp.Infeasible -> "infeasible"
-  | Lp.Unbounded -> "unbounded"
-  | Lp.Timeout _ -> "timeout"
-
-(* The real synthesis LP: seed traces of the Nh-wide Dubins loop give the
-   positivity/decrease and separation rows, and each round appends one
-   exact Lie-derivative counterexample cut, as a CEGIS iteration does. *)
-let lp ~smoke =
-  let nh, rounds = if smoke then (10, 6) else (100, 12) in
-  let system = Bench_common.dubins_system (Error_dynamics.controller_of_width nh) in
-  let config = Engine.default_config in
-  let options =
-    Synthesis.with_region config.Engine.synthesis ~x0_rect:config.Engine.x0_rect
-      ~safe_rect:config.Engine.safe_rect
-  in
-  let template = Template.make Template.Quadratic system.Engine.vars in
-  let rng = Rng.create 7 in
-  let sample n =
-    match Engine.sample_initial_states ~rng config n with
-    | Ok states -> states
-    | Error got -> failf "only %d/%d states sampled" got n
-  in
-  let traces =
-    List.map
-      (fun x0 ->
-        Ode.simulate system.Engine.numeric_field ~t0:0.0 ~x0 ~dt:config.Engine.sim_dt
-          ~steps:config.Engine.sim_steps)
-      (sample config.Engine.n_seed)
-  in
-  let inc =
-    Synthesis.Incremental.create ~options ~template ~field:system.Engine.numeric_field traces
-  in
-  (* The cold start is paid once per engine run, outside the rounds. *)
-  ignore (Synthesis.Incremental.solve inc);
-  let tableau_total = ref 0.0 and warm_total = ref 0.0 in
-  List.iteri
-    (fun k x_star ->
-      Synthesis.Incremental.add_cex inc x_star;
-      let problem = Synthesis.Incremental.problem inc in
-      let tab, dt_tab = Timing.time (fun () -> Lp.minimize ~engine:Lp.Tableau problem) in
-      let rev = Lp.minimize ~engine:Lp.Revised problem in
-      let warm, dt_warm = Timing.time (fun () -> Synthesis.Incremental.solve inc) in
-      tableau_total := !tableau_total +. dt_tab;
-      warm_total := !warm_total +. dt_warm;
-      let warm_status =
-        match warm with
-        | Synthesis.Candidate _ | Synthesis.Margin_too_small _ -> "optimal"
-        | Synthesis.Lp_infeasible -> "infeasible"
-        | Synthesis.Lp_timed_out _ -> "timeout"
-      in
-      let ts = status_string tab and rs = status_string rev in
-      if ts <> rs || ts <> warm_status then
-        failf "round %d: status tableau %s, revised %s, warm %s" k ts rs warm_status;
-      match (tab, rev) with
-      | Lp.Optimal a, Lp.Optimal b ->
-        let a = a.Lp.objective_value and b = b.Lp.objective_value in
-        if Float.abs (a -. b) > 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b)) then
-          failf "round %d: objective tableau %.9g vs revised %.9g" k a b
-      | _ -> ())
-    (sample rounds);
-  let speedup = !tableau_total /. !warm_total in
-  ( Printf.sprintf "warm %.4f s vs cold tableau %.4f s over %d rounds at Nh=%d (%.1fx)"
-      !warm_total !tableau_total rounds nh speedup,
-    !warm_total < !tableau_total && (smoke || speedup >= 5.0) )
 
 (* --- cert ---------------------------------------------------------------- *)
 
@@ -297,10 +225,6 @@ let run ~smoke =
   let gates =
     [
       ("stealing", "jobs 4 <= 10 x jobs 1 + 0.25 s, one verdict", stealing);
-      ( "lp",
-        (if smoke then "warm < cold tableau, engines agree"
-         else "warm >= 5x faster than cold tableau, engines agree"),
-        lp );
       ("cert", "hit >= 5x faster than cold", cert);
       ("serve", "cold p50 >= 2x warm p50, warm all hits, every request ok", serve);
     ]

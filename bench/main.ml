@@ -6,9 +6,9 @@
      fig4     Figure 4  CMA-ES training evolution
      fig5     Figure 5  phase portrait + barrier level set
      ablate   A1-A3     design-choice ablations
-     ext      —         extensions: discrete time, Lyapunov, falsifier, A4
+     ext      —         extensions: discrete time, Lyapunov, falsifier
      micro    —         Bechamel micro-benchmarks of the substrates
-     gates    —         timing gates (stealing, lp, cert, serve); exits 1
+     gates    —         timing gates (stealing, cert, serve); exits 1
                         if any gate fails, --smoke is the CI size
 
    Usage: main.exe [table1|fig4|fig5|ablate|ext|micro|gates|all] [--seeds N] [--smoke]

@@ -790,13 +790,13 @@ let request_cmd =
               Protocol.verify_line ~id ?network_path:network ?plant ?scenario_path:scenario
                 ?width ~seed ?gamma ?timeout ~lie ~linear_terms ~no_cache ())
     in
-    let deadline = Unix.gettimeofday () +. wait_ready in
+    let deadline = Timing.now () +. wait_ready in
     let rec connect () =
       let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
       match Unix.connect fd (ADDR_UNIX socket) with
       | () -> fd
       | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _)
-        when Unix.gettimeofday () < deadline ->
+        when Timing.now () < deadline ->
         Unix.close fd;
         Unix.sleepf 0.05;
         connect ()
@@ -933,8 +933,8 @@ let scenarios_cmd =
             (String.split_on_char ',' spec)
       in
       Obs.Metrics.enable ();
-      let t0 = Unix.gettimeofday () in
-      let rows =
+      let rows, total =
+        Timing.time @@ fun () ->
         List.map
           (fun entry ->
             let scenario = { entry.Registry.scenario with Scenario.jobs = Some jobs } in
@@ -943,12 +943,11 @@ let scenarios_cmd =
               Format.eprintf "scenarios run: %s: %s@." entry.Registry.name msg;
               exit 2
             | Ok e ->
-              let t = Unix.gettimeofday () in
-              let report =
-                Engine.verify ~config:e.Scenario.config ~rng:(Rng.create seed)
-                  e.Scenario.closed.Plant.system
+              let report, dt =
+                Timing.time (fun () ->
+                    Engine.verify ~config:e.Scenario.config ~rng:(Rng.create seed)
+                      e.Scenario.closed.Plant.system)
               in
-              let dt = Unix.gettimeofday () -. t in
               let verdict =
                 match report.Engine.outcome with
                 | Engine.Proved _ -> "proved"
@@ -963,7 +962,6 @@ let scenarios_cmd =
           )
           entries
       in
-      let total = Unix.gettimeofday () -. t0 in
       let failures = List.filter (fun (_, _, ok, _) -> not ok) rows in
       Format.printf "%d/%d scenarios matched their expectation@."
         (List.length rows - List.length failures)

@@ -176,6 +176,7 @@ let solve_lp t =
   t.stats.lp_rows <- Synthesis.Incremental.row_count (live_lp t);
   match outcome with
   | Synthesis.Lp_infeasible -> Error (Lp_failed "LP infeasible")
+  | Synthesis.Lp_unstable -> Error (Lp_failed "LP numerically unstable")
   | Synthesis.Margin_too_small m -> Error (Lp_failed (Printf.sprintf "margin %.2e too small" m))
   | Synthesis.Lp_timed_out stop -> timeout t "lp" stop
   | Synthesis.Candidate { coeffs; _ } -> Ok coeffs

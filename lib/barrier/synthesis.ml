@@ -49,6 +49,7 @@ type candidate = { coeffs : float array; margin : float }
 type outcome =
   | Candidate of candidate
   | Lp_infeasible
+  | Lp_unstable
   | Margin_too_small of float
   | Lp_timed_out of Budget.stop
 
@@ -197,7 +198,7 @@ let separation_rows options ~template =
       vertices
 
 (* Last line of defence against faulty dynamics: a row with a NaN/Inf
-   coefficient would poison the whole tableau.  Dropping it only removes a
+   coefficient would poison the whole LP.  Dropping it only removes a
    sampled constraint — the SMT checks still gate any certificate. *)
 let finite_row r = Array.for_all Float.is_finite r.Lp.coeffs && Float.is_finite r.Lp.rhs
 
@@ -230,7 +231,7 @@ let build_problem options ~cex_points ~exact_traces ~shape_cuts ~template ~field
 let outcome_of_result options p result =
   match result with
   | Lp.Infeasible -> Lp_infeasible
-  | Lp.Unbounded -> Lp_infeasible (* cannot happen: all variables bounded *)
+  | Lp.Numerical_failure -> Lp_unstable
   | Lp.Timeout stop -> Lp_timed_out stop
   | Lp.Optimal { Lp.x; _ } ->
     let margin = x.(p) in
@@ -245,7 +246,7 @@ let count_rows ?(options = default_options) ~template traces =
    seed traces, and each refinement (counterexample point, its simulated
    trace, a shape cut) appends rows to a live {!Lp.Incremental} instance —
    so iteration k resolves from iteration k−1's optimal basis instead of a
-   phase-1 cold start. *)
+   cold start. *)
 module Incremental = struct
   type t = {
     options : options;

@@ -49,6 +49,7 @@ type candidate = { coeffs : float array; margin : float }
 type outcome =
   | Candidate of candidate
   | Lp_infeasible
+  | Lp_unstable  (** the LP could not classify the instance numerically *)
   | Margin_too_small of float
   | Lp_timed_out of Budget.stop
       (** the LP hit the budget's deadline/cancellation before terminating *)

@@ -7,18 +7,16 @@
     rows, and the CEGIS loop re-solves near-identical instances with one
     new cut per iteration.
 
-    Two engines are provided.  {!Revised} (the default) is a revised
-    simplex on the dual of the row form: the basis is [n×n] in the
-    variable dimension, LU-factorized with product-form eta updates, and
-    adding a primal constraint adds a dual {e column} — so {!Incremental}
-    resolves warm-start from the previous optimal basis with no phase 1.
-    {!Tableau} is the original dense two-phase primal simplex, kept as a
-    differential-testing oracle (and as the fallback the revised engine
-    re-solves with whenever it cannot classify an instance numerically).
+    The solver is a revised simplex on the dual of the row form: the basis
+    is [n×n] in the variable dimension, LU-factorized with product-form eta
+    updates, and adding a primal constraint adds a dual {e column} — so
+    {!Incremental} resolves warm-start from the previous optimal basis.
 
-    Variables may have arbitrary (possibly infinite) bounds; free variables
-    are handled by the classic positive/negative split (tableau) or
-    directly via artificial basis columns (revised). *)
+    Every variable must lie in a finite box.  The box's bound rows then
+    give a dual-feasible cold basis, so no solve needs a phase 1, and the
+    primal is never unbounded.  The LP is only the learner: δ-SAT decides
+    every candidate it proposes, so an LP defect can cost an iteration but
+    never a wrong "proved". *)
 
 type relation = Le | Ge | Eq
 
@@ -31,9 +29,7 @@ type constr = {
 type problem = {
   objective : float array;  (** minimize [objective · x] *)
   constraints : constr list;
-  bounds : (float * float) array;
-      (** per-variable [(lower, upper)]; use [neg_infinity] / [infinity] for
-          unbounded sides *)
+  bounds : (float * float) array;  (** per-variable [(lower, upper)], both finite *)
 }
 
 type solution = { x : float array; objective_value : float }
@@ -41,45 +37,33 @@ type solution = { x : float array; objective_value : float }
 type result =
   | Optimal of solution
   | Infeasible
-  | Unbounded
+  | Numerical_failure
+      (** the solve could not classify the instance: the factorization
+          failed, or the optimum failed the feasibility guard, from the
+          cold basis too *)
   | Timeout of Budget.stop
       (** the pivot limit or the budget's deadline/cancellation fired before
           the simplex terminated — a cycling or oversized LP never spins
           past its deadline *)
 
-type engine =
-  | Tableau  (** dense two-phase primal simplex — the differential oracle *)
-  | Revised  (** revised simplex on the dual row form — the default *)
+val minimize : ?budget:Budget.t -> ?max_pivots:int -> problem -> result
+(** A cold solve.  [budget] is polled before every pivot; [max_pivots]
+    bounds the pivot count of each attempt.  Both default to unlimited.
+    Raises [Invalid_argument] on arity mismatches and on a bound that is
+    not finite or has [lower > upper]. *)
 
-val free : float * float
-(** [(neg_infinity, infinity)]. *)
-
-val nonneg : float * float
-(** [(0., infinity)]. *)
-
-val minimize : ?engine:engine -> ?budget:Budget.t -> ?max_pivots:int -> problem -> result
-(** [budget] is polled before every pivot; [max_pivots] bounds the pivot
-    count of each simplex phase.  Both default to unlimited.  [engine]
-    defaults to {!Revised}; both engines agree on status and (to relative
-    1e-6) on the optimal objective — enforced by the test suite's
-    differential property. *)
-
-val maximize : ?engine:engine -> ?budget:Budget.t -> ?max_pivots:int -> problem -> result
-(** Same problem with the objective negated; the reported
-    [objective_value] is the maximum. *)
-
-(** Incremental solves for cut loops, on the {!Revised} engine.  Build
-    once from the initial rows, [add_constraint] each counterexample cut,
-    [resolve] — each resolve warm-starts from the previous optimal basis (a
-    new primal row is a new dual column, so the old basis stays feasible
-    and no phase 1 is needed).  An instance the revised engine cannot
-    classify, or an optimum failing the feasibility guard, is re-solved
-    cold by the {!Tableau} engine. *)
+(** Incremental solves for cut loops.  Build once from the initial rows,
+    [add_constraint] each counterexample cut, [resolve] — each resolve
+    warm-starts from the previous basis (a new primal row is a new dual
+    column, so the old basis stays dual-feasible).  A warm solve that fails
+    numerically, or whose optimum fails the feasibility guard, is retried
+    once from the cold basis and counted in [lp.cold_retries]; if the cold
+    solve fails too, the result is {!Numerical_failure}. *)
 module Incremental : sig
   type t
 
   val create : problem -> t
-  (** Raises [Invalid_argument] on arity mismatches or empty bounds. *)
+  (** Validates as {!minimize} does. *)
 
   val add_constraint : t -> constr -> unit
   (** Append one constraint (a CEGIS cut).  Raises [Invalid_argument] on
@@ -101,4 +85,5 @@ end
 
 val check_feasible : ?tol:float -> problem -> float array -> bool
 (** [check_feasible p x] verifies all constraints and bounds at [x] up to
-    [tol] (default 1e-7); used by tests and as a postcondition guard. *)
+    [tol] (default 1e-7), relative to each row's and bound's magnitude;
+    used by tests and as the postcondition guard on every optimum. *)

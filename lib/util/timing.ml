@@ -42,21 +42,3 @@ let time f =
   (* [now] is monotonic, so the difference is already >= 0; the clamp is a
      defence in depth should the clock source ever be swapped mid-measure. *)
   (result, Float.max 0.0 (now () -. t0))
-
-type accumulator = { mutable total : float; mutable count : int }
-
-let accumulator () = { total = 0.0; count = 0 }
-
-let record acc f =
-  let result, dt = time f in
-  acc.total <- acc.total +. dt;
-  acc.count <- acc.count + 1;
-  result
-
-let total acc = acc.total
-
-let count acc = acc.count
-
-let reset acc =
-  acc.total <- 0.0;
-  acc.count <- 0

@@ -28,19 +28,3 @@ val set_clock_for_tests : (unit -> float) option -> unit
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed
     monotonic seconds (always [>= 0]). *)
-
-type accumulator
-(** Accumulates total time and call count across repeated stage
-    executions.  Totals are sums of clamped non-negative deltas, so an
-    accumulator can never go negative. *)
-
-val accumulator : unit -> accumulator
-
-val record : accumulator -> (unit -> 'a) -> 'a
-(** [record acc f] times [f ()] and adds the elapsed time to [acc]. *)
-
-val total : accumulator -> float
-
-val count : accumulator -> int
-
-val reset : accumulator -> unit

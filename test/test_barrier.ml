@@ -162,7 +162,7 @@ let test_synthesize_stable_system () =
     Alcotest.(check bool) "P positive definite" true (Cholesky.is_positive_definite p)
   | Synthesis.Lp_infeasible -> Alcotest.fail "LP infeasible on a stable linear system"
   | Synthesis.Margin_too_small m -> Alcotest.failf "margin too small: %g" m
-  | Synthesis.Lp_timed_out _ -> Alcotest.fail "unexpected LP timeout"
+  | Synthesis.Lp_timed_out _ | Synthesis.Lp_unstable -> Alcotest.fail "unexpected LP failure"
 
 let test_synthesize_lie_mode () =
   let options = { Synthesis.default_options with Synthesis.mode = Synthesis.Lie_derivative } in
@@ -172,7 +172,8 @@ let test_synthesize_lie_mode () =
   with
   | Synthesis.Candidate { margin; _ } ->
     Alcotest.(check bool) "lie margin positive" true (margin > 0.0)
-  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _ ->
+  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _
+  | Synthesis.Lp_unstable ->
     Alcotest.fail "Lie mode failed on stable linear system"
 
 let test_synthesize_unstable_rejected () =
@@ -189,7 +190,7 @@ let test_synthesize_unstable_rejected () =
   with
   | Synthesis.Candidate { margin; _ } -> Alcotest.failf "found margin %g on unstable system" margin
   | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ -> ()
-  | Synthesis.Lp_timed_out _ -> Alcotest.fail "unexpected LP timeout"
+  | Synthesis.Lp_timed_out _ | Synthesis.Lp_unstable -> Alcotest.fail "unexpected LP failure"
 
 let test_cex_cut_forces_change () =
   (* Adding a CEX cut at a state where the current candidate increases must
@@ -204,7 +205,8 @@ let test_cex_cut_forces_change () =
      |> Synthesis.Incremental.solve
    with
   | Synthesis.Candidate _ -> ()
-  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _ ->
+  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _
+  | Synthesis.Lp_unstable ->
     Alcotest.fail "spiral should admit a quadratic generator");
   (* Now inject a fake CEX point: rows must still produce a candidate that
      decreases at that exact point. *)
@@ -220,7 +222,8 @@ let test_cex_cut_forces_change () =
       (Printf.sprintf "decrease at cex: %.4f <= -margin*rho" dot)
       true
       (dot <= -.margin *. 2.25 +. 1e-9)
-  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _ ->
+  | Synthesis.Lp_infeasible | Synthesis.Margin_too_small _ | Synthesis.Lp_timed_out _
+  | Synthesis.Lp_unstable ->
     Alcotest.fail "cex cut made the LP fail"
 
 let test_exclude_rect () =
@@ -293,6 +296,60 @@ let test_grid_range_off_origin () =
   let lo, hi = Synthesis.grid_range ~x0_rect:[| (2.0, 3.0) |] ~safe_rect:[| (-1.5, 1.5) |] 0 in
   check_float "finite lo" (-1.5) lo;
   check_float "finite hi" 1.5 hi
+
+(* The real synthesis LP: seed traces of the Nh=10 Dubins loop give the
+   positivity/decrease and separation rows, and each round appends one
+   exact Lie-derivative counterexample cut, as a CEGIS iteration does.
+   After every cut the warm resolve must match a cold solve of the
+   accumulated LP in status and objective, its optimum must pass the
+   feasibility check, and no solve may fall back to a cold retry. *)
+let test_warm_resolve_matches_cold () =
+  let system = dubins_system (Error_dynamics.controller_of_width 10) in
+  let config = Engine.default_config in
+  let options =
+    Synthesis.with_region config.Engine.synthesis ~x0_rect:config.Engine.x0_rect
+      ~safe_rect:config.Engine.safe_rect
+  in
+  let template = Template.make Template.Quadratic system.Engine.vars in
+  let rng = Rng.create 7 in
+  let sample n =
+    match Engine.sample_initial_states ~rng config n with
+    | Ok states -> states
+    | Error got -> Alcotest.failf "only %d/%d states sampled" got n
+  in
+  let traces =
+    List.map
+      (fun x0 ->
+        Ode.simulate system.Engine.numeric_field ~t0:0.0 ~x0 ~dt:config.Engine.sim_dt
+          ~steps:config.Engine.sim_steps)
+      (sample config.Engine.n_seed)
+  in
+  let inc =
+    Synthesis.Incremental.create ~options ~template ~field:system.Engine.numeric_field traces
+  in
+  let retries = Obs.Metrics.counter "lp.cold_retries" in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+      ignore (Synthesis.Incremental.solve inc);
+      List.iteri
+        (fun k x_star ->
+          Synthesis.Incremental.add_cex inc x_star;
+          let problem = Synthesis.Incremental.problem inc in
+          match (Synthesis.Incremental.solve inc, Lp.minimize problem) with
+          | Synthesis.Candidate { coeffs; margin }, Lp.Optimal cold ->
+            let a = -.margin and b = cold.Lp.objective_value in
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d: warm %.9g vs cold %.9g" k a b)
+              true
+              (Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b)));
+            Alcotest.(check bool) (Printf.sprintf "round %d: warm optimum feasible" k) true
+              (Lp.check_feasible problem (Array.append coeffs [| margin |]))
+          | Synthesis.Lp_infeasible, Lp.Infeasible -> ()
+          | _ -> Alcotest.failf "round %d: warm and cold statuses differ" k)
+        (sample 6));
+  Alcotest.(check int) "no cold retries" 0 (Obs.Metrics.value retries);
+  Obs.Metrics.reset ()
 
 let test_exclude_rect_arity () =
   let tr = mk_trace [| [| 1.0; 1.0 |]; [| 1.1; 1.0 |] |] in
@@ -784,6 +841,8 @@ let () =
             test_retained_indices_endpoint;
           Alcotest.test_case "endpoint generates rows" `Quick test_endpoint_generates_rows;
           Alcotest.test_case "grid range off-origin" `Quick test_grid_range_off_origin;
+          Alcotest.test_case "warm resolves match cold on Dubins" `Quick
+            test_warm_resolve_matches_cold;
         ] );
       ( "levelset",
         [

@@ -201,7 +201,7 @@ let test_lp_pivot_limit () =
           { Lp.coeffs = [| 1.0; 2.0 |]; relation = Lp.Ge; rhs = 4.0 };
           { Lp.coeffs = [| 3.0; 1.0 |]; relation = Lp.Ge; rhs = 6.0 };
         ];
-      bounds = [| Lp.nonneg; Lp.nonneg |];
+      bounds = [| (0.0, 10.0); (0.0, 10.0) |];
     }
   in
   (match Lp.minimize ~max_pivots:0 p with

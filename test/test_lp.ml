@@ -1,32 +1,37 @@
 (* Tests for the simplex LP solver: textbook instances, degenerate and
-   infeasible/unbounded cases, and a property test against brute-force
-   vertex enumeration on random 2-variable problems. *)
+   infeasible cases, the box contract, and properties against brute-force
+   vertex enumeration — an oracle sharing no pivoting, pricing or
+   equilibration code with the engine it checks. *)
 
 let check_float = Alcotest.(check (float 1e-6))
 
 let optimal = function
   | Lp.Optimal s -> s
   | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Lp.Numerical_failure -> Alcotest.fail "unexpected numerical failure"
   | Lp.Timeout _ -> Alcotest.fail "unexpected timeout"
 
-(* max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
-   Classic Dantzig example: optimum (2, 6), value 36. *)
+(* The textbook LPs are stated over x ≥ 0; a (0, 100) box satisfies the
+   engine's finite-bound contract without moving their optima. *)
+let box = (0.0, 100.0)
+
+(* max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0, as
+   min -3x - 5y.  Classic Dantzig example: optimum (2, 6), value 36. *)
 let test_textbook_max () =
   let p =
     {
-      Lp.objective = [| 3.0; 5.0 |];
+      Lp.objective = [| -3.0; -5.0 |];
       constraints =
         [
           { Lp.coeffs = [| 1.0; 0.0 |]; relation = Lp.Le; rhs = 4.0 };
           { Lp.coeffs = [| 0.0; 2.0 |]; relation = Lp.Le; rhs = 12.0 };
           { Lp.coeffs = [| 3.0; 2.0 |]; relation = Lp.Le; rhs = 18.0 };
         ];
-      bounds = [| Lp.nonneg; Lp.nonneg |];
+      bounds = [| box; box |];
     }
   in
-  let s = optimal (Lp.maximize p) in
-  check_float "value" 36.0 s.Lp.objective_value;
+  let s = optimal (Lp.minimize p) in
+  check_float "value" (-36.0) s.Lp.objective_value;
   check_float "x" 2.0 s.Lp.x.(0);
   check_float "y" 6.0 s.Lp.x.(1)
 
@@ -40,7 +45,7 @@ let test_textbook_min_ge () =
           { Lp.coeffs = [| 1.0; 2.0 |]; relation = Lp.Ge; rhs = 4.0 };
           { Lp.coeffs = [| 3.0; 1.0 |]; relation = Lp.Ge; rhs = 6.0 };
         ];
-      bounds = [| Lp.nonneg; Lp.nonneg |];
+      bounds = [| box; box |];
     }
   in
   let s = optimal (Lp.minimize p) in
@@ -60,25 +65,13 @@ let test_equality_constraint () =
   check_float "value" (-2.0) s.Lp.objective_value;
   check_float "sum" 2.0 (s.Lp.x.(0) +. s.Lp.x.(1))
 
-let test_free_variables () =
-  (* min x s.t. x >= -5 encoded through a constraint, x free. *)
-  let p =
-    {
-      Lp.objective = [| 1.0 |];
-      constraints = [ { Lp.coeffs = [| 1.0 |]; relation = Lp.Ge; rhs = -5.0 } ];
-      bounds = [| Lp.free |];
-    }
-  in
-  let s = optimal (Lp.minimize p) in
-  check_float "free var reaches -5" (-5.0) s.Lp.x.(0)
-
 let test_negative_rhs () =
   (* min -x s.t. -x >= -3 (i.e. x <= 3), x >= 0 -> x = 3. *)
   let p =
     {
       Lp.objective = [| -1.0 |];
       constraints = [ { Lp.coeffs = [| -1.0 |]; relation = Lp.Ge; rhs = -3.0 } ];
-      bounds = [| Lp.nonneg |];
+      bounds = [| box |];
     }
   in
   let s = optimal (Lp.minimize p) in
@@ -93,35 +86,41 @@ let test_infeasible () =
           { Lp.coeffs = [| 1.0 |]; relation = Lp.Ge; rhs = 5.0 };
           { Lp.coeffs = [| 1.0 |]; relation = Lp.Le; rhs = 1.0 };
         ];
-      bounds = [| Lp.nonneg |];
+      bounds = [| box |];
     }
   in
   (match Lp.minimize p with
   | Lp.Infeasible -> ()
-  | Lp.Optimal _ | Lp.Unbounded | Lp.Timeout _ -> Alcotest.fail "expected infeasible")
-
-let test_unbounded () =
-  let p =
-    {
-      Lp.objective = [| -1.0 |];
-      constraints = [ { Lp.coeffs = [| 1.0 |]; relation = Lp.Ge; rhs = 0.0 } ];
-      bounds = [| Lp.nonneg |];
-    }
-  in
-  (match Lp.minimize p with
-  | Lp.Unbounded -> ()
-  | Lp.Optimal _ | Lp.Infeasible | Lp.Timeout _ -> Alcotest.fail "expected unbounded")
+  | Lp.Optimal _ | Lp.Numerical_failure | Lp.Timeout _ -> Alcotest.fail "expected infeasible")
 
 let test_no_constraints () =
   let p = { Lp.objective = [| 1.0; -2.0 |]; constraints = []; bounds = [| (0.0, 4.0); (0.0, 4.0) |] } in
   let s = optimal (Lp.minimize p) in
   check_float "x at lower" 0.0 s.Lp.x.(0);
-  check_float "y at upper" 4.0 s.Lp.x.(1);
-  let p2 = { p with bounds = [| Lp.free; (0.0, 4.0) |] } in
-  (match Lp.minimize p2 with
-  | Lp.Unbounded -> ()
-  | Lp.Optimal _ | Lp.Infeasible | Lp.Timeout _ ->
-    Alcotest.fail "expected unbounded without constraints")
+  check_float "y at upper" 4.0 s.Lp.x.(1)
+
+(* The engine's contract is a finite box around every variable: a NaN or
+   infinite side, or an empty box, is rejected up front — by the cold entry
+   point and the incremental one alike — instead of being read as -∞ or as
+   a silent zero. *)
+let test_non_finite_bounds () =
+  let p bound =
+    {
+      Lp.objective = [| 1.0 |];
+      constraints = [ { Lp.coeffs = [| 1.0 |]; relation = Lp.Le; rhs = 0.5 } ];
+      bounds = [| bound |];
+    }
+  in
+  List.iter
+    (fun bound ->
+      let name = Printf.sprintf "(%g, %g)" (fst bound) (snd bound) in
+      let err = Invalid_argument "Lp: non-finite variable bound" in
+      Alcotest.check_raises (name ^ " minimize") err (fun () -> ignore (Lp.minimize (p bound)));
+      Alcotest.check_raises (name ^ " incremental") err (fun () ->
+          ignore (Lp.Incremental.create (p bound))))
+    [ (nan, 1.0); (0.0, nan); (0.0, infinity); (neg_infinity, 0.0) ];
+  Alcotest.check_raises "empty box" (Invalid_argument "Lp: empty variable bound") (fun () ->
+      ignore (Lp.minimize (p (1.0, 0.0))))
 
 let test_degenerate () =
   (* Multiple redundant constraints through the same vertex. *)
@@ -135,7 +134,7 @@ let test_degenerate () =
           { Lp.coeffs = [| 1.0; 0.0 |]; relation = Lp.Le; rhs = 2.0 };
           { Lp.coeffs = [| 0.0; 1.0 |]; relation = Lp.Le; rhs = 2.0 };
         ];
-      bounds = [| Lp.nonneg; Lp.nonneg |];
+      bounds = [| box; box |];
     }
   in
   let s = optimal (Lp.minimize p) in
@@ -159,15 +158,11 @@ let test_all_zero_rhs_degenerate () =
   let s = optimal (Lp.minimize p) in
   check_float "margin" 0.5 s.Lp.x.(1)
 
-let both_engines f =
-  f Lp.Tableau;
-  f Lp.Revised
-
-(* Regression (phase-1 scale): {1e-8·x ≥ 5e-16, 1e-8·x ≤ 1e-16} is genuinely
-   infeasible (x ≥ 5e-8 vs x ≤ 1e-8), but row equilibration rescales the
-   rows to {x ≥ 5e-8, -x ≥ -1e-8} whose phase-1 residual (~4e-8) slipped
-   under the old absolute 1e-7 cutoff — the solver reported Optimal for an
-   empty feasible region.  The cutoff must scale with the problem. *)
+(* Regression (tolerance scale): {1e-8·x ≥ 5e-16, 1e-8·x ≤ 1e-16} is
+   genuinely infeasible (x ≥ 5e-8 vs x ≤ 1e-8), but row equilibration
+   rescales the rows to {x ≥ 5e-8, -x ≥ -1e-8}, whose violation (~4e-8) once
+   slipped under an absolute 1e-7 cutoff — the solver reported Optimal for
+   an empty feasible region. *)
 let test_tiny_infeasible () =
   let p =
     {
@@ -180,12 +175,11 @@ let test_tiny_infeasible () =
       bounds = [| (0.0, 1.0) |];
     }
   in
-  both_engines (fun engine ->
-      match Lp.minimize ~engine p with
-      | Lp.Infeasible -> ()
-      | Lp.Optimal s ->
-        Alcotest.failf "tiny-magnitude infeasible system reported Optimal (x=%g)" s.Lp.x.(0)
-      | Lp.Unbounded | Lp.Timeout _ -> Alcotest.fail "expected infeasible")
+  match Lp.minimize p with
+  | Lp.Infeasible -> ()
+  | Lp.Optimal s ->
+    Alcotest.failf "tiny-magnitude infeasible system reported Optimal (x=%g)" s.Lp.x.(0)
+  | Lp.Numerical_failure | Lp.Timeout _ -> Alcotest.fail "expected infeasible"
 
 (* ...while a *feasible* tiny-magnitude system must not be rejected by the
    rescaled cutoff. *)
@@ -201,10 +195,7 @@ let test_tiny_feasible () =
       bounds = [| (0.0, 1.0) |];
     }
   in
-  both_engines (fun engine ->
-      match Lp.minimize ~engine p with
-      | Lp.Optimal s -> check_float "x at scaled lower bound" 1e-8 s.Lp.x.(0)
-      | Lp.Infeasible | Lp.Unbounded | Lp.Timeout _ -> Alcotest.fail "expected optimal")
+  check_float "x at scaled lower bound" 1e-8 (optimal (Lp.minimize p)).Lp.x.(0)
 
 (* Regression: check_feasible used to raise Invalid_argument (from
    Array.for_all2) when the bounds arity disagreed with the point, instead
@@ -214,12 +205,12 @@ let test_check_feasible_arity () =
     {
       Lp.objective = [| 1.0; 1.0 |];
       constraints = [ { Lp.coeffs = [| 1.0; 1.0 |]; relation = Lp.Le; rhs = 2.0 } ];
-      bounds = [| Lp.nonneg |] (* wrong arity: 1 bound for 2 variables *);
+      bounds = [| box |] (* wrong arity: 1 bound for 2 variables *);
     }
   in
   Alcotest.(check bool) "bounds arity mismatch is false (not an exception)" false
     (Lp.check_feasible p [| 0.5; 0.5 |]);
-  let q = { p with bounds = [| Lp.nonneg; Lp.nonneg |] } in
+  let q = { p with bounds = [| box; box |] } in
   Alcotest.(check bool) "point arity mismatch is false" false (Lp.check_feasible q [| 0.5 |]);
   let r =
     { q with constraints = [ { Lp.coeffs = [| 1.0 |]; relation = Lp.Le; rhs = 2.0 } ] }
@@ -251,7 +242,7 @@ let test_check_feasible_relative_tol () =
     (Lp.check_feasible ~tol:1e-7 q [| 2e9 +. 1.0 |])
 
 (* Beale's classic cycling LP: Dantzig pricing with a naive tie-break cycles
-   forever at the degenerate origin vertex.  Both engines must terminate
+   forever at the degenerate origin vertex.  The engine must terminate
    (anti-cycling) at the optimum -1/20. *)
 let test_beale_cycling () =
   let p =
@@ -263,24 +254,22 @@ let test_beale_cycling () =
           { Lp.coeffs = [| 0.5; -90.0; -0.02; 3.0 |]; relation = Lp.Le; rhs = 0.0 };
           { Lp.coeffs = [| 0.0; 0.0; 1.0; 0.0 |]; relation = Lp.Le; rhs = 1.0 };
         ];
-      bounds = [| Lp.nonneg; Lp.nonneg; Lp.nonneg; Lp.nonneg |];
+      bounds = [| box; box; box; box |];
     }
   in
-  both_engines (fun engine ->
-      (* The pivot cap turns a cycle into a visible Timeout instead of a hang. *)
-      match Lp.minimize ~engine ~max_pivots:10_000 p with
-      | Lp.Optimal s ->
-        check_float "Beale optimum" (-0.05) s.Lp.objective_value;
-        Alcotest.(check bool) "feasible" true (Lp.check_feasible ~tol:1e-6 p s.Lp.x)
-      | Lp.Timeout _ -> Alcotest.fail "simplex cycled (pivot budget exhausted)"
-      | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "expected optimal")
+  (* The pivot cap turns a cycle into a visible Timeout instead of a hang. *)
+  match Lp.minimize ~max_pivots:10_000 p with
+  | Lp.Optimal s ->
+    check_float "Beale optimum" (-0.05) s.Lp.objective_value;
+    Alcotest.(check bool) "feasible" true (Lp.check_feasible ~tol:1e-6 p s.Lp.x)
+  | Lp.Timeout _ -> Alcotest.fail "simplex cycled (pivot budget exhausted)"
+  | Lp.Infeasible | Lp.Numerical_failure -> Alcotest.fail "expected optimal"
 
 (* --- incremental API ---------------------------------------------------- *)
 
 let test_incremental_warm_agrees () =
   (* Start from the Dantzig example, then add cuts one at a time; each warm
-     resolve must agree with a cold tableau solve of the accumulated
-     problem. *)
+     resolve must agree with a cold solve of the accumulated problem. *)
   let p =
     {
       Lp.objective = [| -3.0; -5.0 |];
@@ -308,7 +297,7 @@ let test_incremental_warm_agrees () =
   List.iteri
     (fun i (cut, expect) ->
       Lp.Incremental.add_constraint inc cut;
-      let cold = Lp.minimize ~engine:Lp.Tableau (Lp.Incremental.problem inc) in
+      let cold = Lp.minimize (Lp.Incremental.problem inc) in
       match (Lp.Incremental.resolve inc, cold) with
       | Lp.Optimal w, Lp.Optimal c ->
         check_float (Printf.sprintf "cut %d warm value" i) expect w.Lp.objective_value;
@@ -329,46 +318,89 @@ let test_incremental_arity () =
       Lp.Incremental.add_constraint inc
         { Lp.coeffs = [| 1.0; 2.0 |]; relation = Lp.Le; rhs = 0.0 })
 
-(* Brute-force reference for 2-variable LPs: evaluate all vertices formed by
-   pairs of active constraints (including bounds). *)
-let brute_force_2d objective rows bounds =
-  let lines =
-    rows
-    @ [
-        ([| 1.0; 0.0 |], fst bounds.(0));
-        ([| 1.0; 0.0 |], snd bounds.(0));
-        ([| 0.0; 1.0 |], fst bounds.(1));
-        ([| 0.0; 1.0 |], snd bounds.(1));
-      ]
+(* Brute-force reference: a box-bounded polyhedron is a polytope, so it is
+   empty or has a vertex, and the minimum of a linear objective is attained
+   at one.  Every vertex solves n linearly independent active constraints
+   (rows or box sides): solve every n-subset by Gaussian elimination with
+   partial pivoting, keep the feasible solutions, return the least
+   objective ([None] = infeasible).  Exponential in n — for small
+   problems only. *)
+let brute_force (p : Lp.problem) =
+  let n = Array.length p.Lp.objective in
+  let planes =
+    Array.of_list
+      (List.map (fun c -> (c.Lp.coeffs, c.Lp.rhs)) p.Lp.constraints
+      @ List.concat
+          (List.init n (fun j ->
+               let e = Array.init n (fun i -> if i = j then 1.0 else 0.0) in
+               [ (e, fst p.Lp.bounds.(j)); (e, snd p.Lp.bounds.(j)) ])))
   in
-  let feasible (x, y) =
-    x >= fst bounds.(0) -. 1e-7
-    && x <= snd bounds.(0) +. 1e-7
-    && y >= fst bounds.(1) -. 1e-7
-    && y <= snd bounds.(1) +. 1e-7
-    && List.for_all (fun (a, b) -> (a.(0) *. x) +. (a.(1) *. y) <= b +. 1e-7) rows
+  let dot a x = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j aj -> aj *. x.(j)) a) in
+  let solve chosen =
+    let m = Array.of_list (List.map (fun (a, b) -> Array.append a [| b |]) chosen) in
+    try
+      for k = 0 to n - 1 do
+        let piv = ref k in
+        for i = k + 1 to n - 1 do
+          if Float.abs m.(i).(k) > Float.abs m.(!piv).(k) then piv := i
+        done;
+        if Float.abs m.(!piv).(k) < 1e-9 then raise Exit;
+        let r = m.(!piv) in
+        m.(!piv) <- m.(k);
+        m.(k) <- r;
+        for i = k + 1 to n - 1 do
+          let f = m.(i).(k) /. r.(k) in
+          for j = k to n do
+            m.(i).(j) <- m.(i).(j) -. (f *. r.(j))
+          done
+        done
+      done;
+      let x = Array.make n 0.0 in
+      for k = n - 1 downto 0 do
+        let s = ref m.(k).(n) in
+        for j = k + 1 to n - 1 do
+          s := !s -. (m.(k).(j) *. x.(j))
+        done;
+        x.(k) <- !s /. m.(k).(k)
+      done;
+      Some x
+    with Exit -> None
+  in
+  let tol v = 1e-7 *. (1.0 +. Float.abs v) in
+  let feasible x =
+    Array.for_all2 (fun xj (lo, hi) -> xj >= lo -. tol lo && xj <= hi +. tol hi) x p.Lp.bounds
+    && List.for_all
+         (fun c ->
+           let d = dot c.Lp.coeffs x -. c.Lp.rhs and t = tol c.Lp.rhs in
+           match c.Lp.relation with
+           | Lp.Le -> d <= t
+           | Lp.Ge -> d >= -.t
+           | Lp.Eq -> Float.abs d <= t)
+         p.Lp.constraints
   in
   let best = ref None in
-  List.iteri
-    (fun i (a1, b1) ->
-      List.iteri
-        (fun j (a2, b2) ->
-          if i < j then begin
-            let det = (a1.(0) *. a2.(1)) -. (a1.(1) *. a2.(0)) in
-            if Float.abs det > 1e-9 then begin
-              let x = ((b1 *. a2.(1)) -. (b2 *. a1.(1))) /. det in
-              let y = ((a1.(0) *. b2) -. (a2.(0) *. b1)) /. det in
-              if feasible (x, y) then begin
-                let v = (objective.(0) *. x) +. (objective.(1) *. y) in
-                match !best with
-                | Some bv when bv <= v -> ()
-                | _ -> best := Some v
-              end
-            end
-          end)
-        lines)
-    lines;
+  let rec choose start chosen k =
+    if k = 0 then
+      match solve chosen with
+      | Some x when feasible x ->
+        let v = dot p.Lp.objective x in
+        if match !best with Some b -> v < b | None -> true then best := Some v
+      | _ -> ()
+    else
+      for i = start to Array.length planes - k do
+        choose (i + 1) (planes.(i) :: chosen) (k - 1)
+      done
+  in
+  choose 0 [] n;
   !best
+
+let matches_brute_force p =
+  match (Lp.minimize p, brute_force p) with
+  | Lp.Optimal s, Some v ->
+    Lp.check_feasible ~tol:1e-5 p s.Lp.x
+    && Float.abs (s.Lp.objective_value -. v) <= 1e-5 *. (1.0 +. Float.abs v)
+  | Lp.Infeasible, None -> true
+  | (Lp.Optimal _ | Lp.Infeasible | Lp.Numerical_failure | Lp.Timeout _), _ -> false
 
 let prop_simplex_matches_brute_force =
   QCheck.Test.make ~name:"simplex matches brute-force vertex enumeration (2D)" ~count:300
@@ -376,28 +408,18 @@ let prop_simplex_matches_brute_force =
     (fun seed ->
       let rng = Rng.create seed in
       let n_rows = 1 + Rng.int rng 5 in
-      let rows =
-        List.init n_rows (fun _ ->
-            ([| Rng.uniform rng (-2.0) 2.0; Rng.uniform rng (-2.0) 2.0 |], Rng.uniform rng 0.5 4.0))
-      in
-      let objective = [| Rng.uniform rng (-2.0) 2.0; Rng.uniform rng (-2.0) 2.0 |] in
-      let bounds = [| (-3.0, 3.0); (-3.0, 3.0) |] in
-      let p =
+      matches_brute_force
         {
-          Lp.objective;
+          Lp.objective = [| Rng.uniform rng (-2.0) 2.0; Rng.uniform rng (-2.0) 2.0 |];
           constraints =
-            List.map (fun (a, b) -> { Lp.coeffs = a; relation = Lp.Le; rhs = b }) rows;
-          bounds;
-        }
-      in
-      match (Lp.minimize p, brute_force_2d objective rows bounds) with
-      | Lp.Optimal s, Some v ->
-        Lp.check_feasible p s.Lp.x && Float.abs (s.Lp.objective_value -. v) < 1e-5
-      | Lp.Infeasible, None -> true
-      | Lp.Optimal _, None -> false
-      | Lp.Infeasible, Some _ -> false
-      | Lp.Unbounded, _ -> false
-      | Lp.Timeout _, _ -> false (* impossible: box-bounded *))
+            List.init n_rows (fun _ ->
+                {
+                  Lp.coeffs = [| Rng.uniform rng (-2.0) 2.0; Rng.uniform rng (-2.0) 2.0 |];
+                  relation = Lp.Le;
+                  rhs = Rng.uniform rng 0.5 4.0;
+                });
+          bounds = [| (-3.0, 3.0); (-3.0, 3.0) |];
+        })
 
 let prop_solution_feasible =
   QCheck.Test.make ~name:"returned solutions are always feasible" ~count:200
@@ -424,10 +446,10 @@ let prop_solution_feasible =
       match Lp.minimize p with
       | Lp.Optimal s -> Lp.check_feasible ~tol:1e-5 p s.Lp.x
       | Lp.Infeasible -> true
-      | Lp.Unbounded | Lp.Timeout _ -> false)
+      | Lp.Numerical_failure | Lp.Timeout _ -> false)
 
-(* Random LP generator for the differential properties: mixed relations,
-   mixed bound shapes (boxed, shifted, mirrored, split/free, one-sided),
+(* Random LP generator for the n-dimensional oracle property: mixed
+   relations, mixed box shapes (fixed, one side at zero, shifted, wide),
    and occasional degenerate rows (duplicated rows, zero rhs). *)
 let random_problem rng =
   let n = 2 + Rng.int rng 4 in
@@ -449,10 +471,12 @@ let random_problem rng =
   let bounds =
     Array.init n (fun _ ->
         match Rng.int rng 5 with
-        | 0 -> Lp.free
-        | 1 -> (0.0, infinity) (* split at zero *)
-        | 2 -> (neg_infinity, Rng.uniform rng (-1.0) 3.0) (* mirrored *)
-        | 3 -> (Rng.uniform rng (-4.0) (-1.0), Rng.uniform rng 1.0 4.0) (* shifted box *)
+        | 0 ->
+          let v = Rng.uniform rng (-1.0) 1.0 in
+          (v, v)
+        | 1 -> (0.0, Rng.uniform rng 1.0 3.0)
+        | 2 -> (Rng.uniform rng (-3.0) (-1.0), 0.0)
+        | 3 -> (Rng.uniform rng (-4.0) (-1.0), Rng.uniform rng 1.0 4.0)
         | _ -> (-5.0, 5.0))
   in
   {
@@ -461,22 +485,13 @@ let random_problem rng =
     bounds;
   }
 
-let values_agree a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
-
-let prop_engines_agree =
-  QCheck.Test.make ~name:"tableau and revised engines agree (status + objective)" ~count:500
+let prop_matches_vertex_oracle =
+  QCheck.Test.make ~name:"simplex matches n-d vertex enumeration (status + objective)"
+    ~count:500
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let p = random_problem rng in
-      match (Lp.minimize ~engine:Lp.Tableau p, Lp.minimize ~engine:Lp.Revised p) with
-      | Lp.Optimal a, Lp.Optimal b ->
-        values_agree a.Lp.objective_value b.Lp.objective_value
-        && Lp.check_feasible ~tol:1e-5 p b.Lp.x
-      | Lp.Infeasible, Lp.Infeasible -> true
-      | Lp.Unbounded, Lp.Unbounded -> true
-      | Lp.Timeout _, _ | _, Lp.Timeout _ -> false
-      | _ -> false)
+    (fun seed -> matches_brute_force (random_problem (Rng.create seed)))
+
+let values_agree a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
 
 let prop_warm_resolve_agrees_with_cold =
   QCheck.Test.make
@@ -515,7 +530,7 @@ let prop_warm_resolve_agrees_with_cold =
             rhs = Rng.uniform rng (-1.0) 2.0;
           };
         let warm = Lp.Incremental.resolve inc in
-        let cold = Lp.minimize ~engine:Lp.Tableau (Lp.Incremental.problem inc) in
+        let cold = Lp.minimize (Lp.Incremental.problem inc) in
         (match (warm, cold) with
         | Lp.Optimal a, Lp.Optimal b ->
           if
@@ -536,14 +551,13 @@ let () =
           Alcotest.test_case "dantzig max" `Quick test_textbook_max;
           Alcotest.test_case "min with >=" `Quick test_textbook_min_ge;
           Alcotest.test_case "equality" `Quick test_equality_constraint;
-          Alcotest.test_case "free variables" `Quick test_free_variables;
           Alcotest.test_case "negative rhs" `Quick test_negative_rhs;
         ] );
       ( "edge cases",
         [
           Alcotest.test_case "infeasible" `Quick test_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_unbounded;
           Alcotest.test_case "no constraints" `Quick test_no_constraints;
+          Alcotest.test_case "non-finite bounds rejected" `Quick test_non_finite_bounds;
           Alcotest.test_case "degenerate redundancy" `Quick test_degenerate;
           Alcotest.test_case "homogeneous margin LP" `Quick test_all_zero_rhs_degenerate;
         ] );
@@ -566,7 +580,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_simplex_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_solution_feasible;
-          QCheck_alcotest.to_alcotest prop_engines_agree;
+          QCheck_alcotest.to_alcotest prop_matches_vertex_oracle;
           QCheck_alcotest.to_alcotest prop_warm_resolve_agrees_with_cold;
         ] );
     ]

@@ -101,15 +101,6 @@ let test_stats () =
   check_float "max" 3.0 (Floatx.max_elt [| 1.0; 3.0; 2.0 |]);
   check_float "min" 1.0 (Floatx.min_elt [| 1.0; 3.0; 2.0 |])
 
-let test_timing_accumulator () =
-  let acc = Timing.accumulator () in
-  let r = Timing.record acc (fun () -> 42) in
-  Alcotest.(check int) "result passes through" 42 r;
-  Alcotest.(check int) "count" 1 (Timing.count acc);
-  Alcotest.(check bool) "nonnegative time" true (Timing.total acc >= 0.0);
-  Timing.reset acc;
-  Alcotest.(check int) "reset count" 0 (Timing.count acc)
-
 (* Run [f] against an injectable raw clock, always restoring the real one. *)
 let with_fake_clock cell f =
   Timing.set_clock_for_tests (Some (fun () -> !cell));
@@ -124,13 +115,11 @@ let test_timing_monotonic_under_backwards_jump () =
       clock := 100.5;
       check_float "resumes once raw catches up" 100.5 (Timing.now ()))
 
-let test_timing_accumulator_clamped_under_backwards_jump () =
+let test_timing_time_clamped_under_backwards_jump () =
   let clock = ref 100.0 in
   with_fake_clock clock (fun () ->
-      let acc = Timing.accumulator () in
-      ignore (Timing.record acc (fun () -> clock := 50.0));
-      Alcotest.(check bool) "delta clamped at zero" true (Timing.total acc >= 0.0);
-      let _, dt = Timing.time (fun () -> clock := 10.0) in
+      let r, dt = Timing.time (fun () -> clock := 10.0; 42) in
+      Alcotest.(check int) "result passes through" 42 r;
       Alcotest.(check bool) "time clamped at zero" true (dt >= 0.0))
 
 (* The headline regression: a backwards wall-clock jump must neither expire
@@ -254,11 +243,10 @@ let () =
         ] );
       ( "timing",
         [
-          Alcotest.test_case "accumulator" `Quick test_timing_accumulator;
           Alcotest.test_case "monotonic under backwards jump" `Quick
             test_timing_monotonic_under_backwards_jump;
-          Alcotest.test_case "accumulator clamped under backwards jump" `Quick
-            test_timing_accumulator_clamped_under_backwards_jump;
+          Alcotest.test_case "time clamped under backwards jump" `Quick
+            test_timing_time_clamped_under_backwards_jump;
           Alcotest.test_case "budget immune to backwards jump" `Quick
             test_budget_immune_to_backwards_jump;
         ] );
