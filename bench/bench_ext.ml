@@ -51,8 +51,9 @@ let lyapunov_bench () =
     pf "reference controller: STABLE, W = %s@."
       (Expr.to_string (Template.w_expr cert.Lyapunov.template cert.Lyapunov.coeffs))
   | Lyapunov.Failed _ -> pf "reference controller: inconclusive@.");
-  pf "  %d iteration(s), LP %.3f s, SMT %.3f s@." report.Lyapunov.iterations
-    report.Lyapunov.lp_time report.Lyapunov.smt_time
+  let st = report.Lyapunov.stats in
+  pf "  %d iteration(s), LP %.3f s, SMT %.3f s@." st.Engine.candidate_iterations st.Engine.lp_time
+    st.Engine.smt5_time
 
 let falsify_bench () =
   Bench_common.hr "Extension: falsification baseline (robustness minimization)";

@@ -5,7 +5,6 @@
      export    verify and persist the certificate artifact to a store
      check     independently audit a stored certificate artifact
      train     CMA-ES policy search for a path-following controller
-     sweep     Table-1 style scaling sweep over hidden-layer widths
      portrait  Figure-5 style phase-portrait data
      serve     fault-tolerant batch verification daemon (Unix socket)
      request   client for a running serve daemon
@@ -425,37 +424,6 @@ let train_cmd =
     (Cmd.info "train" ~doc)
     Term.(const run $ hidden $ population $ iterations $ out $ robustify $ seed)
 
-(* --- sweep ----------------------------------------------------------- *)
-
-let sweep_cmd =
-  let seeds =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Seeds per width (paper: 30).")
-  in
-  let run seeds =
-    Format.printf "%6s | %9s | %8s | %9s | %8s@." "Nh" "avg iters" "LP(s)" "Query(s)" "Total(s)";
-    List.iter
-      (fun width ->
-        let { Scenario.closed; config; _ } = or_exit (Registry.problem ~width ()) in
-        let totals = ref (0.0, 0.0, 0.0, 0.0) in
-        for i = 1 to seeds do
-          let report = Engine.verify ~config ~rng:(Rng.create (1000 + i)) closed.Plant.system in
-          let st = report.Engine.stats in
-          let a, b, c, d = !totals in
-          totals :=
-            ( a +. float_of_int st.Engine.candidate_iterations,
-              b +. (st.Engine.lp_time /. float_of_int (max 1 st.Engine.lp_calls)),
-              c +. (st.Engine.smt5_time /. float_of_int (max 1 st.Engine.smt5_calls)),
-              d +. st.Engine.total_time )
-        done;
-        let n = float_of_int seeds in
-        let a, b, c, d = !totals in
-        Format.printf "%6d | %9.1f | %8.3f | %9.3f | %8.3f@." width (a /. n) (b /. n) (c /. n)
-          (d /. n))
-      [ 10; 20; 40; 50; 70; 80; 90; 100; 300; 500; 700; 1000 ]
-  in
-  let doc = "Scaling sweep over hidden-layer widths (Table 1)." in
-  Cmd.v (Cmd.info "sweep" ~doc) Term.(const run $ seeds)
-
 (* --- portrait -------------------------------------------------------- *)
 
 let portrait_cmd =
@@ -517,9 +485,10 @@ let lyapunov_cmd =
         (Expr.to_string (Template.w_expr cert.Lyapunov.template cert.Lyapunov.coeffs))
     | Lyapunov.Failed reason ->
       Format.printf "INCONCLUSIVE: %s@." (Cegis.string_of_failure reason));
-    Format.printf "  %d iteration(s), LP %.3fs, SMT %.3fs, total %.3fs@."
-      report.Lyapunov.iterations report.Lyapunov.lp_time report.Lyapunov.smt_time
-      report.Lyapunov.total_time
+    let st = report.Lyapunov.stats in
+    Format.printf "  %d iteration(s), LP %.3fs, SMT %.3fs, sim %.3fs, total %.3fs@."
+      st.Engine.candidate_iterations st.Engine.lp_time st.Engine.smt5_time st.Engine.sim_time
+      st.Engine.total_time
   in
   let doc = "Prove practical stability via simulation-guided Lyapunov analysis." in
   Cmd.v (Cmd.info "lyapunov" ~doc) Term.(const run $ case_study_term $ seed_arg)
@@ -1037,7 +1006,6 @@ let () =
             export_cmd;
             check_cmd;
             train_cmd;
-            sweep_cmd;
             portrait_cmd;
             falsify_cmd;
             lyapunov_cmd;

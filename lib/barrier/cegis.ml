@@ -30,29 +30,55 @@ type obligation = {
 }
 
 type stats = {
-  mutable iterations : int;
+  mutable candidate_iterations : int;
+  mutable level_iterations : int;
   mutable lp_time : float;
   mutable lp_calls : int;
-  mutable lp_rows : int;
-  mutable smt_time : float;
-  mutable smt_calls : int;
-  mutable smt_branches : int;
+  mutable smt5_time : float;
+  mutable smt5_calls : int;
+  mutable smt5_branches : int;
+  mutable smt67_time : float;
+  mutable smt6_time : float;
+  mutable smt7_time : float;
   mutable sim_time : float;
+  mutable total_time : float;
+  mutable lp_rows : int;
   mutable budget_stop : Budget.stop option;
 }
 
 let fresh_stats () =
   {
-    iterations = 0;
+    candidate_iterations = 0;
+    level_iterations = 0;
     lp_time = 0.0;
     lp_calls = 0;
-    lp_rows = 0;
-    smt_time = 0.0;
-    smt_calls = 0;
-    smt_branches = 0;
+    smt5_time = 0.0;
+    smt5_calls = 0;
+    smt5_branches = 0;
+    smt67_time = 0.0;
+    smt6_time = 0.0;
+    smt7_time = 0.0;
     sim_time = 0.0;
+    total_time = 0.0;
+    lp_rows = 0;
     budget_stop = None;
   }
+
+type stage = Simulation | Lp | Condition5 | Condition6 | Condition7
+
+(* The span and the stage seconds bracket the same call, so the run report's
+   stage table and the trace can never disagree about where a stage begins
+   and ends. *)
+let timed stats stage span f =
+  let r, dt = Timing.time (fun () -> Obs.Trace.with_span span f) in
+  (match stage with
+  | Simulation -> stats.sim_time <- stats.sim_time +. dt
+  | Lp -> stats.lp_time <- stats.lp_time +. dt
+  | Condition5 -> stats.smt5_time <- stats.smt5_time +. dt
+  | Condition6 -> stats.smt6_time <- stats.smt6_time +. dt
+  | Condition7 -> stats.smt7_time <- stats.smt7_time +. dt);
+  stats.smt67_time <- stats.smt6_time +. stats.smt7_time;
+  r
 
 let rect_bounds vars rect =
   Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
@@ -166,12 +192,10 @@ let timeout t stage stop =
   Error (Timeout stage)
 
 let solve_lp t =
-  let outcome, dt =
-    Timing.time (fun () ->
-        Obs.Trace.with_span "synthesis.lp" (fun () ->
-            Synthesis.Incremental.solve ~budget:t.budget (live_lp t)))
+  let outcome =
+    timed t.stats Lp "synthesis.lp" (fun () ->
+        Synthesis.Incremental.solve ~budget:t.budget (live_lp t))
   in
-  t.stats.lp_time <- t.stats.lp_time +. dt;
   t.stats.lp_calls <- t.stats.lp_calls + 1;
   t.stats.lp_rows <- Synthesis.Incremental.row_count (live_lp t);
   match outcome with
@@ -186,11 +210,7 @@ let solve_lp t =
    and the options are overridden per call — the Lie-derivative tapes of
    an NN controller are the most expensive compile in the pipeline. *)
 let decide t ob coeffs =
-  let timed_smt f =
-    let r, dt = Timing.time (fun () -> Obs.Trace.with_span "condition5" f) in
-    t.stats.smt_time <- t.stats.smt_time +. dt;
-    r
-  in
+  let timed_smt f = timed t.stats Condition5 "condition5" f in
   let vars = Template.vars t.template in
   let prepared =
     timed_smt (fun () ->
@@ -205,8 +225,8 @@ let decide t ob coeffs =
       timed_smt (fun () ->
           Solver.solve_prepared ~options ~budget:t.budget prepared ~bounds:t.bounds)
     in
-    t.stats.smt_calls <- t.stats.smt_calls + 1;
-    t.stats.smt_branches <- t.stats.smt_branches + st.Solver.branches;
+    t.stats.smt5_calls <- t.stats.smt5_calls + 1;
+    t.stats.smt5_branches <- t.stats.smt5_branches + st.Solver.branches;
     match verdict with
     | Solver.Unsat -> `Unsat
     | Solver.Unknown -> (
@@ -252,7 +272,7 @@ let run ?warm t obligations =
     | None ->
       if iter > t.max_iters then Error Cex_budget_exhausted
       else begin
-        t.stats.iterations <- t.stats.iterations + 1;
+        t.stats.candidate_iterations <- t.stats.candidate_iterations + 1;
         let candidate = match warm with Some coeffs -> Ok coeffs | None -> solve_lp t in
         match Result.bind candidate (fun coeffs -> check t coeffs obligations) with
         | Error reason -> Error reason
@@ -260,11 +280,7 @@ let run ?warm t obligations =
         | Ok (Some (ob, x)) ->
           Obs.Metrics.incr c_cex_cuts;
           t.witnesses <- x :: t.witnesses;
-          let cuts, dt =
-            Timing.time (fun () -> Obs.Trace.with_span "cex_simulation" (fun () -> ob.cuts x))
-          in
-          t.stats.sim_time <- t.stats.sim_time +. dt;
-          List.iter (refine t) cuts;
+          List.iter (refine t) (timed t.stats Simulation "cex_simulation" (fun () -> ob.cuts x));
           attempt (iter + 1)
       end
   in

@@ -7,9 +7,9 @@
     warm-started {!Synthesis.Incremental} LP, one {!Solver.prepare} per
     candidate and obligation, δ-refinement of spurious witnesses, the
     full-history repeated-witness guard, budget checks, the
-    [synthesis.lp] / [condition5] / [cex_simulation] spans, the
-    [cegis.cex_cuts] counter and the time accounting.  (The
-    learner/verifier split of Peruffo, Ahmed and Abate,
+    [cegis.cex_cuts] counter, and the run's {!stats} with its {!timed}
+    stages ([synthesis.lp] / [condition5] / [cex_simulation] spans).
+    (The learner/verifier split of Peruffo, Ahmed and Abate,
     arXiv:2007.03251.) *)
 
 (** The failure vocabulary of every engine, re-exported and documented as
@@ -49,20 +49,50 @@ type obligation = {
 }
 
 type stats = {
-  mutable iterations : int;  (** candidate rounds *)
-  mutable lp_time : float;
+  mutable candidate_iterations : int;  (** LP + condition-(5) rounds *)
+  mutable level_iterations : int;  (** level binary-search rounds *)
+  mutable lp_time : float;  (** total seconds in LP solves *)
   mutable lp_calls : int;
+  mutable smt5_time : float;
+      (** total seconds preparing and deciding condition (5) (every
+          obligation of the candidate loop) *)
+  mutable smt5_calls : int;
+  mutable smt5_branches : int;  (** branch-and-prune boxes over all (5) queries *)
+  mutable smt67_time : float;
+      (** total seconds deciding conditions (6)/(7); always
+          [smt6_time +. smt7_time] *)
+  mutable smt6_time : float;  (** condition-(6) share of [smt67_time] *)
+  mutable smt7_time : float;  (** condition-(7) share of [smt67_time] *)
+  mutable sim_time : float;
+      (** trace generation — wall clock of the (possibly parallel) seed
+          batch plus the sequential witness re-simulations *)
+  mutable total_time : float;  (** set once, when the engine returns *)
   mutable lp_rows : int;  (** rows in the last LP *)
-  mutable smt_time : float;  (** preparing and deciding obligations *)
-  mutable smt_calls : int;
-  mutable smt_branches : int;
-  mutable sim_time : float;  (** witness trace simulation *)
-  mutable budget_stop : Budget.stop option;  (** the stop behind a [Timeout] *)
+  mutable budget_stop : Budget.stop option;
+      (** which budget limit ended the run, when the outcome is a
+          [Timeout] *)
 }
-(** Caller-owned, so an engine adds its own stages (seed simulation,
-    level-search stops) to the same record. *)
+(** The one statistics record of a run, re-exported as {!Engine.stats}.
+    Each engine creates one, and every stage adds into it in place:
+    timed stages through {!timed}, counts directly. *)
 
 val fresh_stats : unit -> stats
+(** All zero, no budget stop. *)
+
+(** The stages of the run report's time table. *)
+type stage =
+  | Simulation  (** [sim_time] *)
+  | Lp  (** [lp_time] *)
+  | Condition5  (** [smt5_time] *)
+  | Condition6  (** [smt6_time] (and [smt67_time]) *)
+  | Condition7  (** [smt7_time] (and [smt67_time]) *)
+
+val timed : stats -> stage -> string -> (unit -> 'a) -> 'a
+(** [timed stats stage span f] runs [f ()] inside the trace span [span]
+    and adds its duration ({!Timing.now} scale) to [stage]'s seconds.
+    Every stage second of every engine is measured here, around the span,
+    so a stage's seconds are never less than the summed durations of its
+    spans. *)
 
 type t
 (** One live loop: the LP, its row sources and the witness history, kept

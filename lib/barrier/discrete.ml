@@ -120,7 +120,6 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
   let template = Template.make config.template_kind system.vars in
   let sample = Cegis.sample_outside ~rng ~domain:config.safe_rect ~excluded:config.x0_rect in
   let seeds = sample config.n_seed in
-  let traces = List.map (iterate ~budget system config) seeds in
   (* One-step probe orbits scattered over D: long orbits cluster around the
      attractor, leaving the LP blind to off-manifold states (e.g. hidden
      states inconsistent with the plant errors) exactly where the SMT check
@@ -128,10 +127,13 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
      everywhere.  Each probe costs one [map_numeric] call, so poll the
      budget per probe: a stalled map must not let this loop run past the
      deadline. *)
-  let probes =
-    List.filter_map
-      (fun x -> if Budget.expired budget then None else Some (step_orbit system x))
-      (sample config.n_probes)
+  let traces, probes =
+    Cegis.timed stats Cegis.Simulation "seed_simulation" (fun () ->
+        let traces = List.map (iterate ~budget system config) seeds in
+        ( traces,
+          List.filter_map
+            (fun x -> if Budget.expired budget then None else Some (step_orbit system x))
+            (sample config.n_probes) ))
   in
   let cegis =
     Cegis.create ~stats ~exact_traces:probes ~budget
@@ -207,7 +209,16 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
     | exception Lu.Singular -> None
     end
   in
-  let levels = ref [] in
+  let spec =
+    {
+      Level_search.vars = system.vars;
+      x0_rect = config.x0_rect;
+      safe_rect = config.safe_rect;
+      unsafe_rect = config.unsafe_rect;
+      smt = config.smt;
+      max_iters = config.max_level_iters;
+    }
+  in
   let rec outer round =
     match Budget.check budget with
     | Some stop ->
@@ -219,11 +230,7 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
       match Cegis.run cegis [ decrease ] with
       | Error reason -> Engine.Failed reason
       | Ok coeffs -> (
-        match
-          Engine.find_level ~budget stats levels ~vars:system.vars ~x0_rect:config.x0_rect
-            ~safe_rect:config.safe_rect ~unsafe_rect:config.unsafe_rect ~smt:config.smt
-            ~max_iters:config.max_level_iters template coeffs
-        with
+        match Level_search.search ~budget ~stats spec template coeffs with
         | Ok level -> Engine.Proved { Engine.template; coeffs; level }
         | Error Engine.Level_range_empty -> (
           (* The live LP gets the blocking geometry as one more row. *)
@@ -240,8 +247,13 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
       Engine.Failed (Engine.Seed_shortfall (List.length seeds, config.n_seed))
     else outer 1
   in
-  Engine.make_report ~t_start stats !levels ~traces:(Cegis.traces cegis)
-    ~counterexamples:(Cegis.witnesses cegis) outcome
+  stats.total_time <- Timing.now () -. t_start;
+  {
+    Engine.outcome;
+    stats;
+    traces = Cegis.traces cegis;
+    counterexamples = Cegis.witnesses cegis;
+  }
 
 (* --- Case-study closed loops ------------------------------------------ *)
 

@@ -74,8 +74,10 @@ val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> system -> Engine
 (** The pipeline through {!Cegis} with one obligation, the discrete
     decrease; when no level separates X0 from U for a degree-2 candidate,
     the blocking geometry becomes a shape cut in the same live LP and the
-    loop resumes.  The report's [smt5_*] stats cover condition (5),
-    [smt67_time] every level search, and [traces] the orbits.  [budget]
+    loop resumes.  The report's [sim_time] covers the seed orbits and
+    probes (span [seed_simulation]) and the witness orbits, [smt5_*]
+    condition (5), [smt67_time] every level search, and [traces] the
+    orbits.  [budget]
     (default unlimited) bounds orbit iteration, the LP, and every SMT
     query; on exhaustion the outcome is [Failed (Timeout stage)] with the
     stop recorded in [stats.budget_stop]. *)

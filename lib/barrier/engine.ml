@@ -45,21 +45,21 @@ type certificate = { template : Template.t; coeffs : float array; level : float 
 let barrier_expr cert =
   Expr.( - ) (Template.w_expr cert.template cert.coeffs) (Expr.const cert.level)
 
-type stats = {
-  candidate_iterations : int;
-  level_iterations : int;
-  lp_time : float;
-  lp_calls : int;
-  smt5_time : float;
-  smt5_calls : int;
-  smt5_branches : int;
-  smt67_time : float;
-  smt6_time : float;
-  smt7_time : float;
-  sim_time : float;
-  total_time : float;
-  lp_rows : int;
-  budget_stop : Budget.stop option;
+type stats = Cegis.stats = {
+  mutable candidate_iterations : int;
+  mutable level_iterations : int;
+  mutable lp_time : float;
+  mutable lp_calls : int;
+  mutable smt5_time : float;
+  mutable smt5_calls : int;
+  mutable smt5_branches : int;
+  mutable smt67_time : float;
+  mutable smt6_time : float;
+  mutable smt7_time : float;
+  mutable sim_time : float;
+  mutable total_time : float;
+  mutable lp_rows : int;
+  mutable budget_stop : Budget.stop option;
 }
 
 type failure_reason = Cegis.failure_reason =
@@ -131,44 +131,6 @@ let simulate_trace ?budget config system x0 =
   Cegis.simulate ?budget ~rect:config.safe_rect ~dt:config.sim_dt ~steps:config.sim_steps
     ~converged:1e-4 system.numeric_field x0
 
-(* Phase 2 (Fig. 1 lower loop), shared with the discrete-time engine:
-   one level search, kept in [levels] for the report; a budget stop is
-   recorded in [acc].  [unsafe_rect] holds the rectangle whose complement
-   is the unsafe set (see Level_search.spec). *)
-let find_level ~budget acc levels ~vars ~x0_rect ~safe_rect ~unsafe_rect ~smt ~max_iters
-    template coeffs =
-  let spec = { Level_search.vars; x0_rect; safe_rect; unsafe_rect; smt; max_iters } in
-  let result = Level_search.search ~budget spec template coeffs in
-  levels := result :: !levels;
-  if Option.is_some result.Level_search.budget_stop then
-    acc.Cegis.budget_stop <- result.Level_search.budget_stop;
-  result.Level_search.level
-
-let make_report ~t_start (acc : Cegis.stats) levels ~traces ~counterexamples outcome =
-  let sum f = List.fold_left (fun total r -> total +. f r) 0.0 levels in
-  {
-    outcome;
-    stats =
-      {
-        candidate_iterations = acc.iterations;
-        level_iterations = List.fold_left (fun n r -> n + r.Level_search.iterations) 0 levels;
-        lp_time = acc.lp_time;
-        lp_calls = acc.lp_calls;
-        smt5_time = acc.smt_time;
-        smt5_calls = acc.smt_calls;
-        smt5_branches = acc.smt_branches;
-        smt67_time = sum (fun r -> r.Level_search.smt_time);
-        smt6_time = sum (fun r -> r.Level_search.smt6_time);
-        smt7_time = sum (fun r -> r.Level_search.smt7_time);
-        sim_time = acc.sim_time;
-        total_time = Timing.now () -. t_start;
-        lp_rows = acc.lp_rows;
-        budget_stop = acc.budget_stop;
-      };
-    traces;
-    counterexamples;
-  }
-
 let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~rng system =
   Obs.Trace.with_span "engine.verify" @@ fun () ->
   let config =
@@ -180,8 +142,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
     }
   in
   let t_start = Timing.now () in
-  let acc = Cegis.fresh_stats () in
-  let levels = ref [] in
+  let stats = Cegis.fresh_stats () in
   let template = Template.make config.template_kind system.vars in
   let traces = ref [] and cexs = ref [] in
   let run_pipeline () =
@@ -191,24 +152,22 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
       (* Seed traces are mutually independent, so they fan out over the
          domain pool; results come back in seed order, so the trace list
          (and everything downstream of it) is identical for any [jobs]. *)
-      let seed_traces, seed_sim_dt =
-        Timing.time (fun () ->
-            Obs.Trace.with_span "seed_simulation" (fun () ->
-                Array.to_list
-                  (Pool.parallel_map ~jobs:config.jobs
-                     (fun x0 ->
-                       Obs.Trace.with_span "seed_trace" (fun () ->
-                           simulate_trace ~budget config system x0))
-                     (Array.of_list seeds))))
+      let seed_traces =
+        Cegis.timed stats Cegis.Simulation "seed_simulation" (fun () ->
+            Array.to_list
+              (Pool.parallel_map ~jobs:config.jobs
+                 (fun x0 ->
+                   Obs.Trace.with_span "seed_trace" (fun () ->
+                       simulate_trace ~budget config system x0))
+                 (Array.of_list seeds)))
       in
-      acc.sim_time <- acc.sim_time +. seed_sim_dt;
       traces := seed_traces;
       (* A stalled/divergent field truncates traces at the deadline (see
          [simulate_trace]); catch the stop here so the LP never runs on a
          partial seed set after time is up. *)
       (match Budget.check budget with
       | Some stop ->
-        acc.budget_stop <- Some stop;
+        stats.budget_stop <- Some stop;
         Failed (Timeout "seed simulation")
       | None -> (
         (* Phase 1 (Fig. 1 upper loop).  [warm_start] (certificate-store
@@ -220,7 +179,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
           | _ -> None
         in
         let cegis =
-          Cegis.create ~stats:acc ~budget ~synthesis:config.synthesis ~smt:config.smt
+          Cegis.create ~stats ~budget ~synthesis:config.synthesis ~smt:config.smt
             ~max_iters:config.max_candidate_iters ~template ~field:system.numeric_field
             ~domain:config.safe_rect seed_traces
         in
@@ -237,16 +196,24 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
         match generator with
         | Error reason -> Failed reason
         | Ok coeffs -> (
-          match
-            find_level ~budget acc levels ~vars:system.vars ~x0_rect:config.x0_rect
-              ~safe_rect:config.safe_rect ~unsafe_rect:config.safe_rect ~smt:config.smt
-              ~max_iters:config.max_level_iters template coeffs
-          with
+          (* Phase 2 (Fig. 1 lower loop). *)
+          let spec =
+            {
+              Level_search.vars = system.vars;
+              x0_rect = config.x0_rect;
+              safe_rect = config.safe_rect;
+              unsafe_rect = config.safe_rect;
+              smt = config.smt;
+              max_iters = config.max_level_iters;
+            }
+          in
+          match Level_search.search ~budget ~stats spec template coeffs with
           | Ok level -> Proved { template; coeffs; level }
           | Error reason -> Failed reason)))
   in
   let outcome = run_pipeline () in
-  make_report ~t_start acc !levels ~traces:!traces ~counterexamples:!cexs outcome
+  stats.total_time <- Timing.now () -. t_start;
+  { outcome; stats; traces = !traces; counterexamples = !cexs }
 
 let exit_code = function
   | Proved _ -> 0
@@ -254,16 +221,6 @@ let exit_code = function
   | Failed _ -> 2
 
 (* --- Run reports ----------------------------------------------------------- *)
-
-let run_stages ?(extra = []) (stats : stats) =
-  [
-    Obs.Report.stage ~name:"simulation" ~seconds:stats.sim_time ();
-    Obs.Report.stage ~calls:stats.lp_calls ~name:"lp" ~seconds:stats.lp_time ();
-    Obs.Report.stage ~calls:stats.smt5_calls ~name:"condition5" ~seconds:stats.smt5_time ();
-    Obs.Report.stage ~name:"condition6" ~seconds:stats.smt6_time ();
-    Obs.Report.stage ~name:"condition7" ~seconds:stats.smt7_time ();
-  ]
-  @ extra
 
 let outcome_meta outcome =
   match outcome with
@@ -290,7 +247,15 @@ let run_report ?generated_at ?(meta = []) ?(extra_stages = []) ?(spans = []) rep
   in
   Obs.Report.make ?generated_at
     ~meta:(outcome_meta report.outcome @ counter_meta @ meta)
-    ~stages:(run_stages ~extra:extra_stages stats)
+    ~stages:
+      ([
+         Obs.Report.stage ~name:"simulation" ~seconds:stats.sim_time ();
+         Obs.Report.stage ~calls:stats.lp_calls ~name:"lp" ~seconds:stats.lp_time ();
+         Obs.Report.stage ~calls:stats.smt5_calls ~name:"condition5" ~seconds:stats.smt5_time ();
+         Obs.Report.stage ~name:"condition6" ~seconds:stats.smt6_time ();
+         Obs.Report.stage ~name:"condition7" ~seconds:stats.smt7_time ();
+       ]
+      @ extra_stages)
     ~total_seconds:stats.total_time
     ~counters:(Obs.Metrics.dump_counters () |> List.filter (fun (_, v) -> v <> 0))
     ~spans ()

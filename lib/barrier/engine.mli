@@ -56,26 +56,28 @@ type certificate = {
 val barrier_expr : certificate -> Expr.t
 (** [B(x) = W(x) − ℓ] as an expression. *)
 
-type stats = {
-  candidate_iterations : int;  (** LP + condition-(5) rounds *)
-  level_iterations : int;  (** level binary-search rounds *)
-  lp_time : float;  (** total seconds in LP solves *)
-  lp_calls : int;
-  smt5_time : float;  (** total seconds deciding condition (5) *)
-  smt5_calls : int;
-  smt5_branches : int;  (** branch-and-prune boxes over all (5) queries *)
-  smt67_time : float;  (** total seconds deciding conditions (6)/(7) *)
-  smt6_time : float;  (** condition-(6) share of [smt67_time] *)
-  smt7_time : float;  (** condition-(7) share of [smt67_time] *)
-  sim_time : float;
-      (** trace generation — wall clock of the (possibly parallel) seed
-          batch plus the sequential CEX re-simulations *)
-  total_time : float;
-  lp_rows : int;  (** rows in the last LP *)
-  budget_stop : Budget.stop option;
+type stats = Cegis.stats = {
+  mutable candidate_iterations : int;  (** LP + condition-(5) rounds *)
+  mutable level_iterations : int;  (** level binary-search rounds *)
+  mutable lp_time : float;  (** total seconds in LP solves *)
+  mutable lp_calls : int;
+  mutable smt5_time : float;  (** total seconds deciding condition (5) *)
+  mutable smt5_calls : int;
+  mutable smt5_branches : int;  (** branch-and-prune boxes over all (5) queries *)
+  mutable smt67_time : float;  (** [smt6_time +. smt7_time] *)
+  mutable smt6_time : float;  (** seconds deciding condition (6) *)
+  mutable smt7_time : float;  (** seconds deciding condition (7) *)
+  mutable sim_time : float;  (** seed and witness trace generation *)
+  mutable total_time : float;
+  mutable lp_rows : int;  (** rows in the last LP *)
+  mutable budget_stop : Budget.stop option;
       (** which budget limit ended the run, when the outcome is a
           [Timeout] *)
 }
+(** The run's one statistics record, {!Cegis.stats} re-exported (its
+    fields are documented there).  Every stage adds into it in place
+    through {!Cegis.timed}; [total_time] is set once, when the engine
+    returns. *)
 
 (** Shared by every engine (defined by the common {!Cegis} loop). *)
 type failure_reason = Cegis.failure_reason =
@@ -129,33 +131,6 @@ val decrease_obligation :
     there is [≥ −γ], and it is cut by its exact Lie row plus the rows of
     its [simulate]d trace. *)
 
-val find_level :
-  budget:Budget.t ->
-  Cegis.stats ->
-  Level_search.result list ref ->
-  vars:string array ->
-  x0_rect:(float * float) array ->
-  safe_rect:(float * float) array ->
-  unsafe_rect:(float * float) array ->
-  smt:Solver.options ->
-  max_iters:int ->
-  Template.t ->
-  float array ->
-  (float, failure_reason) result
-(** One {!Level_search.search} (the lower loop of Fig. 1), prepended to
-    the list for {!make_report}; a budget stop lands in the stats. *)
-
-val make_report :
-  t_start:float ->
-  Cegis.stats ->
-  Level_search.result list ->
-  traces:Ode.trace list ->
-  counterexamples:float array list ->
-  outcome ->
-  report
-(** Assemble a report from the CEGIS accumulators and every level search
-    of the run; [total_time] is measured from [t_start]. *)
-
 val sample_initial_states :
   rng:Rng.t -> config -> int -> (float array list, int) Result.t
 (** Uniform samples from [safe_rect \ x0_rect] (the paper samples seeds
@@ -200,11 +175,6 @@ val outcome_meta : outcome -> (string * Obs.Json.t) list
 (** Report-meta fields describing an outcome: [outcome] ("proved"/"failed")
     plus the level or a human-readable failure reason. *)
 
-val run_stages : ?extra:Obs.Report.stage list -> stats -> Obs.Report.stage list
-(** The pipeline's per-stage time breakdown as report stages: [simulation],
-    [lp], [condition5], [condition6], [condition7], followed by [extra]
-    (e.g. a certificate-cache stage added by the CLI). *)
-
 val run_report :
   ?generated_at:float ->
   ?meta:(string * Obs.Json.t) list ->
@@ -213,9 +183,11 @@ val run_report :
   report ->
   Obs.Json.t
 (** Versioned [safebarrier.run_report] JSON document for one {!verify}
-    run: outcome and iteration counts in [meta], {!run_stages} as the
-    stage table, [stats.total_time] as the total, plus a snapshot of all
-    non-zero {!Obs.Metrics} counters and (optionally) the span tree. *)
+    run: outcome and iteration counts in [meta], the stage table
+    ([simulation], [lp], [condition5], [condition6], [condition7], then
+    [extra_stages], e.g. the CLI's certificate-cache stage),
+    [stats.total_time] as the total, plus a snapshot of all non-zero
+    {!Obs.Metrics} counters and (optionally) the span tree. *)
 
 (** {1 Resilient verification} *)
 

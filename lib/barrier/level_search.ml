@@ -7,15 +7,6 @@ type spec = {
   max_iters : int;
 }
 
-type result = {
-  level : (float, Cegis.failure_reason) Result.t;
-  iterations : int;
-  smt_time : float;
-  smt6_time : float;
-  smt7_time : float;
-  budget_stop : Budget.stop option;
-}
-
 let c_bisections = Obs.Metrics.counter "level_search.bisections"
 
 (* Only finitely-bounded dimensions of the unsafe rectangle generate
@@ -90,25 +81,17 @@ let condition7_query_rect template coeffs ~level ~unsafe_rect =
         (lo -. eps, hi +. eps))
       unsafe_rect
 
-let search ?(budget = Budget.unlimited) spec template coeffs =
+let search ?(budget = Budget.unlimited) ?(stats = Cegis.fresh_stats ()) spec template coeffs =
   Obs.Trace.with_span "level_search.search" @@ fun () ->
-  let iterations = ref 0 in
-  let smt6_time = ref 0.0 and smt7_time = ref 0.0 in
   (* A deadline/cancellation stop, from the budget check between
      iterations or from inside an SMT query: the caller then reports
      Timeout rather than Inconclusive. *)
-  let interrupted = ref None in
-  let w_of_point x = Template.w_eval template coeffs x in
-  let finish level =
-    {
-      level;
-      iterations = !iterations;
-      smt_time = !smt6_time +. !smt7_time;
-      smt6_time = !smt6_time;
-      smt7_time = !smt7_time;
-      budget_stop = !interrupted;
-    }
+  let interrupted = ref false in
+  let interrupt stop =
+    interrupted := true;
+    stats.Cegis.budget_stop <- Some stop
   in
+  let w_of_point x = Template.w_eval template coeffs x in
   let range =
     if Template.degree (Template.kind template) <= 2 then (
       (* Ellipsoidal sublevel sets: the analytic range seeds the search. *)
@@ -129,9 +112,9 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
            ~unsafe_complement_rect:spec.unsafe_rect)
   in
   match range with
-  | Error e -> finish (Error e)
+  | Error e -> Error e
   | Ok { Levelset.l_min; l_max } ->
-    if l_min >= l_max then finish (Error Cegis.Level_range_empty)
+    if l_min >= l_max then Error Cegis.Level_range_empty
     else begin
       (* The bisection varies only the level constant, never the template
          shape, so both conditions are prepared ONCE with the level as a
@@ -140,26 +123,23 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
          iteration instead of being rebuilt per bisection.  A pinned
          variable is interval-exact, so enclosures, branching and verdicts
          are identical to the level-as-constant formulation.  Preparation
-         is timed into the per-condition accumulators to keep the
-         run-report stage accounting whole. *)
+         is timed into its condition's stage to keep the run-report stage
+         accounting whole. *)
       let level_var =
         let rec fresh v = if Array.exists (String.equal v) spec.vars then fresh (v ^ "_") else v in
         fresh "_level"
       in
       let prep_vars = Array.to_list spec.vars @ [ level_var ] in
-      let prep acc formula =
-        let p, dt =
-          Timing.time (fun () -> Solver.prepare ~options:spec.smt ~vars:prep_vars formula)
-        in
-        acc := !acc +. dt;
-        p
+      let prep stage span formula =
+        Cegis.timed stats stage span (fun () ->
+            Solver.prepare ~options:spec.smt ~vars:prep_vars formula)
       in
       let cond6_prep =
-        prep smt6_time
+        prep Cegis.Condition6 "condition6"
           (Formula.gt (Template.w_expr template coeffs) (Expr.var level_var))
       in
       let cond7_prep =
-        prep smt7_time
+        prep Cegis.Condition7 "condition7"
           (Formula.and_
              [
                Formula.le (Template.w_expr template coeffs) (Expr.var level_var);
@@ -167,38 +147,35 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
              ])
       in
       (* Each query gets the shared budget; a deadline/cancellation stop is
-         distinguished (via [stats.interrupted]) from a plain Unknown. *)
-      let solve span_name acc prepared level bounds =
-        let (verdict, stats), dt =
-          Timing.time (fun () ->
-              Obs.Trace.with_span span_name (fun () ->
-                  Solver.solve_prepared ~budget prepared
-                    ~bounds:(bounds @ [ (level_var, level, level) ])))
+         distinguished (via the solver's [interrupted]) from a plain Unknown. *)
+      let solve stage span prepared level bounds =
+        let verdict, st =
+          Cegis.timed stats stage span (fun () ->
+              Solver.solve_prepared ~budget prepared
+                ~bounds:(bounds @ [ (level_var, level, level) ]))
         in
-        acc := !acc +. dt;
-        (match (verdict, stats.Solver.interrupted) with
-        | Solver.Unknown, (Some (Budget.Deadline | Budget.Cancelled) as s) ->
-          interrupted := s
+        (match (verdict, st.Solver.interrupted) with
+        | Solver.Unknown, Some ((Budget.Deadline | Budget.Cancelled) as stop) -> interrupt stop
         | _ -> ());
         verdict
       in
       let rec refine lo hi iter =
         match Budget.check budget with
         | Some stop ->
-          interrupted := Some stop;
+          interrupt stop;
           Error (Cegis.Timeout "level")
         | None ->
         if iter > spec.max_iters then Error Cegis.Level_budget_exhausted
         else begin
-          incr iterations;
+          stats.Cegis.level_iterations <- stats.Cegis.level_iterations + 1;
           Obs.Metrics.incr c_bisections;
           let level = 0.5 *. (lo +. hi) in
           let timed_out_or kind =
-            if Option.is_some !interrupted then Error (Cegis.Timeout "level")
+            if !interrupted then Error (Cegis.Timeout "level")
             else Error (Cegis.Solver_inconclusive kind)
           in
           match
-            solve "condition6" smt6_time cond6_prep level
+            solve Cegis.Condition6 "condition6" cond6_prep level
               (Cegis.rect_bounds spec.vars spec.x0_rect)
           with
           | Solver.Unknown -> timed_out_or "condition (6)"
@@ -212,7 +189,7 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
               condition7_query_rect template coeffs ~level ~unsafe_rect:spec.unsafe_rect
             in
             match
-              solve "condition7" smt7_time cond7_prep level
+              solve Cegis.Condition7 "condition7" cond7_prep level
                 (Cegis.rect_bounds spec.vars query_rect)
             with
             | Solver.Unknown -> timed_out_or "condition (7)"
@@ -222,5 +199,5 @@ let search ?(budget = Budget.unlimited) spec template coeffs =
             | Solver.Unsat -> Ok level)
         end
       in
-      finish (refine l_min l_max 1)
+      refine l_min l_max 1
     end

@@ -24,20 +24,6 @@ type spec = {
   max_iters : int;
 }
 
-type result = {
-  level : (float, Cegis.failure_reason) Result.t;
-      (** [Level_range_empty] (no level separates X0 from U for this W),
-          [Level_budget_exhausted], [Solver_inconclusive] (an SMT query
-          returned Unknown) or [Timeout "level"] *)
-  iterations : int;
-  smt_time : float;  (** seconds spent in conditions (6)/(7) combined *)
-  smt6_time : float;  (** seconds spent in condition (6) queries *)
-  smt7_time : float;  (** seconds spent in condition (7) queries *)
-  budget_stop : Budget.stop option;
-      (** the budget's deadline/cancellation behind a [Timeout], fired
-          between refinement iterations or inside an SMT query *)
-}
-
 val ellipsoid_center : Template.t -> float array -> Mat.t -> Vec.t
 (** Center of the sublevel ellipsoids: [-P⁻¹b/2] for
     [W = xᵀPx + bᵀx] (the origin for pure quadratics).  Degree-2
@@ -65,7 +51,22 @@ val condition7_query_rect :
     Infinite bounds are clamped to ±1e12, matching the membership
     atoms. *)
 
-val search : ?budget:Budget.t -> spec -> Template.t -> float array -> result
+val search :
+  ?budget:Budget.t ->
+  ?stats:Cegis.stats ->
+  spec ->
+  Template.t ->
+  float array ->
+  (float, Cegis.failure_reason) result
 (** Run the analytic range computation and the SMT-checked refinement.
-    [budget] (default unlimited) is checked before every refinement
-    iteration and threaded into each SMT query. *)
+    The error is [Level_range_empty] (no level separates X0 from U for
+    this W), [Level_budget_exhausted], [Solver_inconclusive] (an SMT query
+    returned Unknown) or [Timeout "level"].  [budget] (default unlimited)
+    is checked before every refinement iteration and threaded into each
+    SMT query.
+
+    The search adds into [stats] (an output only; a fresh record when
+    omitted): one [level_iterations] per bisection, the condition (6)/(7)
+    seconds, preparation included, as {!Cegis.Condition6} /
+    {!Cegis.Condition7} stages, and the [budget_stop] behind a
+    [Timeout]. *)

@@ -31,15 +31,7 @@ type certificate = { template : Template.t; coeffs : float array }
 
 type outcome = Proved of certificate | Failed of Engine.failure_reason
 
-type report = {
-  outcome : outcome;
-  iterations : int;
-  counterexamples : float array list;
-  lp_time : float;
-  smt_time : float;
-  total_time : float;
-  budget_stop : Budget.stop option;
-}
+type report = { outcome : outcome; stats : Engine.stats; counterexamples : float array list }
 
 (* ‖x‖² ≥ r² as a formula over the system variables. *)
 let outside_ball vars radius =
@@ -82,10 +74,12 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ~rng system =
         Array.map (fun (lo, hi) -> Rng.uniform rng lo hi) config.domain_rect)
   in
   let stats = Cegis.fresh_stats () in
+  let seed_traces =
+    Cegis.timed stats Cegis.Simulation "seed_simulation" (fun () -> List.map simulate seeds)
+  in
   let cegis =
     Cegis.create ~stats ~budget ~synthesis ~smt:config.smt ~max_iters:config.max_candidate_iters
-      ~template ~field:system.Engine.numeric_field ~domain:config.domain_rect
-      (List.map simulate seeds)
+      ~template ~field:system.Engine.numeric_field ~domain:config.domain_rect seed_traces
   in
   let decrease =
     Engine.decrease_obligation ~name:"decrease"
@@ -107,12 +101,5 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ~rng system =
     | Ok coeffs -> Proved { template; coeffs }
     | Error reason -> Failed reason
   in
-  {
-    outcome;
-    iterations = stats.iterations;
-    counterexamples = Cegis.witnesses cegis;
-    lp_time = stats.lp_time;
-    smt_time = stats.smt_time;
-    total_time = Timing.now () -. t_start;
-    budget_stop = stats.budget_stop;
-  }
+  stats.total_time <- Timing.now () -. t_start;
+  { outcome; stats; counterexamples = Cegis.witnesses cegis }

@@ -37,15 +37,12 @@ type outcome = Proved of certificate | Failed of Engine.failure_reason
 
 type report = {
   outcome : outcome;
-  iterations : int;
+  stats : Engine.stats;
+      (** the run's stage seconds and counts; the decrease and positivity
+          queries both count as condition (5), and the level fields stay
+          zero *)
   counterexamples : float array list;
       (** every decrease and positivity witness that was cut *)
-  lp_time : float;
-  smt_time : float;
-  total_time : float;
-  budget_stop : Budget.stop option;
-      (** which budget limit ended the run, when the outcome is a
-          [Timeout] *)
 }
 
 val positivity_formula : Engine.system -> config -> certificate -> Formula.t
@@ -57,4 +54,4 @@ val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> Engine.system ->
     [∃x ∈ D: ‖x‖ ≥ r ∧ ∇W·f(x) ≥ −γ]), then positivity.  [budget]
     (default unlimited) bounds simulation, the LP and every SMT query; on
     exhaustion the outcome is [Failed (Timeout stage)] with the stop
-    recorded in [budget_stop]. *)
+    recorded in [stats.budget_stop]. *)

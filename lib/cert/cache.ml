@@ -22,20 +22,14 @@ let report_of_hit cert (audit : Checker.stats) =
     Engine.outcome = Engine.Proved cert;
     stats =
       {
-        Engine.candidate_iterations = 0;
-        level_iterations = 0;
-        lp_time = 0.0;
-        lp_calls = 0;
-        smt5_time = audit.Checker.cond5_time;
+        (Cegis.fresh_stats ()) with
+        Engine.smt5_time = audit.Checker.cond5_time;
         smt5_calls = 1;
         smt5_branches = audit.Checker.branches;
         smt67_time = audit.Checker.cond67_time;
         smt6_time = audit.Checker.cond6_time;
         smt7_time = audit.Checker.cond7_time;
-        sim_time = 0.0;
         total_time = audit.Checker.total_time;
-        lp_rows = 0;
-        budget_stop = None;
       };
     traces = [];
     counterexamples = [];

@@ -1,11 +1,9 @@
-(* Named counters/gauges/histograms.
+(* Named counters.
 
    Hot-path contract: with the sink disabled (default) every recording
    call is one atomic flag read.  Enabled counters are [Atomic.t] adds, so
    concurrent pool workers merge exactly (no lost updates; the sum for a
-   fixed amount of work is independent of interleaving); gauges and
-   histograms take a per-instrument mutex, which is fine at their call
-   rates (per solver query, not per branch). *)
+   fixed amount of work is independent of interleaving). *)
 
 let enabled_flag = Atomic.make false
 
@@ -15,132 +13,40 @@ let enable () = Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false
 
-type counter = { c_name : string; value : int Atomic.t }
+type counter = int Atomic.t
 
-type gauge = { g_name : string; mutable g_value : float; g_mutex : Mutex.t }
-
-type histogram = {
-  h_name : string;
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  h_mutex : Mutex.t;
-}
-
-(* Registries: instruments are interned by name so a handle can be created
-   at module-init time anywhere and still denote one shared instrument. *)
+(* The registry: counters are interned by name so a handle can be created
+   at module-init time anywhere and still denote one shared counter. *)
 let registry_mutex = Mutex.create ()
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 8
-
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 8
-
-let intern table name make =
+let counter name =
   Mutex.lock registry_mutex;
-  let inst =
-    match Hashtbl.find_opt table name with
+  let c =
+    match Hashtbl.find_opt counters name with
     | Some c -> c
     | None ->
-      let c = make () in
-      Hashtbl.add table name c;
+      let c = Atomic.make 0 in
+      Hashtbl.add counters name c;
       c
   in
   Mutex.unlock registry_mutex;
-  inst
+  c
 
-let counter name = intern counters name (fun () -> { c_name = name; value = Atomic.make 0 })
-
-let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.value n)
+let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
 
 let incr c = add c 1
 
-let value c = Atomic.get c.value
-
-let gauge name =
-  intern gauges name (fun () -> { g_name = name; g_value = 0.0; g_mutex = Mutex.create () })
-
-let set_gauge g v =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock g.g_mutex;
-    g.g_value <- v;
-    Mutex.unlock g.g_mutex
-  end
-
-let histogram name =
-  intern histograms name (fun () ->
-      {
-        h_name = name;
-        h_count = 0;
-        h_sum = 0.0;
-        h_min = infinity;
-        h_max = neg_infinity;
-        h_mutex = Mutex.create ();
-      })
-
-let observe h v =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock h.h_mutex;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
-    Mutex.unlock h.h_mutex
-  end
+let value = Atomic.get
 
 let reset () =
   Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ c -> Atomic.set c.value 0) counters;
-  Hashtbl.iter (fun _ g -> g.g_value <- 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      h.h_count <- 0;
-      h.h_sum <- 0.0;
-      h.h_min <- infinity;
-      h.h_max <- neg_infinity)
-    histograms;
+  Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
   Mutex.unlock registry_mutex
 
-let sorted_entries table =
+let dump_counters () =
   Mutex.lock registry_mutex;
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
+  let entries = Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) counters [] in
   Mutex.unlock registry_mutex;
   List.sort (fun (a, _) (b, _) -> String.compare a b) entries
-
-let dump_counters () = List.map (fun (name, c) -> (name, Atomic.get c.value)) (sorted_entries counters)
-
-let to_json () =
-  let counters_json =
-    List.filter_map
-      (fun (name, c) ->
-        let v = Atomic.get c.value in
-        if v = 0 then None else Some (name, Json.Int v))
-      (sorted_entries counters)
-  in
-  let gauges_json =
-    List.map (fun (name, g) -> (name, Json.Float g.g_value)) (sorted_entries gauges)
-  in
-  let histograms_json =
-    List.filter_map
-      (fun (name, h) ->
-        if h.h_count = 0 then None
-        else
-          Some
-            ( name,
-              Json.Obj
-                [
-                  ("count", Json.Int h.h_count);
-                  ("sum", Json.Float h.h_sum);
-                  ("min", Json.Float h.h_min);
-                  ("max", Json.Float h.h_max);
-                  ("mean", Json.Float (h.h_sum /. float_of_int h.h_count));
-                ] ))
-      (sorted_entries histograms)
-  in
-  Json.Obj
-    (("counters", Json.Obj counters_json)
-     ::
-     (if gauges_json = [] then [] else [ ("gauges", Json.Obj gauges_json) ])
-    @ if histograms_json = [] then [] else [ ("histograms", Json.Obj histograms_json) ])

@@ -1,10 +1,10 @@
-(** Named metrics: counters, gauges, and min/max/mean histograms.
+(** Named counters.
 
     Disabled by default; while disabled every recording call ({!add},
-    {!incr}, {!set_gauge}, {!observe}) is a single atomic flag read, so
-    instrument handles can live in hot modules at no measurable cost.
+    {!incr}) is a single atomic flag read, so counter handles can live in
+    hot modules at no measurable cost.
 
-    Instruments are interned by name: [counter "solver.branches"] returns
+    Counters are interned by name: [counter "solver.branches"] returns
     the same underlying counter wherever it is called.  Counters are
     atomics, so concurrent domains accumulate exactly: no update is lost,
     and totals for a fixed amount of work are independent of how the work
@@ -19,7 +19,7 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Zero every registered instrument (the registry itself persists). *)
+(** Zero every registered counter (the registry itself persists). *)
 
 type counter
 
@@ -32,21 +32,5 @@ val incr : counter -> unit
 val value : counter -> int
 (** Current value (readable even while disabled). *)
 
-type gauge
-
-val gauge : string -> gauge
-
-val set_gauge : gauge -> float -> unit
-
-type histogram
-
-val histogram : string -> histogram
-
-val observe : histogram -> float -> unit
-
 val dump_counters : unit -> (string * int) list
 (** All registered counters with values, sorted by name. *)
-
-val to_json : unit -> Json.t
-(** Snapshot of all instruments as JSON: zero counters and empty
-    histograms are omitted so reports stay small. *)

@@ -444,19 +444,19 @@ let test_level_search_identity_form () =
   (* W = x² + 4y² with the rects of test_analytic_range: valid levels are
      (5, 16); the search must land inside and verify with SMT. *)
   let coeffs = [| 1.0; 0.0; 4.0 |] in
-  let result = Level_search.search level_spec quad coeffs in
-  match result.Level_search.level with
+  let stats = Cegis.fresh_stats () in
+  match Level_search.search ~stats level_spec quad coeffs with
   | Ok level ->
     Alcotest.(check bool)
       (Printf.sprintf "level %.3f in (5, 16)" level)
       true
       (level > 5.0 && level < 16.0);
-    Alcotest.(check bool) "iterations counted" true (result.Level_search.iterations >= 1)
+    Alcotest.(check bool) "iterations counted" true (stats.Engine.level_iterations >= 1)
   | Error _ -> Alcotest.fail "level search must succeed for the identity form"
 
 let test_level_search_indefinite_fails () =
   let coeffs = [| 1.0; 0.0; -1.0 |] in
-  match (Level_search.search level_spec quad coeffs).Level_search.level with
+  match Level_search.search level_spec quad coeffs with
   | Error Engine.Level_range_empty -> ()
   | Ok _ -> Alcotest.fail "indefinite form cannot have an ellipsoidal level set"
   | Error _ -> Alcotest.fail "expected Level_range_empty"
@@ -465,7 +465,7 @@ let test_level_search_too_flat_fails () =
   (* W nearly flat in y: the sublevel set through the X0 corners pokes out
      of the safe rect in y — no valid level. *)
   let coeffs = [| 1.0; 0.0; 0.01 |] in
-  match (Level_search.search level_spec quad coeffs).Level_search.level with
+  match Level_search.search level_spec quad coeffs with
   | Error Engine.Level_range_empty -> ()
   | Ok level -> Alcotest.failf "found level %.4f for a too-flat form" level
   | Error _ -> ()
@@ -474,7 +474,7 @@ let test_level_search_certificate_checks () =
   (* The returned level really satisfies conditions (6) and (7) point-wise
      on a sample grid. *)
   let coeffs = [| 1.0; 0.5; 2.0 |] in
-  match (Level_search.search level_spec quad coeffs).Level_search.level with
+  match Level_search.search level_spec quad coeffs with
   | Error _ -> Alcotest.fail "search should succeed"
   | Ok level ->
     let w = Template.w_eval quad coeffs in
@@ -499,16 +499,17 @@ let test_level_search_compiles_once () =
      independent of how many bisection iterations run. *)
   let coeffs = [| 1.0; 0.5; 2.0 |] in
   let before = Tape.compile_count () in
-  let result = Level_search.search level_spec quad coeffs in
+  let stats = Cegis.fresh_stats () in
+  let result = Level_search.search ~stats level_spec quad coeffs in
   let compiles = Tape.compile_count () - before in
-  (match result.Level_search.level with
+  (match result with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "search should succeed");
-  Alcotest.(check bool) "at least one bisection" true (result.Level_search.iterations >= 1);
+  Alcotest.(check bool) "at least one bisection" true (stats.Engine.level_iterations >= 1);
   Alcotest.(check bool) "tapes were compiled" true (compiles >= 1);
   Alcotest.(check bool)
     (Printf.sprintf "%d compiles for %d iterations stays under the shape bound" compiles
-       result.Level_search.iterations)
+       stats.Engine.level_iterations)
     true (compiles <= 16);
   (* A second search over the same shapes compiles the same number of
      tapes, however its iteration count differs. *)
@@ -780,7 +781,7 @@ let test_cegis_alternating_witnesses_stop () =
   | Error Engine.Cex_budget_exhausted -> Alcotest.fail "alternating witnesses burned the budget"
   | Error _ -> Alcotest.fail "unexpected failure"
   | Ok _ -> Alcotest.fail "the obligation never discharges");
-  Alcotest.(check int) "stopped on the third iteration" 3 stats.Cegis.iterations;
+  Alcotest.(check int) "stopped on the third iteration" 3 stats.Cegis.candidate_iterations;
   Alcotest.(check int) "two distinct witnesses cut" 2 (List.length (Cegis.witnesses cegis));
   Alcotest.(check int) "one warm LP solve per iteration" 3 stats.Cegis.lp_calls
 

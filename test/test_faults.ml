@@ -169,7 +169,7 @@ let test_lyapunov_stalled_field_deadline () =
   Alcotest.(check bool)
     (Printf.sprintf "returned in %.2f s (deadline 2 s)" elapsed)
     true (elapsed < 3.0);
-  Alcotest.(check bool) "budget stop recorded" true (report.Lyapunov.budget_stop <> None);
+  Alcotest.(check bool) "budget stop recorded" true (report.Lyapunov.stats.Engine.budget_stop <> None);
   match report.Lyapunov.outcome with
   | Lyapunov.Proved _ -> Alcotest.fail "stalled field must not yield a certificate"
   | Lyapunov.Failed (Engine.Timeout _) -> ()

@@ -256,9 +256,11 @@ let test_report_golden () =
 
 (* --- Engines -------------------------------------------------------------- *)
 
-(* The discrete and Lyapunov engines run through the shared CEGIS core, so
-   their runs are traced like the continuous engine's: LP and condition
-   spans, and one [cegis.cex_cuts] tick per reported counterexample.  The
+(* Every engine runs through the shared CEGIS core and times its stages
+   through [Cegis.timed], so its runs are traced alike: seed simulation, LP
+   and condition spans, and one [cegis.cex_cuts] tick per reported
+   counterexample.  Each stage's seconds bracket its spans (never less than
+   their summed durations) and the stages cover the run's total.  The
    sparse-seed variants (rng seed 1 with two seeds) are known to need one
    counterexample, so the equality is checked on a non-zero count too. *)
 let test_engine_spans_and_cuts () =
@@ -266,28 +268,66 @@ let test_engine_spans_and_cuts () =
     with_clean_sinks (fun () ->
         Obs.Trace.enable ();
         Obs.Metrics.enable ();
-        let cexs = run () in
-        let names = List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name) (Obs.Trace.spans ()) in
+        let cexs, (st : Engine.stats) = run () in
+        let spans = Obs.Trace.spans () in
+        let names = List.map (fun (s : Obs.Trace.span) -> s.Obs.Trace.name) spans in
         List.iter
           (fun n -> Alcotest.(check bool) (label ^ ": " ^ n ^ " span") true (List.mem n names))
-          [ "synthesis.lp"; "condition5" ];
+          [ "seed_simulation"; "synthesis.lp"; "condition5" ];
+        let spanned stage_spans =
+          List.fold_left
+            (fun acc (s : Obs.Trace.span) ->
+              if List.mem s.Obs.Trace.name stage_spans then acc +. Obs.Trace.duration s else acc)
+            0.0 spans
+        in
+        List.iter
+          (fun (stage, seconds, stage_spans) ->
+            let inside = spanned stage_spans in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s %.6f s >= its spans' %.6f s" label stage seconds inside)
+              true
+              (seconds >= inside -. 1e-9))
+          [
+            ("simulation", st.Engine.sim_time, [ "seed_simulation"; "cex_simulation" ]);
+            ("lp", st.Engine.lp_time, [ "synthesis.lp" ]);
+            ("condition5", st.Engine.smt5_time, [ "condition5" ]);
+            ("condition6", st.Engine.smt6_time, [ "condition6" ]);
+            ("condition7", st.Engine.smt7_time, [ "condition7" ]);
+          ];
+        Alcotest.(check bool) (label ^ ": smt67 = smt6 + smt7") true
+          (Float.equal st.Engine.smt67_time (st.Engine.smt6_time +. st.Engine.smt7_time));
+        let covered =
+          st.Engine.sim_time +. st.Engine.lp_time +. st.Engine.smt5_time +. st.Engine.smt67_time
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: stages cover %.3f of %.6f s" label
+             (covered /. st.Engine.total_time) st.Engine.total_time)
+          true
+          (covered >= 0.9 *. st.Engine.total_time);
         let cuts =
           Option.value ~default:0 (List.assoc_opt "cegis.cex_cuts" (Obs.Metrics.dump_counters ()))
         in
         Alcotest.(check int) (label ^ ": cegis.cex_cuts = counterexamples") cexs cuts;
         Alcotest.(check bool) (label ^ ": counterexamples exercised") true (cexs >= min_cexs))
   in
-  let ff = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
-  let discrete ?config seed () =
-    List.length (Discrete.verify ?config ~rng:(Rng.create seed) ff).Engine.counterexamples
-  in
   let system =
     (Plant.close_exn Registry.dubins_error (Plant.Network Error_dynamics.reference_controller))
       .Plant.system
   in
-  let lyapunov ?config seed () =
-    List.length (Lyapunov.verify ?config ~rng:(Rng.create seed) system).Lyapunov.counterexamples
+  let continuous seed () =
+    let r = Engine.verify ~rng:(Rng.create seed) system in
+    (List.length r.Engine.counterexamples, r.Engine.stats)
   in
+  let ff = Discrete.of_network ~dt:0.1 Error_dynamics.reference_controller in
+  let discrete ?config seed () =
+    let r = Discrete.verify ?config ~rng:(Rng.create seed) ff in
+    (List.length r.Engine.counterexamples, r.Engine.stats)
+  in
+  let lyapunov ?config seed () =
+    let r = Lyapunov.verify ?config ~rng:(Rng.create seed) system in
+    (List.length r.Lyapunov.counterexamples, r.Lyapunov.stats)
+  in
+  traced "continuous" ~min_cexs:0 (continuous 7);
   traced "discrete" ~min_cexs:0 (discrete 5);
   traced "discrete, two seeds" ~min_cexs:1
     (discrete

@@ -1,4 +1,4 @@
-(* Tests for the δ-SAT solver stack: boxes, formulas/DNF, HC4 contraction
+(* Tests for the δ-SAT solver stack: formulas/DNF, HC4 contraction
    soundness, and end-to-end satisfiability verdicts. *)
 
 let x = Expr.var "x"
@@ -20,27 +20,6 @@ let expect_sat name v =
   | Solver.Delta_sat w -> w
   | Solver.Unsat -> Alcotest.failf "%s: expected sat, got unsat" name
   | Solver.Unknown -> Alcotest.failf "%s: expected sat, got unknown" name
-
-(* --- Box --------------------------------------------------------------- *)
-
-let test_box_basics () =
-  let b = Box.of_list [ ("x", Interval.make 0.0 2.0); ("y", Interval.make (-1.0) 3.0) ] in
-  Alcotest.(check int) "dim" 2 (Box.dim b);
-  Alcotest.(check bool) "get" true (Interval.equal (Box.get b "y") (Interval.make (-1.0) 3.0));
-  Alcotest.(check int) "widest" 1 (Box.widest_var b);
-  Alcotest.(check (float 1e-12)) "max width" 4.0 (Box.max_width b);
-  Alcotest.(check (float 1e-12)) "total width" 6.0 (Box.total_width b);
-  let l, r = Box.split b 1 in
-  Alcotest.(check (float 1e-12)) "left hi" 1.0 (Interval.hi (Box.get l "y"));
-  Alcotest.(check (float 1e-12)) "right lo" 1.0 (Interval.lo (Box.get r "y"));
-  Alcotest.(check bool) "contains mid" true (Box.contains b (Box.midpoint b));
-  Alcotest.(check bool) "not empty" false (Box.is_empty b);
-  let e = Box.set_idx b 0 Interval.empty in
-  Alcotest.(check bool) "empty detected" true (Box.is_empty e)
-
-let test_box_duplicate () =
-  Alcotest.check_raises "duplicate" (Invalid_argument "Box.of_list: duplicate variable")
-    (fun () -> ignore (Box.of_list [ ("x", Interval.entire); ("x", Interval.entire) ]))
 
 (* --- Formula ----------------------------------------------------------- *)
 
@@ -653,11 +632,6 @@ let test_solver_prepared_reuse () =
 let () =
   Alcotest.run "smt"
     [
-      ( "box",
-        [
-          Alcotest.test_case "basics" `Quick test_box_basics;
-          Alcotest.test_case "duplicate rejected" `Quick test_box_duplicate;
-        ] );
       ( "formula",
         [
           Alcotest.test_case "evaluation" `Quick test_formula_eval;
