@@ -5,7 +5,7 @@
                         run of every width proves
      fig4     Figure 4  CMA-ES training evolution
      fig5     Figure 5  phase portrait + barrier level set
-     ablate   A1-A3     design-choice ablations
+     ablate   A1, A3    design-choice ablations
      ext      —         extensions: discrete time, Lyapunov, falsifier
      micro    —         Bechamel micro-benchmarks of the substrates
      gates    —         timing gates (stealing, cert, serve); exits 1

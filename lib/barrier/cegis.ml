@@ -186,6 +186,7 @@ let refine t cut =
   | Some lp, Shape_cut (f, v) -> Synthesis.Incremental.add_shape_cut lp (f, v)
 
 let c_cex_cuts = Obs.Metrics.counter "cegis.cex_cuts"
+let c_delta_refinements = Obs.Metrics.counter "cegis.delta_refinements"
 
 let timeout t stage stop =
   t.stats.budget_stop <- Some stop;
@@ -243,7 +244,10 @@ let decide t ob coeffs =
            either: the margin at x is within solver resolution.  Use it as
            a tightening cut, unless the same point keeps recurring. *)
         `Near_cex x
-      else go { options with Solver.delta = options.Solver.delta /. 100.0 } (refinements + 1)
+      else begin
+        Obs.Metrics.incr c_delta_refinements;
+        go { options with Solver.delta = options.Solver.delta /. 100.0 } (refinements + 1)
+      end
   in
   go t.smt 0
 

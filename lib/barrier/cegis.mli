@@ -7,8 +7,9 @@
     warm-started {!Synthesis.Incremental} LP, one {!Solver.prepare} per
     candidate and obligation, δ-refinement of spurious witnesses, the
     full-history repeated-witness guard, budget checks, the
-    [cegis.cex_cuts] counter, and the run's {!stats} with its {!timed}
-    stages ([synthesis.lp] / [condition5] / [cex_simulation] spans).
+    [cegis.cex_cuts] and [cegis.delta_refinements] counters, and the run's
+    {!stats} with its {!timed} stages ([synthesis.lp] / [condition5] /
+    [cex_simulation] spans).
     (The learner/verifier split of Peruffo, Ahmed and Abate,
     arXiv:2007.03251.) *)
 

@@ -84,11 +84,12 @@ let hash_config (c : Engine.config) =
       Printf.sprintf "max_level_iters %d" c.Engine.max_level_iters;
       "delta " ^ hex smt.Solver.delta;
       Printf.sprintf "max_branches %d" smt.Solver.max_branches;
-      Printf.sprintf "use_backward %b" smt.Solver.use_backward;
-      (match smt.Solver.branching with
-      | Solver.Widest -> "branching widest"
-      | Solver.Smear -> "branching smear");
-      Printf.sprintf "use_mvf %b" smt.Solver.use_mvf;
+      (* The solver once had selectable search policies, hashed here.  It
+         has one now; these constants pin store compatibility, so entries
+         written before keep their fingerprints. *)
+      "use_backward true";
+      "branching smear";
+      "use_mvf true";
     ]
   in
   digest (String.concat "\n" lines)

@@ -25,7 +25,7 @@
     - [config_hash] — digest of every {!Engine.config} field that affects
       the verification {e problem} or the search semantics (rectangles, γ,
       seed counts, synthesis options, template kind, iteration bounds, δ,
-      branching options).  Execution-strategy fields that cannot change
+      the branch bound).  Execution-strategy fields that cannot change
       the verdict — [jobs], [smt.jobs], [smt.engine] — are deliberately
       excluded, so a certificate proved sequentially is a cache hit for a
       parallel run.

@@ -64,7 +64,12 @@ val audit :
     (when the caller has one, e.g. loaded from the store entry) is
     additionally checked against the artifact's [nn_hash]; artifacts
     recorded without a network ({!Artifact.no_nn}) skip that comparison.
-    [engine] defaults to [Tape_eval]; [budget] defaults to unlimited. *)
+    [engine] defaults to [Tape_eval]; [budget] defaults to unlimited.
+
+    The re-proofs run at [jobs = 1] on purpose, whatever the caller's
+    [jobs]: the audit's main caller is a serve worker handling a store
+    hit, and the serve workers already occupy the cores, so a parallel
+    search per hit would only contend with them. *)
 
 val exit_code : verdict -> int
 (** 0 for [Certified], 1 for any rejection — the [check] subcommand's

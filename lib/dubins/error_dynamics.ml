@@ -83,3 +83,17 @@ let controller_of_width ?(rng_seed = 1) width =
     in
     Nn.of_layers ~input_dim:2 [ hidden'; output' ]
   | _ -> assert false
+
+(* Hash-consing merges the identical copies [controller_of_width] makes, so
+   its condition (5) atom barely grows with the width.  A 1 % jitter of
+   every hidden neuron keeps the function close to the reference while
+   making each neuron distinct, as in a trained network. *)
+let distinct_controller_of_width width =
+  let rng = Rng.create 42 in
+  let jitter () = 0.01 *. Rng.uniform rng (-1.0) 1.0 in
+  match (controller_of_width width).Nn.layers with
+  | [ hidden; output ] ->
+    let weights = Array.map (Array.map (fun w -> w *. (1.0 +. jitter ()))) hidden.Nn.weights in
+    let biases = Array.map (fun b -> b +. jitter ()) hidden.Nn.biases in
+    Nn.of_layers ~input_dim:2 [ { hidden with Nn.weights; biases }; output ]
+  | _ -> assert false

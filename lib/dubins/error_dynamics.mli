@@ -70,3 +70,11 @@ val controller_of_width : ?rng_seed:int -> int -> Nn.t
     reference controller widened ({!Nn.widen}) to [width] (a positive
     multiple of 2, else [Invalid_argument]), with deterministically
     shuffled hidden-neuron order. *)
+
+val distinct_controller_of_width : int -> Nn.t
+(** [controller_of_width width] with every hidden neuron made distinct:
+    each first-layer weight is scaled by [1 + 0.01·u] and each bias gets
+    [+ 0.01·u], with [u] uniform in [[-1, 1]] drawn from [Rng.create 42].
+    Deterministic.  Its condition (5) tape grows with [width], where the
+    widened controller's collapses under hash-consing; this is the Table 1
+    workload. *)

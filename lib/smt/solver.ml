@@ -3,6 +3,7 @@ type verdict = Unsat | Delta_sat of (string * float) list | Unknown
 type stats = {
   branches : int;
   prunes : int;
+  mvf_prunes : int;
   hc4_calls : int;
   max_depth : int;
   steals : int;
@@ -12,16 +13,11 @@ type stats = {
   interrupted : Budget.stop option;
 }
 
-type branching = Widest | Smear
-
 type engine = Tree_eval | Tape_eval
 
 type options = {
   delta : float;
   max_branches : int;
-  use_backward : bool;
-  branching : branching;
-  use_mvf : bool;
   jobs : int;
   engine : engine;
   steal_seed : int;
@@ -31,9 +27,6 @@ let default_options =
   {
     delta = 1e-3;
     max_branches = 200_000;
-    use_backward = true;
-    branching = Smear;
-    use_mvf = true;
     jobs = 1;
     engine = Tape_eval;
     steal_seed = 0;
@@ -42,6 +35,7 @@ let default_options =
 type search_state = {
   mutable branches : int;
   mutable prunes : int;
+  mutable mvf_prunes : int;
   mutable hc4_calls : int;
   mutable max_depth : int;
   mutable steals : int;
@@ -53,6 +47,7 @@ let fresh_state () =
   {
     branches = 0;
     prunes = 0;
+    mvf_prunes = 0;
     hc4_calls = 0;
     max_depth = 0;
     steals = 0;
@@ -63,6 +58,7 @@ let fresh_state () =
 let merge_state st s =
   st.branches <- st.branches + s.branches;
   st.prunes <- st.prunes + s.prunes;
+  st.mvf_prunes <- st.mvf_prunes + s.mvf_prunes;
   st.hc4_calls <- st.hc4_calls + s.hc4_calls;
   if s.max_depth > st.max_depth then st.max_depth <- s.max_depth;
   st.steals <- st.steals + s.steals;
@@ -80,10 +76,9 @@ type atom_rt = {
   size : int;  (* Expr.size of the atom, for the smear-atom choice *)
   n_partials : int;
   revise : Interval.t array -> bool;  (* raises Hc4.Empty_box / Tape.Empty_box *)
-  forward : Interval.t array -> Interval.t;
-  certainly_true : Interval.t array -> bool;
-  partials_fwd : Interval.t array -> Interval.t array;
-      (* gradient enclosures over the box, indexed by variable *)
+  enclose : Interval.t array -> Interval.t * Interval.t array;
+      (* forward enclosures over the box of the atom and of its partials,
+         the partials indexed by variable *)
   eval_mid : float array -> float;  (* point evaluation, indexed by variable *)
   forward_pair : (Interval.t array -> Interval.t array -> Interval.t * Interval.t) option;
       (* batched SoA sweep over the two children of a bisection (tape
@@ -100,14 +95,12 @@ let tape_rt ((a : Formula.atom), tape) =
     size = Expr.size a.Formula.expr;
     n_partials;
     revise = (fun domains -> Tape.revise tape b domains);
-    forward = (fun domains -> Tape.forward tape b domains);
-    certainly_true = (fun domains -> Tape.certainly_true tape b domains);
-    partials_fwd =
+    enclose =
       (fun domains ->
         (* One fused sweep evaluates the primal and every partial, sharing
            all common nodes. *)
-        ignore (Tape.forward_all tape b domains : Interval.t);
-        Array.init n_partials (Tape.partial_ival tape b));
+        let e = Tape.forward_all tape b domains in
+        (e, Array.init n_partials (Tape.partial_ival tape b)));
     eval_mid = (fun x -> Tape.eval_point tape b x);
     forward_pair = Some (fun d1 d2 -> Tape.forward_pair tape pair d1 d2);
   }
@@ -124,9 +117,7 @@ let tree_rt ~index_of ((a : Formula.atom), partial_exprs) =
     size = Expr.size a.Formula.expr;
     n_partials = Array.length cps;
     revise = (fun domains -> Hc4.revise domains c);
-    forward = (fun domains -> Hc4.forward domains c);
-    certainly_true = (fun domains -> Hc4.certainly_true domains c);
-    partials_fwd = (fun domains -> Array.map (Hc4.forward domains) cps);
+    enclose = (fun domains -> (Hc4.forward domains c, Array.map (Hc4.forward domains) cps));
     eval_mid = (fun x -> Expr.eval (fun v -> x.(index_of v)) a.Formula.expr);
     forward_pair = None;
   }
@@ -139,35 +130,43 @@ let possibly_sat (atom : Formula.atom) ival =
   | Formula.Le0 | Formula.Lt0 -> Interval.lo ival <= 0.0
   | Formula.Eq0 -> Interval.mem 0.0 ival
 
+(* Atom satisfied everywhere in the box, from the forward enclosure alone. *)
+let certainly_holds (atom : Formula.atom) ival =
+  (not (Interval.is_empty ival))
+  &&
+  match atom.rel with
+  | Formula.Le0 -> Interval.hi ival <= 0.0
+  | Formula.Lt0 -> Interval.hi ival < 0.0
+  | Formula.Eq0 -> Interval.lo ival = 0.0 && Interval.hi ival = 0.0
+
 exception Pruned
 
-(* Contract [domains] in place to a fixpoint of HC4 over all atoms; raises
-   Pruned on emptiness.  In forward-only mode (ablation A2) no contraction
-   happens, only infeasibility detection. *)
-let contract ~opts st domains rts =
-  if opts.use_backward then begin
-    let rounds = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !rounds < 10 do
-      incr rounds;
-      let changed = ref false in
-      List.iter
-        (fun rt ->
-          st.hc4_calls <- st.hc4_calls + 1;
-          match rt.revise domains with
-          | did -> if did then changed := true
-          | exception (Hc4.Empty_box | Tape.Empty_box) -> raise Pruned)
-        rts;
-      continue_ := !changed
-    done
-  end
-  else
+(* A fixpoint round that shrinks no domain below this fraction of its
+   width at the start of the round ends the fixpoint: the next round would
+   cost a full sweep of every atom for a marginal gain.  This is the
+   ratio rule of ibex's CtcFixPoint (default ratio 0.1), per domain. *)
+let fixpoint_ratio = 0.9
+
+(* Contract [domains] in place by rounds of HC4 [revise] over every atom,
+   at most 10, while a round still pays (see [fixpoint_ratio]); raises
+   Pruned on emptiness. *)
+let contract st domains rts =
+  let rec round k =
+    let start = Array.map Interval.width domains in
     List.iter
       (fun rt ->
         st.hc4_calls <- st.hc4_calls + 1;
-        let ival = rt.forward domains in
-        if not (possibly_sat rt.atom ival) then raise Pruned)
-      rts
+        match rt.revise domains with
+        | (_ : bool) -> ()
+        | exception (Hc4.Empty_box | Tape.Empty_box) -> raise Pruned)
+      rts;
+    let paid = ref false in
+    Array.iteri
+      (fun i d -> if Interval.width d < fixpoint_ratio *. start.(i) then paid := true)
+      domains;
+    if !paid && k < 10 then round (k + 1)
+  in
+  round 1
 
 let holds_delta delta rel v =
   Float.is_finite v
@@ -193,6 +192,51 @@ let prepare_atoms names atoms =
       (a, partials))
     atoms
 
+(* What the search needs to know about one atom on a contracted box,
+   computed once per box from one midpoint evaluation and one fused
+   forward sweep of the atom and its partials:
+   - [e_mid], the atom's value at the box midpoint;
+   - [grads], its gradient enclosures indexed by variable ([[||]] for
+     atoms without partials), for the smear choice;
+   - [refuted], the mean-value (centered) form
+     e(x) ∈ e(mid) + Σᵢ ∂e/∂xᵢ(box)·(xᵢ − midᵢ), with a relative fudge
+     for the float evaluation of e(mid), excludes the atom on the box;
+   - [holds], the forward enclosure or the mean-value form shows the atom
+     holds on the whole box. *)
+type atom_eval = { e_mid : float; grads : Interval.t array; refuted : bool; holds : bool }
+
+let evaluate domains mid rt =
+  let e_mid = rt.eval_mid mid in
+  let range, grads = rt.enclose domains in
+  let mvf =
+    if rt.n_partials = 0 || not (Float.is_finite e_mid) then None
+    else begin
+      let rad = ref 0.0 in
+      try
+        Array.iteri
+          (fun i grad ->
+            let w = Interval.width domains.(i) in
+            if w > 0.0 then begin
+              if Interval.is_empty grad then raise Exit;
+              let mag = Float.max (Float.abs (Interval.lo grad)) (Float.abs (Interval.hi grad)) in
+              if not (Float.is_finite mag) then raise Exit;
+              rad := !rad +. (mag *. 0.5 *. w)
+            end)
+          grads;
+        let fudge = 1e-9 *. (1.0 +. Float.abs e_mid) in
+        Some (e_mid -. !rad -. fudge, e_mid +. !rad +. fudge)
+      with Exit -> None
+    end
+  in
+  let refuted, mvf_holds =
+    match (mvf, rt.atom.Formula.rel) with
+    | None, _ -> (false, false)
+    | Some (lo, hi), Formula.Le0 -> (lo > 0.0, hi <= 0.0)
+    | Some (lo, hi), Formula.Lt0 -> (lo > 0.0, hi < 0.0)
+    | Some (lo, hi), Formula.Eq0 -> (lo > 0.0 || hi < 0.0, false)
+  in
+  { e_mid; grads; refuted; holds = certainly_holds rt.atom range || mvf_holds }
+
 (* One expansion step of the branch-and-prune search: everything that
    happens to a box after it is claimed — contraction, MVF pruning, the
    three witness tests, bisection and the batched child pre-filter.  Both
@@ -205,73 +249,21 @@ type step =
   | Step_split of (Interval.t array * int) list
 
 let make_stepper ~opts st rts =
-  (* Mean-value form of an atom over the current box:
-     e(x) ∈ e(mid) + Σᵢ ∂e/∂xᵢ(box)·(xᵢ − midᵢ), with a relative fudge for
-     the float evaluation of e(mid).  Returns None when midpoint evaluation
-     or a gradient enclosure is unusable. *)
-  let mvf_bounds domains rt =
-    if rt.n_partials = 0 then None
-    else begin
-      let mid = Array.map Interval.midpoint domains in
-      let e_mid = rt.eval_mid mid in
-      if not (Float.is_finite e_mid) then None
-      else begin
-        let grads = rt.partials_fwd domains in
-        let rad = ref 0.0 in
-        try
-          Array.iteri
-            (fun i grad ->
-              let w = Interval.width domains.(i) in
-              if w > 0.0 then begin
-                if Interval.is_empty grad then raise Exit;
-                let mag = Float.max (Float.abs (Interval.lo grad)) (Float.abs (Interval.hi grad)) in
-                if not (Float.is_finite mag) then raise Exit;
-                rad := !rad +. (mag *. 0.5 *. w)
-              end)
-            grads;
-          let fudge = 1e-9 *. (1.0 +. Float.abs e_mid) in
-          Some (e_mid -. !rad -. fudge, e_mid +. !rad +. fudge)
-        with Exit -> None
-      end
-    end
+  (* Smear branching (dReal's heuristic): bisect the variable with the
+     largest width × |∂e/∂x| for the largest atom with partials, or the
+     widest variable when no atom has partials. *)
+  let smear =
+    List.fold_left
+      (fun best rt ->
+        if rt.n_partials = 0 then best
+        else begin
+          match best with
+          | Some b when b.size >= rt.size -> best
+          | _ -> Some rt
+        end)
+      None rts
   in
-  (* MVF verdicts: atom certainly satisfied / certainly violated on the box. *)
-  let mvf_certainly_true domains rt =
-    opts.use_mvf
-    &&
-    match mvf_bounds domains rt with
-    | None -> false
-    | Some (_, hi) -> (
-      match rt.atom.Formula.rel with
-      | Formula.Le0 -> hi <= 0.0
-      | Formula.Lt0 -> hi < 0.0
-      | Formula.Eq0 -> false)
-  in
-  let mvf_infeasible domains rt =
-    opts.use_mvf
-    &&
-    match mvf_bounds domains rt with
-    | None -> false
-    | Some (lo, hi) -> (
-      match rt.atom.Formula.rel with
-      | Formula.Le0 | Formula.Lt0 -> lo > 0.0
-      | Formula.Eq0 -> lo > 0.0 || hi < 0.0)
-  in
-  let smear_rt =
-    match opts.branching with
-    | Widest -> None
-    | Smear ->
-      List.fold_left
-        (fun best rt ->
-          if rt.n_partials = 0 then best
-          else begin
-            match best with
-            | None -> Some rt
-            | Some b -> if rt.size > b.size then Some rt else best
-          end)
-        None rts
-  in
-  let pick_split_var domains =
+  let pick_split_var domains evals =
     let widest () =
       let best = ref 0 and best_w = ref (Interval.width domains.(0)) in
       Array.iteri
@@ -284,10 +276,9 @@ let make_stepper ~opts st rts =
         domains;
       !best
     in
-    match smear_rt with
+    match smear with
     | None -> widest ()
     | Some rt ->
-      let grads = rt.partials_fwd domains in
       let best = ref (-1) and best_score = ref neg_infinity in
       Array.iteri
         (fun i grad ->
@@ -303,7 +294,7 @@ let make_stepper ~opts st rts =
               best_score := score
             end
           end)
-        grads;
+        (List.assq rt evals).grads;
       if !best < 0 then widest () else !best
   in
   (* Batched child pre-filter (tape engine only): one SoA sweep evaluates
@@ -340,41 +331,32 @@ let make_stepper ~opts st rts =
   in
   fun (domains, depth) ->
     if depth > st.max_depth then st.max_depth <- depth;
-    match contract ~opts st domains rts with
+    match contract st domains rts with
     | exception Pruned ->
       st.prunes <- st.prunes + 1;
       Step_pruned
     | () ->
-      if List.exists (mvf_infeasible domains) rts then begin
+      let mid = Array.map Interval.midpoint domains in
+      let evals = List.map (fun rt -> (rt, evaluate domains mid rt)) rts in
+      if List.exists (fun (_, ev) -> ev.refuted) evals then begin
         st.prunes <- st.prunes + 1;
+        st.mvf_prunes <- st.mvf_prunes + 1;
         Step_pruned
       end
+      else if List.for_all (fun (_, ev) -> ev.holds) evals then Step_witness mid
+      else if
+        List.for_all (fun (rt, ev) -> holds_delta opts.delta rt.atom.Formula.rel ev.e_mid) evals
+      then Step_witness mid
       else begin
-        let mid = Array.map Interval.midpoint domains in
-        let all_true =
-          List.for_all
-            (fun rt -> rt.certainly_true domains || mvf_certainly_true domains rt)
-            rts
-        in
-        if all_true then Step_witness mid
-        else if
-          List.for_all
-            (fun rt -> holds_delta opts.delta rt.atom.Formula.rel (rt.eval_mid mid))
-            rts
-        then Step_witness mid
+        let max_w = Array.fold_left (fun w i -> Float.max w (Interval.width i)) 0.0 domains in
+        if max_w <= opts.delta then Step_witness mid
         else begin
-          let max_w =
-            Array.fold_left (fun w i -> Float.max w (Interval.width i)) 0.0 domains
-          in
-          if max_w <= opts.delta then Step_witness mid
-          else begin
-            let split_var = pick_split_var domains in
-            let left, right = Interval.split domains.(split_var) in
-            let d1 = Array.copy domains and d2 = Array.copy domains in
-            d1.(split_var) <- left;
-            d2.(split_var) <- right;
-            Step_split (filter_children (d1, depth + 1) (d2, depth + 1))
-          end
+          let split_var = pick_split_var domains evals in
+          let left, right = Interval.split domains.(split_var) in
+          let d1 = Array.copy domains and d2 = Array.copy domains in
+          d1.(split_var) <- left;
+          d2.(split_var) <- right;
+          Step_split (filter_children (d1, depth + 1) (d2, depth + 1))
         end
       end
 
@@ -680,6 +662,7 @@ let prepare ?(options = default_options) ~vars formula =
 let c_solves = Obs.Metrics.counter "solver.solves"
 let c_branches = Obs.Metrics.counter "solver.branches"
 let c_prunes = Obs.Metrics.counter "solver.prunes"
+let c_prunes_mvf = Obs.Metrics.counter "solver.prunes_mvf"
 let c_hc4 = Obs.Metrics.counter "solver.hc4_revise"
 let c_steals = Obs.Metrics.counter "solver.steals"
 let c_steal_failures = Obs.Metrics.counter "solver.steal_failures"
@@ -731,6 +714,7 @@ let solve_prepared ?options ?(budget = Budget.unlimited) p ~bounds =
   Obs.Metrics.incr c_solves;
   Obs.Metrics.add c_branches st.branches;
   Obs.Metrics.add c_prunes st.prunes;
+  Obs.Metrics.add c_prunes_mvf st.mvf_prunes;
   Obs.Metrics.add c_hc4 st.hc4_calls;
   Obs.Metrics.add c_steals st.steals;
   Obs.Metrics.add c_steal_failures st.steal_failures;
@@ -739,6 +723,7 @@ let solve_prepared ?options ?(budget = Budget.unlimited) p ~bounds =
     {
       branches = st.branches;
       prunes = st.prunes;
+      mvf_prunes = st.mvf_prunes;
       hc4_calls = st.hc4_calls;
       max_depth = st.max_depth;
       steals = st.steals;

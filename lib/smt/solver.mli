@@ -13,9 +13,13 @@
       threaded down from the pipeline.  The cause is recorded in
       [stats.interrupted].
 
-    The algorithm is interval constraint propagation (HC4-revise fixpoints)
-    with branch-and-prune on the widest variable, run independently on each
-    DNF disjunct. *)
+    The algorithm is branch-and-prune, run independently on each DNF
+    disjunct, with one search policy.  Each box is contracted by rounds of
+    HC4-revise over every atom, repeated only while a round shrinks some
+    domain by at least 10 % (at most 10 rounds).  Each atom's midpoint
+    value and gradient enclosures are then computed once; they feed the
+    mean-value-form prune and certainly-true tests and the smear choice of
+    the variable to bisect. *)
 
 type verdict =
   | Unsat
@@ -24,7 +28,10 @@ type verdict =
 
 type stats = {
   branches : int;  (** boxes examined *)
-  prunes : int;  (** boxes emptied by contraction *)
+  prunes : int;
+      (** boxes discarded: emptied by contraction, excluded by the
+          mean-value form, or dropped by the batched child pre-filter *)
+  mvf_prunes : int;  (** the share of [prunes] excluded by the mean-value form *)
   hc4_calls : int;  (** individual HC4-revise invocations *)
   max_depth : int;
   steals : int;
@@ -43,11 +50,6 @@ type stats = {
           bound or the threaded budget; the verdict is then [Unknown] *)
 }
 
-type branching = Widest  (** bisect the widest variable *) | Smear
-      (** bisect the variable with the largest width × |∂e/∂x| product for
-          the hardest atom (dReal's smear heuristic) — markedly better on
-          higher-dimensional queries *)
-
 type engine = Tree_eval
       (** recursive evaluation/contraction over expression trees (the
           original engine) — kept as the differential-testing oracle *)
@@ -61,14 +63,6 @@ type engine = Tree_eval
 type options = {
   delta : float;  (** box-size threshold for δ-sat answers, default 1e-3 *)
   max_branches : int;  (** search budget per disjunct, default 200_000 *)
-  use_backward : bool;
-      (** when false, HC4 backward propagation is disabled (forward
-          evaluation only) — used by the A2 ablation; default true *)
-  branching : branching;  (** default [Smear] *)
-  use_mvf : bool;
-      (** mean-value-form (centered-form) bounds — enclosure error O(w²)
-          instead of O(w), decisive on higher-dimensional queries with thin
-          margins; default true *)
   jobs : int;
       (** domain-parallel search width, default 1 (sequential).  With
           [jobs > 1] the conjunction is searched concurrently on the global

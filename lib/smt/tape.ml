@@ -459,16 +459,6 @@ let forward_pair t bt d1 d2 =
   let roots = forward_batch t bt [| d1; d2 |] in
   (roots.(0), roots.(1))
 
-let certainly_true t b domains =
-  let i = forward t b domains in
-  if Interval.is_empty i then false
-  else begin
-    match t.rel with
-    | Formula.Le0 -> Interval.hi i <= 0.0
-    | Formula.Lt0 -> Interval.hi i < 0.0
-    | Formula.Eq0 -> Interval.lo i = 0.0 && Interval.hi i = 0.0
-  end
-
 let eval_range t b x limit =
   let v = b.vals in
   let instrs = t.instrs in

@@ -75,9 +75,6 @@ val forward_all : t -> buffers -> Interval.t array -> Interval.t
 val partial_ival : t -> buffers -> int -> Interval.t
 (** Enclosure of partial [i] from the last {!forward_all}. *)
 
-val certainly_true : t -> buffers -> Interval.t array -> bool
-(** Whole-box satisfaction test from the forward enclosure alone. *)
-
 type batch
 (** Structure-of-arrays lanes for batched forward sweeps: [width] boxes
     evaluated in one pass over the instruction array, decoding each opcode

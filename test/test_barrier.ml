@@ -601,6 +601,62 @@ let test_seed_field_evals () =
   Alcotest.(check bool) (Printf.sprintf "%d field evaluations <= 9000" evals) true
     (evals > 0 && evals <= 9000)
 
+(* The solver's search policy, pinned on the real query: the condition (5)
+   check of the widened Nh=100 Dubins loop at jobs 1.  A fixpoint that
+   keeps sweeping every atom while any domain moves took ~4.9 HC4 revise
+   calls per box here; stopping once a round shrinks no domain by 10 %
+   takes ~2.9. *)
+let test_condition5_revise_per_box () =
+  let system = dubins_system (Error_dynamics.controller_of_width 100) in
+  let config = Engine.default_config in
+  let cert =
+    match (Engine.verify ~rng:(Rng.create 1000) system).Engine.outcome with
+    | Engine.Proved cert -> cert
+    | Engine.Failed _ -> Alcotest.fail "widened Nh=100 must prove"
+  in
+  let verdict, st =
+    Solver.solve
+      ~options:{ config.Engine.smt with Solver.jobs = 1 }
+      ~bounds:(Cegis.rect_bounds system.Engine.vars config.Engine.safe_rect)
+      (Engine.condition5_formula system config cert)
+  in
+  Alcotest.(check bool) "condition (5) unsat" true (verdict = Solver.Unsat);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d revise calls <= 3.5 x %d boxes" st.Solver.hc4_calls st.Solver.branches)
+    true
+    (float_of_int st.Solver.hc4_calls <= 3.5 *. float_of_int st.Solver.branches)
+
+(* The Table 1 workload must scale: the condition (5) atom of the
+   distinct-neuron controller compiles to more tape nodes as Nh grows,
+   where the widened controller's copies collapse under hash-consing. *)
+let test_distinct_controller_tape_grows () =
+  let cert =
+    {
+      Engine.template = Template.make Template.Quadratic [| "derr"; "theta_err" |];
+      coeffs = [| 0.6; 1.0; 1.0 |];
+      level = 0.0;
+    }
+  in
+  let nodes net =
+    let system = dubins_system net in
+    let index_of v = if v = system.Engine.vars.(0) then 0 else 1 in
+    Formula.to_dnf (Engine.condition5_formula system Engine.default_config cert)
+    |> List.concat
+    |> List.fold_left
+         (fun acc a -> max acc (Tape.atom_node_count (Tape.compile ~index_of a)))
+         0
+  in
+  let distinct nh = nodes (Error_dynamics.distinct_controller_of_width nh) in
+  let n10 = distinct 10 and n100 = distinct 100 and n1000 = distinct 1000 in
+  let widened = nodes (Error_dynamics.controller_of_width 1000) in
+  Alcotest.(check bool)
+    (Printf.sprintf "nodes grow: %d < %d < %d" n10 n100 n1000)
+    true
+    (n10 < n100 && n100 < n1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "Nh=1000: distinct %d >= 5 x widened %d" n1000 widened)
+    true (n1000 >= 5 * widened)
+
 let test_verify_expired_budget () =
   (* An already-expired deadline: verify must return a structured Timeout
      with the stop recorded in the stats, not hang or raise. *)
@@ -880,6 +936,10 @@ let () =
           Alcotest.test_case "seed sampling respects D" `Quick test_sample_initial_states;
           Alcotest.test_case "seed shortfall explicit" `Quick test_seed_shortfall;
           Alcotest.test_case "seed simulation field evaluations" `Quick test_seed_field_evals;
+          Alcotest.test_case "condition (5) revise calls per box" `Quick
+            test_condition5_revise_per_box;
+          Alcotest.test_case "distinct-neuron tape grows with Nh" `Quick
+            test_distinct_controller_tape_grows;
           Alcotest.test_case "expired budget times out" `Quick test_verify_expired_budget;
           Alcotest.test_case "branch pool exhaustion" `Quick test_verify_branch_pool_exhaustion;
           Alcotest.test_case "resilient ladder" `Slow test_verify_resilient_ladder;

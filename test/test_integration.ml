@@ -92,6 +92,22 @@ let test_pretrained_controller_proved () =
     Alcotest.(check bool) "level positive" true (cert.Engine.level > 0.0)
   end
 
+let test_pretrained_delta_refinements () =
+  (* The trained controller's condition (5) has witnesses whose exact
+     margin is below the solver's δ: the CEGIS loop re-decides them at a
+     tighter δ instead of cutting, and counts each retry. *)
+  let net = Nn.load "../data/trained_nh10.nn" in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let report =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () -> verify 7 (dubins_system net))
+  in
+  ignore (proved "pretrained" report);
+  let refinements = Obs.Metrics.value (Obs.Metrics.counter "cegis.delta_refinements") in
+  Obs.Metrics.reset ();
+  Alcotest.(check bool) (Printf.sprintf "%d delta refinements > 0" refinements) true
+    (refinements > 0)
+
 let test_determinism () =
   let r1 = verify 99 reference_system and r2 = verify 99 reference_system in
   match (r1.Engine.outcome, r2.Engine.outcome) with
@@ -176,18 +192,6 @@ let test_quadratic_linear_template () =
   let cert = proved "quadratic+linear" report in
   Alcotest.(check int) "five coefficients" 5 (Array.length cert.Engine.coeffs)
 
-let test_forward_only_smt_pipeline () =
-  (* Ablation A2: the pipeline still proves with contraction disabled, at
-     higher branch counts. *)
-  let config =
-    {
-      Engine.default_config with
-      Engine.smt = { Solver.default_options with Solver.use_backward = false };
-    }
-  in
-  let report = verify 2024 ~config reference_system in
-  ignore (proved "forward-only" report)
-
 let test_tight_cex_budget_inconclusive () =
   (* With zero CEX iterations allowed the pipeline cannot even run one LP:
      expect a failure, never a bogus proof. *)
@@ -208,6 +212,8 @@ let () =
             test_certificate_satisfies_barrier_conditions;
           Alcotest.test_case "widened controllers proved" `Slow test_widened_controllers_proved;
           Alcotest.test_case "pretrained controller proved" `Slow test_pretrained_controller_proved;
+          Alcotest.test_case "pretrained delta refinements" `Slow
+            test_pretrained_delta_refinements;
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
         ] );
@@ -223,7 +229,6 @@ let () =
         [
           Alcotest.test_case "lie-derivative mode" `Slow test_lie_mode_pipeline;
           Alcotest.test_case "quadratic+linear template" `Slow test_quadratic_linear_template;
-          Alcotest.test_case "forward-only smt" `Slow test_forward_only_smt_pipeline;
           Alcotest.test_case "zero budget fails safely" `Quick test_tight_cex_budget_inconclusive;
         ] );
     ]

@@ -409,64 +409,18 @@ let test_solver_parallel_stats_merged () =
     "stealing frontier recorded" true
     (st.Solver.frontier_high_water >= 1)
 
-let test_solver_mvf_ablation () =
-  (* Mean-value-form bounds must preserve verdicts and reduce branching on
-     smooth tight-margin queries. *)
-  let f =
-    Formula.and_
-      [
-        Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
-        Formula.ge (Expr.( + ) x y) (Expr.const 1.43);
-      ]
-  in
-  let solve_with use_mvf =
-    Solver.solve ~options:{ Solver.default_options with Solver.use_mvf } ~bounds:bounds2 f
-  in
-  let v_on, st_on = solve_with true in
-  let v_off, st_off = solve_with false in
-  expect_unsat "mvf on" v_on;
-  expect_unsat "mvf off" v_off;
+let test_solver_mvf_prunes () =
+  (* x·x − 2·x·y + y·y is (x − y)² ≥ 0, but its natural interval extension
+     cannot see that (the dependency problem), so HC4 alone cannot refute
+     it below zero.  The mean-value form can, and its prunes are counted
+     apart within the total. *)
+  let f = Formula.le Expr.((x * x) - (const 2.0 * x * y) + (y * y)) (Expr.const (-0.1)) in
+  let v, st = Solver.solve ~bounds:bounds2 f in
+  expect_unsat "expanded square below zero" v;
   Alcotest.(check bool)
-    (Printf.sprintf "mvf branches %d <= plain %d" st_on.Solver.branches st_off.Solver.branches)
+    (Printf.sprintf "mvf prunes %d in (0, %d]" st.Solver.mvf_prunes st.Solver.prunes)
     true
-    (st_on.Solver.branches <= st_off.Solver.branches)
-
-let test_solver_branching_heuristics_agree () =
-  (* Widest-first and smear must agree on verdicts. *)
-  let f =
-    Formula.and_
-      [
-        Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.( * ) (Expr.const 4.0) (Expr.pow y 2)))
-          (Expr.const 1.0);
-        Formula.ge (Expr.( - ) (Expr.sin x) y) (Expr.const 0.9);
-      ]
-  in
-  let run branching =
-    fst (Solver.solve ~options:{ Solver.default_options with Solver.branching } ~bounds:bounds2 f)
-  in
-  match (run Solver.Widest, run Solver.Smear) with
-  | Solver.Unsat, Solver.Unsat | Solver.Delta_sat _, Solver.Delta_sat _ -> ()
-  | _ -> Alcotest.fail "branching heuristics disagree on the verdict"
-
-let test_solver_forward_only_ablation () =
-  (* Forward-only mode must agree on verdicts (it is still sound), just
-     with more branching. *)
-  let f =
-    Formula.and_
-      [
-        Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
-        Formula.ge (Expr.( + ) x y) (Expr.const 1.6);
-      ]
-  in
-  let opts = { Solver.default_options with Solver.use_backward = false } in
-  let v, st = Solver.solve ~options:opts ~bounds:bounds2 f in
-  expect_unsat "forward-only" v;
-  let _, st_hc4 = Solver.solve ~bounds:bounds2 f in
-  Alcotest.(check bool)
-    (Printf.sprintf "forward-only branches %d >= hc4 branches %d" st.Solver.branches
-       st_hc4.Solver.branches)
-    true
-    (st.Solver.branches >= st_hc4.Solver.branches)
+    (st.Solver.mvf_prunes > 0 && st.Solver.mvf_prunes <= st.Solver.prunes)
 
 let prop_solver_sound_on_linear =
   (* For random linear constraints the exact answer is checkable: a
@@ -669,9 +623,7 @@ let () =
             test_solver_parallel_agreement;
           Alcotest.test_case "parallel stats merged" `Quick test_solver_parallel_stats_merged;
           Alcotest.test_case "universal prove wrapper" `Quick test_prove_universal;
-          Alcotest.test_case "forward-only ablation" `Quick test_solver_forward_only_ablation;
-          Alcotest.test_case "mean-value-form ablation" `Quick test_solver_mvf_ablation;
-          Alcotest.test_case "branching heuristics agree" `Quick test_solver_branching_heuristics_agree;
+          Alcotest.test_case "mean-value-form prunes" `Quick test_solver_mvf_prunes;
           Alcotest.test_case "imbalanced workload steals" `Quick test_solver_steal_imbalanced;
           Alcotest.test_case "prepared query reuse" `Quick test_solver_prepared_reuse;
           QCheck_alcotest.to_alcotest prop_solver_sound_on_linear;
