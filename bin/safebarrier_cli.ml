@@ -358,9 +358,10 @@ let check_cmd =
       Format.printf "%s@." (Checker.string_of_verdict verdict);
       Format.printf
         "  fingerprint %s@.  audit: condition (5) %.3fs, conditions (6,7) %.3fs, %d branches, \
-         total %.3fs@."
+         total %.3fs@.  replay: %d nodes, %d fallbacks@."
         entry.Store.artifact.Artifact.fingerprint.Artifact.combined stats.Checker.cond5_time
-        stats.Checker.cond67_time stats.Checker.branches stats.Checker.total_time;
+        stats.Checker.cond67_time stats.Checker.branches stats.Checker.total_time
+        stats.Checker.replay_nodes stats.Checker.replay_fallbacks;
       let code = Checker.exit_code verdict in
       if code <> 0 then exit code
   in

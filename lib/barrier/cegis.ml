@@ -134,6 +134,7 @@ type t = {
   mutable cuts : cut list;  (* every refinement, newest first *)
   mutable witnesses : float array list;
   mutable lp : Synthesis.Incremental.t option;
+  mutable cover : Solver.cover option;  (* of the last obligation decided *)
 }
 
 let create ~stats ?(exact_traces = []) ~budget ~synthesis ~smt ~max_iters
@@ -152,11 +153,13 @@ let create ~stats ?(exact_traces = []) ~budget ~synthesis ~smt ~max_iters
     cuts = [];
     witnesses = [];
     lp = None;
+    cover = None;
   }
 
 let picked t f = List.filter_map f t.cuts
 let traces t = picked t (function Trace tr -> Some tr | _ -> None) @ t.seeds
 let witnesses t = t.witnesses
+let cover t = t.cover
 
 (* The LP is created lazily on the first solve (a warm-start hint may pass
    every obligation with zero LP solves), from the seeds and every cut so
@@ -206,50 +209,40 @@ let solve_lp t =
   | Synthesis.Lp_timed_out stop -> timeout t "lp" stop
   | Synthesis.Candidate { coeffs; _ } -> Ok coeffs
 
-(* Decide one obligation for one candidate.  The δ-refinement retries
-   re-decide the SAME formula with a tighter delta, so it is prepared once
-   and the options are overridden per call — the Lie-derivative tapes of
-   an NN controller are the most expensive compile in the pipeline. *)
+(* Decide one obligation for one candidate, recording the proof of an
+   Unsat.  A δ-sat witness is spurious when the candidate's true margin at
+   the point is below the solver's δ; the solver then refines δ inside the
+   running search rather than returning a useless cut (dReal's
+   recommended usage), so a witness that comes back without violating the
+   exact condition is a near-violation at the finest δ. *)
 let decide t ob coeffs =
   let timed_smt f = timed t.stats Condition5 "condition5" f in
   let vars = Template.vars t.template in
-  let prepared =
+  let verdict, st =
     timed_smt (fun () ->
-        Solver.prepare ~options:t.smt ~vars:(Array.to_list vars) (ob.formula coeffs))
+        let prepared =
+          Solver.prepare ~options:t.smt ~vars:(Array.to_list vars) (ob.formula coeffs)
+        in
+        Solver.solve_prepared ~budget:t.budget ~record:true
+          ~spurious:(fun x -> not (ob.violates coeffs x))
+          prepared ~bounds:t.bounds)
   in
-  (* A δ-sat witness is spurious when the candidate's true margin at the
-     point is below the solver's delta; check the exact condition there
-     and refine delta rather than adding a useless cut (dReal's
-     recommended usage). *)
-  let rec go options refinements =
-    let verdict, st =
-      timed_smt (fun () ->
-          Solver.solve_prepared ~options ~budget:t.budget prepared ~bounds:t.bounds)
-    in
-    t.stats.smt5_calls <- t.stats.smt5_calls + 1;
-    t.stats.smt5_branches <- t.stats.smt5_branches + st.Solver.branches;
-    match verdict with
-    | Solver.Unsat -> `Unsat
-    | Solver.Unknown -> (
-      match st.Solver.interrupted with
-      | Some ((Budget.Deadline | Budget.Cancelled) as stop) -> `Timeout stop
-      | Some Budget.Branch_budget | None -> `Unknown)
-    | Solver.Delta_sat witness ->
-      let x =
-        Array.map (fun v -> Option.value (List.assoc_opt v witness) ~default:0.0) vars
-      in
-      if ob.violates coeffs x then `Cex x
-      else if refinements >= 4 then
-        (* Not refutable at the finest delta but not a genuine violation
-           either: the margin at x is within solver resolution.  Use it as
-           a tightening cut, unless the same point keeps recurring. *)
-        `Near_cex x
-      else begin
-        Obs.Metrics.incr c_delta_refinements;
-        go { options with Solver.delta = options.Solver.delta /. 100.0 } (refinements + 1)
-      end
-  in
-  go t.smt 0
+  t.stats.smt5_calls <- t.stats.smt5_calls + 1;
+  t.stats.smt5_branches <- t.stats.smt5_branches + st.Solver.branches;
+  Obs.Metrics.add c_delta_refinements st.Solver.refinements;
+  t.cover <- st.Solver.cover;
+  match verdict with
+  | Solver.Unsat -> `Unsat
+  | Solver.Unknown -> (
+    match st.Solver.interrupted with
+    | Some ((Budget.Deadline | Budget.Cancelled) as stop) -> `Timeout stop
+    | Some Budget.Branch_budget | None -> `Unknown)
+  | Solver.Delta_sat witness ->
+    let x = Array.map (fun v -> Option.value (List.assoc_opt v witness) ~default:0.0) vars in
+    (* Not refutable at the finest δ but not a genuine violation either:
+       the margin at x is within solver resolution.  It becomes a
+       tightening cut, unless the same point keeps recurring. *)
+    if ob.violates coeffs x then `Cex x else `Near_cex x
 
 (* The first obligation with a witness, or [Ok None] when all are Unsat.
    Witnesses are compared against the *whole* history, not just the most

@@ -4,10 +4,11 @@
 
     An engine supplies {!obligation}s — what to check and how a witness
     refines the LP.  The core owns the rest: the lazily created,
-    warm-started {!Synthesis.Incremental} LP, one {!Solver.prepare} per
-    candidate and obligation, δ-refinement of spurious witnesses, the
-    full-history repeated-witness guard, budget checks, the
-    [cegis.cex_cuts] and [cegis.delta_refinements] counters, and the run's
+    warm-started {!Synthesis.Incremental} LP, one recorded search per
+    candidate and obligation (its spurious witnesses refine δ inside it),
+    the condition (5) {!cover} of the accepted candidate, the full-history
+    repeated-witness guard, budget checks, the [cegis.cex_cuts] and
+    [cegis.delta_refinements] counters, and the run's
     {!stats} with its {!timed} stages ([synthesis.lp] / [condition5] /
     [cex_simulation] spans).
     (The learner/verifier split of Peruffo, Ahmed and Abate,
@@ -43,8 +44,9 @@ type obligation = {
       (** the δ-SAT query for candidate coefficients; Unsat discharges it *)
   violates : float array -> float array -> bool;
       (** [violates coeffs x]: the exact check at a δ-sat witness.  A
-          spurious witness makes the core refine δ (÷100, at most 4
-          times), then cut it as a near-violation. *)
+          spurious witness makes the solver refine δ inside the running
+          search (÷100, at most 4 times, see {!Solver.solve_prepared}),
+          then the core cuts it as a near-violation. *)
   cuts : float array -> cut list;
       (** the rows a witness adds, in order (traces are simulated here) *)
 }
@@ -129,6 +131,12 @@ val traces : t -> Ode.trace list
 
 val witnesses : t -> float array list
 (** Every witness that was cut, newest first. *)
+
+val cover : t -> Solver.cover option
+(** The recorded proof of the last obligation decided, when it was Unsat.
+    After {!run} returns [Ok coeffs], it is the proof of [coeffs]' last
+    obligation — for a one-obligation run, the accepted candidate's
+    condition (5) cover. *)
 
 (** {1 Helpers shared by the engines} *)
 

@@ -253,6 +253,7 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
     stats;
     traces = Cegis.traces cegis;
     counterexamples = Cegis.witnesses cegis;
+    cover = None;
   }
 
 (* --- Case-study closed loops ------------------------------------------ *)

@@ -78,6 +78,7 @@ type report = {
   stats : stats;
   traces : Ode.trace list;
   counterexamples : float array list;
+  cover : Solver.cover option;
 }
 
 (* The Lie derivative ∇W·f as a symbolic expression. *)
@@ -144,7 +145,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
   let t_start = Timing.now () in
   let stats = Cegis.fresh_stats () in
   let template = Template.make config.template_kind system.vars in
-  let traces = ref [] and cexs = ref [] in
+  let traces = ref [] and cexs = ref [] and cover = ref None in
   let run_pipeline () =
     match sample_initial_states ~rng config config.n_seed with
     | Error got -> Failed (Seed_shortfall (got, config.n_seed))
@@ -196,6 +197,7 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
         match generator with
         | Error reason -> Failed reason
         | Ok coeffs -> (
+          cover := Cegis.cover cegis;
           (* Phase 2 (Fig. 1 lower loop). *)
           let spec =
             {
@@ -213,7 +215,8 @@ let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~
   in
   let outcome = run_pipeline () in
   stats.total_time <- Timing.now () -. t_start;
-  { outcome; stats; traces = !traces; counterexamples = !cexs }
+  let cover = match outcome with Proved _ -> !cover | Failed _ -> None in
+  { outcome; stats; traces = !traces; counterexamples = !cexs; cover }
 
 let exit_code = function
   | Proved _ -> 0

@@ -102,6 +102,11 @@ type report = {
   stats : stats;
   traces : Ode.trace list;  (** all traces used (seeds + CEX refinements) *)
   counterexamples : float array list;  (** CEX states from condition (5) *)
+  cover : Solver.cover option;
+      (** the recorded proof of the proved certificate's condition (5)
+          ({!condition5_formula} over [safe_rect]), which
+          {!Solver.replay} checks; [None] for failures and for engines that
+          do not record one *)
 }
 
 val condition5_formula : system -> config -> certificate -> Formula.t

@@ -121,15 +121,17 @@ type t = {
   delta : float;
   x0_rect : (float * float) array;
   safe_rect : (float * float) array;
+  cover : Solver.cover option;
   stats : (string * string) list;
   tool : string;
 }
 
 let tool_version = "safebarrier-1.0.0"
 
-let make ~fingerprint ?(plant = dubins_plant_id) ~config ?(stats = []) (cert : Engine.certificate) =
+let make ~fingerprint ?(plant = dubins_plant_id) ~config ?cover ?(stats = [])
+    (cert : Engine.certificate) =
   {
-    version = 2;
+    version = 3;
     fingerprint;
     plant;
     template_kind = Template.kind cert.Engine.template;
@@ -140,6 +142,7 @@ let make ~fingerprint ?(plant = dubins_plant_id) ~config ?(stats = []) (cert : E
     delta = config.Engine.smt.Solver.delta;
     x0_rect = Array.copy config.Engine.x0_rect;
     safe_rect = Array.copy config.Engine.safe_rect;
+    cover;
     stats;
     tool = tool_version;
   }
@@ -192,6 +195,16 @@ let to_string a =
   line "delta %s" (hex a.delta);
   line "x0-rect %s" (rect_str a.x0_rect);
   line "safe-rect %s" (rect_str a.safe_rect);
+  Option.iter
+    (fun (c : Solver.cover) ->
+      line "cover-delta %s" (hex c.Solver.delta);
+      Array.iter
+        (fun (t : Solver.tree) ->
+          line "cover-nodes %s"
+            (String.concat " " (List.map string_of_int (Array.to_list t.Solver.nodes)));
+          line "cover-points %s" (String.concat " " (List.map hex (Array.to_list t.Solver.points))))
+        c.Solver.trees)
+    a.cover;
   List.iter (fun (k, v) -> line "stat %s %s" k v) a.stats;
   line "checksum %s" (digest (Buffer.contents buf));
   Buffer.contents buf
@@ -210,6 +223,17 @@ let parse_floats s =
     | t :: rest ->
       let* f = parse_float t in
       go (f :: acc) rest
+  in
+  go [] toks
+
+let parse_ints s =
+  let toks = String.split_on_char ' ' s |> List.filter (fun t -> t <> "") in
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | t :: rest -> (
+      match int_of_string_opt t with
+      | Some n -> go (n :: acc) rest
+      | None -> Error (Printf.sprintf "malformed integer %S" t))
   in
   go [] toks
 
@@ -256,7 +280,7 @@ let of_string s =
     | _ -> Error "not a safebarrier certificate artifact"
   in
   let* () =
-    if version = 2 then Ok ()
+    if version = 2 || version = 3 then Ok ()
     else if version = 1 then
       Error "unsupported version 1 (pre-plant artifact format; re-export required)"
     else Error (Printf.sprintf "unsupported version %d" version)
@@ -291,9 +315,28 @@ let of_string s =
   let* delta = Result.bind (find "delta") parse_float in
   let* x0_rect = Result.bind (find "x0-rect") parse_rect in
   let* safe_rect = Result.bind (find "safe-rect") parse_rect in
-  let stats =
-    List.filter_map (fun (k, v) -> if k = "stat" then Some (split_kv v) else None) fields
+  let all key = List.filter_map (fun (k, v) -> if k = key then Some v else None) fields in
+  let* cover =
+    match (version, List.assoc_opt "cover-delta" fields) with
+    | 2, _ | _, None -> Ok None
+    | _, Some delta_s ->
+      let* delta = parse_float delta_s in
+      let nodes = all "cover-nodes" and points = all "cover-points" in
+      if List.length nodes <> List.length points then
+        Error "cover needs one points line per nodes line"
+      else
+        let* trees =
+          List.fold_right2
+            (fun n p acc ->
+              let* acc = acc in
+              let* nodes = parse_ints n in
+              let* points = parse_floats p in
+              Ok ({ Solver.nodes; points } :: acc))
+            nodes points (Ok [])
+        in
+        Ok (Some { Solver.delta; trees = Array.of_list trees })
   in
+  let stats = List.map split_kv (all "stat") in
   Ok
     {
       version;
@@ -307,6 +350,7 @@ let of_string s =
       delta;
       x0_rect;
       safe_rect;
+      cover;
       stats;
       tool;
     }

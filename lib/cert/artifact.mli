@@ -88,7 +88,7 @@ val combine : fingerprint -> string
     detect component/address tampering. *)
 
 type t = {
-  version : int;  (** format version, currently 2 *)
+  version : int;  (** format version: 3 when written, 2 still read *)
   fingerprint : fingerprint;
   plant : plant_id;
   template_kind : Template.kind;
@@ -99,6 +99,10 @@ type t = {
   delta : float;  (** δ-SAT precision the proof used *)
   x0_rect : (float * float) array;
   safe_rect : (float * float) array;
+  cover : Solver.cover option;
+      (** the recorded proof of condition (5), which {!Checker.audit}
+          replays; untrusted, like [stats] — a wrong cover costs the audit
+          time, never soundness.  [None] in v2 artifacts *)
   stats : (string * string) list;
       (** free-form provenance (iteration counts, wall clock, …) — carried
           for humans and dashboards, never trusted by the checker *)
@@ -111,13 +115,15 @@ val make :
   fingerprint:fingerprint ->
   ?plant:plant_id ->
   config:Engine.config ->
+  ?cover:Solver.cover ->
   ?stats:(string * string) list ->
   Engine.certificate ->
   t
-(** Package a freshly proved certificate: template kind/variables/coeffs/ℓ
-    come from the certificate, γ/δ/rectangles from the config it was proved
-    under, the plant identity ([?plant], default {!dubins_plant_id}) from
-    the scenario that posed the problem. *)
+(** Package a freshly proved certificate as a v3 artifact: template
+    kind/variables/coeffs/ℓ come from the certificate, γ/δ/rectangles from
+    the config it was proved under, the plant identity ([?plant], default
+    {!dubins_plant_id}) from the scenario that posed the problem, and
+    [?cover] from the engine's report ({!Engine.report.cover}). *)
 
 val certificate : t -> Engine.certificate
 (** Rebuild the in-memory certificate (re-making the template from the
@@ -126,10 +132,33 @@ val certificate : t -> Engine.certificate
 val to_string : t -> string
 (** Versioned line-oriented text form.  All floats are hex ([%h]), so the
     round-trip is bit-exact; the final line is
-    [checksum <digest of every preceding line>]. *)
+    [checksum <digest of every preceding line>].
+
+    {2 Format v3}
+
+    Header [safebarrier-cert v3], then one [key value] line per field:
+    [tool], [plant <name> <version> <param-hash>], [nn-hash],
+    [dynamics-hash], [config-hash], [plant-hash], [fingerprint],
+    [template], [vars], [coeffs], [level], [gamma], [delta], [x0-rect],
+    [safe-rect]; then, when there is a cover,
+
+    {v
+cover-delta <hex float>          the δ the cover was decided at
+cover-nodes <int> <int> ...      disjunct 1's tree, preorder (Solver.tree)
+cover-points <hex> <hex> ...     its split points, in the same order
+cover-nodes ...                  disjunct 2, and so on
+    v}
+
+    then the [stat] lines and the checksum.  A node is
+    [var lsl 2] for a split of variable [var], or [1] / [2] / [3] for a
+    leaf refuted by HC4 / the mean-value form / the child pre-filter.
+    v2 is v3 without the cover lines; it still parses, with
+    [cover = None], and re-serializes byte-identically.  Neither version
+    enters the fingerprint. *)
 
 val of_string : string -> (t, string) result
 (** Parse and validate.  [Error reason] covers checksum mismatch (any
     single-byte corruption is detected), version/format violations, and
-    missing or malformed fields.  The checksum is verified {e before} any
-    field is interpreted. *)
+    missing or malformed fields (a cover's lines included; a cover that
+    parses but does not fit the problem is the checker's to handle).  The
+    checksum is verified {e before} any field is interpreted. *)

@@ -33,6 +33,7 @@ let report_of_hit cert (audit : Checker.stats) =
       };
     traces = [];
     counterexamples = [];
+    cover = None;
   }
 
 (* The audit re-proves conditions (5)-(7) against the rectangles, gamma and
@@ -129,6 +130,6 @@ let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited)
         in
         Some
           (Store.save ~root:store ?network
-             (Artifact.make ~fingerprint:fp ~plant ~config ~stats cert))
+             (Artifact.make ~fingerprint:fp ~plant ~config ?cover:report.Engine.cover ~stats cert))
     in
     { report; source; fingerprint = fp; exported }

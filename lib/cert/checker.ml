@@ -26,6 +26,8 @@ type stats = {
   cond6_time : float;
   cond7_time : float;
   branches : int;
+  replay_nodes : int;
+  replay_fallbacks : int;
   total_time : float;
 }
 
@@ -35,11 +37,15 @@ let exit_code = function Certified -> 0 | Rejected _ -> 1
 let rect_bounds vars rect =
   Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
 
+let c_replay_nodes = Obs.Metrics.counter "checker.replay_nodes"
+let c_replay_fallbacks = Obs.Metrics.counter "checker.replay_fallbacks"
+
 let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
     ~(system : Engine.system) (a : Artifact.t) =
   Obs.Trace.with_span "checker.audit" @@ fun () ->
   let t_start = Timing.now () in
   let acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 and branches = ref 0 in
+  let replay_nodes = ref 0 and replay_fallbacks = ref 0 in
   let finish verdict =
     ( verdict,
       {
@@ -48,22 +54,35 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
         cond6_time = !acc6;
         cond7_time = !acc7;
         branches = !branches;
+        replay_nodes = !replay_nodes;
+        replay_fallbacks = !replay_fallbacks;
         total_time = Timing.now () -. t_start;
       } )
   in
   let reject r = finish (Rejected r) in
   let options = { Solver.default_options with Solver.delta = a.Artifact.delta; engine } in
   (* The audit decides each condition once, at the δ the proof was accepted
-     at; Unsat is the only certifying answer. *)
-  let decide ~condition ~acc ~bounds formula k =
+     at; Unsat is the only certifying answer.  A query with a recorded
+     [cover] replays it (searching, at the cover's δ, only what the replay
+     cannot close). *)
+  let decide ?cover ~condition ~acc ~bounds formula k =
     let (verdict, st), dt =
       Timing.time (fun () ->
           Obs.Trace.with_span
             (Printf.sprintf "checker.condition%d" condition)
-            (fun () -> Solver.solve ~options ~budget ~bounds formula))
+            (fun () ->
+              match cover with
+              | None -> Solver.solve ~options ~budget ~bounds formula
+              | Some cover ->
+                let vars = List.map (fun (v, _, _) -> v) bounds in
+                Solver.replay ~budget (Solver.prepare ~options ~vars formula) ~bounds cover))
     in
     acc := !acc +. dt;
-    branches := !branches + st.Solver.branches;
+    branches := !branches + st.Solver.replay_nodes + st.Solver.branches;
+    replay_nodes := !replay_nodes + st.Solver.replay_nodes;
+    replay_fallbacks := !replay_fallbacks + st.Solver.replay_fallbacks;
+    Obs.Metrics.add c_replay_nodes st.Solver.replay_nodes;
+    Obs.Metrics.add c_replay_fallbacks st.Solver.replay_fallbacks;
     match verdict with
     | Solver.Unsat -> k ()
     | Solver.Delta_sat witness -> reject (Condition_refuted { condition; witness })
@@ -179,7 +198,7 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
               }
             in
             (* 3. Re-prove.  Condition (5): no decrease violation on D \ X0. *)
-            decide ~condition:5 ~acc:acc5
+            decide ?cover:a.Artifact.cover ~condition:5 ~acc:acc5
               ~bounds:(rect_bounds system.Engine.vars a.Artifact.safe_rect)
               (Engine.condition5_formula system config cert)
               (fun () ->

@@ -11,6 +11,14 @@
     fields: a verdict of [Certified] means the proof was reproduced from
     scratch.
 
+    Condition (5) is checked against the artifact's recorded cover when
+    it has one ({!Solver.replay}): splits tile the query box by
+    construction, each leaf is closed by its one recorded test, and
+    whatever the replay cannot close is searched afresh at the cover's δ.
+    The cover is untrusted — a wrong one costs search time, never a wrong
+    [Certified] — so it does not enlarge the trust boundary.  v2
+    artifacts, which have no cover, are searched whole at their δ.
+
     Passing [engine = Solver.Tree_eval] swaps in the tree-walking
     evaluation engine as a {e diversity} backend, so the audit does not even
     share the compiled-tape code path with the synthesis run that produced
@@ -49,7 +57,13 @@ type stats = {
   cond67_time : float;  (** [cond6_time +. cond7_time] *)
   cond6_time : float;
   cond7_time : float;
-  branches : int;  (** branch-and-prune boxes over all three queries *)
+  branches : int;
+      (** boxes over all three queries: searched boxes plus replayed
+          cover nodes *)
+  replay_nodes : int;  (** condition (5) cover nodes visited *)
+  replay_fallbacks : int;
+      (** boxes the condition (5) replay had to search; 0 when the cover
+          closes every leaf *)
   total_time : float;
 }
 
@@ -65,6 +79,9 @@ val audit :
     additionally checked against the artifact's [nn_hash]; artifacts
     recorded without a network ({!Artifact.no_nn}) skip that comparison.
     [engine] defaults to [Tape_eval]; [budget] defaults to unlimited.
+
+    [replay_nodes] and [replay_fallbacks] are also added to the
+    [checker.replay_nodes] and [checker.replay_fallbacks] metric counters.
 
     The re-proofs run at [jobs = 1] on purpose, whatever the caller's
     [jobs]: the audit's main caller is a serve worker handling a store

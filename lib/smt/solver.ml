@@ -1,5 +1,9 @@
 type verdict = Unsat | Delta_sat of (string * float) list | Unknown
 
+type tree = { nodes : int array; points : float array }
+
+type cover = { delta : float; trees : tree array }
+
 type stats = {
   branches : int;
   prunes : int;
@@ -9,8 +13,12 @@ type stats = {
   steals : int;
   steal_failures : int;
   frontier_high_water : int;
+  refinements : int;
+  replay_nodes : int;
+  replay_fallbacks : int;
   elapsed : float;
   interrupted : Budget.stop option;
+  cover : cover option;
 }
 
 type engine = Tree_eval | Tape_eval
@@ -32,6 +40,19 @@ let default_options =
     steal_seed = 0;
   }
 
+(* Cover node kinds, in the low two bits of a node (the variable of a
+   split sits above them). *)
+let kind_split = 0
+let kind_hc4 = 1
+let kind_mvf = 2
+let kind_prefilter = 3
+
+(* How one box of a recording search ended, under the slot the box was
+   given when its parent split (the root's slot is 0).  A split names its
+   children's slots, so the preorder tree can be rebuilt however the
+   drivers interleaved the boxes. *)
+type record = Leaf of int | Split of int * float * int * int  (* var, point, left, right *)
+
 type search_state = {
   mutable branches : int;
   mutable prunes : int;
@@ -41,6 +62,9 @@ type search_state = {
   mutable steals : int;
   mutable steal_failures : int;
   mutable frontier_hw : int;
+  mutable replay_nodes : int;
+  mutable replay_fallbacks : int;
+  mutable records : (int * record) list;
 }
 
 let fresh_state () =
@@ -53,6 +77,9 @@ let fresh_state () =
     steals = 0;
     steal_failures = 0;
     frontier_hw = 0;
+    replay_nodes = 0;
+    replay_fallbacks = 0;
+    records = [];
   }
 
 let merge_state st s =
@@ -63,7 +90,8 @@ let merge_state st s =
   if s.max_depth > st.max_depth then st.max_depth <- s.max_depth;
   st.steals <- st.steals + s.steals;
   st.steal_failures <- st.steal_failures + s.steal_failures;
-  if s.frontier_hw > st.frontier_hw then st.frontier_hw <- s.frontier_hw
+  if s.frontier_hw > st.frontier_hw then st.frontier_hw <- s.frontier_hw;
+  st.records <- List.rev_append s.records st.records
 
 (* Per-task runtime view of one atom: the search below is written against
    this record only, so the compiled-tape engine and the tree-walking
@@ -148,9 +176,9 @@ exception Pruned
 let fixpoint_ratio = 0.9
 
 (* Contract [domains] in place by rounds of HC4 [revise] over every atom,
-   at most 10, while a round still pays (see [fixpoint_ratio]); raises
-   Pruned on emptiness. *)
-let contract st domains rts =
+   at most [max_rounds], while a round still pays (see [fixpoint_ratio]);
+   raises Pruned on emptiness. *)
+let contract ?(max_rounds = 10) st domains rts =
   let rec round k =
     let start = Array.map Interval.width domains in
     List.iter
@@ -164,7 +192,7 @@ let contract st domains rts =
     Array.iteri
       (fun i d -> if Interval.width d < fixpoint_ratio *. start.(i) then paid := true)
       domains;
-    if !paid && k < 10 then round (k + 1)
+    if !paid && k < max_rounds then round (k + 1)
   in
   round 1
 
@@ -182,15 +210,12 @@ exception Budget_exhausted of Budget.stop
    search so the expensive [Expr.diff] of e.g. a deep NN composite runs once
    per query, not once per parallel task.  Tiny box-membership atoms gain
    nothing from partials and get [[||]]. *)
-let prepare_atoms names atoms =
-  List.map
-    (fun (a : Formula.atom) ->
-      let partials =
-        if Expr.size a.Formula.expr < 4 then [||]
-        else Array.map (fun v -> Expr.diff v a.Formula.expr) names
-      in
-      (a, partials))
-    atoms
+let prepare_atom names (a : Formula.atom) =
+  let partials =
+    if Expr.size a.Formula.expr < 4 then [||]
+    else Array.map (fun v -> Expr.diff v a.Formula.expr) names
+  in
+  (a, partials)
 
 (* What the search needs to know about one atom on a contracted box,
    computed once per box from one midpoint evaluation and one fused
@@ -242,13 +267,32 @@ let evaluate domains mid rt =
    three witness tests, bisection and the batched child pre-filter.  Both
    drivers (sequential and work-stealing) call this same closure, so the
    verdict logic cannot drift between them: a driver merely chooses the
-   order in which boxes are expanded. *)
+   order in which boxes are expanded.  A box carries its cover slot ([-1]
+   when the search does not record). *)
+type box = { dom : Interval.t array; depth : int; slot : int }
+
 type step =
   | Step_pruned
   | Step_witness of float array
-  | Step_split of (Interval.t array * int) list
+  | Step_split of box list
 
-let make_stepper ~opts st rts =
+(* What every box of one disjunct's search shares: the options, the
+   budget, the witness oracle with the δ-refinement level it drives, and
+   the slot counter of a recording search.  The level is query-wide (the
+   disjuncts after a refinement run at the refined δ, as a restarted
+   search would); the slots are per disjunct. *)
+type query = {
+  opts : options;
+  budget : Budget.t;
+  spurious : float array -> bool;
+  deltas : float array;  (* δ after k refinements, k = 0 .. max_refinements *)
+  level : int Atomic.t;
+  slots : int Atomic.t option;
+}
+
+let max_refinements = 4
+
+let make_stepper q st rts =
   (* Smear branching (dReal's heuristic): bisect the variable with the
      largest width × |∂e/∂x| for the largest atom with partials, or the
      widest variable when no atom has partials. *)
@@ -304,6 +348,14 @@ let make_stepper ~opts st rts =
      never changes a verdict — it only skips the push/claim cycle the
      doomed box would have cost.  The filter is driver- and
      job-independent, keeping counters identical across both. *)
+  let record slot r = if slot >= 0 then st.records <- (slot, r) :: st.records in
+  let fresh_slots () =
+    match q.slots with
+    | None -> (-1, -1)
+    | Some next ->
+      let s = Atomic.fetch_and_add next 2 in
+      (s, s + 1)
+  in
   let can_pair = List.for_all (fun rt -> rt.forward_pair <> None) rts in
   let filter_children c1 c2 =
     if not can_pair then [ c1; c2 ]
@@ -315,13 +367,17 @@ let make_stepper ~opts st rts =
             match rt.forward_pair with
             | None -> ()
             | Some fp ->
-              let i1, i2 = fp (fst c1) (fst c2) in
+              let i1, i2 = fp c1.dom c2.dom in
               if !keep1 && not (possibly_sat rt.atom i1) then keep1 := false;
               if !keep2 && not (possibly_sat rt.atom i2) then keep2 := false
           end)
         rts;
-      if not !keep1 then st.prunes <- st.prunes + 1;
-      if not !keep2 then st.prunes <- st.prunes + 1;
+      let drop c =
+        st.prunes <- st.prunes + 1;
+        record c.slot (Leaf kind_prefilter)
+      in
+      if not !keep1 then drop c1;
+      if not !keep2 then drop c2;
       match (!keep1, !keep2) with
       | true, true -> [ c1; c2 ]
       | true, false -> [ c1 ]
@@ -329,11 +385,15 @@ let make_stepper ~opts st rts =
       | false, false -> []
     end
   in
-  fun (domains, depth) ->
-    if depth > st.max_depth then st.max_depth <- depth;
+  fun ~delta box ->
+    if box.depth > st.max_depth then st.max_depth <- box.depth;
+    (* Contract a copy: a box re-stepped after a δ refinement starts again
+       from its uncontracted domains, exactly as a restarted search. *)
+    let domains = Array.copy box.dom in
     match contract st domains rts with
     | exception Pruned ->
       st.prunes <- st.prunes + 1;
+      record box.slot (Leaf kind_hc4);
       Step_pruned
     | () ->
       let mid = Array.map Interval.midpoint domains in
@@ -341,31 +401,43 @@ let make_stepper ~opts st rts =
       if List.exists (fun (_, ev) -> ev.refuted) evals then begin
         st.prunes <- st.prunes + 1;
         st.mvf_prunes <- st.mvf_prunes + 1;
+        record box.slot (Leaf kind_mvf);
         Step_pruned
       end
       else if List.for_all (fun (_, ev) -> ev.holds) evals then Step_witness mid
-      else if
-        List.for_all (fun (rt, ev) -> holds_delta opts.delta rt.atom.Formula.rel ev.e_mid) evals
+      else if List.for_all (fun (rt, ev) -> holds_delta delta rt.atom.Formula.rel ev.e_mid) evals
       then Step_witness mid
       else begin
         let max_w = Array.fold_left (fun w i -> Float.max w (Interval.width i)) 0.0 domains in
-        if max_w <= opts.delta then Step_witness mid
+        if max_w <= delta then Step_witness mid
         else begin
           let split_var = pick_split_var domains evals in
           let left, right = Interval.split domains.(split_var) in
-          let d1 = Array.copy domains and d2 = Array.copy domains in
-          d1.(split_var) <- left;
-          d2.(split_var) <- right;
-          Step_split (filter_children (d1, depth + 1) (d2, depth + 1))
+          let s1, s2 = fresh_slots () in
+          record box.slot (Split (split_var, Interval.hi left, s1, s2));
+          let child slot half =
+            let d = Array.copy domains in
+            d.(split_var) <- half;
+            { dom = d; depth = box.depth + 1; slot }
+          in
+          Step_split (filter_children (child s1 left) (child s2 right))
         end
       end
 
 let witness_of names mid =
   Delta_sat (Array.to_list (Array.mapi (fun i n -> (n, mid.(i))) names))
 
-let solve_conjunction ~opts ~budget st names rts initial =
-  let step = make_stepper ~opts st rts in
-  let stack = ref [ (Array.copy initial, 0) ] in
+(* A δ-sat witness the caller's oracle calls spurious is not an answer:
+   the search refines δ ÷100 and re-steps the witness's box.  Nothing but
+   the witness tests reads δ, and a box that is no witness at δ is none at
+   δ/100 either, so every box before it would have gone the same way in a
+   search restarted at δ/100 — the refined search is that restart, minus
+   the repeated prefix. *)
+let refine_here q level mid = level < max_refinements && q.spurious mid
+
+let solve_conjunction q st names rts initial =
+  let step = make_stepper q st rts in
+  let stack = ref [ initial ] in
   let result = ref None in
   (* Budget_exhausted escapes to [solve_prepared], which owns the per-query
      stats. *)
@@ -375,16 +447,20 @@ let solve_conjunction ~opts ~budget st names rts initial =
     | box :: rest ->
       stack := rest;
       st.branches <- st.branches + 1;
-      if st.branches > opts.max_branches then
+      if st.branches + st.replay_nodes > q.opts.max_branches then
         raise (Budget_exhausted Budget.Branch_budget);
       (* The budget is the wall-clock/cancellation control threaded down
          from the pipeline; [max_branches] above is the per-call search
          bound.  Both surface as Unknown, tagged in [stats.interrupted]. *)
-      (match Budget.consume_branches budget 1 with
+      (match Budget.consume_branches q.budget 1 with
       | Some s -> raise (Budget_exhausted s)
       | None -> ());
-      (match step box with
+      let level = Atomic.get q.level in
+      (match step ~delta:q.deltas.(level) box with
       | Step_pruned -> ()
+      | Step_witness mid when refine_here q level mid ->
+        Atomic.set q.level (level + 1);
+        stack := box :: !stack
       | Step_witness mid -> result := Some mid
       | Step_split children -> stack := children @ !stack)
   done;
@@ -418,20 +494,24 @@ let solve_conjunction ~opts ~budget st names rts initial =
    (among equally valid ones), the stats and the steal counters may vary.
 
    The workers share one global branch count continuing the query's
-   running total, matching the sequential [max_branches] bound. *)
+   running total, matching the sequential [max_branches] bound.  A δ
+   refinement moves the shared level once (compare-and-set from the level
+   the witness was found at) and re-queues the box; a recording search
+   files each box's record under its slot, so the merged tree is the
+   sequential one. *)
 
 type wdeque = {
   dq_lock : Mutex.t;
-  mutable dq_boxes : (Interval.t array * int) list; (* front = newest *)
+  mutable dq_boxes : box list; (* front = newest *)
 }
 
-let solve_conjunction_steal ~opts ~budget st names make_rts initial =
-  let jobs = opts.jobs in
+let solve_conjunction_steal q st names make_rts initial =
+  let jobs = q.opts.jobs in
   let deques = Array.init jobs (fun _ -> { dq_lock = Mutex.create (); dq_boxes = [] }) in
-  deques.(0).dq_boxes <- [ (Array.copy initial, 0) ];
+  deques.(0).dq_boxes <- [ initial ];
   let live = Atomic.make 1 in
   let frontier_hw = Atomic.make 1 in
-  let branch_total = Atomic.make st.branches in
+  let branch_total = Atomic.make (st.branches + st.replay_nodes) in
   let witness : float array option Atomic.t = Atomic.make None in
   let stopped : Budget.stop option Atomic.t = Atomic.make None in
   let is_some cell = match Atomic.get cell with Some _ -> true | None -> false in
@@ -488,13 +568,13 @@ let solve_conjunction_steal ~opts ~budget st names make_rts initial =
   let run wid =
     Obs.Trace.with_span "solver.worker" @@ fun () ->
     let st_l = fresh_state () in
-    let step = make_stepper ~opts st_l (make_rts ()) in
+    let step = make_stepper q st_l (make_rts ()) in
     let my = deques.(wid) in
     (* Seeded victim rotation: distinct [steal_seed]s give distinct (but
        reproducible) steal interleavings, which the qcheck parity property
        sweeps. *)
     let victims =
-      let off = (((opts.steal_seed * 31) + (wid * 17)) mod jobs + jobs) mod jobs in
+      let off = (((q.opts.steal_seed * 31) + (wid * 17)) mod jobs + jobs) mod jobs in
       Array.init jobs (fun i -> (wid + off + i) mod jobs)
       |> Array.to_list
       |> List.filter (fun v -> v <> wid)
@@ -556,18 +636,23 @@ let solve_conjunction_steal ~opts ~budget st names make_rts initial =
           | Some box ->
             st_l.branches <- st_l.branches + 1;
             let claimed = Atomic.fetch_and_add branch_total 1 in
-            if claimed >= opts.max_branches then begin
+            if claimed >= q.opts.max_branches then begin
               set_once stopped Budget.Branch_budget;
               box_done ()
             end
             else begin
-              match Budget.consume_branches budget 1 with
+              match Budget.consume_branches q.budget 1 with
               | Some s ->
                 set_once stopped s;
                 box_done ()
               | None -> (
-                match step box with
+                let level = Atomic.get q.level in
+                match step ~delta:q.deltas.(level) box with
                 | Step_pruned -> box_done ()
+                | Step_witness mid when refine_here q level mid ->
+                  ignore (Atomic.compare_and_set q.level level (level + 1) : bool);
+                  (* still open: [live] already counts it *)
+                  push_children my [ box ]
                 | Step_witness mid ->
                   set_once witness mid;
                   box_done ()
@@ -603,14 +688,14 @@ let solve_conjunction_steal ~opts ~budget st names make_rts initial =
     | Some stop -> raise (Budget_exhausted stop)
     | None -> Unsat)
 
-let solve_conjunction_par ~opts ~budget st names make_rts initial =
-  if opts.jobs <= 1 then solve_conjunction ~opts ~budget st names (make_rts ()) initial
-  else solve_conjunction_steal ~opts ~budget st names make_rts initial
+let solve_conjunction_par q st names make_rts initial =
+  if q.opts.jobs <= 1 then solve_conjunction q st names (make_rts ()) initial
+  else solve_conjunction_steal q st names make_rts initial
 
 (* Prepared queries: the formula-shaped work of [solve] — validation, DNF
    expansion, symbolic differentiation, tape compilation — factored out so
    callers that decide the same formula over many different bounds (level
-   search bisections, CEGIS δ-refinements) pay it once.  A [prepared]
+   search bisections) or check a recorded cover pay it once.  A [prepared]
    value is immutable and safe to reuse across calls and worker domains;
    per-task evaluation state is created inside each [solve_prepared]. *)
 
@@ -643,19 +728,161 @@ let prepare ?(options = default_options) ~vars formula =
      evaluation buffers.  Tree: the HC4 nodes carry mutable interval
      scratch state, so every task must compile private copies (the
      pre-tape behaviour, kept as the differential-testing oracle). *)
+  (* An atom shared by several disjuncts — condition (5)'s decrease atom
+     is in every one — is differentiated and compiled once; [to_dnf]
+     shares it physically. *)
+  let memo f =
+    let seen = ref [] in
+    fun (a : Formula.atom) ->
+      match List.assq_opt a !seen with
+      | Some r -> r
+      | None ->
+        let r = f a in
+        seen := (a, r) :: !seen;
+        r
+  in
+  let prepared = memo (prepare_atom names) in
+  let tape =
+    memo (fun a ->
+        let a, partials = prepared a in
+        (a, Tape.compile ~index_of ~partials a))
+  in
   let prep_conjunction conj =
-    let prepared = prepare_atoms names conj in
     match options.engine with
     | Tape_eval ->
-      let tapes =
-        List.map
-          (fun ((a : Formula.atom), partials) -> (a, Tape.compile ~index_of ~partials a))
-          prepared
-      in
+      let tapes = List.map tape conj in
       fun () -> List.map tape_rt tapes
-    | Tree_eval -> fun () -> List.map (tree_rt ~index_of) prepared
+    | Tree_eval ->
+      let atoms = List.map prepared conj in
+      fun () -> List.map (tree_rt ~index_of) atoms
   in
   { p_options = options; p_names = names; p_disjuncts = List.map prep_conjunction disjuncts }
+
+(* The preorder tree of one recorded Unsat disjunct, from its records
+   filed by slot: a split emits its node and point, then its left and its
+   right subtree. *)
+let build_tree ~n_slots records =
+  let table = Array.make n_slots None in
+  List.iter (fun (slot, r) -> table.(slot) <- Some r) records;
+  let nodes = ref [] and points = ref [] in
+  let rec emit slot =
+    match table.(slot) with
+    | None -> failwith "Solver: a box of an Unsat search left no cover record"
+    | Some (Leaf kind) -> nodes := kind :: !nodes
+    | Some (Split (var, point, left, right)) ->
+      nodes := (var lsl 2) lor kind_split :: !nodes;
+      points := point :: !points;
+      emit left;
+      emit right
+  in
+  emit 0;
+  { nodes = Array.of_list (List.rev !nodes); points = Array.of_list (List.rev !points) }
+
+(* Exactly one preorder tree, with one point per split. *)
+let well_formed t =
+  let open_slots = ref 1 and splits = ref 0 in
+  Array.for_all
+    (fun node ->
+      !open_slots > 0
+      && begin
+        decr open_slots;
+        if node land 3 = kind_split then begin
+          open_slots := !open_slots + 2;
+          incr splits
+        end;
+        true
+      end)
+    t.nodes
+  && !open_slots = 0
+  && !splits = Array.length t.points
+
+exception Refuted of verdict
+
+(* Check one disjunct's recorded tree.  A split bisects the uncontracted
+   box at its point, which must lie strictly inside the variable's
+   interval, so the children tile the parent by construction.  A leaf runs
+   its recorded test first — one HC4 round, the mean-value form, or the
+   forward enclosure — on the box as it is.  Its box is wider than the one
+   the search closed (no ancestor was contracted), so when that test does
+   not close it, the others follow in order of cost: the mean-value form,
+   contraction for up to [leaf_rounds] rounds while they pay, the
+   mean-value form on the contracted box.  A leaf none of them closes, a
+   split that does not fit its box, and a tree that is not well formed
+   fall back to the search of that box, at the query's δ.  Every visited
+   node counts against the branch bound and the budget. *)
+let leaf_rounds = 50
+
+let replay_conjunction q st names make_rts initial tree =
+  let rts = make_rts () in
+  let search box =
+    st.replay_fallbacks <- st.replay_fallbacks + 1;
+    match solve_conjunction_par q st names make_rts { dom = box; depth = 0; slot = -1 } with
+    | Unsat -> ()
+    | v -> raise (Refuted v)
+  in
+  let contracts_empty domains =
+    match contract ~max_rounds:leaf_rounds st domains rts with
+    | exception Pruned -> true
+    | () -> false
+  in
+  let mvf_refutes domains =
+    let mid = Array.map Interval.midpoint domains in
+    List.exists (fun rt -> (evaluate domains mid rt).refuted) rts
+  in
+  let forward_excludes domains =
+    List.exists (fun rt -> not (possibly_sat rt.atom (fst (rt.enclose domains)))) rts
+  in
+  (* The recorded test first, then the cheaper of the others: the mean-value
+     form costs one sweep, contraction to its fixpoint several. *)
+  let leaf_holds kind domains =
+    (if kind = kind_hc4 then
+       match contract ~max_rounds:1 st domains rts with exception Pruned -> true | () -> false
+     else if kind = kind_mvf then mvf_refutes domains
+     else forward_excludes domains)
+    || (kind <> kind_mvf && mvf_refutes domains)
+    || contracts_empty domains
+    || mvf_refutes domains
+  in
+  let pos = ref 0 and point = ref 0 in
+  let next () =
+    let node = tree.nodes.(!pos) in
+    incr pos;
+    node
+  in
+  let rec skip () = if next () land 3 = kind_split then (incr point; skip (); skip ()) in
+  let rec walk domains =
+    st.replay_nodes <- st.replay_nodes + 1;
+    if st.branches + st.replay_nodes > q.opts.max_branches then
+      raise (Budget_exhausted Budget.Branch_budget);
+    (match Budget.consume_branches q.budget 1 with
+    | Some s -> raise (Budget_exhausted s)
+    | None -> ());
+    let node = next () in
+    if node land 3 = kind_split then begin
+      let var = node asr 2 and m = tree.points.(!point) in
+      incr point;
+      if var >= 0 && var < Array.length domains
+         && Interval.lo domains.(var) < m && m < Interval.hi domains.(var)
+      then begin
+        let half lo hi =
+          let d = Array.copy domains in
+          d.(var) <- Interval.make lo hi;
+          d
+        in
+        walk (half (Interval.lo domains.(var)) m);
+        walk (half m (Interval.hi domains.(var)))
+      end
+      else begin
+        skip ();
+        skip ();
+        search domains
+      end
+    end
+    else if not (leaf_holds (node land 3) domains) then search domains
+  in
+  match if well_formed tree then walk (Array.copy initial.dom) else search initial.dom with
+  | () -> Unsat
+  | exception Refuted v -> v
 
 (* Counters are bumped once per query with the merged totals (not inside
    the branch loop), so the numbers are identical across job counts. *)
@@ -668,16 +895,18 @@ let c_steals = Obs.Metrics.counter "solver.steals"
 let c_steal_failures = Obs.Metrics.counter "solver.steal_failures"
 let c_frontier_hw = Obs.Metrics.counter "solver.frontier_high_water"
 
-let solve_prepared ?options ?(budget = Budget.unlimited) p ~bounds =
-  Obs.Trace.with_span "solver.solve" @@ fun () ->
-  let opts =
-    match options with
-    | None -> p.p_options
-    | Some o ->
-      if o.engine <> p.p_options.engine then
-        invalid_arg "Solver.solve_prepared: engine differs from prepare-time engine";
-      o
-  in
+let resolve_options p = function
+  | None -> p.p_options
+  | Some o ->
+    if o.engine <> p.p_options.engine then
+      invalid_arg "Solver.solve_prepared: engine differs from prepare-time engine";
+    o
+
+(* What [solve_prepared] and [replay] share: bounds validation, the loop
+   over the disjuncts ([decide q st i make_rts initial] decides disjunct
+   [i]), the counters and the stats.  [cover q] is the proof of an Unsat
+   answer, when one was recorded. *)
+let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide =
   let t0 = Timing.now () in
   let st = fresh_state () in
   let names = p.p_names in
@@ -692,25 +921,34 @@ let solve_prepared ?options ?(budget = Budget.unlimited) p ~bounds =
              n names.(i)))
     bounds;
   let initial =
-    Array.of_list (List.map (fun (_, lo, hi) -> Interval.make lo hi) bounds)
+    {
+      dom = Array.of_list (List.map (fun (_, lo, hi) -> Interval.make lo hi) bounds);
+      depth = 0;
+      slot = 0;
+    }
   in
+  let deltas = Array.make (max_refinements + 1) opts.delta in
+  for k = 1 to max_refinements do
+    deltas.(k) <- deltas.(k - 1) /. 100.0
+  done;
+  let q = { opts; budget; spurious; deltas; level = Atomic.make 0; slots = None } in
   let interrupted = ref None in
   (* A budget stop ends the whole query: [st.branches] and the deadline are
      shared across disjuncts, so retrying the remaining ones would stop
      again immediately.  The verdict degrades to Unknown (never to a wrong
      Unsat) and the stop reason is recorded in the stats. *)
-  let rec try_disjuncts unknown = function
+  let rec try_disjuncts i unknown = function
     | [] -> if unknown then Unknown else Unsat
     | make_rts :: rest -> (
-      match solve_conjunction_par ~opts ~budget st names make_rts initial with
+      match decide q st i make_rts initial with
       | Delta_sat w -> Delta_sat w
-      | Unsat -> try_disjuncts unknown rest
-      | Unknown -> try_disjuncts true rest
+      | Unsat -> try_disjuncts (i + 1) unknown rest
+      | Unknown -> try_disjuncts (i + 1) true rest
       | exception Budget_exhausted stop ->
         interrupted := Some stop;
         Unknown)
   in
-  let verdict = try_disjuncts false p.p_disjuncts in
+  let verdict = try_disjuncts 0 false p.p_disjuncts in
   Obs.Metrics.incr c_solves;
   Obs.Metrics.add c_branches st.branches;
   Obs.Metrics.add c_prunes st.prunes;
@@ -729,11 +967,57 @@ let solve_prepared ?options ?(budget = Budget.unlimited) p ~bounds =
       steals = st.steals;
       steal_failures = st.steal_failures;
       frontier_high_water = st.frontier_hw;
+      refinements = Atomic.get q.level;
+      replay_nodes = st.replay_nodes;
+      replay_fallbacks = st.replay_fallbacks;
       elapsed = Float.max 0.0 (Timing.now () -. t0);
       interrupted = !interrupted;
+      cover = (match verdict with Unsat -> cover q | Delta_sat _ | Unknown -> None);
     }
   in
   (verdict, stats)
+
+let solve_prepared ?options ?(budget = Budget.unlimited) ?spurious ?(record = false) p ~bounds =
+  Obs.Trace.with_span "solver.solve" @@ fun () ->
+  let trees = ref [] in
+  let decide q st _ make_rts initial =
+    if not record then solve_conjunction_par q st p.p_names make_rts initial
+    else begin
+      let slots = Atomic.make 1 in
+      st.records <- [];
+      let verdict =
+        solve_conjunction_par { q with slots = Some slots } st p.p_names make_rts initial
+      in
+      (match verdict with
+      | Unsat -> trees := build_tree ~n_slots:(Atomic.get slots) st.records :: !trees
+      | Delta_sat _ | Unknown -> ());
+      st.records <- [];
+      verdict
+    end
+  in
+  let cover q =
+    if record then
+      Some { delta = q.deltas.(Atomic.get q.level); trees = Array.of_list (List.rev !trees) }
+    else None
+  in
+  run_query ~opts:(resolve_options p options) ~budget ?spurious ~cover p ~bounds decide
+
+let replay ?options ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
+  Obs.Trace.with_span "solver.replay" @@ fun () ->
+  let opts = resolve_options p options in
+  let opts =
+    if Float.is_finite cover.delta && cover.delta > 0.0 then { opts with delta = cover.delta }
+    else opts
+  in
+  let matched = Array.length cover.trees = List.length p.p_disjuncts in
+  let decide q st i make_rts initial =
+    if matched then replay_conjunction q st p.p_names make_rts initial cover.trees.(i)
+    else begin
+      st.replay_fallbacks <- st.replay_fallbacks + 1;
+      solve_conjunction_par q st p.p_names make_rts initial
+    end
+  in
+  run_query ~opts ~budget ~cover:(fun _ -> None) p ~bounds decide
 
 let solve ?(options = default_options) ?(budget = Budget.unlimited) ~bounds formula =
   let vars = List.map (fun (n, _, _) -> n) bounds in

@@ -19,12 +19,34 @@
     domain by at least 10 % (at most 10 rounds).  Each atom's midpoint
     value and gradient enclosures are then computed once; they feed the
     mean-value-form prune and certainly-true tests and the smear choice of
-    the variable to bisect. *)
+    the variable to bisect.
+
+    An Unsat search can record its proof, a {!cover}, and {!replay} checks
+    a recorded cover far more cheaply than the search that found it. *)
 
 type verdict =
   | Unsat
   | Delta_sat of (string * float) list  (** witness assignment *)
   | Unknown
+
+(** {1 Covers}
+
+    The proof of an Unsat answer: per DNF disjunct, the bisection tree of
+    its search in preorder.  Each node is one int whose low two bits are
+    its kind — [0] a split, with the split variable's index in the bits
+    above ([var lsl 2]); [1] a leaf emptied by HC4 contraction; [2] a
+    leaf excluded by the mean-value form; [3] a leaf dropped by the
+    batched child pre-filter.  A split is followed by its left subtree,
+    then its right one, and takes its point from [points], in the same
+    order.  The packed layout keeps a cover pointer-free and cheap to
+    store. *)
+
+type tree = { nodes : int array; points : float array }
+
+type cover = {
+  delta : float;  (** the δ the Unsat was decided at, after any refinement *)
+  trees : tree array;  (** one per DNF disjunct, in {!Formula.to_dnf} order *)
+}
 
 type stats = {
   branches : int;  (** boxes examined *)
@@ -44,10 +66,16 @@ type stats = {
       (** peak number of simultaneously open/in-flight boxes under the
           work-stealing scheduler (available parallelism high-water mark;
           0 for sequential runs) *)
+  refinements : int;  (** δ refinements made for [?spurious] witnesses *)
+  replay_nodes : int;  (** cover nodes visited by {!replay} (0 for a search) *)
+  replay_fallbacks : int;
+      (** boxes {!replay} had to search: failed leaves, splits that do not
+          fit their box, and malformed or mismatched trees *)
   elapsed : float;  (** seconds *)
   interrupted : Budget.stop option;
       (** [Some stop] iff the search was cut short by the per-call branch
           bound or the threaded budget; the verdict is then [Unknown] *)
+  cover : cover option;  (** the recorded proof of an Unsat answer, under [~record:true] *)
 }
 
 type engine = Tree_eval
@@ -114,8 +142,9 @@ val solve :
     [solve] performs two separable jobs: formula-shaped preparation
     (validation, DNF expansion, symbolic partials, tape compilation) and
     the numeric search over a concrete box.  Callers that decide the same
-    formula over many different bounds — level-search bisections, CEGIS
-    δ-refinement retries — can split them to pay preparation once. *)
+    formula over many different bounds — level-search bisections — can
+    split them to pay preparation once, and {!replay} takes the prepared
+    form too. *)
 
 type prepared
 (** Immutable compiled form of one formula against a fixed variable order;
@@ -131,6 +160,8 @@ val prepare : ?options:options -> vars:string list -> Formula.t -> prepared
 val solve_prepared :
   ?options:options ->
   ?budget:Budget.t ->
+  ?spurious:(float array -> bool) ->
+  ?record:bool ->
   prepared ->
   bounds:(string * float * float) list ->
   verdict * stats
@@ -138,9 +169,55 @@ val solve_prepared :
     must list exactly the prepared variables in prepare-time order (else
     [Invalid_argument]).  [options] overrides the prepare-time options for
     this call — any field except [engine], which is baked into the
-    compiled form ([Invalid_argument] on mismatch); this is how CEGIS
-    tightens δ across retries without recompiling.  [solve] is precisely
-    [prepare] followed by [solve_prepared]. *)
+    compiled form ([Invalid_argument] on mismatch).  [solve] is precisely
+    [prepare] followed by [solve_prepared].
+
+    [spurious] (default: never) is asked about each δ-sat witness, a point
+    in the prepared variable order.  When it answers [true], the search
+    refines δ ÷100 and re-steps that witness's box instead of answering,
+    at most 4 times per query ([stats.refinements]); after the fourth, a
+    witness is returned whatever [spurious] says.  Pruning and bisection
+    never read δ, so this is exactly the search a restart at the refined δ
+    would make, without repeating the boxes before the witness.
+
+    [record] (default [false]) makes an Unsat answer carry its {!cover}
+    in [stats.cover], at the δ it was decided at.  The tree of a box is
+    filed under the box's slot, so the cover is the same for any [jobs]
+    and steal interleaving. *)
+
+val replay :
+  ?options:options ->
+  ?budget:Budget.t ->
+  prepared ->
+  bounds:(string * float * float) list ->
+  cover ->
+  verdict * stats
+(** [replay p ~bounds cover] decides [p] like {!solve_prepared}, checking
+    the recorded [cover] instead of searching where it can.  Each tree is
+    walked from the query box:
+
+    - a split bisects the {e uncontracted} box at its point, which must
+      lie strictly inside the variable's interval, so the two children
+      tile their parent by construction;
+    - a leaf runs its recorded test — one HC4 round empties the box, the
+      mean-value form excludes an atom, or the forward enclosure excludes
+      an atom's target.  A leaf's box is wider than the one the search
+      closed, since no ancestor was contracted, so when the recorded test
+      fails the leaf gets the mean-value form, contraction (up to 50
+      rounds, while they pay) and the mean-value form again.
+
+    A leaf that none of these closes, a split that does not fit its box, a tree
+    that is not exactly one preorder tree with one point per split, and a
+    tree count that differs from the disjunct count fall back to the
+    search of that box ([stats.replay_fallbacks]).  The fallback searches
+    run at the cover's δ when it is finite and positive (else at
+    [options.delta]).  Every visited node counts against [max_branches]
+    and [budget] ([stats.replay_nodes]).
+
+    The cover is untrusted and cannot weaken the answer: every box of the
+    query box ends in a sound refutation or in a search, so Unsat is
+    exactly as sound as the search's, and a tampered cover can only cost
+    time.  A witness of a fallback search is returned as [Delta_sat]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

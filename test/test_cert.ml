@@ -22,17 +22,22 @@ let network = Error_dynamics.controller_of_width 10
 let system = dubins_system network
 let config = Engine.default_config
 
-(* One proved certificate, shared by the read-only tests. *)
-let proved =
+(* One proved certificate and its condition (5) cover, shared by the
+   read-only tests. *)
+let proved_report =
   lazy
     (let rng = Rng.create 7 in
-     match (Engine.verify ~config ~rng system).Engine.outcome with
-     | Engine.Proved cert -> cert
+     let report = Engine.verify ~config ~rng system in
+     match report.Engine.outcome with
+     | Engine.Proved cert -> (cert, report.Engine.cover)
      | Engine.Failed _ -> Alcotest.fail "baseline verify failed to prove")
+
+let proved = lazy (fst (Lazy.force proved_report))
 
 let artifact () =
   let fp = Artifact.fingerprint ~network system config in
-  Artifact.make ~fingerprint:fp ~config ~stats:[ ("source", "test") ] (Lazy.force proved)
+  let cert, cover = Lazy.force proved_report in
+  Artifact.make ~fingerprint:fp ~config ?cover ~stats:[ ("source", "test") ] cert
 
 let check_verdict =
   Alcotest.testable
@@ -134,6 +139,181 @@ let test_poly_audit_certifies () =
         | Ok reloaded ->
           let verdict, _ = Checker.audit ?network:net ~system:sys reloaded in
           Alcotest.check check_verdict "poly artifact certified" Checker.Certified verdict))
+
+(* --- covers ------------------------------------------------------------- *)
+
+let cover_of a =
+  match a.Artifact.cover with
+  | Some c -> c
+  | None -> Alcotest.fail "an exported proof carries its condition (5) cover"
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let test_v3_roundtrip () =
+  let a = artifact () in
+  Alcotest.(check int) "written as v3" 3 a.Artifact.version;
+  let s = Artifact.to_string a in
+  match Artifact.of_string s with
+  | Error e -> Alcotest.failf "v3 parse failed: %s" e
+  | Ok b ->
+    Alcotest.(check string) "text round-trips byte for byte" s (Artifact.to_string b);
+    let c = cover_of a and c' = cover_of b in
+    Alcotest.(check bool) "cover delta bits" true
+      (bits_equal [| c.Solver.delta |] [| c'.Solver.delta |]);
+    Alcotest.(check int) "tree count" (Array.length c.Solver.trees) (Array.length c'.Solver.trees);
+    Array.iteri
+      (fun i t ->
+        let t' = c'.Solver.trees.(i) in
+        Alcotest.(check (array int)) "nodes" t.Solver.nodes t'.Solver.nodes;
+        Alcotest.(check bool) "point bits" true (bits_equal t.Solver.points t'.Solver.points))
+      c.Solver.trees
+
+(* Stores written before covers existed keep serving hits: a v2 entry is
+   audited by search. *)
+let test_v2_serves_hit () =
+  let root = fresh_store () in
+  let v2 = { (artifact ()) with Artifact.version = 2; cover = None } in
+  let text = Artifact.to_string v2 in
+  Alcotest.(check bool) "v2 header" true (contains ~sub:"safebarrier-cert v2" text);
+  Alcotest.(check bool) "no cover lines" false (contains ~sub:"cover" text);
+  ignore (Store.save ~root ~network v2 : string);
+  let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
+  match r.Cache.source with
+  | Cache.Cache_hit { audit; _ } ->
+    Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
+  | s -> Alcotest.failf "v2 entry should hit, got %s" (Cache.string_of_source s)
+
+(* Every proving registry scenario, exported once, is a hit whose audit
+   replays the recorded cover with no fallback search. *)
+let test_scenarios_replay_cleanly () =
+  List.iter
+    (fun (entry : Registry.entry) ->
+      if entry.Registry.scenario.Scenario.expectation = Some Scenario.Should_prove then begin
+        let e =
+          match Registry.elaborate entry.Registry.scenario with
+          | Ok e -> e
+          | Error msg -> Alcotest.failf "%s: %s" entry.Registry.name msg
+        in
+        let c = e.Scenario.closed and config = e.Scenario.config in
+        let root = fresh_store () in
+        let run seed =
+          Cache.verify ~config ?network:c.Plant.network ~plant:c.Plant.id ~store:root
+            ~rng:(Rng.create seed) c.Plant.system
+        in
+        ignore (run 7);
+        match (run 8).Cache.source with
+        | Cache.Cache_hit { audit; _ } ->
+          Alcotest.(check bool) (entry.Registry.name ^ ": cover replayed") true
+            (audit.Checker.replay_nodes > 0);
+          Alcotest.(check int) (entry.Registry.name ^ ": no fallback") 0
+            audit.Checker.replay_fallbacks
+        | s ->
+          Alcotest.failf "%s: second run should hit, got %s" entry.Registry.name
+            (Cache.string_of_source s)
+      end)
+    (Registry.scenarios ())
+
+(* Does the certificate with [coeffs] genuinely violate condition (5)?
+   A plain search finds a witness, and the exact Lie derivative there is
+   >= -gamma. *)
+let violates_condition5 coeffs =
+  let cert = { (Lazy.force proved) with Engine.coeffs } in
+  let ob =
+    Engine.decrease_obligation ~name:"condition (5)"
+      ~outside:(Formula.outside_rect (Cegis.rect_bounds system.Engine.vars config.Engine.x0_rect))
+      ~gamma:config.Engine.gamma
+      ~simulate:(fun x -> { Ode.times = [| 0.0 |]; states = [| x |] })
+      system cert.Engine.template
+  in
+  match
+    fst
+      (Solver.solve ~options:config.Engine.smt
+         ~bounds:(Cegis.rect_bounds system.Engine.vars config.Engine.safe_rect)
+         (Engine.condition5_formula system config cert))
+  with
+  | Solver.Delta_sat w ->
+    ob.Cegis.violates coeffs (Array.map (fun v -> List.assoc v w) system.Engine.vars)
+  | Solver.Unsat | Solver.Unknown -> false
+
+(* Perturbed coefficient vectors of the shared certificate that keep the
+   form positive definite but genuinely break the decrease condition. *)
+let refuted_coeffs =
+  lazy
+    (let base = (Lazy.force proved).Engine.coeffs in
+     let candidates =
+       List.concat_map
+         (fun i ->
+           List.map
+             (fun f ->
+               let c = Array.copy base in
+               c.(i) <- c.(i) *. f;
+               c)
+             [ 0.2; 0.5; 2.0; 5.0 ])
+         (List.init (Array.length base) Fun.id)
+     in
+     List.filter
+       (fun coeffs ->
+         Cholesky.is_positive_definite
+           (Template.p_matrix (Lazy.force proved).Engine.template coeffs)
+         && violates_condition5 coeffs)
+       candidates)
+
+type tamper = Flip_kind | Point_on_bound | Point_outside | Wrong_var | Truncate | Append
+
+let tamper_name = function
+  | Flip_kind -> "flipped kind"
+  | Point_on_bound -> "split point on the box"
+  | Point_outside -> "split point outside the box"
+  | Wrong_var -> "wrong variable"
+  | Truncate -> "truncated tree"
+  | Append -> "appended nodes"
+
+(* Apply one tamper to tree [ti mod n] at position [pos mod length]. *)
+let tamper_cover (c : Solver.cover) kind ti pos =
+  let trees =
+    Array.map
+      (fun (t : Solver.tree) ->
+        { Solver.nodes = Array.copy t.Solver.nodes; points = Array.copy t.Solver.points })
+      c.Solver.trees
+  in
+  let ti = ti mod Array.length trees in
+  let { Solver.nodes; points } = trees.(ti) in
+  let n = Array.length nodes and np = Array.length points in
+  let splits = List.filter (fun j -> nodes.(j) land 3 = 0) (List.init n Fun.id) in
+  (match kind with
+  | Flip_kind -> nodes.(pos mod n) <- nodes.(pos mod n) lxor (1 + (pos mod 3))
+  | Point_on_bound when np > 0 -> points.(pos mod np) <- snd config.Engine.safe_rect.(0)
+  | Point_outside when np > 0 -> points.(pos mod np) <- 1e9
+  | Wrong_var when splits <> [] ->
+    let j = List.nth splits (pos mod List.length splits) in
+    nodes.(j) <- nodes.(j) lxor 4
+  | Truncate -> trees.(ti) <- { Solver.nodes = Array.sub nodes 0 (pos mod n); points }
+  | Append -> trees.(ti) <- { Solver.nodes = Array.append nodes [| 1; 0; 2 |]; points }
+  | Point_on_bound | Point_outside | Wrong_var -> ());
+  { c with Solver.trees }
+
+let prop_tampered_cover_never_certifies =
+  QCheck.Test.make ~name:"tampered cover never certifies a refuted certificate" ~count:40
+    QCheck.(triple (int_range 0 5) (int_range 0 1000) (int_range 0 100_000))
+    (fun (kind_i, pick, pos) ->
+      let kind =
+        [| Flip_kind; Point_on_bound; Point_outside; Wrong_var; Truncate; Append |].(kind_i)
+      in
+      let a = artifact () in
+      let bad = Lazy.force refuted_coeffs in
+      if bad = [] then QCheck.Test.fail_report "no perturbation refutes condition (5)";
+      let coeffs = List.nth bad (pick mod List.length bad) in
+      let cover = tamper_cover (cover_of a) kind (pick / 7) pos in
+      (* The structural checks pass, so the verdict is condition (5)'s. *)
+      match Checker.audit ~network ~system { a with Artifact.coeffs; cover = Some cover } with
+      | Checker.Rejected (Checker.Condition_refuted { condition = 5; _ }), _ -> true
+      | v, _ ->
+        QCheck.Test.fail_reportf "%s cover: want condition (5) refuted, got %s" (tamper_name kind)
+          (Checker.string_of_verdict v)
+      | exception e ->
+        QCheck.Test.fail_reportf "%s cover raised %s" (tamper_name kind) (Printexc.to_string e))
 
 (* --- fingerprints ----------------------------------------------------- *)
 
@@ -647,6 +827,7 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
           Alcotest.test_case "poly round-trip" `Quick test_poly_roundtrip;
           Alcotest.test_case "poly artifact certified" `Quick test_poly_audit_certifies;
+          Alcotest.test_case "v3 round-trip is bit-exact" `Quick test_v3_roundtrip;
           Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "fingerprint ignores execution strategy" `Quick
             test_fingerprint_ignores_execution_strategy;
@@ -669,6 +850,7 @@ let () =
           Alcotest.test_case "negative gamma ill-formed" `Quick test_audit_rejects_negative_gamma;
           Alcotest.test_case "nonpositive delta ill-formed" `Quick
             test_audit_rejects_nonpositive_delta;
+          QCheck_alcotest.to_alcotest prop_tampered_cover_never_certifies;
         ] );
       ( "warm-start",
         [
@@ -686,6 +868,9 @@ let () =
           Alcotest.test_case "cross-plant isolation" `Quick test_cache_cross_plant_isolation;
           Alcotest.test_case "parameterization isolation" `Quick
             test_cache_parameterization_isolation;
+          Alcotest.test_case "v2 entry serves a hit" `Quick test_v2_serves_hit;
+          Alcotest.test_case "exported scenarios replay cleanly" `Quick
+            test_scenarios_replay_cleanly;
         ] );
       ( "fsck",
         [

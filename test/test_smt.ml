@@ -583,6 +583,146 @@ let test_solver_prepared_reuse () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "missing bounds must be rejected")
 
+(* --- Covers: recorded Unsat proofs and their replay ----------------------- *)
+
+(* The imbalanced corner refutation of [test_solver_steal_imbalanced]: an
+   Unsat answer with hundreds of boxes, steals at jobs > 1, and leaves of
+   all three kinds. *)
+let corner =
+  Formula.and_
+    [
+      Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
+      Formula.ge (Expr.( + ) x y) (Expr.const 1.4142137);
+    ]
+
+let corner_options jobs = { Solver.default_options with Solver.delta = 1e-7; jobs }
+
+let record_corner ?(steal_seed = 0) jobs =
+  let options = { (corner_options jobs) with Solver.steal_seed } in
+  let p = Solver.prepare ~options ~vars:[ "x"; "y" ] corner in
+  let v, st = Solver.solve_prepared ~record:true p ~bounds:bounds2 in
+  expect_unsat "recorded corner" v;
+  match st.Solver.cover with
+  | Some c -> (p, c)
+  | None -> Alcotest.fail "an Unsat search under ~record:true carries its cover"
+
+let test_cover_replays () =
+  let p, cover = record_corner 1 in
+  let nodes = Array.fold_left (fun n t -> n + Array.length t.Solver.nodes) 0 cover.Solver.trees in
+  Alcotest.(check int) "one tree per disjunct" (List.length (Formula.to_dnf corner))
+    (Array.length cover.Solver.trees);
+  Alcotest.(check (float 0.0)) "cover delta" 1e-7 cover.Solver.delta;
+  let searched = (snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.branches in
+  let v, st = Solver.replay p ~bounds:bounds2 cover in
+  expect_unsat "replayed corner" v;
+  Alcotest.(check int) "every node visited" nodes st.Solver.replay_nodes;
+  (* The replay does not contract at splits, so on this margin-tight query
+     some leaves of the deep tree stay open on their wider boxes; their
+     searches are small. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fallbacks search %d boxes, < a quarter of the %d searched"
+       st.Solver.replay_fallbacks st.Solver.branches searched)
+    true
+    (st.Solver.branches < searched / 4);
+  Alcotest.(check bool) "no cover unless recorded" true
+    ((snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.cover = None);
+  (* The tree engine replays a cover the tape engine recorded. *)
+  let tree_p =
+    Solver.prepare
+      ~options:{ (corner_options 1) with Solver.engine = Solver.Tree_eval }
+      ~vars:[ "x"; "y" ] corner
+  in
+  expect_unsat "tree-engine replay" (fst (Solver.replay tree_p ~bounds:bounds2 cover));
+  (* A cover that does not fit the query is searched, never trusted: the
+     other half-plane has solutions. *)
+  let sat_p =
+    Solver.prepare ~options:(corner_options 1) ~vars:[ "x"; "y" ]
+      (Formula.and_
+         [
+           Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
+           Formula.ge (Expr.( + ) x y) (Expr.const 1.0);
+         ])
+  in
+  ignore (expect_sat "foreign cover" (fst (Solver.replay sat_p ~bounds:bounds2 cover)))
+
+(* A cover proves nothing by itself: replayed against a query that has
+   solutions, no tampering of it — a node's kind or variable flipped, a
+   split point moved anywhere, nodes cut or appended — yields Unsat, and
+   none raises.  The untampered replay walks [reach] nodes before a leaf
+   fails and its search finds a solution; every tamper lands in that
+   prefix, so the walk always meets it. *)
+let prop_tampered_cover_never_hides_solutions =
+  let _, cover = record_corner 1 in
+  let sat_p =
+    Solver.prepare ~options:(corner_options 1) ~vars:[ "x"; "y" ]
+      (Formula.and_
+         [
+           Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
+           Formula.ge (Expr.( + ) x y) (Expr.const 1.41);
+         ])
+  in
+  let reach = (snd (Solver.replay sat_p ~bounds:bounds2 cover)).Solver.replay_nodes in
+  let t = cover.Solver.trees.(0) in
+  let splits_reached =
+    Array.fold_left (fun n node -> if node land 3 = 0 then n + 1 else n) 0
+      (Array.sub t.Solver.nodes 0 reach)
+  in
+  QCheck.Test.make ~name:"tampered cover never hides a solution" ~count:150
+    QCheck.(triple (int_range 0 4) (int_range 0 100_000) (float_range (-3.0) 3.0))
+    (fun (kind, pos, value) ->
+      let nodes = Array.copy t.Solver.nodes and points = Array.copy t.Solver.points in
+      let k = pos mod reach in
+      let nodes, points =
+        match kind with
+        | 0 -> (nodes.(k) <- nodes.(k) lxor (1 + (pos mod 3)); (nodes, points))
+        | 1 -> (nodes.(k) <- nodes.(k) lxor 4; (nodes, points))
+        | 2 -> (points.(pos mod splits_reached) <- value; (nodes, points))
+        | 3 -> (Array.sub nodes 0 k, points)
+        | _ -> (Array.append nodes [| pos land 7; 1; 2 |], points)
+      in
+      let tampered = { cover with Solver.trees = [| { Solver.nodes; points } |] } in
+      match Solver.replay sat_p ~bounds:bounds2 tampered with
+      | Solver.Delta_sat _, _ -> true
+      | v, _ -> QCheck.Test.fail_reportf "tampered cover answered %a" Solver.pp_verdict v)
+
+(* Each box files its record under its own slot, so the cover does not
+   depend on which worker expanded which box. *)
+let test_cover_job_independent () =
+  let _, c1 = record_corner 1 in
+  List.iter
+    (fun (jobs, steal_seed) ->
+      let _, c = record_corner ~steal_seed jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d seed %d cover = jobs 1 cover" jobs steal_seed)
+        true (c = c1))
+    [ (2, 0); (2, 3); (4, 1) ]
+
+(* The circle x² + y² = 1 has δ-witnesses at every δ.  Calling each one
+   spurious refines δ four times in the running search, and the answer is
+   the witness a search restarted at the finest δ finds first. *)
+let test_refinement_is_restart () =
+  let f = Formula.eq (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0) in
+  let p = Solver.prepare ~vars:[ "x"; "y" ] f in
+  let v, st = Solver.solve_prepared ~spurious:(fun _ -> true) p ~bounds:bounds2 in
+  Alcotest.(check int) "four refinements" 4 st.Solver.refinements;
+  let finest =
+    List.fold_left (fun d _ -> d /. 100.0) Solver.default_options.Solver.delta [ 1; 2; 3; 4 ]
+  in
+  let restarted, st_r =
+    Solver.solve_prepared
+      ~options:{ Solver.default_options with Solver.delta = finest }
+      p ~bounds:bounds2
+  in
+  Alcotest.(check bool) "same witness as the restart" true (v = restarted);
+  ignore (expect_sat "refined circle" v);
+  Alcotest.(check int) "the restart's branches plus 4 re-steps" (st_r.Solver.branches + 4)
+    st.Solver.branches;
+  let v1, st1 = Solver.solve_prepared ~spurious:(fun _ -> false) p ~bounds:bounds2 in
+  Alcotest.(check int) "a genuine witness is not refined" 0 st1.Solver.refinements;
+  Alcotest.(check bool) "same witness as a plain search" true
+    (v1 = fst (Solver.solve_prepared p ~bounds:bounds2))
+
+
 let () =
   Alcotest.run "smt"
     [
@@ -626,6 +766,11 @@ let () =
           Alcotest.test_case "mean-value-form prunes" `Quick test_solver_mvf_prunes;
           Alcotest.test_case "imbalanced workload steals" `Quick test_solver_steal_imbalanced;
           Alcotest.test_case "prepared query reuse" `Quick test_solver_prepared_reuse;
+          Alcotest.test_case "recorded cover replays" `Quick test_cover_replays;
+          Alcotest.test_case "cover is job-independent" `Quick test_cover_job_independent;
+          Alcotest.test_case "in-search refinement is a restart" `Quick
+            test_refinement_is_restart;
+          QCheck_alcotest.to_alcotest prop_tampered_cover_never_hides_solutions;
           QCheck_alcotest.to_alcotest prop_solver_sound_on_linear;
           QCheck_alcotest.to_alcotest prop_parallel_parity;
         ] );
