@@ -72,6 +72,13 @@ val div : t -> t -> t
 (** Extended division: when the divisor straddles zero the result is the
     hull of both quotient branches (possibly [entire]). *)
 
+val mul_preimage : t -> t -> t
+(** [mul_preimage r y] encloses [{x : ∃y ∈ y, x·y ∈ r}], the values of one
+    factor of a product that meets [r] with some value of the other.  This
+    is HC4's backward projection through [x·y] (and through a quotient's
+    divisor); [div] alone is not, because when [0 ∈ r] and [0 ∈ y] every
+    [x] qualifies, while [div r y] answers [{0}] or empty there. *)
+
 val inv : t -> t
 
 val sqr : t -> t

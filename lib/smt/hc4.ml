@@ -101,6 +101,9 @@ let even_preimage current root_pos =
   let neg = Interval.meet current (Interval.neg root_pos) in
   Interval.hull pos neg
 
+(* Descends through every node, narrowed or not.  Tape.revise skips the
+   pushes below an unnarrowed node; this walk keeps them, as the plain HC4
+   that test_tape's tightness property holds the tape to. *)
 let rec bwd domains changed node required =
   let r = Interval.meet node.ival required in
   if Interval.is_empty r then raise Empty_box;
@@ -123,13 +126,13 @@ let rec bwd domains changed node required =
     bwd domains changed a (Interval.add r b.ival);
     bwd domains changed b (Interval.sub a.ival r)
   | NMul (a, b) ->
-    (* x*y = r: x ∈ r/y unless y may be 0, in which case div is already
-       conservative (entire), yielding no contraction. *)
-    bwd domains changed a (Interval.div r b.ival);
-    bwd domains changed b (Interval.div r a.ival)
+    (* x*y = r: x ∈ r/y, except that when 0 ∈ r and 0 ∈ y every x
+       qualifies, which [mul_preimage] answers with entire. *)
+    bwd domains changed a (Interval.mul_preimage r b.ival);
+    bwd domains changed b (Interval.mul_preimage r a.ival)
   | NDiv (a, b) ->
     bwd domains changed a (Interval.mul r b.ival);
-    bwd domains changed b (Interval.div a.ival r)
+    bwd domains changed b (Interval.mul_preimage a.ival r)
   | NNeg a -> bwd domains changed a (Interval.neg r)
   | NPow (a, n) ->
     if n <= 0 then () (* pow 0 is constant; negative powers stay uncontracted *)

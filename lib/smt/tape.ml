@@ -548,6 +548,17 @@ let revise t b domains =
     if not (klo <= khi) then raise Empty_box;
     rlo.(k) <- klo;
     rhi.(k) <- khi;
+    (* Descend only through a node its parents narrowed.  An unnarrowed
+       node still holds its forward enclosure, which contains the exact
+       image of its operands' forward enclosures, so every projection below
+       contains each operand's forward enclosure whatever the sibling reads
+       (for k = a + c: klo - hi c' <= lo a whenever c' ⊆ c's forward); such
+       a push narrows nothing.  Skipping it cannot hide an empty box either:
+       a sibling whose requirements already miss its forward enclosure
+       raises when its own slot is processed.  On a wide network's output
+       sum the requirement stops narrowing a few additions below the root,
+       so most of the atom is skipped. *)
+    if klo > flo.(k) || khi < fhi.(k) then
     match Array.unsafe_get instrs k with
     | IConst _ -> ()
     | IVar j ->
@@ -570,15 +581,14 @@ let revise t b domains =
       let ca = cur flo fhi rlo rhi a in
       push_f rlo rhi c (down (Interval.lo ca -. khi)) (up (Interval.hi ca -. klo))
     | IMul (a, c) ->
-      (* x*y = r: x ∈ r/y unless y may be 0, in which case div is already
-         conservative (entire), yielding no contraction. *)
       let r = Interval.make klo khi in
-      push_iv rlo rhi a (Interval.div r (cur flo fhi rlo rhi c));
-      push_iv rlo rhi c (Interval.div r (cur flo fhi rlo rhi a))
+      push_iv rlo rhi a (Interval.mul_preimage r (cur flo fhi rlo rhi c));
+      push_iv rlo rhi c (Interval.mul_preimage r (cur flo fhi rlo rhi a))
     | IDiv (a, c) ->
+      (* a / c = r: a ∈ r·c, and c·r meets a, the product's preimage. *)
       let r = Interval.make klo khi in
       push_iv rlo rhi a (Interval.mul r (cur flo fhi rlo rhi c));
-      push_iv rlo rhi c (Interval.div (cur flo fhi rlo rhi a) r)
+      push_iv rlo rhi c (Interval.mul_preimage (cur flo fhi rlo rhi a) r)
     | INeg a -> push_f rlo rhi a (-.khi) (-.klo)
     | IPow (a, nexp) ->
       if nexp <= 0 then () (* pow 0 is constant; negative powers stay uncontracted *)

@@ -107,4 +107,7 @@ val batched_sweep_count : unit -> int
 
 val revise : t -> buffers -> Interval.t array -> bool
 (** One forward–backward pass.  Narrows [domains] in place; returns whether
-    any domain changed; raises {!Empty_box} on infeasibility. *)
+    any domain changed; raises {!Empty_box} on infeasibility.  The backward
+    sweep descends only through nodes their parents narrowed, which gives
+    the same domains and the same {!Empty_box} outcome as full descent
+    (DESIGN.md §5e). *)

@@ -108,6 +108,39 @@ let test_pretrained_delta_refinements () =
   Alcotest.(check bool) (Printf.sprintf "%d delta refinements > 0" refinements) true
     (refinements > 0)
 
+let test_registry_counters_pinned () =
+  (* Every registry scenario at jobs 1 under the CLI's default seed, as
+     `scenarios run --jobs 1` runs them.  At jobs 1 the search is
+     deterministic, so these counters are the search itself: a change to
+     the interval kernels, the tape or the solver that means to keep the
+     search keeps them, and one that changes it updates them with a
+     reason. *)
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+      List.iter
+        (fun (e : Registry.entry) ->
+          match Registry.elaborate { e.Registry.scenario with Scenario.jobs = Some 1 } with
+          | Error why -> Alcotest.failf "%s: %s" e.Registry.name why
+          | Ok el ->
+            ignore
+              (Engine.verify ~config:el.Scenario.config ~rng:(Rng.create 7)
+                 el.Scenario.closed.Plant.system
+                : Engine.report))
+        (Registry.scenarios ()));
+  let expect name v = Alcotest.(check int) name v (Obs.Metrics.value (Obs.Metrics.counter name)) in
+  expect "solver.branches" 7_084;
+  expect "solver.hc4_revise" 20_625;
+  expect "solver.prunes" 3_630;
+  expect "solver.prunes_mvf" 1_057;
+  expect "tape.batched_sweeps" 7_159;
+  expect "tape.compile" 160;
+  expect "cegis.cex_cuts" 6;
+  expect "cegis.delta_refinements" 21;
+  expect "lp.pivots" 206;
+  expect "level_search.bisections" 9;
+  Obs.Metrics.reset ()
+
 let test_determinism () =
   let r1 = verify 99 reference_system and r2 = verify 99 reference_system in
   match (r1.Engine.outcome, r2.Engine.outcome) with
@@ -215,6 +248,8 @@ let () =
           Alcotest.test_case "pretrained delta refinements" `Slow
             test_pretrained_delta_refinements;
           Alcotest.test_case "determinism" `Slow test_determinism;
+          Alcotest.test_case "registry search counters pinned" `Quick
+            test_registry_counters_pinned;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
         ] );
       ( "failure injection",

@@ -104,6 +104,20 @@ let test_div () =
   Alcotest.(check bool) "x/0 empty" true
     (Interval.is_empty (Interval.div (Interval.make 1.0 2.0) (Interval.of_float 0.0)))
 
+let test_mul_preimage () =
+  (* {x : ∃y ∈ Y, x·y ∈ R}: with 0 in both R and Y every x qualifies,
+     where [div R Y] answers {0} or empty. *)
+  let entire = Interval.entire in
+  icheck "R = {0}, Y straddles 0" entire
+    (Interval.mul_preimage (Interval.of_float 0.0) (Interval.make (-1.0) 1.0));
+  icheck "0 in R, Y = {0}" entire
+    (Interval.mul_preimage (Interval.make (-1.0) 1.0) (Interval.of_float 0.0));
+  Alcotest.(check bool) "0 not in R, Y = {0}: empty" true
+    (Interval.is_empty (Interval.mul_preimage (Interval.make 1.0 2.0) (Interval.of_float 0.0)));
+  let q = Interval.mul_preimage (Interval.make 2.0 4.0) (Interval.make 1.0 2.0) in
+  contains "plain quotient lo" q 1.0;
+  contains "plain quotient hi" q 4.0
+
 let test_sqr_pow () =
   let s = Interval.sqr (Interval.make (-2.0) 3.0) in
   contains "sqr contains 0" s 0.0;
@@ -283,6 +297,18 @@ let prop_inverse_roundtrips =
       && near (Interval.sin (Interval.asin pt))
       && (v <= 0.0 || v >= 1.0 || near (Interval.sigmoid (Interval.logit pt))))
 
+let prop_inverse_keeps_preimage =
+  (* Tight twin of the round trip above: x ∈ finv(f({x})) with no slack,
+     at every magnitude.  HC4 projects through tanh and sigmoid with these
+     inverses, so a miss of one ulp removes a solution. *)
+  QCheck.Test.make ~name:"atanh/logit keep every preimage" ~count:500
+    QCheck.(pair (float_range (-12.0) 1.3) bool)
+    (fun (e, neg) ->
+      let v = if neg then -.(10.0 ** e) else 10.0 ** e in
+      let pt = Interval.of_float v in
+      Interval.mem v (Interval.atanh (Interval.tanh pt))
+      && Interval.mem v (Interval.logit (Interval.sigmoid pt)))
+
 let prop_pow_neg_matches_inv =
   QCheck.Test.make ~name:"pow (-n) = inv (pow n) pointwise" ~count:200
     QCheck.(pair (float_range 0.5 4.0) (int_range 1 4))
@@ -343,6 +369,7 @@ let () =
           Alcotest.test_case "mul sign cases" `Quick test_mul_signs;
           Alcotest.test_case "mul with zero and infinity" `Quick test_mul_zero_infinity;
           Alcotest.test_case "division cases" `Quick test_div;
+          Alcotest.test_case "product preimage" `Quick test_mul_preimage;
           Alcotest.test_case "sqr/pow" `Quick test_sqr_pow;
           Alcotest.test_case "abs/min/max" `Quick test_abs_min_max;
         ] );
@@ -373,6 +400,7 @@ let () =
             prop_meet_correct;
             prop_split_covers;
             prop_inverse_roundtrips;
+            prop_inverse_keeps_preimage;
             prop_pow_neg_matches_inv;
             prop_hull_is_upper_bound;
             prop_width_monotone_under_meet;

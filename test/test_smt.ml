@@ -233,6 +233,27 @@ let test_solver_rect_helpers () =
   let inside = Formula.in_rect [ ("x", -1.0, 1.0) ] in
   ignore (expect_sat "inside" (solve [ ("x", -2.0, 2.0) ] inside))
 
+let test_solver_zero_products engine () =
+  (* When the requirement and the other factor both hold 0, every value of
+     a factor qualifies (x·0 = 0 for any x).  A backward projection that
+     divides the requirement by the other factor answers {0} or empty
+     there, and refuted each of these satisfiable queries. *)
+  let options = { Solver.default_options with Solver.engine } in
+  let check name bounds f =
+    let w = expect_sat name (solve ~options bounds f) in
+    Alcotest.(check bool) (name ^ ": witness delta-holds") true
+      (Formula.holds_delta options.Solver.delta w f)
+  in
+  let zero = Expr.const 0.0 and xy = Expr.( * ) x y in
+  let pinned = [ ("x", 0.0, 0.0); ("y", 1.0, 2.0) ] in
+  check "x*y = 0" [ ("x", 0.5, 1.0); ("y", -1.0, 1.0) ] (Formula.eq xy zero);
+  check "x*y <= 0" pinned (Formula.le xy zero);
+  check "(y+1)*x + y <= 1.5" pinned
+    (Formula.le (Expr.( + ) (Expr.( * ) (Expr.( + ) y (Expr.const 1.0)) x) y) (Expr.const 1.5));
+  check "x/y <= 0" pinned (Formula.le (Expr.( / ) x y) zero);
+  check "x <= 0 and x >= 0 and x*y = 0" [ ("x", -1.0, 1.0); ("y", 1.0, 2.0) ]
+    (Formula.and_ [ Formula.le x zero; Formula.ge x zero; Formula.eq xy zero ])
+
 let test_solver_unknown_budget () =
   (* A hard equality with a tiny branch budget must return Unknown, not a
      wrong verdict. *)
@@ -752,6 +773,10 @@ let () =
           Alcotest.test_case "tanh bound" `Quick test_solver_tanh_bound;
           Alcotest.test_case "disjunction" `Quick test_solver_disjunction;
           Alcotest.test_case "rect helpers" `Quick test_solver_rect_helpers;
+          Alcotest.test_case "zero products delta-sat (tape)" `Quick
+            (test_solver_zero_products Solver.Tape_eval);
+          Alcotest.test_case "zero products delta-sat (tree)" `Quick
+            (test_solver_zero_products Solver.Tree_eval);
           Alcotest.test_case "unknown under budget" `Quick test_solver_unknown_budget;
           Alcotest.test_case "deadline stop" `Quick test_solver_deadline_stop;
           Alcotest.test_case "cancellation stop" `Quick test_solver_cancellation;
