@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the substrate operations that dominate the
    pipeline: NN forward passes, interval evaluation of exported networks,
-   one HC4 revision, one LP solve, one RK4 rollout. *)
+   one HC4 revision, one LP solve, one seed trace. *)
 
 open Bechamel
 open Toolkit
@@ -94,12 +94,24 @@ let lp_solve_test () =
   in
   Test.make ~name:"lp_solve_200_rows" (Staged.stage (fun () -> ignore (Lp.minimize problem)))
 
-let rk4_trace_test () =
-  let net = Error_dynamics.reference_controller in
-  let field = Error_dynamics.field_of_network Error_dynamics.default_config net in
-  Test.make ~name:"rk4_trace_100_steps"
+(* One seed trace as the engine simulates it: Dormand–Prince under
+   [Engine.default_config]'s rect, dt and steps, from a fixed x0. *)
+let rk45_seed_trace_test name field x0 =
+  let config = Engine.default_config in
+  Test.make
+    ~name:(Printf.sprintf "rk45_seed_trace_%s" name)
     (Staged.stage (fun () ->
-         ignore (Ode.simulate field ~t0:0.0 ~x0:[| 3.0; 0.5 |] ~dt:0.05 ~steps:100)))
+         ignore
+           (Cegis.simulate ~rect:config.Engine.safe_rect ~dt:config.Engine.sim_dt
+              ~steps:config.Engine.sim_steps ~converged:1e-4 field x0)))
+
+let poly_2d_field () =
+  match Registry.find_scenario "poly-2d" with
+  | Some e -> (
+    match Registry.elaborate e.Registry.scenario with
+    | Ok el -> el.Scenario.closed.Plant.system.Engine.numeric_field
+    | Error why -> failwith why)
+  | None -> failwith "poly-2d: not in the registry"
 
 let run () =
   Bench_common.hr "Micro-benchmarks (Bechamel, monotonic clock)";
@@ -118,7 +130,11 @@ let run () =
         tape_revise_test 10;
         tape_revise_test 100;
         lp_solve_test ();
-        rk4_trace_test ();
+        rk45_seed_trace_test "dubins_nh10"
+          (Error_dynamics.field_of_network Error_dynamics.default_config
+             (Error_dynamics.controller_of_width 10))
+          [| 3.0; 0.5 |];
+        rk45_seed_trace_test "poly_2d" (poly_2d_field ()) [| 0.8; -0.6 |];
       ]
   in
   let instances = Instance.[ monotonic_clock ] in
@@ -138,8 +154,8 @@ let run () =
       results []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  Format.printf "%-28s | %14s@." "benchmark" "time per run";
-  Format.printf "%s@." (String.make 46 '-');
+  Format.printf "%-34s | %14s@." "benchmark" "time per run";
+  Format.printf "%s@." (String.make 52 '-');
   List.iter
     (fun (name, ns) ->
       let pretty =
@@ -147,5 +163,5 @@ let run () =
         else if ns > 1e3 then Printf.sprintf "%8.3f us" (ns /. 1e3)
         else Printf.sprintf "%8.1f ns" ns
       in
-      Format.printf "%-28s | %14s@." name pretty)
+      Format.printf "%-34s | %14s@." name pretty)
     rows

@@ -83,9 +83,13 @@ let timed stats stage span f =
 let rect_bounds vars rect =
   Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
 
-let in_rect rect x =
-  let ok = ref true in
-  Array.iteri (fun i (lo, hi) -> if x.(i) < lo || x.(i) > hi then ok := false) rect;
+let in_rect (rect : (float * float) array) (x : float array) =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length rect do
+    let lo, hi = rect.(!i) in
+    ok := not (x.(!i) < lo || x.(!i) > hi);
+    incr i
+  done;
   !ok
 
 (* A counterexample is "repeated" when it lies within tolerance of any
@@ -108,17 +112,12 @@ let simulate ?(budget = Budget.unlimited) ~rect ~dt ~steps ~converged field x0 =
      deadline. *)
   let stop _t x = Vec.norm2 x < converged || (not (in_rect rect x)) || Budget.expired budget in
   let tr = Ode.simulate_rk45 ~stop field ~t0:0.0 ~x0 ~dt ~t_end:(dt *. float_of_int steps) in
-  let keep =
-    Array.to_list (Array.mapi (fun i x -> (tr.Ode.times.(i), x)) tr.Ode.states)
-    |> List.filter (fun (_, x) -> in_rect rect x)
-  in
-  match keep with
-  | [] -> { Ode.times = [| 0.0 |]; states = [| x0 |] }
-  | _ ->
-    {
-      Ode.times = Array.of_list (List.map fst keep);
-      states = Array.of_list (List.map snd keep);
-    }
+  (* The stop predicate ends the trace at its first sample outside [rect],
+     so only the last sample can lie outside; a lone [x0] outside stays as
+     the trace. *)
+  let n = Ode.trace_length tr in
+  if n = 1 || in_rect rect tr.Ode.states.(n - 1) then tr
+  else { Ode.times = Array.sub tr.Ode.times 0 (n - 1); states = Array.sub tr.Ode.states 0 (n - 1) }
 
 type t = {
   budget : Budget.t;

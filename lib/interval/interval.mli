@@ -91,6 +91,14 @@ val pow : t -> int -> t
 (** Integer power with even/odd sign handling; [pow x 0] is [1,1] for
     non-empty [x]. *)
 
+val root : t -> int -> t
+(** [root r n], for [n ≥ 1], encloses every real [x] with [x^n ∈ r]: the
+    signed root for odd [n], the non-negative root for even [n] (empty
+    when [r] is entirely negative).  Each end starts from [b ** (1/n)] and
+    steps outward by 1, 2, 4, … ulps until an outward-rounded product
+    bound on its n-th power lies on its side of [b].  The backward
+    projections of [x^n] in {!Hc4} and {!Tape} use it. *)
+
 val abs : t -> t
 
 val min_i : t -> t -> t

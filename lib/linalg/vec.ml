@@ -29,7 +29,7 @@ let axpy a x y =
   check_dims "axpy" x y;
   Array.mapi (fun i xi -> (a *. xi) +. y.(i)) x
 
-let dot x y =
+let[@inline] dot x y =
   check_dims "dot" x y;
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
@@ -37,7 +37,7 @@ let dot x y =
   done;
   !acc
 
-let norm2 x = sqrt (dot x x)
+let[@inline] norm2 x = sqrt (dot x x)
 
 let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0.0 x
 

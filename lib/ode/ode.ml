@@ -20,7 +20,13 @@ let step_rk4 f t x h =
 
 let stepper = function `Euler -> step_euler | `Rk4 -> step_rk4
 
-let all_finite x = Array.for_all Float.is_finite x
+let all_finite x =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length x do
+    ok := Float.is_finite x.(!i);
+    incr i
+  done;
+  !ok
 
 let simulate ?(method_ = `Rk4) f ~t0 ~x0 ~dt ~steps =
   if steps < 0 then invalid_arg "Ode.simulate: negative step count";
@@ -120,32 +126,50 @@ let max_steps = 10_000
 
 let c_field_evals = Obs.Metrics.counter "ode.field_evals"
 
+(* The per-step code below runs for every field evaluation, so it is
+   written as indexed loops over float arrays: no closures, no stdlib
+   iterators, no captured float refs, each of which boxes the floats it
+   touches.  The helpers are [@inline] so the step size and [theta] stay
+   unboxed across their calls.  Each sum adds its terms in the order of
+   the coefficient tables: a rewrite that keeps that order keeps every
+   trace bit-identical (test_integration "seed traces pinned"). *)
+
+let[@inline] grid t0 dt i = t0 +. (dt *. float_of_int i)
+
+(* [x + h·Σ_j a_ij·k_j] for row [i] of [dp_a], in a fresh array: the field
+   may keep its argument. *)
+let[@inline] stage x h k i =
+  let xi = Array.copy x and row = dp_a.(i) in
+  for j = 0 to Array.length row - 1 do
+    let a = h *. row.(j) in
+    if a <> 0.0 then begin
+      let kj = k.(j) in
+      for d = 0 to Array.length kj - 1 do
+        xi.(d) <- xi.(d) +. (a *. kj.(d))
+      done
+    end
+  done;
+  xi
+
 (* One step of size [h] from [x], with [k.(0)] = f t x already known:
    fills [k.(1..6)] and returns the fifth-order solution. *)
-let dp_step f t x h k =
-  let stage i =
-    let xi = Array.copy x in
-    Array.iteri
-      (fun j aij ->
-        let a = h *. aij in
-        if a <> 0.0 then Array.iteri (fun d kjd -> xi.(d) <- xi.(d) +. (a *. kjd)) k.(j))
-      dp_a.(i);
-    xi
-  in
+let[@inline] dp_step f t x h k =
   for i = 1 to 5 do
-    k.(i) <- f (t +. (dp_c.(i) *. h)) (stage i)
+    k.(i) <- f (t +. (dp_c.(i) *. h)) (stage x h k i)
   done;
-  let x5 = stage 6 in
+  let x5 = stage x h k 6 in
   k.(6) <- f (t +. h) x5;
   x5
 
 (* Scaled RMS norm of the local error estimate; <= 1 accepts the step. *)
-let error_norm x x5 h k =
+let[@inline] error_norm x x5 h k =
   let n = Array.length x in
   let sum = ref 0.0 in
   for d = 0 to n - 1 do
     let e = ref 0.0 in
-    Array.iteri (fun j ej -> e := !e +. (ej *. k.(j).(d))) dp_e;
+    for j = 0 to 6 do
+      e := !e +. (dp_e.(j) *. k.(j).(d))
+    done;
     let scale = abs_tol +. (rel_tol *. Float.max (Float.abs x.(d)) (Float.abs x5.(d))) in
     let r = h *. !e /. scale in
     sum := !sum +. (r *. r)
@@ -153,77 +177,93 @@ let error_norm x x5 h k =
   sqrt (!sum /. float_of_int n)
 
 (* The dense-output state at [t + theta·h] inside an accepted step. *)
-let dense x x5 h k theta =
+let[@inline] dense x x5 h k theta =
   let theta1 = 1.0 -. theta in
-  Array.mapi
-    (fun d xd ->
-      let ydiff = x5.(d) -. xd in
-      let bspl = (h *. k.(0).(d)) -. ydiff in
-      let r4 = ydiff -. (h *. k.(6).(d)) -. bspl in
-      let r5 = ref 0.0 in
-      Array.iteri (fun j dj -> r5 := !r5 +. (dj *. k.(j).(d))) dp_d;
-      xd +. (theta *. (ydiff +. (theta1 *. (bspl +. (theta *. (r4 +. (theta1 *. h *. !r5))))))))
-    x
+  let out = Array.create_float (Array.length x) in
+  for d = 0 to Array.length x - 1 do
+    let xd = x.(d) in
+    let ydiff = x5.(d) -. xd in
+    let bspl = (h *. k.(0).(d)) -. ydiff in
+    let r4 = ydiff -. (h *. k.(6).(d)) -. bspl in
+    let r5 = ref 0.0 in
+    for j = 0 to 6 do
+      r5 := !r5 +. (dp_d.(j) *. k.(j).(d))
+    done;
+    out.(d) <- xd +. (theta *. (ydiff +. (theta1 *. (bspl +. (theta *. (r4 +. (theta1 *. h *. !r5)))))))
+  done;
+  out
+
+let stages_finite k =
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length k do
+    ok := all_finite k.(!j);
+    incr j
+  done;
+  !ok
 
 let simulate_rk45 ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
   if not (dt > 0.0) then invalid_arg "Ode.simulate_rk45: dt must be positive";
   if t_end < t0 then invalid_arg "Ode.simulate_rk45: t_end < t0";
   let last = int_of_float (Float.floor (((t_end -. t0) /. dt) +. 1e-9)) in
-  let grid i = t0 +. (dt *. float_of_int i) in
   let times = Array.make (last + 1) t0 and states = Array.make (last + 1) x0 in
   let count = ref 1 and evals = ref 0 in
-  let f t x =
-    incr evals;
-    f t x
-  in
   let k = Array.make 7 x0 in
-  (* Record every grid sample in (t, t + h] from the accepted step; false
-     once the trace has ended (stop predicate, non-finite sample, or the
-     last grid sample). *)
-  let emit t x x5 h =
-    let t' = t +. h and live = ref true in
-    while !live && !count <= last && grid !count <= t' +. (1e-9 *. dt) do
-      let tg = grid !count in
-      let theta = (tg -. t) /. h in
-      let xg = if theta >= 1.0 then x5 else dense x x5 h k theta in
-      if not (all_finite xg) then live := false
-      else begin
-        times.(!count) <- tg;
-        states.(!count) <- xg;
-        incr count;
-        if stop tg xg then live := false
-      end
-    done;
-    !live && !count <= last
-  in
   (* Every way out of the loop ends the trace at the last recorded sample:
-     a non-finite stage, a step below [h_min] and [max_steps] attempts
-     truncate exactly like the end of the grid does. *)
-  let rec loop t x h steps rejected =
-    if steps < max_steps then begin
-      let h = Float.min h (grid last -. t) in
-      let x5 = dp_step f t x h k in
-      if all_finite x5 && Array.for_all all_finite k then begin
-        let err = error_norm x x5 h k in
-        if err <= 1.0 then begin
-          if emit t x x5 h then begin
-            k.(0) <- k.(6);
-            let grow = 0.9 *. (Float.max err 1e-10 ** -0.2) in
-            let grow = Float.min (if rejected then 1.0 else 5.0) grow in
-            loop (t +. h) x5 (Float.min h_max (h *. grow)) (steps + 1) false
+     the stop predicate, a non-finite stage or sample, the last grid
+     sample, a step below [h_min] and [max_steps] attempts. *)
+  let live = ref (last > 0 && not (stop t0 x0)) in
+  if !live then begin
+    k.(0) <- f t0 x0;
+    incr evals;
+    live := all_finite k.(0)
+  end;
+  let t = ref t0 and x = ref x0 and h = ref (Float.min dt h_max) in
+  let steps = ref 0 and rejected = ref false in
+  while !live && !steps < max_steps do
+    let hs = Float.min !h (grid t0 dt last -. !t) in
+    let x5 = dp_step f !t !x hs k in
+    evals := !evals + 6;
+    if not (all_finite x5 && stages_finite k) then live := false
+    else begin
+      let err = error_norm !x x5 hs k in
+      if err <= 1.0 then begin
+        (* Record every grid sample in (t, t + h] from the accepted step. *)
+        let t' = !t +. hs in
+        while !live && !count <= last && grid t0 dt !count <= t' +. (1e-9 *. dt) do
+          let tg = grid t0 dt !count in
+          let theta = (tg -. !t) /. hs in
+          let xg = if theta >= 1.0 then x5 else dense !x x5 hs k theta in
+          if not (all_finite xg) then live := false
+          else begin
+            times.(!count) <- tg;
+            states.(!count) <- xg;
+            incr count;
+            if stop tg xg then live := false
           end
+        done;
+        if !live && !count <= last then begin
+          k.(0) <- k.(6);
+          let grow = 0.9 *. (Float.max err 1e-10 ** -0.2) in
+          let grow = Float.min (if !rejected then 1.0 else 5.0) grow in
+          t := !t +. hs;
+          x := x5;
+          h := Float.min h_max (hs *. grow);
+          incr steps;
+          rejected := false
         end
-        else begin
-          let h' = h *. Float.max 0.1 (0.9 *. (err ** -0.2)) in
-          if h' >= h_min then loop t x h' (steps + 1) true
+        else live := false
+      end
+      else begin
+        let h' = hs *. Float.max 0.1 (0.9 *. (err ** -0.2)) in
+        if h' >= h_min then begin
+          h := h';
+          incr steps;
+          rejected := true
         end
+        else live := false
       end
     end
-  in
-  if last > 0 && not (stop t0 x0) then begin
-    k.(0) <- f t0 x0;
-    if all_finite k.(0) then loop t0 x0 (Float.min dt h_max) 0 false
-  end;
+  done;
   Obs.Metrics.add c_field_evals !evals;
   if !count = last + 1 then { times; states }
   else { times = Array.sub times 0 !count; states = Array.sub states 0 !count }

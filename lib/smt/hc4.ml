@@ -136,31 +136,13 @@ let rec bwd domains changed node required =
   | NNeg a -> bwd domains changed a (Interval.neg r)
   | NPow (a, n) ->
     if n <= 0 then () (* pow 0 is constant; negative powers stay uncontracted *)
-    else if n mod 2 = 0 then begin
-      let rpos = Interval.meet r (Interval.make 0.0 infinity) in
-      if Interval.is_empty rpos then raise Empty_box;
-      let root =
-        Interval.make
-          (if Interval.lo rpos <= 0.0 then 0.0
-           else Float.pred (Interval.lo rpos ** (1.0 /. float_of_int n)))
-          (if Interval.hi rpos = infinity then infinity
-           else Float.succ (Interval.hi rpos ** (1.0 /. float_of_int n)))
-      in
-      bwd domains changed a (even_preimage a.ival root)
-    end
     else begin
-      (* Odd power: monotone inverse via signed root. *)
-      let signed_root x =
-        if x = infinity || x = neg_infinity then x
-        else begin
-          let mag = Float.abs x ** (1.0 /. float_of_int n) in
-          if x >= 0.0 then mag else -.mag
-        end
-      in
-      let lo = signed_root (Interval.lo r) and hi = signed_root (Interval.hi r) in
-      let widen_lo = if Float.is_finite lo then Float.pred (Float.pred lo) else lo in
-      let widen_hi = if Float.is_finite hi then Float.succ (Float.succ hi) else hi in
-      bwd domains changed a (Interval.make widen_lo widen_hi)
+      let root = Interval.root r n in
+      if n mod 2 = 1 then bwd domains changed a root (* odd: monotone, signed root *)
+      else begin
+        if Interval.is_empty root then raise Empty_box;
+        bwd domains changed a (even_preimage a.ival root)
+      end
     end
   | NSin a ->
     (* Invert only within the principal monotone branch; otherwise leave

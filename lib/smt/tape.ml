@@ -592,31 +592,13 @@ let revise t b domains =
     | INeg a -> push_f rlo rhi a (-.khi) (-.klo)
     | IPow (a, nexp) ->
       if nexp <= 0 then () (* pow 0 is constant; negative powers stay uncontracted *)
-      else if nexp mod 2 = 0 then begin
-        let rpos_lo = Float.max klo 0.0 in
-        if not (rpos_lo <= khi) then raise Empty_box;
-        let root_iv =
-          Interval.make
-            (if rpos_lo <= 0.0 then 0.0
-             else Float.pred (rpos_lo ** (1.0 /. float_of_int nexp)))
-            (if khi = infinity then infinity
-             else Float.succ (khi ** (1.0 /. float_of_int nexp)))
-        in
-        push_iv rlo rhi a (even_preimage (cur flo fhi rlo rhi a) root_iv)
-      end
       else begin
-        (* Odd power: monotone inverse via signed root. *)
-        let signed_root x =
-          if x = infinity || x = neg_infinity then x
-          else begin
-            let mag = Float.abs x ** (1.0 /. float_of_int nexp) in
-            if x >= 0.0 then mag else -.mag
-          end
-        in
-        let lo = signed_root klo and hi = signed_root khi in
-        let widen_lo = if Float.is_finite lo then Float.pred (Float.pred lo) else lo in
-        let widen_hi = if Float.is_finite hi then Float.succ (Float.succ hi) else hi in
-        push_f rlo rhi a widen_lo widen_hi
+        let root = Interval.root (Interval.make klo khi) nexp in
+        if nexp mod 2 = 1 then push_iv rlo rhi a root (* odd: monotone, signed root *)
+        else begin
+          if Interval.is_empty root then raise Empty_box;
+          push_iv rlo rhi a (even_preimage (cur flo fhi rlo rhi a) root)
+        end
       end
     | ISin a ->
       (* Invert only within the principal monotone branch; otherwise leave

@@ -141,6 +141,80 @@ let test_registry_counters_pinned () =
   expect "level_search.bisections" 9;
   Obs.Metrics.reset ()
 
+(* FNV-1a (64-bit) over the bits of every time and state coordinate of
+   [traces], byte by byte: equal hashes mean bit-identical traces. *)
+let fnv1a_traces traces =
+  let prime = 0x100000001b3L in
+  let h = ref 0xcbf29ce484222325L in
+  let add_float v =
+    let bits = Int64.bits_of_float v in
+    for b = 0 to 7 do
+      let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
+      h := Int64.mul (Int64.logxor !h byte) prime
+    done
+  in
+  List.iter
+    (fun tr ->
+      Array.iteri
+        (fun i t ->
+          add_float t;
+          Array.iter add_float tr.Ode.states.(i))
+        tr.Ode.times)
+    traces;
+  !h
+
+let test_seed_traces_pinned () =
+  (* Seed simulation exactly as the engine runs it (default rect, dt,
+     steps and convergence radius) on one NN field and two registry point
+     tapes.  The LP rows, and so every search counter and store
+     fingerprint downstream, are these bits: an integrator change that
+     means to keep them keeps this hash.  Per field, the last x0 starts
+     outside the rect (a trace of x0 alone) and one trace leaves it. *)
+  let config = Engine.default_config in
+  let field_of name =
+    match Registry.find_scenario name with
+    | None -> Alcotest.failf "no scenario %s" name
+    | Some e -> (
+      match Registry.elaborate e.Registry.scenario with
+      | Error why -> Alcotest.failf "%s: %s" name why
+      | Ok el -> el.Scenario.closed.Plant.system.Engine.numeric_field)
+  in
+  let fields =
+    [
+      ( Error_dynamics.field_of_network Error_dynamics.default_config
+          (Error_dynamics.controller_of_width 10),
+        [ [| 3.0; 0.5 |]; [| -4.5; 1.2 |]; [| 4.9; 1.5 |]; [| -1.0; -1.4 |]; [| 0.3; 0.02 |];
+          [| 6.0; 0.0 |] ] );
+      ( field_of "poly-2d",
+        [ [| 0.8; -0.6 |]; [| -4.0; 1.0 |]; [| 4.5; -1.5 |]; [| 0.1; 0.1 |]; [| -2.0; -0.5 |];
+          [| 0.0; 2.0 |] ] );
+      ( field_of "van-der-pol-reversed",
+        [ [| 0.5; 0.5 |]; [| -0.8; 0.2 |]; [| 2.5; 0.0 |]; [| 0.0; -1.0 |]; [| 1.5; 1.0 |];
+          [| -5.5; 0.0 |] ] );
+    ]
+  in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let traces =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        List.concat_map
+          (fun (field, x0s) ->
+            List.map
+              (Cegis.simulate ~rect:config.Engine.safe_rect ~dt:config.Engine.sim_dt
+                 ~steps:config.Engine.sim_steps ~converged:1e-4 field)
+              x0s)
+          fields)
+  in
+  let evals = Obs.Metrics.value (Obs.Metrics.counter "ode.field_evals") in
+  Obs.Metrics.reset ();
+  Alcotest.(check (list int))
+    "samples per trace"
+    [ 401; 401; 3; 401; 401; 1; 338; 371; 372; 291; 349; 1; 359; 385; 6; 368; 5; 1 ]
+    (List.map Ode.trace_length traces);
+  Alcotest.(check int) "ode.field_evals" 5_991 evals;
+  Alcotest.(check string) "FNV-1a of the trace bits" "d12e482abcf0e3a5"
+    (Printf.sprintf "%Lx" (fnv1a_traces traces))
+
 let test_determinism () =
   let r1 = verify 99 reference_system and r2 = verify 99 reference_system in
   match (r1.Engine.outcome, r2.Engine.outcome) with
@@ -250,6 +324,7 @@ let () =
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "registry search counters pinned" `Quick
             test_registry_counters_pinned;
+          Alcotest.test_case "seed traces pinned" `Quick test_seed_traces_pinned;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
         ] );
       ( "failure injection",

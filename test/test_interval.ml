@@ -317,6 +317,42 @@ let prop_pow_neg_matches_inv =
       let direct = Interval.pow i (-n) in
       Interval.mem (v ** float_of_int (-n)) direct)
 
+(* [x^n] as an unevaluated double-double sum (hi + lo), each product
+   error-free through [Float.fma]: ~100 bits, enough to place it on one
+   side of a float that libm's [**] cannot resolve. *)
+let dd_pow x n =
+  let h = ref x and l = ref 0.0 in
+  for _ = 2 to n do
+    let p = !h *. x in
+    let e = Float.fma !h x (-.p) +. (!l *. x) in
+    let s = p +. e in
+    h := s;
+    l := e -. (s -. p)
+  done;
+  (!h, !l)
+
+let dd_le (h, l) b = h < b || (h = b && l <= 0.0)
+
+let dd_ge (h, l) b = h > b || (h = b && l >= 0.0)
+
+let prop_root_contains =
+  (* The HC4 projection of x^n: root [b, b] = [lo, hi] with lo ≤ ⁿ√b ≤ hi
+     in the reals, checked as lo^n ≤ b ≤ hi^n in double-double, from
+     1e-300 to 1e300 (negative b for odd n), and never more than 2^-40
+     relative wide. *)
+  QCheck.Test.make ~name:"root contains the real n-th root" ~count:1000
+    QCheck.(
+      triple (oneofl [ 2; 3; 5; 7 ]) (float_range (-300.0) 300.0)
+        (pair (float_range 1.0 10.0) bool))
+    (fun (n, e, (m, neg)) ->
+      let b = m *. (10.0 ** e) in
+      let b = if neg && n mod 2 = 1 then -.b else b in
+      let r = Interval.root (Interval.of_float b) n in
+      let lo = Interval.lo r and hi = Interval.hi r in
+      dd_le (dd_pow lo n) b
+      && dd_ge (dd_pow hi n) b
+      && hi -. lo <= Float.abs hi *. (2.0 ** -40.0))
+
 let prop_hull_is_upper_bound =
   QCheck.Test.make ~name:"hull contains both arguments" ~count:300
     QCheck.(pair gen_interval gen_interval)
@@ -402,6 +438,7 @@ let () =
             prop_inverse_roundtrips;
             prop_inverse_keeps_preimage;
             prop_pow_neg_matches_inv;
+            prop_root_contains;
             prop_hull_is_upper_bound;
             prop_width_monotone_under_meet;
           ] );

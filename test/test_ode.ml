@@ -158,6 +158,68 @@ let prop_rk45_times_increase =
       done;
       !ok)
 
+(* Bit-level trace equality: [=] on floats would equate 0.0 and -0.0. *)
+let same_bits a b =
+  Array.length a.Ode.times = Array.length b.Ode.times
+  && Array.for_all2
+       (fun t u -> Int64.equal (Int64.bits_of_float t) (Int64.bits_of_float u))
+       a.Ode.times b.Ode.times
+  && Array.for_all2
+       (fun x y ->
+         Array.for_all2
+           (fun v w -> Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float w))
+           x y)
+       a.Ode.states b.Ode.states
+
+let prefix tr n = { Ode.times = Array.sub tr.Ode.times 0 n; states = Array.sub tr.Ode.states 0 n }
+
+(* ẋ = [[-p, b]; [c, -q]]·x with p, q > 1 and |b|, |c| < 1: trace < 0 and
+   det = pq - bc > 0, so the origin is a stable node or focus. *)
+let gen_stable_linear =
+  QCheck.(quad (float_range 1.1 3.0) (float_range 1.1 3.0) (float_range (-1.0) 1.0)
+            (float_range (-1.0) 1.0))
+
+let linear (p, q, b, c) _t x = [| (-.p *. x.(0)) +. (b *. x.(1)); (c *. x.(0)) -. (q *. x.(1)) |]
+
+let prop_rk45_stop_truncates =
+  (* The stop predicate only ends the trace: the stopped trace is the
+     unstopped one cut after its first sample where the predicate holds. *)
+  QCheck.Test.make ~name:"rk45 stop predicate only truncates" ~count:100
+    QCheck.(pair gen_stable_linear (float_range 0.01 1.5))
+    (fun (a, threshold) ->
+      let field = linear a and x0 = [| 1.5; -1.0 |] in
+      let full = Ode.simulate_rk45 field ~t0:0.0 ~x0 ~dt:0.05 ~t_end:10.0 in
+      let stop _t x = Vec.norm2 x < threshold in
+      let stopped = Ode.simulate_rk45 ~stop field ~t0:0.0 ~x0 ~dt:0.05 ~t_end:10.0 in
+      let first =
+        match Array.find_index (fun x -> stop 0.0 x) full.Ode.states with
+        | Some i -> i + 1
+        | None -> Ode.trace_length full
+      in
+      Ode.trace_length stopped = first && same_bits stopped (prefix full first))
+
+let test_rk45_domains_match_sequential () =
+  (* Eight traces simulated on two domains at once equal the sequential
+     ones bit for bit: no scratch state is shared between calls. *)
+  let fields =
+    List.init 8 (fun i ->
+        let f = float_of_int i in
+        ( linear (1.1 +. (0.2 *. f), 2.9 -. (0.2 *. f), 0.9 -. (0.25 *. f), 0.1 *. f),
+          [| 1.0 +. f; -1.0 |] ))
+  in
+  let run () =
+    List.map (fun (field, x0) -> Ode.simulate_rk45 field ~t0:0.0 ~x0 ~dt:0.05 ~t_end:10.0) fields
+  in
+  let sequential = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  List.iteri
+    (fun i tr ->
+      let check name r = Alcotest.(check bool) (Printf.sprintf "trace %d, %s" i name) true r in
+      check "domain 1" (same_bits tr (List.nth r1 i));
+      check "domain 2" (same_bits tr (List.nth r2 i)))
+    sequential
+
 let () =
   Alcotest.run "ode"
     [
@@ -181,5 +243,8 @@ let () =
           Alcotest.test_case "rk45 grid samples" `Quick test_rk45_grid;
           Alcotest.test_case "rk45 stop predicate" `Quick test_rk45_stop;
           QCheck_alcotest.to_alcotest prop_rk45_times_increase;
+          QCheck_alcotest.to_alcotest prop_rk45_stop_truncates;
+          Alcotest.test_case "rk45 two domains match sequential" `Quick
+            test_rk45_domains_match_sequential;
         ] );
     ]

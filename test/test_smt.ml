@@ -254,6 +254,19 @@ let test_solver_zero_products engine () =
   check "x <= 0 and x >= 0 and x*y = 0" [ ("x", -1.0, 1.0); ("y", 1.0, 2.0) ]
     (Formula.and_ [ Formula.le x zero; Formula.ge x zero; Formula.eq xy zero ])
 
+let test_solver_cube_root_bound engine () =
+  (* Both queries hold at or just above x = 1e10 in the reals (10³⁰ is
+     below the float 1e30), yet 1e30 ** (1/3) rounds 7 ulps below 1e10: a
+     projection that widens the rounded root by a fixed ulp count cuts
+     the solutions off and answers unsat. *)
+  let options = { Solver.default_options with Solver.engine } in
+  let cube = Expr.pow x 3 and big = Expr.const 1e30 in
+  let bounds = [ ("x", 1e10, 2e10) ] in
+  ignore
+    (expect_sat "x^3 - 1e30 <= 0"
+       (solve ~options bounds (Formula.le (Expr.( - ) cube big) (Expr.const 0.0))));
+  ignore (expect_sat "x^3 = 1e30" (solve ~options bounds (Formula.eq cube big)))
+
 let test_solver_unknown_budget () =
   (* A hard equality with a tiny branch budget must return Unknown, not a
      wrong verdict. *)
@@ -777,6 +790,10 @@ let () =
             (test_solver_zero_products Solver.Tape_eval);
           Alcotest.test_case "zero products delta-sat (tree)" `Quick
             (test_solver_zero_products Solver.Tree_eval);
+          Alcotest.test_case "cube root at 1e30 delta-sat (tape)" `Quick
+            (test_solver_cube_root_bound Solver.Tape_eval);
+          Alcotest.test_case "cube root at 1e30 delta-sat (tree)" `Quick
+            (test_solver_cube_root_bound Solver.Tree_eval);
           Alcotest.test_case "unknown under budget" `Quick test_solver_unknown_budget;
           Alcotest.test_case "deadline stop" `Quick test_solver_deadline_stop;
           Alcotest.test_case "cancellation stop" `Quick test_solver_cancellation;
