@@ -72,6 +72,23 @@ let tape_revise_test width =
          let domains = [| Interval.make (-5.0) 5.0; Interval.make (-1.5) 1.5 |] in
          try ignore (Tape.revise tape bufs domains) with Tape.Empty_box -> ()))
 
+(* The mean-value-form sweep of a condition (5) leaf: one forward pass over
+   the Lie atom and both its partials, the largest per-leaf cost of a
+   certificate-store hit. *)
+let tape_forward_all_test width =
+  let atom = lie_atom width in
+  let partials =
+    Array.map
+      (fun v -> Expr.diff v atom.Formula.expr)
+      [| Error_dynamics.var_derr; Error_dynamics.var_theta_err |]
+  in
+  let tape = Tape.compile ~index_of ~partials atom in
+  let bufs = Tape.make_buffers tape in
+  let domains = [| Interval.make (-5.0) 5.0; Interval.make (-1.5) 1.5 |] in
+  Test.make
+    ~name:(Printf.sprintf "tape_forward_all_lie_%d" width)
+    (Staged.stage (fun () -> ignore (Tape.forward_all tape bufs domains)))
+
 let lp_solve_test () =
   (* A fixed mid-size synthesis-shaped LP. *)
   let rng = Rng.create 3 in
@@ -129,6 +146,7 @@ let run () =
         hc4_revise_test 100;
         tape_revise_test 10;
         tape_revise_test 100;
+        tape_forward_all_test 100;
         lp_solve_test ();
         rk45_seed_trace_test "dubins_nh10"
           (Error_dynamics.field_of_network Error_dynamics.default_config

@@ -6,7 +6,7 @@ type config = { v : float; theta_r : float }
 
 let default_config = { v = 1.0; theta_r = 0.0 }
 
-let derr_dot cfg theta_err =
+let[@inline] derr_dot cfg theta_err =
   (-.cfg.v *. Float.sin (cfg.theta_r -. theta_err) *. Float.cos cfg.theta_r)
   +. (cfg.v *. Float.cos (cfg.theta_r -. theta_err) *. Float.sin cfg.theta_r)
 
@@ -15,9 +15,9 @@ let field cfg ~controller _t x =
   let u = controller derr theta_err in
   [| derr_dot cfg theta_err; -.u |]
 
-let field_of_network cfg net =
-  let controller derr theta_err = Nn.eval1 net [| derr; theta_err |] in
-  field cfg ~controller
+(* The state is the network's input, so it goes to [Nn.eval1] as it is:
+   no fresh input array, and no float crossing a closure boundary. *)
+let field_of_network cfg net _t x = [| derr_dot cfg x.(1); -.Nn.eval1 net x |]
 
 let simulate cfg ~controller ~x0:(d0, th0) ~dt ~steps =
   Ode.simulate (field cfg ~controller) ~t0:0.0 ~x0:[| d0; th0 |] ~dt ~steps

@@ -20,10 +20,29 @@ let lo i = i.lo
 let hi i = i.hi
 
 (* Outward rounding: one ulp past the computed value in each direction.
-   Exact results get widened needlessly, which is sound. *)
-let down x = if x = neg_infinity || Float.is_nan x then x else Float.pred x
+   Exact results get widened needlessly, which is sound.
 
-let up x = if x = infinity || Float.is_nan x then x else Float.succ x
+   For |x| in [2^-969, max_float], x -. phi *. |x| and x +. phi *. |x| with
+   phi = 2^-53 + 2^-105 round to exactly Float.pred x and Float.succ x in
+   round-to-nearest binary64 (Rump, Zimmermann, Boldo & Melquiond,
+   "Computing predecessor and successor in rounding to nearest", BIT 49,
+   2009): a multiply and an add instead of a nextafter call.  The product
+   must be rounded before the add (no FMA contraction; DESIGN.md §6).
+   Outside that range (±0, subnormals, the smallest normals, ±inf and NaN)
+   the guarded nextafter runs. *)
+let phi = 0x1.0000000000001p-53
+
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 && a <= max_float then x -. (phi *. a)
+  else if x = neg_infinity || Float.is_nan x then x
+  else Float.pred x
+
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 && a <= max_float then x +. (phi *. a)
+  else if x = infinity || Float.is_nan x then x
+  else Float.succ x
 
 (* Wider envelope for libm-computed transcendentals (their error is below
    1 ulp on this platform, but that is not formally guaranteed). *)

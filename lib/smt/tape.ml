@@ -116,13 +116,29 @@ let make_buffers t =
     t.instrs;
   { flo; fhi; rlo; rhi; vals }
 
-(* Rounding kernels, bit-for-bit the ones in Interval: the tape's forward
-   enclosures must equal the tree evaluator's (the qcheck suite compares
-   them), so these are transcriptions, not reimplementations. *)
+(* Rounding kernels, bit-for-bit the ones in Interval (see the comment
+   there for the multiply-add successor formula and its exact range): the
+   tape's forward enclosures must equal the tree evaluator's (the qcheck
+   suite compares them), so these are transcriptions, not
+   reimplementations.  The tape keeps its own copy because dune's dev
+   profile builds lib/interval with -opaque, so a call into Interval is
+   never inlined and boxes its float argument and result.  test_interval
+   and test_tape both check their copy against the guarded
+   Float.pred/Float.succ bit for bit over every binary exponent. *)
 
-let down x = if x = neg_infinity || Float.is_nan x then x else Float.pred x
+let phi = 0x1.0000000000001p-53
 
-let up x = if x = infinity || Float.is_nan x then x else Float.succ x
+let[@inline] down x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 && a <= max_float then x -. (phi *. a)
+  else if x = neg_infinity || Float.is_nan x then x
+  else Float.pred x
+
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 && a <= max_float then x +. (phi *. a)
+  else if x = infinity || Float.is_nan x then x
+  else Float.succ x
 
 let wide_down x = down (down (down x))
 
@@ -459,10 +475,10 @@ let forward_pair t bt d1 d2 =
   let roots = forward_batch t bt [| d1; d2 |] in
   (roots.(0), roots.(1))
 
-let eval_range t b x limit =
+let eval_point t b x =
   let v = b.vals in
   let instrs = t.instrs in
-  for k = 0 to limit - 1 do
+  for k = 0 to t.hc4_limit - 1 do
     match Array.unsafe_get instrs k with
     | IConst _ -> () (* prefilled *)
     | IVar j -> v.(k) <- x.(j)
@@ -481,15 +497,8 @@ let eval_range t b x limit =
     | ISigmoid a -> v.(k) <- sigmoid_f v.(a)
     | ISqrt a -> v.(k) <- Stdlib.sqrt v.(a)
     | IAbs a -> v.(k) <- Float.abs v.(a)
-  done
-
-let eval_point t b x =
-  eval_range t b x t.hc4_limit;
-  b.vals.(t.atom_root)
-
-let eval_partial_point t b x i =
-  eval_range t b x (Array.length t.instrs);
-  b.vals.(t.partial_roots.(i))
+  done;
+  v.(t.atom_root)
 
 (* Backward pass helpers.  A "requirement" pushed to slot [c] narrows the
    accumulator [rlo.(c), rhi.(c)]; when slot [c] is processed (all parents

@@ -60,10 +60,6 @@ val eval_point : t -> buffers -> float array -> float
 (** [eval_point t b x] evaluates the atom's expression at the point [x]
     (indexed by variable); bit-identical to [Expr.eval]. *)
 
-val eval_partial_point : t -> buffers -> float array -> int -> float
-(** [eval_partial_point t b x i]: partial [i] at the point [x]
-    (self-contained; evaluates the full tape). *)
-
 val forward : t -> buffers -> Interval.t array -> Interval.t
 (** Interval forward sweep of the atom slots only; returns the enclosure of
     the atom's expression over [domains] (domains are not modified). *)

@@ -387,6 +387,39 @@ let prop_split_covers =
       let l, r = Interval.split i in
       Interval.mem x l || Interval.mem x r)
 
+(* --- outward rounding and edge containment ---------------------------- *)
+
+(* The rounding kernels are internal; [add x [0, 0]] exposes them as
+   [down (x + 0), up (x + 0)].  NaN cannot be an endpoint, so it comes from
+   inf + -inf. *)
+let rounded x =
+  if Float.is_nan x then
+    Interval.add (Interval.of_float infinity) (Interval.of_float neg_infinity)
+  else Interval.add (Interval.of_float x) (Interval.of_float 0.0)
+
+let rounds_like_nextafter x = Edge_floats.is_rounded_sum (rounded x) x
+
+let test_rounding_sweep () =
+  List.iter
+    (fun x ->
+      if not (rounds_like_nextafter x) then
+        Alcotest.failf "add %h [0, 0] = %s, not the guarded pred/succ" x
+          (Interval.to_string (rounded x)))
+    Edge_floats.sweep
+
+let prop_rounding_bits =
+  QCheck.Test.make ~name:"down/up = guarded pred/succ on raw bit patterns" ~count:2000
+    Edge_floats.arb_bits rounds_like_nextafter
+
+let prop_edge_containment =
+  List.map
+    (fun (name, op, _, f) ->
+      QCheck.Test.make ~name:(name ^ " encloses at subnormal, huge and infinite inputs")
+        ~count:500 Edge_floats.arb_edge_case (fun case ->
+          let i = Edge_floats.edge_interval case in
+          List.for_all (Edge_floats.contains_image f (op i)) (Edge_floats.points_in i case)))
+    Edge_floats.kernels
+
 let () =
   Alcotest.run "interval"
     [
@@ -409,6 +442,10 @@ let () =
           Alcotest.test_case "sqr/pow" `Quick test_sqr_pow;
           Alcotest.test_case "abs/min/max" `Quick test_abs_min_max;
         ] );
+      ( "rounding",
+        Alcotest.test_case "down/up = guarded pred/succ at every exponent" `Quick
+          test_rounding_sweep
+        :: List.map QCheck_alcotest.to_alcotest (prop_rounding_bits :: prop_edge_containment) );
       ( "transcendental",
         [
           Alcotest.test_case "exp/log" `Quick test_exp_log;

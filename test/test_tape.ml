@@ -283,6 +283,49 @@ let test_batch_edges () =
   | _ -> Alcotest.fail "overfull batch must be rejected");
   Alcotest.(check bool) "batched sweeps counted" true (Tape.batched_sweep_count () > 0)
 
+(* --- Rounding kernels and edge containment ------------------------------ *)
+
+(* The tape keeps its own copy of Interval's rounding kernels.  A one-node
+   x + 0 tape exposes them as [down (x + 0), up (x + 0)]; test_interval
+   checks Interval's copy against the same guarded nextafter.  NaN cannot
+   be a domain endpoint, so it comes from inf + -inf, which the tape reports
+   as an empty enclosure. *)
+let tape_rounds_like_nextafter =
+  let plus c =
+    let tape = compile_tape { Formula.expr = Expr.Add (x, Expr.Const c); rel = Formula.Le0 } in
+    let b = Tape.make_buffers tape in
+    fun v -> Tape.forward tape b [| Interval.of_float v; Interval.of_float v |]
+  in
+  let plus_zero = plus 0.0 and plus_neg_inf = plus neg_infinity in
+  fun v ->
+    if Float.is_nan v then Interval.is_empty (plus_neg_inf infinity)
+    else Edge_floats.is_rounded_sum (plus_zero v) v
+
+let test_tape_rounding_sweep () =
+  List.iter
+    (fun v ->
+      if not (tape_rounds_like_nextafter v) then
+        Alcotest.failf "x + 0 at x = %h is not the guarded pred/succ" v)
+    Edge_floats.sweep
+
+let prop_tape_rounding_bits =
+  QCheck.Test.make ~name:"tape down/up = guarded pred/succ on raw bit patterns" ~count:2000
+    Edge_floats.arb_bits tape_rounds_like_nextafter
+
+let prop_tape_edge_containment =
+  List.map
+    (fun (name, op, expr_op, f) ->
+      let tape = compile_tape { Formula.expr = expr_op x; rel = Formula.Le0 } in
+      let b = Tape.make_buffers tape in
+      QCheck.Test.make
+        ~name:("tape " ^ name ^ " encloses at subnormal, huge and infinite inputs")
+        ~count:500 Edge_floats.arb_edge_case (fun case ->
+          let i = Edge_floats.edge_interval case in
+          let r = Tape.forward tape b [| i; i |] in
+          Interval.equal r (op i)
+          && List.for_all (Edge_floats.contains_image f r) (Edge_floats.points_in i case)))
+    Edge_floats.kernels
+
 (* --- NN export --------------------------------------------------------- *)
 
 let test_nn_tape_parity () =
@@ -445,6 +488,11 @@ let () =
           Alcotest.test_case "batch width edge cases" `Quick test_batch_edges;
           Alcotest.test_case "nn export parity" `Quick test_nn_tape_parity;
         ] );
+      ( "rounding",
+        Alcotest.test_case "down/up = guarded pred/succ at every exponent" `Quick
+          test_tape_rounding_sweep
+        :: List.map QCheck_alcotest.to_alcotest
+             (prop_tape_rounding_bits :: prop_tape_edge_containment) );
       ( "solver",
         [
           Alcotest.test_case "compile once per disjunct" `Quick test_compile_once_per_disjunct;
