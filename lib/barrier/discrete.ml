@@ -260,33 +260,36 @@ let verify ?config ?(budget = Budget.unlimited) ~rng system =
 
 (* One forward-Euler step of the continuous error dynamics under a held
    steering command [u]. *)
-let plant_step ?(dynamics = Error_dynamics.default_config) ~dt derr theta_err u =
-  let f = Error_dynamics.field dynamics ~controller:(fun _ _ -> u) 0.0 [| derr; theta_err |] in
+let plant_step ~dt derr theta_err u =
+  let f =
+    Error_dynamics.field Error_dynamics.default_config ~controller:(fun _ _ -> u) 0.0
+      [| derr; theta_err |]
+  in
   (derr +. (dt *. f.(0)), theta_err +. (dt *. f.(1)))
 
 (* Symbolic per-step increments of the Euler-discretized plant:
    delta_derr = dt * ddot(theta_err), delta_theta = -dt * u. *)
-let plant_delta_exprs ?(dynamics = Error_dynamics.default_config) ~dt u =
-  let ddot = (Error_dynamics.symbolic_field dynamics ~u).(0) in
+let plant_delta_exprs ~dt u =
+  let ddot = (Error_dynamics.symbolic_field Error_dynamics.default_config ~u).(0) in
   let open Expr in
   (const dt * ddot, neg (const dt * u))
 
-let of_network ?(dynamics = Error_dynamics.default_config) ~dt net =
+let of_network ~dt net =
   if Nn.output_dim net <> 1 || net.Nn.input_dim <> 2 then
     invalid_arg "Discrete.of_network: controller must be 2-in 1-out";
   let vars = [| Error_dynamics.var_derr; Error_dynamics.var_theta_err |] in
   let map_numeric x =
     let u = Nn.eval1 net [| x.(0); x.(1) |] in
-    let d', th' = plant_step ~dynamics ~dt x.(0) x.(1) u in
+    let d', th' = plant_step ~dt x.(0) x.(1) u in
     [| d'; th' |]
   in
   let u_expr = Error_dynamics.symbolic_controller net in
-  let d_delta, th_delta = plant_delta_exprs ~dynamics ~dt u_expr in
+  let d_delta, th_delta = plant_delta_exprs ~dt u_expr in
   { vars; map_numeric; delta_symbolic = [| d_delta; th_delta |] }
 
 let hidden_var i = Printf.sprintf "h%d" i
 
-let of_rnn ?(dynamics = Error_dynamics.default_config) ~dt rnn =
+let of_rnn ~dt rnn =
   if Rnn.inputs rnn <> 2 || Rnn.outputs rnn <> 1 then
     invalid_arg "Discrete.of_rnn: controller must be 2-in 1-out";
   let k = Rnn.hidden rnn in
@@ -298,7 +301,7 @@ let of_rnn ?(dynamics = Error_dynamics.default_config) ~dt rnn =
   let map_numeric x =
     let state = Array.sub x 2 k in
     let state', out = Rnn.step rnn ~state ~input:[| x.(0); x.(1) |] in
-    let d', th' = plant_step ~dynamics ~dt x.(0) x.(1) out.(0) in
+    let d', th' = plant_step ~dt x.(0) x.(1) out.(0) in
     Array.append [| d'; th' |] state'
   in
   let sym_state = Array.init k (fun i -> Expr.var (hidden_var i)) in
@@ -306,6 +309,6 @@ let of_rnn ?(dynamics = Error_dynamics.default_config) ~dt rnn =
     [| Expr.var Error_dynamics.var_derr; Expr.var Error_dynamics.var_theta_err |]
   in
   let state', out = Rnn.step_exprs rnn ~state:sym_state ~input:sym_input in
-  let d_delta, th_delta = plant_delta_exprs ~dynamics ~dt out.(0) in
+  let d_delta, th_delta = plant_delta_exprs ~dt out.(0) in
   let state_delta = Array.mapi (fun i s' -> Expr.( - ) s' sym_state.(i)) state' in
   { vars; map_numeric; delta_symbolic = Array.append [| d_delta; th_delta |] state_delta }

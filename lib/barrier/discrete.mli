@@ -61,10 +61,6 @@ val default_config : dim:int -> config
     condition (5) unprovable) and safe bounds [[-1, 1]] (the reachable
     range of tanh states). *)
 
-val condition5_formula : system -> config -> Template.t -> float array -> Formula.t
-(** [∃x ∈ D \ X0: W(F(x)) − W(x) ≥ −γ] — UNSAT certifies the discrete
-    decrease condition. *)
-
 val iterate : ?budget:Budget.t -> system -> config -> Vec.t -> Ode.trace
 (** Orbit of the map from an initial state (times are step indices),
     truncated at the safe rectangle, at the first non-finite state, and at
@@ -84,10 +80,11 @@ val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> system -> Engine
 
 (** {1 Case-study closed loops} *)
 
-val of_network : ?dynamics:Error_dynamics.config -> dt:float -> Nn.t -> system
-(** Forward-Euler discretization of the Dubins error dynamics closed with a
-    feedforward controller: 2-dimensional state. *)
+val of_network : dt:float -> Nn.t -> system
+(** Forward-Euler discretization of the Dubins error dynamics
+    ({!Error_dynamics.default_config}) closed with a feedforward
+    controller: 2-dimensional state. *)
 
-val of_rnn : ?dynamics:Error_dynamics.config -> dt:float -> Rnn.t -> system
+val of_rnn : dt:float -> Rnn.t -> system
 (** Discretized Dubins error dynamics closed with a *recurrent* controller
     (2 inputs, 1 output): the state is [[derr; θ_err; h_1 … h_k]]. *)

@@ -238,7 +238,7 @@ let outcome_meta outcome =
       ("failure", Obs.Json.String (Cegis.string_of_failure reason));
     ]
 
-let run_report ?generated_at ?(meta = []) ?(extra_stages = []) ?(spans = []) report =
+let run_report ?(meta = []) ?(extra_stages = []) ?(spans = []) report =
   let stats = report.stats in
   let counter_meta =
     [
@@ -248,7 +248,7 @@ let run_report ?generated_at ?(meta = []) ?(extra_stages = []) ?(spans = []) rep
       ("lp_rows", Obs.Json.Int stats.lp_rows);
     ]
   in
-  Obs.Report.make ?generated_at
+  Obs.Report.make
     ~meta:(outcome_meta report.outcome @ counter_meta @ meta)
     ~stages:
       ([

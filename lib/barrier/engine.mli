@@ -181,7 +181,6 @@ val outcome_meta : outcome -> (string * Obs.Json.t) list
     plus the level or a human-readable failure reason. *)
 
 val run_report :
-  ?generated_at:float ->
   ?meta:(string * Obs.Json.t) list ->
   ?extra_stages:Obs.Report.stage list ->
   ?spans:Obs.Trace.span list ->

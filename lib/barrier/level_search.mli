@@ -24,13 +24,6 @@ type spec = {
   max_iters : int;
 }
 
-val ellipsoid_center : Template.t -> float array -> Mat.t -> Vec.t
-(** Center of the sublevel ellipsoids: [-P⁻¹b/2] for
-    [W = xᵀPx + bᵀx] (the origin for pure quadratics).  Degree-2
-    templates only ([Poly 2] shares the Quadratic_linear layout) — raises
-    [Invalid_argument] when {!Template.degree} exceeds 2, where the
-    sublevel sets are not ellipsoids. *)
-
 val condition7_query_rect :
   Template.t ->
   float array ->

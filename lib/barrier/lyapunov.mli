@@ -45,9 +45,6 @@ type report = {
       (** every decrease and positivity witness that was cut *)
 }
 
-val positivity_formula : Engine.system -> config -> certificate -> Formula.t
-(** [∃x ∈ D: ‖x‖ ≥ r ∧ W(x) ≤ 0] — UNSAT certifies positivity. *)
-
 val verify : ?config:config -> ?budget:Budget.t -> rng:Rng.t -> Engine.system -> report
 (** Run the Lyapunov variant of the pipeline through {!Cegis} with two
     obligations: decrease ({!Engine.decrease_obligation} outside the ball,

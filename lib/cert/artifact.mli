@@ -44,7 +44,9 @@
 type plant_id = {
   name : string;  (** registry name, e.g. ["dubins_error"]; no spaces *)
   version : string;  (** the plant's semantic version *)
-  param_hash : string;  (** {!hash_params} of the resolved parameters *)
+  param_hash : string;
+      (** digest of the resolved parameters: sorted by name, bit-exact hex
+          floats, so order-insensitive and value-bit-sensitive *)
 }
 
 type fingerprint = {
@@ -61,12 +63,6 @@ val no_nn : string
 val hash_network : Nn.t -> string
 
 val hash_dynamics : Engine.system -> string
-
-val hash_config : Engine.config -> string
-
-val hash_params : (string * float) list -> string
-(** Canonical parameter digest: entries sorted by name, values rendered as
-    bit-exact hex floats.  Order-insensitive; value-bit-sensitive. *)
 
 val plant_id : name:string -> version:string -> params:(string * float) list -> plant_id
 
@@ -108,8 +104,6 @@ type t = {
           for humans and dashboards, never trusted by the checker *)
   tool : string;  (** producing tool + version string *)
 }
-
-val tool_version : string
 
 val make :
   fingerprint:fingerprint ->

@@ -79,9 +79,8 @@ let c_hits = Obs.Metrics.counter "cert_cache.hit"
 let c_misses = Obs.Metrics.counter "cert_cache.miss"
 let c_warm = Obs.Metrics.counter "cert_cache.warm_start"
 
-let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited)
-    ?(audit_engine = Solver.Tape_eval) ?(use_cache = true) ?network
-    ?(plant = Artifact.dubins_plant_id) ~store ~rng system =
+let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited) ?(use_cache = true)
+    ?network ?(plant = Artifact.dubins_plant_id) ~store ~rng system =
   let fp = Artifact.fingerprint ?network ~plant system config in
   let exact_hit =
     if not use_cache then None
@@ -93,7 +92,7 @@ let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited)
       | Ok entry -> (
         match
           Obs.Trace.with_span "cache.audit" (fun () ->
-              Checker.audit ~engine:audit_engine ~budget ?network ~system entry.Store.artifact)
+              Checker.audit ~budget ?network ~system entry.Store.artifact)
         with
         | Checker.Certified, audit -> Some (entry, audit)
         | Checker.Rejected _, _ -> None (* stale/tampered entry: fall through to a real run *))

@@ -46,7 +46,6 @@ val string_of_source : source -> string
 val verify :
   ?config:Engine.config ->
   ?budget:Budget.t ->
-  ?audit_engine:Solver.engine ->
   ?use_cache:bool ->
   ?network:Nn.t ->
   ?plant:Artifact.plant_id ->
@@ -61,5 +60,4 @@ val verify :
     alongside the artifact so [check] can re-derive the system later.
     [plant] (default {!Artifact.dubins_plant_id}) is the scenario's plant
     identity; it enters the fingerprint, the hit binding, and the exported
-    artifact.  [audit_engine] selects the solver engine used for hit audits
-    (e.g. [Tree_eval] for engine diversity). *)
+    artifact.  Hits are audited with {!Checker.audit}'s default engine. *)

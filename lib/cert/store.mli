@@ -103,15 +103,13 @@ type fsck_report = {
   findings : fsck_finding list;  (** bad entries, in fingerprint order *)
 }
 
-val quarantine_root : root:string -> string
-(** [root/.quarantine] — never listed by {!list}, so quarantined entries
-    are invisible to lookups. *)
-
 val fsck : ?quarantine:bool -> ?on_entry:(string -> unit) -> root:string -> unit -> fsck_report
 (** Scan every entry under [root].  [quarantine] (default false) moves bad
-    entries into {!quarantine_root}.  [on_entry] is a test hook called
-    with each fingerprint {e before} that entry is validated (used to
-    interleave concurrent saves mid-scan); it defaults to a no-op. *)
+    entries into [root/.quarantine], which {!list} never lists, so
+    quarantined entries are invisible to lookups.  [on_entry] is a test
+    hook called with each fingerprint {e before} that entry is validated
+    (used to interleave concurrent saves mid-scan); it defaults to a
+    no-op. *)
 
 val find_nearby : root:string -> Artifact.fingerprint -> entry option
 (** First (in sorted fingerprint order, for determinism) readable entry

@@ -222,8 +222,10 @@ type stop_reason =
   | Tol_sigma of float
   | Budget_exceeded of Budget.stop
 
-let optimize ?(max_iter = 200) ?(tol_fun = 1e-12) ?(tol_sigma = 1e-14)
-    ?(budget = Budget.unlimited) ?(callback = fun _ _ _ -> ()) t objective =
+let tol_sigma = 1e-14
+
+let optimize ?(max_iter = 200) ?(tol_fun = 1e-12) ?(budget = Budget.unlimited)
+    ?(callback = fun _ _ _ -> ()) t objective =
   let reason = ref Max_iterations in
   (try
      for _ = 1 to max_iter do

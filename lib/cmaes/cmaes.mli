@@ -60,7 +60,6 @@ type stop_reason =
 val optimize :
   ?max_iter:int ->
   ?tol_fun:float ->
-  ?tol_sigma:float ->
   ?budget:Budget.t ->
   ?callback:(t -> int -> float -> unit) ->
   t ->
@@ -69,6 +68,6 @@ val optimize :
 (** Ask/tell loop minimizing the objective.  [callback t gen best_fitness]
     runs after each generation.  Returns the best-ever solution.  Defaults:
     [max_iter = 200], [tol_fun = 1e-12] (spread of the current population's
-    fitness), [tol_sigma = 1e-14].  [budget] (default unlimited) is checked
-    before each generation; on exhaustion the best-so-far solution is
-    returned with [Budget_exceeded]. *)
+    fitness); a step size below 1e-14 stops with [Tol_sigma].  [budget]
+    (default unlimited) is checked before each generation; on exhaustion
+    the best-so-far solution is returned with [Budget_exceeded]. *)

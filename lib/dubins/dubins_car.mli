@@ -9,13 +9,6 @@
 
 type pose = { x : float; y : float; theta : float }
 
-val kinematics : v:float -> u:(float -> Vec.t -> float) -> Ode.field
-(** Plant with an arbitrary (time, state)-dependent steering law. *)
-
-val closed_loop_field : v:float -> path:Path.t -> Nn.t -> Ode.field
-(** Full closed loop of Figure 2: at every state the path-following errors
-    are computed and fed to the NN controller. *)
-
 type rollout = {
   trace : Ode.trace;  (** world-frame trajectory *)
   derr : float array;  (** distance error at each sample *)

@@ -19,9 +19,6 @@ let field cfg ~controller _t x =
    no fresh input array, and no float crossing a closure boundary. *)
 let field_of_network cfg net _t x = [| derr_dot cfg x.(1); -.Nn.eval1 net x |]
 
-let simulate cfg ~controller ~x0:(d0, th0) ~dt ~steps =
-  Ode.simulate (field cfg ~controller) ~t0:0.0 ~x0:[| d0; th0 |] ~dt ~steps
-
 let symbolic_field cfg ~u =
   let open Expr in
   let theta_err = var var_theta_err in
@@ -59,7 +56,7 @@ let reference_controller =
   in
   Nn.of_layers ~input_dim:2 [ hidden; output ]
 
-let controller_of_width ?(rng_seed = 1) width =
+let controller_of_width width =
   if width < 2 || width mod 2 <> 0 then
     invalid_arg "Error_dynamics.controller_of_width: width must be a positive multiple of 2";
   (* Deterministically permute hidden neurons so the expression tree is not
@@ -67,7 +64,7 @@ let controller_of_width ?(rng_seed = 1) width =
   match (Nn.widen reference_controller ~factor:(width / 2)).Nn.layers with
   | [ hidden; output ] ->
     let perm = Array.init width Fun.id in
-    Rng.shuffle (Rng.create rng_seed) perm;
+    Rng.shuffle (Rng.create 1) perm;
     let hidden' =
       {
         hidden with

@@ -32,15 +32,6 @@ val field : config -> controller:(float -> float -> float) -> Ode.field
 val field_of_network : config -> Nn.t -> Ode.field
 (** Closed loop with an NN controller (2 inputs, 1 output). *)
 
-val simulate :
-  config ->
-  controller:(float -> float -> float) ->
-  x0:float * float ->
-  dt:float ->
-  steps:int ->
-  Ode.trace
-(** RK4 rollout from an initial error state. *)
-
 (** {1 Symbolic closed loop} *)
 
 val symbolic_field : config -> u:Expr.t -> Expr.t array
@@ -65,11 +56,11 @@ val reference_controller : Nn.t
     deterministic tests and as the base of the scaling sweep.  It
     stabilizes the error dynamics for [V = 1]. *)
 
-val controller_of_width : ?rng_seed:int -> int -> Nn.t
+val controller_of_width : int -> Nn.t
 (** Controller with the given hidden width for the scaling sweep: the
     reference controller widened ({!Nn.widen}) to [width] (a positive
-    multiple of 2, else [Invalid_argument]), with deterministically
-    shuffled hidden-neuron order. *)
+    multiple of 2, else [Invalid_argument]), with its hidden neurons
+    shuffled by [Rng.create 1]. *)
 
 val distinct_controller_of_width : int -> Nn.t
 (** [controller_of_width width] with every hidden neuron made distinct:

@@ -7,7 +7,10 @@ type cost_weights = {
 
 let paper_weights = { w_derr = 100.0; w_theta = 1e5; w_u = 100.0; w_terminal = 1e3 }
 
-let recovery_weights_default = { w_derr = 100.0; w_theta = 100.0; w_u = 10.0; w_terminal = 0.0 }
+(* Balanced weights for the perturbed-start recovery rollouts: under the
+   paper's 10⁵ on θ_err², parking off the path is cheaper than steering
+   back from a large offset. *)
+let recovery_weights = { w_derr = 100.0; w_theta = 100.0; w_u = 10.0; w_terminal = 0.0 }
 
 let cost ?(weights = paper_weights) ~v ~path ~dt ~steps net =
   let r = Dubins_car.rollout ~v ~path ~dt ~steps ~x0:(Dubins_car.start_pose path) net in
@@ -73,7 +76,7 @@ let recovery_cost weights ~v ~path ~dt ~steps ~start net =
 
 let train ?(hidden = 10) ?(population = 15) ?(iterations = 50) ?(v = 1.0) ?(dt = 0.2)
     ?(steps = 0) ?(snapshot_at = [ 0; 5; 25 ]) ?(sigma = 0.5) ?(perturbed = [])
-    ?(perturbed_steps = 120) ?(recovery_weights = recovery_weights_default) ?initial ~rng path =
+    ?(perturbed_steps = 120) ?initial ~rng path =
   (* Enough steps to traverse the whole path at speed v, plus slack. *)
   let steps =
     if steps > 0 then steps
@@ -126,92 +129,3 @@ let train ?(hidden = 10) ?(population = 15) ?(iterations = 50) ?(v = 1.0) ?(dt =
     history = List.rev !history;
     snapshots = List.rev !snapshots;
   }
-
-(* Exact pose update under constant turn rate u over dt (zero-order hold):
-   straight motion when |u| is negligible, otherwise a circular arc of
-   radius v/u.  With the paper's heading convention (clockwise from +y),
-   position advances along (sin th, cos th). *)
-let hold_step ~v ~dt (pose : Dubins_car.pose) u =
-  let th = pose.Dubins_car.theta in
-  if Float.abs u < 1e-9 then
-    {
-      pose with
-      Dubins_car.x = pose.Dubins_car.x +. (v *. dt *. Float.sin th);
-      y = pose.Dubins_car.y +. (v *. dt *. Float.cos th);
-    }
-  else begin
-    let th' = th +. (u *. dt) in
-    let r = v /. u in
-    (* Integral of (sin, cos) along the arc. *)
-    {
-      Dubins_car.x = pose.Dubins_car.x +. (r *. (Float.cos th -. Float.cos th'));
-      y = pose.Dubins_car.y +. (r *. (Float.sin th' -. Float.sin th));
-      theta = th';
-    }
-  end
-
-let rnn_rollout ~v ~path ~dt ~steps ~x0 rnn =
-  let finish_line = Path.total_length path -. 1e-9 in
-  let rec go k pose state acc =
-    let derr, theta_err =
-      Path.errors path ~x:pose.Dubins_car.x ~y:pose.Dubins_car.y ~theta_v:pose.Dubins_car.theta
-    in
-    let state', out = Rnn.step rnn ~state ~input:[| derr; theta_err |] in
-    let u = out.(0) in
-    let sample = (float_of_int k *. dt, pose, derr, theta_err, u) in
-    let arc = (Path.project path (pose.Dubins_car.x, pose.Dubins_car.y)).Path.arc_position in
-    if k >= steps || arc >= finish_line then List.rev (sample :: acc)
-    else go (k + 1) (hold_step ~v ~dt pose u) state' (sample :: acc)
-  in
-  let samples = go 0 x0 (Rnn.initial_state rnn) [] in
-  let n = List.length samples in
-  let times = Array.make n 0.0
-  and states = Array.make n [| 0.0; 0.0; 0.0 |]
-  and derr = Array.make n 0.0
-  and theta_err = Array.make n 0.0
-  and u = Array.make n 0.0 in
-  List.iteri
-    (fun i (t, pose, d, th, ui) ->
-      times.(i) <- t;
-      states.(i) <- [| pose.Dubins_car.x; pose.Dubins_car.y; pose.Dubins_car.theta |];
-      derr.(i) <- d;
-      theta_err.(i) <- th;
-      u.(i) <- ui)
-    samples;
-  { Dubins_car.trace = { Ode.times; states }; derr; theta_err; u }
-
-let rnn_cost ?(weights = paper_weights) ~v ~path ~dt ~steps rnn =
-  let r = rnn_rollout ~v ~path ~dt ~steps ~x0:(Dubins_car.start_pose path) rnn in
-  let acc = ref 0.0 in
-  for k = 0 to Array.length r.Dubins_car.derr - 1 do
-    let d = r.Dubins_car.derr.(k)
-    and th = r.Dubins_car.theta_err.(k)
-    and u = r.Dubins_car.u.(k) in
-    acc :=
-      !acc
-      +. (weights.w_derr *. d *. d)
-      +. (weights.w_theta *. th *. th)
-      +. (weights.w_u *. u *. u)
-  done;
-  let xe, ye = Path.end_point path in
-  let final = Ode.final_state r.Dubins_car.trace in
-  let dx = xe -. final.(0) and dy = ye -. final.(1) in
-  !acc +. (weights.w_terminal *. ((dx *. dx) +. (dy *. dy)))
-
-let train_rnn ?(hidden = 4) ?(population = 20) ?(iterations = 150) ?(v = 1.0) ?(dt = 0.2)
-    ?(steps = 0) ?(sigma = 0.5) ?(leak = 0.2) ?initial ~rng path =
-  let steps =
-    if steps > 0 then steps
-    else int_of_float (Float.ceil (Path.total_length path /. (v *. dt) *. 1.2))
-  in
-  let template =
-    match initial with
-    | Some rnn ->
-      if Rnn.hidden rnn <> hidden then invalid_arg "Training.train_rnn: hidden width mismatch";
-      rnn
-    | None -> Rnn.create ~rng ~inputs:2 ~hidden ~outputs:1 ~output_activation:Nn.Tansig ~leak ()
-  in
-  let objective theta = rnn_cost ~v ~path ~dt ~steps (Rnn.set_params template theta) in
-  let opt = Cmaes.create ~lambda:population ~sigma ~rng (Rnn.get_params template) in
-  let theta, cost, _reason = Cmaes.optimize ~max_iter:iterations ~tol_fun:0.0 opt objective in
-  (Rnn.set_params template theta, cost)

@@ -17,12 +17,6 @@ type cost_weights = {
   w_terminal : float;  (** 10³ in the paper *)
 }
 
-val paper_weights : cost_weights
-
-val recovery_weights_default : cost_weights
-(** Balanced weights for stabilization rollouts:
-    [w_derr = 100], [w_theta = 100], [w_u = 10], [w_terminal = 0]. *)
-
 val cost :
   ?weights:cost_weights ->
   v:float ->
@@ -31,7 +25,8 @@ val cost :
   steps:int ->
   Nn.t ->
   float
-(** The paper's cost of one rollout from the path start. *)
+(** The cost of one rollout from the path start, under [weights]
+    (default the paper's). *)
 
 type snapshot = {
   iteration : int;
@@ -61,7 +56,6 @@ val train :
   ?sigma:float ->
   ?perturbed:(float * float) list ->
   ?perturbed_steps:int ->
-  ?recovery_weights:cost_weights ->
   ?initial:Nn.t ->
   rng:Rng.t ->
   Path.t ->
@@ -79,50 +73,13 @@ val train :
     stabilize from the whole domain of interest [D] (not just from on-path
     states) — which is what the barrier certificate asserts.
 
-    [recovery_weights] (default {!recovery_weights_default}) weighs the
-    perturbed-start rollouts.  The paper's weights put 10⁵ on θ_err², under
-    which *parking off the path* is cheaper than steering back from a large
-    offset — so recovery uses balanced weights instead.
+    The perturbed-start rollouts are weighed with [w_derr = 100],
+    [w_theta = 100], [w_u = 10] and [w_terminal = 0].  The paper's weights
+    put 10⁵ on θ_err², under which *parking off the path* is cheaper than
+    steering back from a large offset — so recovery uses balanced weights
+    instead.
 
     [initial] warm-starts the search from an existing controller's
     parameters (it must have the same architecture as the [hidden] width
     implies); use it to fine-tune a path-tracking controller with perturbed
     starts in a second phase. *)
-
-(** {1 Recurrent controllers} *)
-
-val rnn_rollout :
-  v:float ->
-  path:Path.t ->
-  dt:float ->
-  steps:int ->
-  x0:Dubins_car.pose ->
-  Rnn.t ->
-  Dubins_car.rollout
-(** Closed-loop rollout with a stateful controller: at each step the
-    path-following errors are fed to the RNN, whose output is applied as a
-    zero-order-hold turn rate over [dt] (exact arc update of the pose).
-    Stops once the projection reaches the path end, like
-    {!Dubins_car.rollout}. *)
-
-val rnn_cost :
-  ?weights:cost_weights -> v:float -> path:Path.t -> dt:float -> steps:int -> Rnn.t -> float
-(** The paper's cost evaluated on an RNN rollout from the path start. *)
-
-val train_rnn :
-  ?hidden:int ->
-  ?population:int ->
-  ?iterations:int ->
-  ?v:float ->
-  ?dt:float ->
-  ?steps:int ->
-  ?sigma:float ->
-  ?leak:float ->
-  ?initial:Rnn.t ->
-  rng:Rng.t ->
-  Path.t ->
-  Rnn.t * float
-(** CMA-ES policy search over the recurrent controller's parameter vector
-    (input weights, recurrence, biases, output weights).  Defaults:
-    [hidden = 4], [population = 20], [iterations = 150], [leak = 0.2].
-    Returns the best controller and its cost. *)

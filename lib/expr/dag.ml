@@ -98,14 +98,3 @@ let op pool id =
   pool.nodes.(id)
 
 let ops pool = Array.sub pool.nodes 0 pool.count
-
-module String_set = Set.Make (String)
-
-let var_names pool =
-  let acc = ref String_set.empty in
-  for i = 0 to pool.count - 1 do
-    match pool.nodes.(i) with
-    | Var v -> acc := String_set.add v !acc
-    | _ -> ()
-  done;
-  String_set.elements !acc

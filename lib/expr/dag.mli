@@ -53,6 +53,3 @@ val op : t -> int -> op
 
 val ops : t -> op array
 (** Snapshot of all nodes in id (= topological) order. *)
-
-val var_names : t -> string list
-(** Sorted, duplicate-free names of the [Var] nodes interned so far. *)

@@ -4,7 +4,9 @@
    biggest customer, and it works in the template/parameter dimension, not
    the neuron count) this is robust and dependency-free. *)
 
-let symmetric ?(max_sweeps = 64) ?(tol = 1e-12) a0 =
+let max_sweeps = 64
+
+let symmetric ?(tol = 1e-12) a0 =
   let n = Mat.rows a0 in
   if Mat.cols a0 <> n then invalid_arg "Eig.symmetric: matrix not square";
   let a = Mat.symmetrize a0 in

@@ -14,10 +14,6 @@ let cols a = if Array.length a = 0 then 0 else Array.length a.(0)
 
 let copy a = Array.map Array.copy a
 
-let get a i j = a.(i).(j)
-
-let set a i j x = a.(i).(j) <- x
-
 let transpose a =
   let m = rows a and n = cols a in
   init n m (fun i j -> a.(j).(i))
@@ -89,10 +85,6 @@ let frobenius a =
   let acc = ref 0.0 in
   Array.iter (Array.iter (fun x -> acc := !acc +. (x *. x))) a;
   sqrt !acc
-
-let row a i = Array.copy a.(i)
-
-let col a j = Array.init (rows a) (fun i -> a.(i).(j))
 
 let symmetrize a = init (rows a) (cols a) (fun i j -> 0.5 *. (a.(i).(j) +. a.(j).(i)))
 

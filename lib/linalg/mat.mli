@@ -16,10 +16,6 @@ val cols : t -> int
 
 val copy : t -> t
 
-val get : t -> int -> int -> float
-
-val set : t -> int -> int -> float -> unit
-
 val transpose : t -> t
 
 val add : t -> t -> t
@@ -46,10 +42,6 @@ val quadratic_form : t -> Vec.t -> float
 val trace : t -> float
 
 val frobenius : t -> float
-
-val row : t -> int -> Vec.t
-
-val col : t -> int -> Vec.t
 
 val symmetrize : t -> t
 (** [(a + aᵀ) / 2]. *)

@@ -66,8 +66,6 @@ let scale_inplace a x =
 
 let of_list = Array.of_list
 
-let to_list = Array.to_list
-
 let pp fmt x =
   Format.fprintf fmt "[";
   Array.iteri

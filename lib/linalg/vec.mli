@@ -50,8 +50,6 @@ val scale_inplace : float -> t -> unit
 
 val of_list : float list -> t
 
-val to_list : t -> float list
-
 val pp : Format.formatter -> t -> unit
 
 val approx_equal : ?tol:float -> t -> t -> bool

@@ -38,8 +38,6 @@ let hidden t = Mat.rows t.w_input
 
 let outputs t = Mat.rows t.w_output
 
-let initial_state t = Vec.zeros (hidden t)
-
 let step t ~state ~input =
   if Vec.dim state <> hidden t then invalid_arg "Rnn.step: state dimension mismatch";
   if Vec.dim input <> inputs t then invalid_arg "Rnn.step: input dimension mismatch";
@@ -129,73 +127,3 @@ let step_exprs t ~state ~input =
     Array.map (Nn.activation_expr t.output_activation) (affine_exprs t.w_output t.b_output state')
   in
   (state', out)
-
-let matrix_lines m =
-  Array.to_list m
-  |> List.map (fun row ->
-         String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
-
-let vector_line v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.17g") v))
-
-let to_string t =
-  String.concat "\n"
-    ([
-       Printf.sprintf "rnn v1 inputs %d hidden %d outputs %d leak %.17g activation %s"
-         (inputs t) (hidden t) (outputs t) t.leak
-         (Nn.activation_name t.output_activation);
-     ]
-    @ matrix_lines t.w_input @ matrix_lines t.w_recurrent
-    @ [ vector_line t.b_hidden ]
-    @ matrix_lines t.w_output
-    @ [ vector_line t.b_output ])
-  ^ "\n"
-
-let of_string s =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "") in
-  let parse_floats line =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun t -> t <> "")
-    |> List.map float_of_string
-    |> Array.of_list
-  in
-  match lines with
-  | header :: rest ->
-    let ni, nh, no, leak, act =
-      try
-        Scanf.sscanf header "rnn v1 inputs %d hidden %d outputs %d leak %f activation %s"
-          (fun a b c d e -> (a, b, c, d, e))
-      with Scanf.Scan_failure _ | Failure _ -> failwith "Rnn.of_string: bad header"
-    in
-    let take k rows =
-      let rec go k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> failwith "Rnn.of_string: truncated"
-        | l :: tl -> go (k - 1) (parse_floats l :: acc) tl
-      in
-      go k [] rows
-    in
-    let w_input, rest = take nh rest in
-    let w_recurrent, rest = take nh rest in
-    let b_hidden, rest = take 1 rest in
-    let w_output, rest = take no rest in
-    let b_output, rest = take 1 rest in
-    if rest <> [] then failwith "Rnn.of_string: trailing data";
-    let check_cols n m = List.iter (fun r -> if Array.length r <> n then failwith "Rnn.of_string: row width") m in
-    check_cols ni w_input;
-    check_cols nh w_recurrent;
-    check_cols nh w_output;
-    of_weights ~w_input:(Array.of_list w_input) ~w_recurrent:(Array.of_list w_recurrent)
-      ~b_hidden:(List.hd b_hidden) ~w_output:(Array.of_list w_output)
-      ~b_output:(List.hd b_output)
-      ~output_activation:(Nn.activation_of_name act) ~leak ()
-  | [] -> failwith "Rnn.of_string: empty input"
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))

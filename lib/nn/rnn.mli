@@ -60,9 +60,6 @@ val hidden : t -> int
 
 val outputs : t -> int
 
-val initial_state : t -> Vec.t
-(** The zero hidden state. *)
-
 val step : t -> state:Vec.t -> input:Vec.t -> Vec.t * Vec.t
 (** [step t ~state ~input] is [(state', output)]. *)
 
@@ -77,15 +74,3 @@ val set_params : t -> Vec.t -> t
 val step_exprs : t -> state:Expr.t array -> input:Expr.t array -> Expr.t array * Expr.t array
 (** Symbolic [(state', output)] for symbolic state and input — feeds the
     discrete-time verification engine. *)
-
-(** {1 Serialization} *)
-
-val to_string : t -> string
-(** Line-oriented text format, round-tripped by {!of_string}. *)
-
-val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
-
-val save : t -> string -> unit
-
-val load : string -> t

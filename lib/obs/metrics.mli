@@ -12,8 +12,6 @@
     depends on scheduling — e.g. boxes explored before a cancellation
     fires — can still legitimately differ between job counts.) *)
 
-val enabled : unit -> bool
-
 val enable : unit -> unit
 
 val disable : unit -> unit

@@ -23,8 +23,6 @@ type span = {
 
 let enabled_flag = Atomic.make false
 
-let enabled () = Atomic.get enabled_flag
-
 let enable () = Atomic.set enabled_flag true
 
 let disable () = Atomic.set enabled_flag false

@@ -19,8 +19,6 @@ type span = {
   domain : int;  (** domain the span ran on *)
 }
 
-val enabled : unit -> bool
-
 val enable : unit -> unit
 
 val disable : unit -> unit

@@ -6,8 +6,6 @@ let trace_length tr = Array.length tr.times
 
 let final_state tr = tr.states.(Array.length tr.states - 1)
 
-let step_euler f t x h = Vec.axpy h (f t x) x
-
 let step_rk4 f t x h =
   let k1 = f t x in
   let k2 = f (t +. (0.5 *. h)) (Vec.axpy (0.5 *. h) k1 x) in
@@ -18,8 +16,6 @@ let step_rk4 f t x h =
   in
   Vec.axpy (h /. 6.0) incr x
 
-let stepper = function `Euler -> step_euler | `Rk4 -> step_rk4
-
 let all_finite x =
   let ok = ref true and i = ref 0 in
   while !ok && !i < Array.length x do
@@ -28,38 +24,14 @@ let all_finite x =
   done;
   !ok
 
-let simulate ?(method_ = `Rk4) f ~t0 ~x0 ~dt ~steps =
-  if steps < 0 then invalid_arg "Ode.simulate: negative step count";
-  let step = stepper method_ in
-  let times = Array.make (steps + 1) t0 in
-  let states = Array.make (steps + 1) x0 in
-  (* Divergent or faulty dynamics can produce NaN/Inf states; truncate at
-     the last finite sample so downstream consumers (the LP in particular)
-     never see a non-finite state. *)
-  let last = ref steps in
-  (try
-     for i = 1 to steps do
-       let t = t0 +. (dt *. float_of_int (i - 1)) in
-       let x' = step f t states.(i - 1) dt in
-       if not (all_finite x') then begin
-         last := i - 1;
-         raise Exit
-       end;
-       times.(i) <- t0 +. (dt *. float_of_int i);
-       states.(i) <- x'
-     done
-   with Exit -> ());
-  if !last = steps then { times; states }
-  else { times = Array.sub times 0 (!last + 1); states = Array.sub states 0 (!last + 1) }
-
-let simulate_until ?(method_ = `Rk4) ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
+let simulate_until ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
+  if not (dt > 0.0) then invalid_arg "Ode.simulate_until: dt must be positive";
   if t_end < t0 then invalid_arg "Ode.simulate_until: t_end < t0";
-  let step = stepper method_ in
   let rec loop t x acc =
     if stop t x || t >= t_end -. (0.5 *. dt) then List.rev ((t, x) :: acc)
     else begin
       let h = Float.min dt (t_end -. t) in
-      let x' = step f t x h in
+      let x' = step_rk4 f t x h in
       (* Stop at the last finite state: a non-finite sample must never enter
          the trace. *)
       if not (all_finite x') then List.rev ((t, x) :: acc)

@@ -16,28 +16,7 @@ val trace_length : trace -> int
 
 val final_state : trace -> Vec.t
 
-val step_euler : field -> float -> Vec.t -> float -> Vec.t
-(** [step_euler f t x h] is the explicit-Euler step of size [h]. *)
-
-val step_rk4 : field -> float -> Vec.t -> float -> Vec.t
-(** Classic fourth-order Runge–Kutta step. *)
-
-val simulate :
-  ?method_:[ `Euler | `Rk4 ] ->
-  field ->
-  t0:float ->
-  x0:Vec.t ->
-  dt:float ->
-  steps:int ->
-  trace
-(** Fixed-step integration recording every step (so the trace has
-    [steps + 1] samples).  Default method is [`Rk4].  If a step produces a
-    non-finite state (divergent or faulty dynamics), integration stops and
-    the trace is truncated at the last finite sample — traces never contain
-    NaN/Inf states. *)
-
 val simulate_until :
-  ?method_:[ `Euler | `Rk4 ] ->
   ?stop:(float -> Vec.t -> bool) ->
   field ->
   t0:float ->
@@ -45,9 +24,13 @@ val simulate_until :
   dt:float ->
   t_end:float ->
   trace
-(** Like {!simulate} but integrates to [t_end]; if [stop] becomes true the
-    trace is truncated at that sample.  Non-finite states truncate the
-    trace exactly as in {!simulate}. *)
+(** Fixed-step classic fourth-order Runge–Kutta from [t0] to [t_end],
+    recording every step; the last step is shortened to land on [t_end].
+    If [stop] becomes true the trace is truncated at that sample.  If a
+    step produces a non-finite state (divergent or faulty dynamics),
+    integration stops and the trace ends at the last finite sample, so
+    traces never contain NaN/Inf states.  Raises [Invalid_argument] unless
+    [dt > 0] and [t_end >= t0]. *)
 
 (** {1 Adaptive integration} *)
 
@@ -67,5 +50,5 @@ val simulate_rk45 :
     control.  [stop] is checked at each sample and the trace ends at the
     first one where it holds.  A non-finite stage or sample, a step below
     1e-12 and 10,000 attempted steps all end the trace at the last finite
-    sample, like {!simulate}.  Adds the field evaluations to the
+    sample, like {!simulate_until}.  Adds the field evaluations to the
     [ode.field_evals] counter once per trace. *)

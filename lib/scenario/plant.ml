@@ -191,9 +191,9 @@ let close_exn ?params plant controller =
   | Ok c -> c
   | Error reason -> invalid_arg ("Plant.close_exn: " ^ reason)
 
-let default_engine_config ?(base = Engine.default_config) plant =
+let default_engine_config plant =
   {
-    base with
+    Engine.default_config with
     Engine.x0_rect = plant.default_x0;
     safe_rect = plant.default_safe;
     gamma = plant.default_gamma;

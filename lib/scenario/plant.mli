@@ -93,6 +93,6 @@ val close_exn : ?params:(string * float) list -> t -> controller -> closed
 (** [close], raising [Invalid_argument] — for registry-internal plants
     whose composition is statically known to be well-formed. *)
 
-val default_engine_config : ?base:Engine.config -> t -> Engine.config
-(** [base] (default {!Engine.default_config}) with the plant's default
-    rectangles and γ substituted. *)
+val default_engine_config : t -> Engine.config
+(** {!Engine.default_config} with the plant's default rectangles and γ
+    substituted. *)

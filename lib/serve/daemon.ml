@@ -382,7 +382,7 @@ let run ?(control = control ()) ~handler cfg =
 
 (* --- Serve report ----------------------------------------------------- *)
 
-let serve_report ?generated_at ?(meta = []) cfg (stats : stats) =
+let serve_report ?(meta = []) cfg (stats : stats) =
   let c = stats.counts in
   let completed = c.ok + c.failed + c.timed_out + c.errors in
   let probes = c.cache_hits + c.cache_misses in
@@ -390,7 +390,7 @@ let serve_report ?generated_at ?(meta = []) cfg (stats : stats) =
     if probes = 0 then 0.0 else float_of_int c.cache_hits /. float_of_int probes
   in
   let busy = List.fold_left ( +. ) 0.0 stats.latencies in
-  Obs.Report.make ?generated_at
+  Obs.Report.make
     ~meta:
       ([
          ("mode", Obs.Json.String "serve");

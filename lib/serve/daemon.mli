@@ -87,15 +87,13 @@ val control : unit -> control
 val request_drain : control -> unit
 (** Idempotent; safe from signal context and any domain. *)
 
-val draining : control -> bool
-
 val run : ?control:control -> handler:handler -> config -> stats
 (** Bind the socket, serve until {!request_drain} or the serve deadline,
     drain, and return the aggregate stats.  Replaces a stale socket file;
     removes the socket on exit. *)
 
 val serve_report :
-  ?generated_at:float -> ?meta:(string * Obs.Json.t) list -> config -> stats -> Obs.Json.t
+  ?meta:(string * Obs.Json.t) list -> config -> stats -> Obs.Json.t
 (** The serve-level report flushed on drain, in the
     [safebarrier.run_report] schema (so [report-validate] gates it):
     request/status counts, cache hit rate, queue high-water mark,

@@ -44,9 +44,6 @@ val outside_rect : (string * float * float) list -> t
 
 (** {1 Semantics} *)
 
-val eval_atom : (string * float) list -> atom -> bool
-(** Exact (floating) truth of an atom at a point. *)
-
 val eval : (string * float) list -> t -> bool
 
 val holds_delta : float -> (string * float) list -> t -> bool

@@ -19,14 +19,12 @@ and shape =
   | NSqrt of anode
   | NAbs of anode
 
-type compiled = { root : anode; rel : Formula.rel; size : int }
+type compiled = { root : anode; rel : Formula.rel }
 
 exception Empty_box
 
 let compile ~index_of (atom : Formula.atom) =
-  let count = ref 0 in
   let rec go (e : Expr.t) =
-    incr count;
     let shape =
       match e with
       | Expr.Const c -> NConst c
@@ -49,9 +47,7 @@ let compile ~index_of (atom : Formula.atom) =
     in
     { shape; ival = Interval.entire }
   in
-  { root = go atom.expr; rel = atom.rel; size = !count }
-
-let expr_size c = c.size
+  { root = go atom.expr; rel = atom.rel }
 
 let rec fwd domains node =
   let v =

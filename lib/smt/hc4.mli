@@ -18,8 +18,6 @@ exception Empty_box
 
 val compile : index_of:(string -> int) -> Formula.atom -> compiled
 
-val expr_size : compiled -> int
-
 val forward : Interval.t array -> compiled -> Interval.t
 (** Forward sweep only: the enclosure of the constraint's expression over
     the given domains (domains are not modified). *)

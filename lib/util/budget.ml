@@ -10,28 +10,18 @@ let never_cancel () = false
 
 let unlimited = { deadline = None; pool = None; cancel = never_cancel }
 
-let make ?deadline ?timeout ?branches ?(cancel = never_cancel) () =
-  let from_timeout = Option.map (fun s -> Timing.now () +. s) timeout in
-  let deadline =
-    match (deadline, from_timeout) with
-    | None, d | d, None -> d
-    | Some a, Some b -> Some (Float.min a b)
-  in
+let make ?timeout ?branches ?(cancel = never_cancel) () =
+  let deadline = Option.map (fun s -> Timing.now () +. s) timeout in
   { deadline; pool = Option.map Atomic.make branches; cancel }
 
 let with_timeout s = make ~timeout:s ()
 
-let sub_budget ?timeout ?fraction parent =
+let sub_budget ?(fraction = 1.0) parent =
   let now = Timing.now () in
   let parent_remaining =
     match parent.deadline with Some d -> Float.max 0.0 (d -. now) | None -> infinity
   in
-  let child_span =
-    match (timeout, fraction) with
-    | Some s, _ -> s
-    | None, Some f -> f *. parent_remaining
-    | None, None -> parent_remaining
-  in
+  let child_span = fraction *. parent_remaining in
   let child_deadline =
     if Float.is_finite child_span then Some (now +. child_span) else None
   in
@@ -98,7 +88,3 @@ let string_of_stop = function
   | Deadline -> "deadline"
   | Branch_budget -> "branch budget"
   | Cancelled -> "cancelled"
-
-type 'a outcome = Done of 'a | Budget_exceeded of stop
-
-let run t f = match check t with Some s -> Budget_exceeded s | None -> Done (f ())

@@ -4,7 +4,7 @@
     branch-and-prune, CMA-ES generations — accepts a budget and checks it
     inside its hot loop.  A budget combines a wall-clock deadline, a shared
     branch/pivot pool, and a user cancellation hook.  Budget exhaustion is
-    always surfaced as a *structured outcome* ([stop], {!outcome}) at module
+    always surfaced as a *structured outcome* (a [stop]) at module
     boundaries; exceptions used internally never escape a stage. *)
 
 type stop =
@@ -26,14 +26,12 @@ type t
 val unlimited : t
 (** Never expires.  The default everywhere, preserving legacy behaviour. *)
 
-val make :
-  ?deadline:float -> ?timeout:float -> ?branches:int -> ?cancel:(unit -> bool) -> unit -> t
+val make : ?timeout:float -> ?branches:int -> ?cancel:(unit -> bool) -> unit -> t
 (** [make ()] builds a budget from any combination of limits:
-    [deadline] is an absolute time on the {e monotonic} {!Timing.now}
-    scale — never a raw wall-clock ([Timing.wall]) timestamp, which may
-    step in either direction; [timeout] is relative seconds from now (the
-    tighter of the two wins); [branches] seeds a shared pool consumed via
-    {!consume_branches}; [cancel] is polled on every {!check}.
+    [timeout] is relative seconds from now, kept as a deadline on the
+    {e monotonic} {!Timing.now} scale; [branches] seeds a shared pool
+    consumed via {!consume_branches}; [cancel] is polled on every
+    {!check}.
 
     Because every deadline lives on the monotonic scale, a backwards jump
     of the system wall clock can neither expire a deadline early nor
@@ -43,11 +41,11 @@ val make :
 val with_timeout : float -> t
 (** [with_timeout s] expires [s] seconds from now. *)
 
-val sub_budget : ?timeout:float -> ?fraction:float -> t -> t
+val sub_budget : ?fraction:float -> t -> t
 (** A child budget: its deadline is the tighter of the parent's and
-    [now + timeout] (or [now + fraction × remaining parent time], default
-    fraction 1.0).  Branch pool and cancellation hook are shared with the
-    parent — never reset. *)
+    [now + fraction × remaining parent time] (default fraction 1.0).
+    Branch pool and cancellation hook are shared with the parent — never
+    reset. *)
 
 val child : ?timeout:float -> ?branches:int -> t -> t
 (** [child ?timeout ?branches parent] — a per-request budget for serving:
@@ -106,11 +104,3 @@ val fired : switch -> bool
 val with_switch : switch -> t -> t
 (** A budget that is additionally cancelled once the switch fires; the
     parent's deadline, branch pool, and cancellation hook still apply. *)
-
-type 'a outcome = Done of 'a | Budget_exceeded of stop
-(** The structured result of running a stage under a budget. *)
-
-val run : t -> (unit -> 'a) -> 'a outcome
-(** [run t f] is [Budget_exceeded s] when [t] is already exhausted,
-    otherwise [Done (f ())].  A convenience for gating cheap stages; long
-    stages must poll [check] internally instead. *)

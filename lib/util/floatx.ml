@@ -39,5 +39,3 @@ let max_elt a =
 let min_elt a =
   if Array.length a = 0 then invalid_arg "Floatx.min_elt: empty array";
   Array.fold_left Float.min a.(0) a
-
-let is_finite x = Float.is_finite x

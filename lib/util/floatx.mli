@@ -31,5 +31,3 @@ val max_elt : float array -> float
 
 val min_elt : float array -> float
 (** Smallest element; raises [Invalid_argument] on the empty array. *)
-
-val is_finite : float -> bool

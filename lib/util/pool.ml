@@ -120,12 +120,6 @@ let ensure_workers target =
   done;
   Mutex.unlock mutex
 
-let worker_count () =
-  Mutex.lock mutex;
-  let n = !n_workers in
-  Mutex.unlock mutex;
-  n
-
 let queue_length () =
   Mutex.lock mutex;
   let n = List.length !queue in

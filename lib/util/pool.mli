@@ -28,10 +28,6 @@ val parallel_map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     not share unsynchronized mutable state; closures over [Atomic.t] /
     budgets are safe. *)
 
-val worker_count : unit -> int
-(** Worker domains currently alive (0 until the first parallel batch);
-    exposed for tests and diagnostics. *)
-
 val queue_length : unit -> int
 (** Batches currently enqueued (live, not yet retired).  Exhausted batches
     are removed by their drainers as soon as the task cursor crosses the

@@ -46,8 +46,6 @@ let normal t =
     t.spare <- Some (r *. sin theta);
     r *. cos theta
 
-let normal_mu_sigma t mu sigma = mu +. (sigma *. normal t)
-
 let int t n =
   assert (n > 0);
   (* Rejection-free for our purposes: modulo bias is negligible for n << 2^53. *)

@@ -21,9 +21,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; the derived
     stream is statistically independent of the parent's continuation. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** [float t] is uniform on [0, 1). *)
 
@@ -32,9 +29,6 @@ val uniform : t -> float -> float -> float
 
 val normal : t -> float
 (** Standard normal deviate (Box–Muller, using both deviates). *)
-
-val normal_mu_sigma : t -> float -> float -> float
-(** [normal_mu_sigma t mu sigma] is Gaussian with the given moments. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform on [0, n-1]; [n] must be positive. *)

@@ -147,7 +147,7 @@ let stable_field _t x = [| -.x.(0); -2.0 *. x.(1) |]
 
 let stable_traces () =
   List.map
-    (fun x0 -> Ode.simulate stable_field ~t0:0.0 ~x0 ~dt:0.1 ~steps:60)
+    (fun x0 -> Ode.simulate_until stable_field ~t0:0.0 ~x0 ~dt:0.1 ~t_end:6.0)
     [ [| 2.0; 1.0 |]; [| -1.5; 2.0 |]; [| 1.0; -2.0 |]; [| -2.0; -1.0 |]; [| 0.5; 2.2 |] ]
 
 let test_synthesize_stable_system () =
@@ -181,7 +181,7 @@ let test_synthesize_unstable_rejected () =
   let unstable _t x = [| x.(0); x.(1) |] in
   let traces =
     List.map
-      (fun x0 -> Ode.simulate unstable ~t0:0.0 ~x0 ~dt:0.1 ~steps:30)
+      (fun x0 -> Ode.simulate_until unstable ~t0:0.0 ~x0 ~dt:0.1 ~t_end:3.0)
       [ [| 0.5; 0.5 |]; [| -0.5; 0.3 |] ]
   in
   match
@@ -198,7 +198,7 @@ let test_cex_cut_forces_change () =
      decay); W = x² + y² decreases, but W = x² alone would not. *)
   let spiral _t x = [| -.x.(1); x.(0) -. (0.1 *. x.(1)) |] in
   let traces =
-    [ Ode.simulate spiral ~t0:0.0 ~x0:[| 2.0; 0.0 |] ~dt:0.05 ~steps:400 ]
+    [ Ode.simulate_until spiral ~t0:0.0 ~x0:[| 2.0; 0.0 |] ~dt:0.05 ~t_end:20.0 ]
   in
   (match
      Synthesis.Incremental.create ~template:quad ~field:spiral traces
@@ -320,8 +320,8 @@ let test_warm_resolve_matches_cold () =
   let traces =
     List.map
       (fun x0 ->
-        Ode.simulate system.Engine.numeric_field ~t0:0.0 ~x0 ~dt:config.Engine.sim_dt
-          ~steps:config.Engine.sim_steps)
+        Ode.simulate_until system.Engine.numeric_field ~t0:0.0 ~x0 ~dt:config.Engine.sim_dt
+          ~t_end:(config.Engine.sim_dt *. float_of_int config.Engine.sim_steps))
       (sample config.Engine.n_seed)
   in
   let inc =

@@ -68,26 +68,6 @@ let prop_rnn_symbolic_matches =
       if Float.abs (Expr.eval_env env sym_out.(0) -. num_out.(0)) > 1e-9 then ok := false;
       !ok)
 
-let test_rnn_serialization () =
-  let rnn = small_rnn ~leak:0.37 () in
-  let rnn2 = Rnn.of_string (Rnn.to_string rnn) in
-  let s1, o1 = Rnn.step rnn ~state:[| 0.2; -0.5 |] ~input:[| 1.1; -0.3 |] in
-  let s2, o2 = Rnn.step rnn2 ~state:[| 0.2; -0.5 |] ~input:[| 1.1; -0.3 |] in
-  Alcotest.(check bool) "round-trip step" true (s1 = s2 && o1 = o2);
-  check_float "leak preserved" 0.37 rnn2.Rnn.leak;
-  let path = Filename.temp_file "rnn_test" ".rnn" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Rnn.save rnn path;
-      let rnn3 = Rnn.load path in
-      let s3, _ = Rnn.step rnn3 ~state:[| 0.2; -0.5 |] ~input:[| 1.1; -0.3 |] in
-      Alcotest.(check bool) "file round-trip" true (s1 = s3));
-  try
-    ignore (Rnn.of_string "garbage");
-    Alcotest.fail "expected failure"
-  with Failure _ -> ()
-
 let test_rnn_validation () =
   Alcotest.check_raises "bad recurrent shape"
     (Invalid_argument "Rnn.of_weights: recurrent matrix shape mismatch") (fun () ->
@@ -204,60 +184,6 @@ let test_rnn_closed_loop_proved () =
       (Array.length cert.Engine.coeffs)
   | Engine.Failed _ -> Alcotest.fail "leaky RNN closed loop must prove"
 
-(* --- RNN rollout & training ------------------------------------------- *)
-
-let test_rnn_rollout_shape () =
-  let rnn = small_rnn ~leak:0.3 () in
-  let path = Path.straight ~theta_r:0.0 ~length:20.0 in
-  let r =
-    Training.rnn_rollout ~v:1.0 ~path ~dt:0.2 ~steps:150 ~x0:(Dubins_car.start_pose path) rnn
-  in
-  let n = Array.length r.Dubins_car.derr in
-  Alcotest.(check bool) "has samples" true (n > 10);
-  Alcotest.(check int) "aligned arrays" n (Array.length r.Dubins_car.u);
-  Alcotest.(check int) "trace aligned" n (Ode.trace_length r.Dubins_car.trace)
-
-let test_rnn_hold_step_consistency () =
-  (* Constant-turn rollout follows a circle: heading advances by u·dt per
-     step and speed is preserved. *)
-  let constant_u =
-    Rnn.of_weights
-      ~w_input:[| [| 0.0; 0.0 |] |] ~w_recurrent:[| [| 0.0 |] |] ~b_hidden:[| 10.0 |]
-      ~w_output:[| [| 0.5 |] |] ~b_output:[| 0.0 |] ~output_activation:Nn.Linear ()
-  in
-  (* tanh(10) ≈ 1, so u ≈ 0.5 constantly after the first step. *)
-  let path = Path.straight ~theta_r:0.0 ~length:1000.0 in
-  let r =
-    Training.rnn_rollout ~v:1.0 ~path ~dt:0.1 ~steps:50
-      ~x0:{ Dubins_car.x = 0.0; y = 0.0; theta = 0.0 }
-      constant_u
-  in
-  let states = r.Dubins_car.trace.Ode.states in
-  let n = Array.length states in
-  (* Consecutive positions are ~v·dt apart (arc chords slightly shorter). *)
-  let ok = ref true in
-  for i = 1 to n - 2 do
-    let dx = states.(i + 1).(0) -. states.(i).(0)
-    and dy = states.(i + 1).(1) -. states.(i).(1) in
-    let d = Float.hypot dx dy in
-    if Float.abs (d -. 0.1) > 1e-3 then ok := false
-  done;
-  Alcotest.(check bool) "unit-speed arc steps" true !ok
-
-let test_train_rnn_improves () =
-  let rng = Rng.create 42 in
-  let path = Path.straight ~theta_r:0.0 ~length:30.0 in
-  let rnn, cost = Training.train_rnn ~hidden:3 ~population:10 ~iterations:25 ~rng path in
-  (* An untrained (random) controller of the same seed for comparison. *)
-  let fresh =
-    Rnn.create ~rng:(Rng.create 42) ~inputs:2 ~hidden:3 ~outputs:1 ~leak:0.2 ()
-  in
-  let fresh_cost = Training.rnn_cost ~v:1.0 ~path ~dt:0.2 ~steps:180 fresh in
-  Alcotest.(check bool)
-    (Printf.sprintf "trained %.1f <= untrained %.1f" cost fresh_cost)
-    true (cost <= fresh_cost);
-  Alcotest.(check int) "architecture preserved" 3 (Rnn.hidden rnn)
-
 (* --- Lyapunov mode ---------------------------------------------------- *)
 
 let test_lyapunov_reference_proved () =
@@ -327,7 +253,6 @@ let () =
           Alcotest.test_case "leak slows the state" `Quick test_rnn_leak_slows_state;
           Alcotest.test_case "param round-trip" `Quick test_rnn_param_roundtrip;
           Alcotest.test_case "validation" `Quick test_rnn_validation;
-          Alcotest.test_case "serialization" `Quick test_rnn_serialization;
           QCheck_alcotest.to_alcotest prop_rnn_symbolic_matches;
         ] );
       ( "discrete engine",
@@ -338,12 +263,6 @@ let () =
           Alcotest.test_case "orbit truncation" `Quick test_discrete_orbit_truncation;
           Alcotest.test_case "rnn closed-loop consistency" `Quick test_rnn_closed_loop_consistency;
           Alcotest.test_case "rnn closed loop proved" `Slow test_rnn_closed_loop_proved;
-        ] );
-      ( "rnn training",
-        [
-          Alcotest.test_case "rollout shape" `Quick test_rnn_rollout_shape;
-          Alcotest.test_case "hold-step arcs" `Quick test_rnn_hold_step_consistency;
-          Alcotest.test_case "training improves" `Slow test_train_rnn_improves;
         ] );
       ( "lyapunov",
         [

@@ -128,8 +128,8 @@ let test_theta_dot_is_minus_u () =
   check_float "theta_err_dot = -u" (-0.7) f.(1)
 
 let test_reference_controller_stabilizes () =
-  let controller d th = Nn.eval1 Error_dynamics.reference_controller [| d; th |] in
-  let tr = Error_dynamics.simulate cfg ~controller ~x0:(3.0, 0.5) ~dt:0.05 ~steps:2000 in
+  let field = Error_dynamics.field_of_network cfg Error_dynamics.reference_controller in
+  let tr = Ode.simulate_until field ~t0:0.0 ~x0:[| 3.0; 0.5 |] ~dt:0.05 ~t_end:100.0 in
   let final = Ode.final_state tr in
   Alcotest.(check bool)
     (Printf.sprintf "converged to (%.4f, %.4f)" final.(0) final.(1))
@@ -140,8 +140,8 @@ let prop_stabilizes_from_domain =
   QCheck.Test.make ~name:"reference controller converges from the safe rect" ~count:40
     QCheck.(pair (float_range (-4.5) 4.5) (float_range (-1.4) 1.4))
     (fun (d0, th0) ->
-      let controller d th = Nn.eval1 Error_dynamics.reference_controller [| d; th |] in
-      let tr = Error_dynamics.simulate cfg ~controller ~x0:(d0, th0) ~dt:0.05 ~steps:4000 in
+      let field = Error_dynamics.field_of_network cfg Error_dynamics.reference_controller in
+      let tr = Ode.simulate_until field ~t0:0.0 ~x0:[| d0; th0 |] ~dt:0.05 ~t_end:200.0 in
       Vec.norm2 (Ode.final_state tr) < 0.05)
 
 (* --- World-frame closed loop ------------------------------------------- *)
@@ -225,6 +225,62 @@ let test_training_improves () =
     Alcotest.(check bool) "snapshots recorded" true
       (List.length result.Training.snapshots >= 2)
 
+(* FNV-1a (64-bit) over the bits of [floats], byte by byte: equal hashes
+   mean bit-identical values. *)
+let fnv1a floats =
+  let prime = 0x100000001b3L in
+  let h = ref 0xcbf29ce484222325L in
+  List.iter
+    (fun v ->
+      let bits = Int64.bits_of_float v in
+      for b = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) prime
+      done)
+    floats;
+  Printf.sprintf "%Lx" !h
+
+let test_rollouts_and_training_pinned () =
+  (* The fixed-step RK4 path behind Figure 4 and the falsifier: one
+     training-path rollout (every time, state, error and command), a small
+     CMA-ES training run and a falsification run, all from fixed seeds.
+     A change that means to keep Figure 4 and falsify's verdicts keeps
+     these bits. *)
+  let net = Error_dynamics.reference_controller in
+  let path = Path.paper_training_path in
+  let r =
+    Dubins_car.rollout ~v:1.0 ~path ~dt:0.2 ~steps:862 ~x0:(Dubins_car.start_pose path) net
+  in
+  let tr = r.Dubins_car.trace in
+  let rollout_bits =
+    List.concat
+      [
+        Array.to_list tr.Ode.times;
+        List.concat_map Array.to_list (Array.to_list tr.Ode.states);
+        Array.to_list r.Dubins_car.derr;
+        Array.to_list r.Dubins_car.theta_err;
+        Array.to_list r.Dubins_car.u;
+      ]
+  in
+  Alcotest.(check int) "rollout samples" 721 (Ode.trace_length tr);
+  Alcotest.(check string) "FNV-1a of the rollout bits" "b2388b9173d5ff61" (fnv1a rollout_bits);
+  let trained =
+    Training.train ~hidden:4 ~population:10 ~iterations:5 ~rng:(Rng.create 7) path
+  in
+  Alcotest.(check string) "final training cost bits" "411c0a924e6ac5cc"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float trained.Training.final_cost));
+  let config = Engine.default_config in
+  match
+    Falsify.falsify ~rng:(Rng.create 11)
+      ~field:(Error_dynamics.field_of_network cfg net)
+      ~x0_rect:config.Engine.x0_rect ~safe_rect:config.Engine.safe_rect ()
+  with
+  | Falsify.Falsified _ -> Alcotest.fail "the reference controller must not falsify"
+  | Falsify.Not_falsified { best_x0; best_robustness; evaluations } ->
+    Alcotest.(check int) "falsify evaluations" 206 evaluations;
+    Alcotest.(check string) "FNV-1a of the falsify result bits" "45b3fe0d4d9ae68d"
+      (fnv1a (best_robustness :: Array.to_list best_x0))
+
 let () =
   Alcotest.run "dubins"
     [
@@ -260,5 +316,7 @@ let () =
           Alcotest.test_case "cost penalizes bad control" `Quick test_cost_penalizes_offset;
           Alcotest.test_case "perturbed start geometry" `Quick test_perturbed_start_geometry;
           Alcotest.test_case "training improves the cost" `Slow test_training_improves;
+          Alcotest.test_case "rollouts and training pinned" `Quick
+            test_rollouts_and_training_pinned;
         ] );
     ]

@@ -17,7 +17,7 @@ let faulty_system injection =
 
 let test_simulate_truncates_nan () =
   let field = Faults.wrap_field (Faults.Nan_after 5) (fun _t x -> [| -.x.(0); -.x.(1) |]) in
-  let tr = Ode.simulate field ~t0:0.0 ~x0:[| 1.0; 1.0 |] ~dt:0.1 ~steps:50 in
+  let tr = Ode.simulate_until field ~t0:0.0 ~x0:[| 1.0; 1.0 |] ~dt:0.1 ~t_end:5.0 in
   Alcotest.(check bool) "trace truncated" true (Ode.trace_length tr < 51);
   Array.iter
     (fun x ->
@@ -58,7 +58,7 @@ let test_divergence_truncates () =
   (* A geometrically exploding field leaves the safe rectangle (or
      overflows to infinity) quickly; the trace must end at finite states. *)
   let field = Faults.wrap_field (Faults.Divergence 4.0) (fun _t x -> [| x.(0); x.(1) |]) in
-  let tr = Ode.simulate field ~t0:0.0 ~x0:[| 1.0; 1.0 |] ~dt:0.5 ~steps:200 in
+  let tr = Ode.simulate_until field ~t0:0.0 ~x0:[| 1.0; 1.0 |] ~dt:0.5 ~t_end:100.0 in
   Array.iter
     (fun x ->
       if not (Array.for_all Float.is_finite x) then

@@ -9,32 +9,17 @@ let decay _t x = [| -.x.(0) |]
 (* Harmonic oscillator: ẋ = y, ẏ = -x; energy x² + y² is conserved. *)
 let oscillator _t x = [| x.(1); -.x.(0) |]
 
-let test_euler_decay () =
-  let tr = Ode.simulate ~method_:`Euler decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:1e-4 ~steps:10_000 in
-  let final = Ode.final_state tr in
-  Alcotest.(check bool) "euler close" true (Float.abs (final.(0) -. Float.exp (-1.0)) < 1e-3)
-
 let test_rk4_decay () =
-  let tr = Ode.simulate decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.01 ~steps:100 in
+  let tr = Ode.simulate_until decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.01 ~t_end:1.0 in
   let final = Ode.final_state tr in
   Alcotest.(check bool) "rk4 close" true (Float.abs (final.(0) -. Float.exp (-1.0)) < 1e-9)
 
-let global_error method_ dt =
-  let steps = int_of_float (1.0 /. dt) in
-  let tr = Ode.simulate ~method_ decay ~t0:0.0 ~x0:[| 1.0 |] ~dt ~steps in
+let global_error dt =
+  let tr = Ode.simulate_until decay ~t0:0.0 ~x0:[| 1.0 |] ~dt ~t_end:1.0 in
   Float.abs ((Ode.final_state tr).(0) -. Float.exp (-1.0))
 
-let test_euler_order1 () =
-  (* Halving dt should roughly halve the global error. *)
-  let e1 = global_error `Euler 0.01 and e2 = global_error `Euler 0.005 in
-  let ratio = e1 /. e2 in
-  Alcotest.(check bool)
-    (Printf.sprintf "ratio %.2f in [1.7, 2.3]" ratio)
-    true
-    (ratio > 1.7 && ratio < 2.3)
-
 let test_rk4_order4 () =
-  let e1 = global_error `Rk4 0.1 and e2 = global_error `Rk4 0.05 in
+  let e1 = global_error 0.1 and e2 = global_error 0.05 in
   let ratio = e1 /. e2 in
   Alcotest.(check bool)
     (Printf.sprintf "ratio %.1f in [12, 20]" ratio)
@@ -42,7 +27,7 @@ let test_rk4_order4 () =
     (ratio > 12.0 && ratio < 20.0)
 
 let test_rk4_energy_conservation () =
-  let tr = Ode.simulate oscillator ~t0:0.0 ~x0:[| 1.0; 0.0 |] ~dt:0.01 ~steps:1000 in
+  let tr = Ode.simulate_until oscillator ~t0:0.0 ~x0:[| 1.0; 0.0 |] ~dt:0.01 ~t_end:10.0 in
   Array.iter
     (fun s ->
       let energy = (s.(0) *. s.(0)) +. (s.(1) *. s.(1)) in
@@ -51,7 +36,7 @@ let test_rk4_energy_conservation () =
     tr.Ode.states
 
 let test_trace_shape () =
-  let tr = Ode.simulate decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~steps:10 in
+  let tr = Ode.simulate_until decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~t_end:1.0 in
   Alcotest.(check int) "length" 11 (Ode.trace_length tr);
   check_float "t0" 0.0 tr.Ode.times.(0);
   Alcotest.(check bool) "t_end" true (Float.abs (tr.Ode.times.(10) -. 1.0) < 1e-12);
@@ -134,15 +119,27 @@ let test_rk45_stop () =
   Alcotest.(check bool) "not before" true (tr.Ode.states.(69).(0) >= 0.5)
 
 let test_negative_steps_rejected () =
-  Alcotest.check_raises "negative steps" (Invalid_argument "Ode.simulate: negative step count")
-    (fun () -> ignore (Ode.simulate decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~steps:(-1)))
+  (* A horizon ending before it starts is a negative number of steps. *)
+  Alcotest.check_raises "t_end < t0" (Invalid_argument "Ode.simulate_until: t_end < t0")
+    (fun () -> ignore (Ode.simulate_until decay ~t0:0.0 ~x0:[| 1.0 |] ~dt:0.1 ~t_end:(-0.1)))
+
+let test_nonpositive_dt_rejected () =
+  (* With dt <= 0 (or NaN) time would never advance and the trace would
+     grow without end. *)
+  List.iter
+    (fun dt ->
+      Alcotest.check_raises
+        (Printf.sprintf "dt = %g" dt)
+        (Invalid_argument "Ode.simulate_until: dt must be positive")
+        (fun () -> ignore (Ode.simulate_until decay ~t0:0.0 ~x0:[| 1.0 |] ~dt ~t_end:1.0)))
+    [ 0.0; -0.1; Float.nan ]
 
 let prop_rk4_decay_2d =
   QCheck.Test.make ~name:"rk4 matches exp decay for random rates" ~count:100
     QCheck.(pair (float_range 0.1 3.0) (float_range 0.1 3.0))
     (fun (a, b) ->
       let field _t x = [| -.a *. x.(0); -.b *. x.(1) |] in
-      let tr = Ode.simulate field ~t0:0.0 ~x0:[| 1.0; 2.0 |] ~dt:0.01 ~steps:100 in
+      let tr = Ode.simulate_until field ~t0:0.0 ~x0:[| 1.0; 2.0 |] ~dt:0.01 ~t_end:1.0 in
       let final = Ode.final_state tr in
       Float.abs (final.(0) -. Float.exp (-.a)) < 1e-6
       && Float.abs (final.(1) -. (2.0 *. Float.exp (-.b))) < 1e-6)
@@ -225,14 +222,13 @@ let () =
     [
       ( "fixed-step",
         [
-          Alcotest.test_case "euler decay" `Quick test_euler_decay;
           Alcotest.test_case "rk4 decay" `Quick test_rk4_decay;
-          Alcotest.test_case "euler is first order" `Quick test_euler_order1;
           Alcotest.test_case "rk4 is fourth order" `Quick test_rk4_order4;
           Alcotest.test_case "rk4 energy conservation" `Quick test_rk4_energy_conservation;
           Alcotest.test_case "trace shape" `Quick test_trace_shape;
           Alcotest.test_case "stop predicate" `Quick test_simulate_until_stop;
           Alcotest.test_case "rejects negative steps" `Quick test_negative_steps_rejected;
+          Alcotest.test_case "rejects non-positive dt" `Quick test_nonpositive_dt_rejected;
           QCheck_alcotest.to_alcotest prop_rk4_decay_2d;
         ] );
       ( "adaptive",
