@@ -14,6 +14,8 @@ let digest s = Digest.to_hex (Digest.string s)
 
 let hex f = Printf.sprintf "%h" f
 
+let ( let* ) r f = Result.bind r f
+
 (* Canonical parameter rendering: sorted by name, bit-exact hex floats, one
    per line.  Two parameterizations hash equal iff every parameter is
    bit-identical. *)
@@ -131,7 +133,7 @@ let tool_version = "safebarrier-1.0.0"
 let make ~fingerprint ?(plant = dubins_plant_id) ~config ?cover ?(stats = [])
     (cert : Engine.certificate) =
   {
-    version = 3;
+    version = 4;
     fingerprint;
     plant;
     template_kind = Template.kind cert.Engine.template;
@@ -176,6 +178,97 @@ let kind_of_name s =
       | None -> Error (Printf.sprintf "malformed polynomial template degree %S" d_s))
     | _ -> Error (Printf.sprintf "unknown template kind %S" s))
 
+(* The v4 cover encoding: each node a zigzag LEB128 varint (one byte for
+   every node kind and for splits of the first 16 variables), each point
+   its 8 IEEE bytes little-endian, both in unpadded base64 so the artifact
+   stays line-oriented text. *)
+let b64_alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+let b64_value =
+  let t = Array.make 256 (-1) in
+  String.iteri (fun i c -> t.(Char.code c) <- i) b64_alphabet;
+  t
+
+let base64 b =
+  let n = Bytes.length b in
+  let out = Buffer.create (((n + 2) / 3 * 4) + 1) in
+  let byte i = if i < n then Char.code (Bytes.get b i) else 0 in
+  let i = ref 0 in
+  while !i < n do
+    let w = (byte !i lsl 16) lor (byte (!i + 1) lsl 8) lor byte (!i + 2) in
+    for k = 0 to min 3 (n - !i) do
+      Buffer.add_char out b64_alphabet.[(w lsr (18 - (6 * k))) land 63]
+    done;
+    i := !i + 3
+  done;
+  Buffer.contents out
+
+let unbase64 s =
+  let len = String.length s in
+  if len mod 4 = 1 then Error "malformed base64 length"
+  else begin
+    let b = Bytes.create ((len / 4 * 3) + max 0 ((len mod 4) - 1)) in
+    let acc = ref 0 and bits = ref 0 and pos = ref 0 and bad = ref false in
+    String.iter
+      (fun c ->
+        let v = b64_value.(Char.code c) in
+        if v < 0 then bad := true
+        else begin
+          acc := ((!acc lsl 6) lor v) land 0xffffff;
+          bits := !bits + 6;
+          if !bits >= 8 then begin
+            bits := !bits - 8;
+            Bytes.set b !pos (Char.chr ((!acc lsr !bits) land 0xff));
+            incr pos
+          end
+        end)
+      s;
+    if !bad then Error "malformed base64 character" else Ok b
+  end
+
+let pack_nodes nodes =
+  let buf = Buffer.create (Array.length nodes + 8) in
+  Array.iter
+    (fun n ->
+      let z = ref ((n lsl 1) lxor (n asr 62)) in
+      while !z lsr 7 <> 0 do
+        Buffer.add_char buf (Char.chr ((!z land 0x7f) lor 0x80));
+        z := !z lsr 7
+      done;
+      Buffer.add_char buf (Char.chr !z))
+    nodes;
+  base64 (Buffer.to_bytes buf)
+
+let unpack_nodes s =
+  let* b = unbase64 s in
+  let n = Bytes.length b in
+  let out = ref [] and pos = ref 0 and err = ref None in
+  while !err = None && !pos < n do
+    let z = ref 0 and shift = ref 0 and more = ref true in
+    while !more && !err = None do
+      if !pos >= n || !shift > 56 then err := Some "malformed packed cover node"
+      else begin
+        let c = Char.code (Bytes.get b !pos) in
+        incr pos;
+        z := !z lor ((c land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        more := c land 0x80 <> 0
+      end
+    done;
+    out := ((!z lsr 1) lxor (- (!z land 1))) :: !out
+  done;
+  match !err with Some e -> Error e | None -> Ok (Array.of_list (List.rev !out))
+
+let pack_points points =
+  let b = Bytes.create (8 * Array.length points) in
+  Array.iteri (fun i p -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float p)) points;
+  base64 b
+
+let unpack_points s =
+  let* b = unbase64 s in
+  if Bytes.length b mod 8 <> 0 then Error "malformed packed cover points"
+  else Ok (Array.init (Bytes.length b / 8) (fun i -> Int64.float_of_bits (Bytes.get_int64_le b (8 * i))))
+
 let to_string a =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
@@ -200,16 +293,21 @@ let to_string a =
       line "cover-delta %s" (hex c.Solver.delta);
       Array.iter
         (fun (t : Solver.tree) ->
-          line "cover-nodes %s"
-            (String.concat " " (List.map string_of_int (Array.to_list t.Solver.nodes)));
-          line "cover-points %s" (String.concat " " (List.map hex (Array.to_list t.Solver.points))))
+          if a.version >= 4 then begin
+            line "cover-nodes %s" (pack_nodes t.Solver.nodes);
+            line "cover-points %s" (pack_points t.Solver.points)
+          end
+          else begin
+            line "cover-nodes %s"
+              (String.concat " " (List.map string_of_int (Array.to_list t.Solver.nodes)));
+            line "cover-points %s"
+              (String.concat " " (List.map hex (Array.to_list t.Solver.points)))
+          end)
         c.Solver.trees)
     a.cover;
   List.iter (fun (k, v) -> line "stat %s %s" k v) a.stats;
   line "checksum %s" (digest (Buffer.contents buf));
   Buffer.contents buf
-
-let ( let* ) r f = Result.bind r f
 
 let parse_float s =
   match float_of_string_opt s with
@@ -280,7 +378,7 @@ let of_string s =
     | _ -> Error "not a safebarrier certificate artifact"
   in
   let* () =
-    if version = 2 || version = 3 then Ok ()
+    if version >= 2 && version <= 4 then Ok ()
     else if version = 1 then
       Error "unsupported version 1 (pre-plant artifact format; re-export required)"
     else Error (Printf.sprintf "unsupported version %d" version)
@@ -329,8 +427,8 @@ let of_string s =
           List.fold_right2
             (fun n p acc ->
               let* acc = acc in
-              let* nodes = parse_ints n in
-              let* points = parse_floats p in
+              let* nodes = if version >= 4 then unpack_nodes n else parse_ints n in
+              let* points = if version >= 4 then unpack_points p else parse_floats p in
               Ok ({ Solver.nodes; points } :: acc))
             nodes points (Ok [])
         in

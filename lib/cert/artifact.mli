@@ -6,7 +6,8 @@
     audited by a checker that does not trust the synthesis pipeline at all
     (see {!Checker}).  This module defines the artifact value, its {e
     canonical problem fingerprint}, and a versioned line-oriented text
-    serialization with bit-exact float round-trip (hex floats) and
+    serialization with bit-exact float round-trip (hex floats, IEEE bits
+    for a cover's points) and
     whole-file corruption detection (a trailing checksum line).
 
     {2 Fingerprint}
@@ -84,7 +85,7 @@ val combine : fingerprint -> string
     detect component/address tampering. *)
 
 type t = {
-  version : int;  (** format version: 3 when written, 2 still read *)
+  version : int;  (** format version: 4 when written, 2 and 3 still read *)
   fingerprint : fingerprint;
   plant : plant_id;
   template_kind : Template.kind;
@@ -98,7 +99,8 @@ type t = {
   cover : Solver.cover option;
       (** the recorded proof of condition (5), which {!Checker.audit}
           replays; untrusted, like [stats] — a wrong cover costs the audit
-          time, never soundness.  [None] in v2 artifacts *)
+          time, never soundness.  [None] in v2 artifacts.  An export
+          refines it first ({!Checker.refine}) *)
   stats : (string * string) list;
       (** free-form provenance (iteration counts, wall clock, …) — carried
           for humans and dashboards, never trusted by the checker *)
@@ -113,7 +115,7 @@ val make :
   ?stats:(string * string) list ->
   Engine.certificate ->
   t
-(** Package a freshly proved certificate as a v3 artifact: template
+(** Package a freshly proved certificate as a v4 artifact: template
     kind/variables/coeffs/ℓ come from the certificate, γ/δ/rectangles from
     the config it was proved under, the plant identity ([?plant], default
     {!dubins_plant_id}) from the scenario that posed the problem, and
@@ -124,31 +126,37 @@ val certificate : t -> Engine.certificate
     stored kind and variables). *)
 
 val to_string : t -> string
-(** Versioned line-oriented text form.  All floats are hex ([%h]), so the
-    round-trip is bit-exact; the final line is
-    [checksum <digest of every preceding line>].
+(** Versioned line-oriented text form.  Every float is hex ([%h]) or, in a
+    v4 cover, its IEEE bits, so the round-trip is bit-exact; the final line
+    is [checksum <digest of every preceding line>].
 
-    {2 Format v3}
+    {2 Format v4}
 
-    Header [safebarrier-cert v3], then one [key value] line per field:
+    Header [safebarrier-cert v4], then one [key value] line per field:
     [tool], [plant <name> <version> <param-hash>], [nn-hash],
     [dynamics-hash], [config-hash], [plant-hash], [fingerprint],
     [template], [vars], [coeffs], [level], [gamma], [delta], [x0-rect],
     [safe-rect]; then, when there is a cover,
 
     {v
-cover-delta <hex float>          the δ the cover was decided at
-cover-nodes <int> <int> ...      disjunct 1's tree, preorder (Solver.tree)
-cover-points <hex> <hex> ...     its split points, in the same order
-cover-nodes ...                  disjunct 2, and so on
+cover-delta <hex float>     the δ the cover was decided at
+cover-nodes <base64>        disjunct 1's tree, preorder (Solver.tree)
+cover-points <base64>       its split points, in the same order
+cover-nodes ...             disjunct 2, and so on
     v}
 
-    then the [stat] lines and the checksum.  A node is
-    [var lsl 2] for a split of variable [var], or [1] / [2] / [3] for a
-    leaf refuted by HC4 / the mean-value form / the child pre-filter.
-    v2 is v3 without the cover lines; it still parses, with
-    [cover = None], and re-serializes byte-identically.  Neither version
-    enters the fingerprint. *)
+    then the [stat] lines and the checksum.  The nodes are zigzag LEB128
+    varints and the points their IEEE bits, 8 bytes little-endian, both
+    in unpadded base64 (RFC 4648 alphabet).  A node is [var lsl 2] for a
+    split of variable [var], [-4] for a midpoint split (no point), or [1] /
+    [2] / [3] for a leaf refuted by HC4 / the mean-value form / a forward
+    enclosure; every node kind takes one byte, and a refined cover has
+    only splits and leaves of kinds 2 and 3.
+
+    v3 is v4 with the cover in decimal text: [cover-nodes] lists the node
+    ints and [cover-points] the hex points, space-separated.  v2 is v3
+    without the cover lines; it parses with [cover = None].  Each version
+    re-serializes byte-identically, and none enters the fingerprint. *)
 
 val of_string : string -> (t, string) result
 (** Parse and validate.  [Error reason] covers checksum mismatch (any

@@ -127,8 +127,21 @@ let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited) ?(use_
           provenance_stats report.Engine.stats
             (match source with Warm_started _ -> "warm" | _ -> "cold")
         in
-        Some
-          (Store.save ~root:store ?network
-             (Artifact.make ~fingerprint:fp ~plant ~config ?cover:report.Engine.cover ~stats cert))
+        let artifact =
+          Artifact.make ~fingerprint:fp ~plant ~config ?cover:report.Engine.cover ~stats cert
+        in
+        (* Refined once here, so that every later hit checks each leaf of
+           the cover with one sweep.  Refining re-checks condition (5), so
+           the report counts its seconds there and in the total: the
+           stages still add up, and a caller timing the run by its report
+           sees the refinement. *)
+        let artifact, refine_s =
+          Timing.time (fun () ->
+              Obs.Trace.with_span "cache.refine" (fun () -> Checker.refine ~system artifact))
+        in
+        let st = report.Engine.stats in
+        st.Engine.smt5_time <- st.Engine.smt5_time +. refine_s;
+        st.Engine.total_time <- st.Engine.total_time +. refine_s;
+        Some (Store.save ~root:store ?network artifact)
     in
     { report; source; fingerprint = fp; exported }

@@ -28,6 +28,9 @@ type stats = {
   branches : int;
   replay_nodes : int;
   replay_fallbacks : int;
+  forward_leaves : int;
+  mvf_leaves : int;
+  bisections : int;
   total_time : float;
 }
 
@@ -37,8 +40,37 @@ let exit_code = function Certified -> 0 | Rejected _ -> 1
 let rect_bounds vars rect =
   Array.to_list (Array.mapi (fun i v -> (v, fst rect.(i), snd rect.(i))) vars)
 
+(* Condition (5) as the audit poses it, from the artifact alone: no
+   decrease violation on D \ X0. *)
+let condition5_query ~options ~(system : Engine.system) (a : Artifact.t) =
+  let config =
+    {
+      Engine.default_config with
+      Engine.x0_rect = a.Artifact.x0_rect;
+      safe_rect = a.Artifact.safe_rect;
+      gamma = a.Artifact.gamma;
+      smt = options;
+    }
+  in
+  ( rect_bounds system.Engine.vars a.Artifact.safe_rect,
+    Engine.condition5_formula system config (Artifact.certificate a) )
+
+let refine ~system (a : Artifact.t) =
+  match a.Artifact.cover with
+  | None -> a
+  | Some cover -> (
+    let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
+    let bounds, formula = condition5_query ~options ~system a in
+    let vars = List.map (fun (v, _, _) -> v) bounds in
+    match Solver.replay ~record:true (Solver.prepare ~options ~vars formula) ~bounds cover with
+    | Solver.Unsat, { Solver.cover = Some refined; _ } -> { a with Artifact.cover = Some refined }
+    | _ -> a)
+
 let c_replay_nodes = Obs.Metrics.counter "checker.replay_nodes"
 let c_replay_fallbacks = Obs.Metrics.counter "checker.replay_fallbacks"
+let c_forward_leaves = Obs.Metrics.counter "checker.forward_leaves"
+let c_mvf_leaves = Obs.Metrics.counter "checker.mvf_leaves"
+let c_bisections = Obs.Metrics.counter "checker.bisections"
 
 let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
     ~(system : Engine.system) (a : Artifact.t) =
@@ -46,6 +78,7 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
   let t_start = Timing.now () in
   let acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 and branches = ref 0 in
   let replay_nodes = ref 0 and replay_fallbacks = ref 0 in
+  let forward_leaves = ref 0 and mvf_leaves = ref 0 and bisections = ref 0 in
   let finish verdict =
     ( verdict,
       {
@@ -56,6 +89,9 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
         branches = !branches;
         replay_nodes = !replay_nodes;
         replay_fallbacks = !replay_fallbacks;
+        forward_leaves = !forward_leaves;
+        mvf_leaves = !mvf_leaves;
+        bisections = !bisections;
         total_time = Timing.now () -. t_start;
       } )
   in
@@ -81,8 +117,14 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
     branches := !branches + st.Solver.replay_nodes + st.Solver.branches;
     replay_nodes := !replay_nodes + st.Solver.replay_nodes;
     replay_fallbacks := !replay_fallbacks + st.Solver.replay_fallbacks;
+    forward_leaves := !forward_leaves + st.Solver.replay_forward;
+    mvf_leaves := !mvf_leaves + st.Solver.replay_mvf;
+    bisections := !bisections + st.Solver.replay_bisections;
     Obs.Metrics.add c_replay_nodes st.Solver.replay_nodes;
     Obs.Metrics.add c_replay_fallbacks st.Solver.replay_fallbacks;
+    Obs.Metrics.add c_forward_leaves st.Solver.replay_forward;
+    Obs.Metrics.add c_mvf_leaves st.Solver.replay_mvf;
+    Obs.Metrics.add c_bisections st.Solver.replay_bisections;
     match verdict with
     | Solver.Unsat -> k ()
     | Solver.Delta_sat witness -> reject (Condition_refuted { condition; witness })
@@ -188,19 +230,9 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
             reject
               (Ill_formed "quadratic form is not positive definite: sublevel sets are unbounded")
           else begin
-            let config =
-              {
-                Engine.default_config with
-                Engine.x0_rect = a.Artifact.x0_rect;
-                safe_rect = a.Artifact.safe_rect;
-                gamma = a.Artifact.gamma;
-                smt = options;
-              }
-            in
+            let bounds5, formula5 = condition5_query ~options ~system a in
             (* 3. Re-prove.  Condition (5): no decrease violation on D \ X0. *)
-            decide ?cover:a.Artifact.cover ~condition:5 ~acc:acc5
-              ~bounds:(rect_bounds system.Engine.vars a.Artifact.safe_rect)
-              (Engine.condition5_formula system config cert)
+            decide ?cover:a.Artifact.cover ~condition:5 ~acc:acc5 ~bounds:bounds5 formula5
               (fun () ->
                 (* Condition (6): X0 inside the ℓ-sublevel set. *)
                 decide ~condition:6 ~acc:acc6

@@ -13,11 +13,14 @@
 
     Condition (5) is checked against the artifact's recorded cover when
     it has one ({!Solver.replay}): splits tile the query box by
-    construction, each leaf is closed by its one recorded test, and
-    whatever the replay cannot close is searched afresh at the cover's δ.
-    The cover is untrusted — a wrong one costs search time, never a wrong
-    [Certified] — so it does not enlarge the trust boundary.  v2
-    artifacts, which have no cover, are searched whole at their δ.
+    construction, and each leaf of a v4 cover ({!refine}) closes with
+    one forward sweep or the mean-value form on its own box, so the check
+    evaluates and never contracts.  A v3 cover's leaves are bisected
+    until those tests close them, and whatever stays open is searched
+    afresh at the cover's δ.  The cover is untrusted — a wrong one costs
+    search time, never a wrong [Certified] — so it does not enlarge the
+    trust boundary.  v2 artifacts, which have no cover, are searched
+    whole at their δ.
 
     Passing [engine = Solver.Tree_eval] swaps in the tree-walking
     evaluation engine as a {e diversity} backend, so the audit does not even
@@ -64,6 +67,11 @@ type stats = {
   replay_fallbacks : int;
       (** boxes the condition (5) replay had to search; 0 when the cover
           closes every leaf *)
+  forward_leaves : int;  (** condition (5) leaves closed by a forward sweep *)
+  mvf_leaves : int;  (** condition (5) leaves closed by the mean-value form *)
+  bisections : int;
+      (** bisections the condition (5) replay made of leaves its tests did
+          not close; 0 for a v4 cover *)
   total_time : float;
 }
 
@@ -80,13 +88,23 @@ val audit :
     recorded without a network ({!Artifact.no_nn}) skip that comparison.
     [engine] defaults to [Tape_eval]; [budget] defaults to unlimited.
 
-    [replay_nodes] and [replay_fallbacks] are also added to the
-    [checker.replay_nodes] and [checker.replay_fallbacks] metric counters.
+    The replay counts are also added to the [checker.replay_nodes],
+    [checker.replay_fallbacks], [checker.forward_leaves],
+    [checker.mvf_leaves] and [checker.bisections] metric counters.
 
     The re-proofs run at [jobs = 1] on purpose, whatever the caller's
     [jobs]: the audit's main caller is a serve worker handling a store
     hit, and the serve workers already occupy the cores, so a parallel
     search per hit would only contend with them. *)
+
+val refine : system:Engine.system -> Artifact.t -> Artifact.t
+(** [refine ~system a] replaces [a]'s condition (5) cover by its v4
+    refinement ({!Solver.replay} under [~record:true], on the query
+    {!audit} poses), so that an audit of the result checks every leaf with
+    one sweep.  [a] is returned unchanged when it has no cover, or when
+    its cover needed a fallback search (a refuted certificate, or a leaf
+    the tests did not close within the bisection depth).  Call it on an
+    artifact bound to [system]; it checks nothing else. *)
 
 val exit_code : verdict -> int
 (** 0 for [Certified], 1 for any rejection — the [check] subcommand's

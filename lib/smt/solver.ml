@@ -16,6 +16,9 @@ type stats = {
   refinements : int;
   replay_nodes : int;
   replay_fallbacks : int;
+  replay_forward : int;
+  replay_mvf : int;
+  replay_bisections : int;
   elapsed : float;
   interrupted : Budget.stop option;
   cover : cover option;
@@ -41,11 +44,16 @@ let default_options =
   }
 
 (* Cover node kinds, in the low two bits of a node (the variable of a
-   split sits above them). *)
+   split sits above them).  The search's child pre-filter is a forward
+   enclosure test, so its leaves are forward leaves. *)
 let kind_split = 0
 let kind_hc4 = 1
 let kind_mvf = 2
-let kind_prefilter = 3
+let kind_forward = 3
+
+(* A split of variable -1: bisect the widest variable at its midpoint,
+   with no recorded point. *)
+let node_midpoint = -1 lsl 2
 
 (* How one box of a recording search ended, under the slot the box was
    given when its parent split (the root's slot is 0).  A split names its
@@ -64,6 +72,9 @@ type search_state = {
   mutable frontier_hw : int;
   mutable replay_nodes : int;
   mutable replay_fallbacks : int;
+  mutable replay_forward : int;
+  mutable replay_mvf : int;
+  mutable replay_bisections : int;
   mutable records : (int * record) list;
 }
 
@@ -79,6 +90,9 @@ let fresh_state () =
     frontier_hw = 0;
     replay_nodes = 0;
     replay_fallbacks = 0;
+    replay_forward = 0;
+    replay_mvf = 0;
+    replay_bisections = 0;
     records = [];
   }
 
@@ -104,9 +118,11 @@ type atom_rt = {
   size : int;  (* Expr.size of the atom, for the smear-atom choice *)
   n_partials : int;
   revise : Interval.t array -> bool;  (* raises Hc4.Empty_box / Tape.Empty_box *)
-  enclose : Interval.t array -> Interval.t * Interval.t array;
-      (* forward enclosures over the box of the atom and of its partials,
-         the partials indexed by variable *)
+  forward : Interval.t array -> Interval.t;  (* forward enclosure of the atom alone *)
+  partials : Interval.t array -> Interval.t array;
+      (* enclosures of the partials, indexed by variable, over the domains
+         of the last [forward]: with the tape the sweep continues over the
+         partial slots, sharing every node the atom computed *)
   eval_mid : float array -> float;  (* point evaluation, indexed by variable *)
   forward_pair : (Interval.t array -> Interval.t array -> Interval.t * Interval.t) option;
       (* batched SoA sweep over the two children of a bisection (tape
@@ -123,12 +139,11 @@ let tape_rt ((a : Formula.atom), tape) =
     size = Expr.size a.Formula.expr;
     n_partials;
     revise = (fun domains -> Tape.revise tape b domains);
-    enclose =
+    forward = (fun domains -> Tape.forward tape b domains);
+    partials =
       (fun domains ->
-        (* One fused sweep evaluates the primal and every partial, sharing
-           all common nodes. *)
-        let e = Tape.forward_all tape b domains in
-        (e, Array.init n_partials (Tape.partial_ival tape b)));
+        Tape.forward_partials tape b domains;
+        Array.init n_partials (Tape.partial_ival tape b));
     eval_mid = (fun x -> Tape.eval_point tape b x);
     forward_pair = Some (fun d1 d2 -> Tape.forward_pair tape pair d1 d2);
   }
@@ -145,7 +160,8 @@ let tree_rt ~index_of ((a : Formula.atom), partial_exprs) =
     size = Expr.size a.Formula.expr;
     n_partials = Array.length cps;
     revise = (fun domains -> Hc4.revise domains c);
-    enclose = (fun domains -> (Hc4.forward domains c, Array.map (Hc4.forward domains) cps));
+    forward = (fun domains -> Hc4.forward domains c);
+    partials = (fun domains -> Array.map (Hc4.forward domains) cps);
     eval_mid = (fun x -> Expr.eval (fun v -> x.(index_of v)) a.Formula.expr);
     forward_pair = None;
   }
@@ -218,8 +234,8 @@ let prepare_atom names (a : Formula.atom) =
   (a, partials)
 
 (* What the search needs to know about one atom on a contracted box,
-   computed once per box from one midpoint evaluation and one fused
-   forward sweep of the atom and its partials:
+   computed once per box from one midpoint evaluation and one forward
+   sweep of the atom and its partials:
    - [e_mid], the atom's value at the box midpoint;
    - [grads], its gradient enclosures indexed by variable ([[||]] for
      atoms without partials), for the smear choice;
@@ -230,37 +246,55 @@ let prepare_atom names (a : Formula.atom) =
      holds on the whole box. *)
 type atom_eval = { e_mid : float; grads : Interval.t array; refuted : bool; holds : bool }
 
+(* The mean-value (centered) form of an atom with partials over a box,
+   e(x) ∈ e(mid) + Σᵢ ∂e/∂xᵢ(box)·(xᵢ − midᵢ), widened by a relative
+   fudge for the float evaluation of e(mid); [None] when e(mid) is not
+   finite or a gradient enclosure is empty or unbounded. *)
+let mean_value domains e_mid grads =
+  if not (Float.is_finite e_mid) then None
+  else begin
+    let rad = ref 0.0 in
+    try
+      Array.iteri
+        (fun i grad ->
+          let w = Interval.width domains.(i) in
+          if w > 0.0 then begin
+            if Interval.is_empty grad then raise Exit;
+            let mag = Float.max (Float.abs (Interval.lo grad)) (Float.abs (Interval.hi grad)) in
+            if not (Float.is_finite mag) then raise Exit;
+            rad := !rad +. (mag *. 0.5 *. w)
+          end)
+        grads;
+      let fudge = 1e-9 *. (1.0 +. Float.abs e_mid) in
+      Some (e_mid -. !rad -. fudge, e_mid +. !rad +. fudge)
+    with Exit -> None
+  end
+
+(* The mean-value form excludes the atom. *)
+let mvf_refutes (atom : Formula.atom) = function
+  | None -> false
+  | Some (lo, hi) -> (
+    match atom.rel with
+    | Formula.Le0 | Formula.Lt0 -> lo > 0.0
+    | Formula.Eq0 -> lo > 0.0 || hi < 0.0)
+
 let evaluate domains mid rt =
   let e_mid = rt.eval_mid mid in
-  let range, grads = rt.enclose domains in
-  let mvf =
-    if rt.n_partials = 0 || not (Float.is_finite e_mid) then None
-    else begin
-      let rad = ref 0.0 in
-      try
-        Array.iteri
-          (fun i grad ->
-            let w = Interval.width domains.(i) in
-            if w > 0.0 then begin
-              if Interval.is_empty grad then raise Exit;
-              let mag = Float.max (Float.abs (Interval.lo grad)) (Float.abs (Interval.hi grad)) in
-              if not (Float.is_finite mag) then raise Exit;
-              rad := !rad +. (mag *. 0.5 *. w)
-            end)
-          grads;
-        let fudge = 1e-9 *. (1.0 +. Float.abs e_mid) in
-        Some (e_mid -. !rad -. fudge, e_mid +. !rad +. fudge)
-      with Exit -> None
-    end
-  in
-  let refuted, mvf_holds =
+  let range = rt.forward domains in
+  let grads = rt.partials domains in
+  let mvf = if rt.n_partials = 0 then None else mean_value domains e_mid grads in
+  let mvf_holds =
     match (mvf, rt.atom.Formula.rel) with
-    | None, _ -> (false, false)
-    | Some (lo, hi), Formula.Le0 -> (lo > 0.0, hi <= 0.0)
-    | Some (lo, hi), Formula.Lt0 -> (lo > 0.0, hi < 0.0)
-    | Some (lo, hi), Formula.Eq0 -> (lo > 0.0 || hi < 0.0, false)
+    | None, _ | Some _, Formula.Eq0 -> false
+    | Some (_, hi), Formula.Le0 -> hi <= 0.0
+    | Some (_, hi), Formula.Lt0 -> hi < 0.0
   in
-  { e_mid; grads; refuted; holds = certainly_holds rt.atom range || mvf_holds }
+  {
+    e_mid;
+    grads;
+    refuted = mvf_refutes rt.atom mvf;
+    holds = certainly_holds rt.atom range || mvf_holds;
+  }
 
 (* One expansion step of the branch-and-prune search: everything that
    happens to a box after it is claimed — contraction, MVF pruning, the
@@ -374,7 +408,7 @@ let make_stepper q st rts =
         rts;
       let drop c =
         st.prunes <- st.prunes + 1;
-        record c.slot (Leaf kind_prefilter)
+        record c.slot (Leaf kind_forward)
       in
       if not !keep1 then drop c1;
       if not !keep2 then drop c2;
@@ -778,9 +812,10 @@ let build_tree ~n_slots records =
   emit 0;
   { nodes = Array.of_list (List.rev !nodes); points = Array.of_list (List.rev !points) }
 
-(* Exactly one preorder tree, with one point per split. *)
+(* Exactly one preorder tree, with one point per split at a recorded
+   point (a midpoint split has none). *)
 let well_formed t =
-  let open_slots = ref 1 and splits = ref 0 in
+  let open_slots = ref 1 and points = ref 0 in
   Array.for_all
     (fun node ->
       !open_slots > 0
@@ -788,60 +823,111 @@ let well_formed t =
         decr open_slots;
         if node land 3 = kind_split then begin
           open_slots := !open_slots + 2;
-          incr splits
+          if node <> node_midpoint then incr points
         end;
         true
       end)
     t.nodes
   && !open_slots = 0
-  && !splits = Array.length t.points
+  && !points = Array.length t.points
 
 exception Refuted of verdict
 
-(* Check one disjunct's recorded tree.  A split bisects the uncontracted
-   box at its point, which must lie strictly inside the variable's
-   interval, so the children tile the parent by construction.  A leaf runs
-   its recorded test first — one HC4 round, the mean-value form, or the
-   forward enclosure — on the box as it is.  Its box is wider than the one
-   the search closed (no ancestor was contracted), so when that test does
-   not close it, the others follow in order of cost: the mean-value form,
-   contraction for up to [leaf_rounds] rounds while they pay, the
-   mean-value form on the contracted box.  A leaf none of them closes, a
-   split that does not fit its box, and a tree that is not well formed
-   fall back to the search of that box, at the query's δ.  Every visited
-   node counts against the branch bound and the budget. *)
-let leaf_rounds = 50
+(* Bisections a leaf may take during a check before its box is searched. *)
+let max_bisections = 24
 
-let replay_conjunction q st names make_rts initial tree =
+(* The widest variable of a box and its midpoint, when the midpoint lies
+   strictly inside the variable's interval (a degenerate width has none). *)
+let midpoint_split domains =
+  let var = ref 0 in
+  Array.iteri
+    (fun i d -> if Interval.width d > Interval.width domains.(!var) then var := i)
+    domains;
+  let d = domains.(!var) in
+  let m = Interval.midpoint d in
+  if Interval.lo d < m && m < Interval.hi d then Some (!var, m) else None
+
+(* Check one disjunct's recorded tree; under [record], also return the tree
+   the check closed, which is the refined (v4) tree.  One walker serves
+   every cover version:
+   - a split bisects the box at its recorded point, which must lie
+     strictly inside the variable's interval, so the children tile the
+     parent by construction; a midpoint split bisects the widest variable
+     at its midpoint;
+   - a leaf of any kind runs one test: the forward enclosure of each atom,
+     cheapest first, then the mean-value form.  Its recorded kind names
+     the test that closed it when the cover was refined; the check does
+     not trust it.
+   A leaf the test does not close is bisected at the midpoint of its
+   widest variable, and each half is tested the same way, down to
+   [max_bisections] levels; recording files those bisections as midpoint
+   splits, so a v4 leaf closes where it stands.  A box still open at the
+   last level, a split that does not fit its box, and a tree that is not
+   well formed fall back to the search of that box, at the query's δ.
+   Every visited node counts against the branch bound and the budget.
+   Only the fallback search calls HC4. *)
+let replay_conjunction ~record q st names make_rts initial tree =
   let rts = make_rts () in
+  let by_cost = List.stable_sort (fun a b -> compare a.size b.size) rts in
+  let with_mvf = List.filter (fun rt -> rt.n_partials > 0) by_cost in
+  let nodes_out = ref [] and points_out = ref [] in
+  let emit node = if record then nodes_out := node :: !nodes_out in
   let search box =
     st.replay_fallbacks <- st.replay_fallbacks + 1;
     match solve_conjunction_par q st names make_rts { dom = box; depth = 0; slot = -1 } with
     | Unsat -> ()
     | v -> raise (Refuted v)
   in
-  let contracts_empty domains =
-    match contract ~max_rounds:leaf_rounds st domains rts with
-    | exception Pruned -> true
-    | () -> false
+  (* The forward enclosure of each atom, cheapest first, then the
+     mean-value form of each atom with partials, whose sweep continues
+     that atom's forward sweep: each tape slot is swept at most once. *)
+  let leaf_test domains =
+    if List.exists (fun rt -> not (possibly_sat rt.atom (rt.forward domains))) by_cost then
+      Some kind_forward
+    else begin
+      let mid = Array.map Interval.midpoint domains in
+      if
+        List.exists
+          (fun rt ->
+            mvf_refutes rt.atom (mean_value domains (rt.eval_mid mid) (rt.partials domains)))
+          with_mvf
+      then Some kind_mvf
+      else None
+    end
   in
-  let mvf_refutes domains =
-    let mid = Array.map Interval.midpoint domains in
-    List.exists (fun rt -> (evaluate domains mid rt).refuted) rts
+  let visit () =
+    st.replay_nodes <- st.replay_nodes + 1;
+    if st.branches + st.replay_nodes > q.opts.max_branches then
+      raise (Budget_exhausted Budget.Branch_budget);
+    match Budget.consume_branches q.budget 1 with
+    | Some s -> raise (Budget_exhausted s)
+    | None -> ()
   in
-  let forward_excludes domains =
-    List.exists (fun rt -> not (possibly_sat rt.atom (fst (rt.enclose domains)))) rts
+  let halves domains var m =
+    let half lo hi =
+      let d = Array.copy domains in
+      d.(var) <- Interval.make lo hi;
+      d
+    in
+    (half (Interval.lo domains.(var)) m, half m (Interval.hi domains.(var)))
   in
-  (* The recorded test first, then the cheaper of the others: the mean-value
-     form costs one sweep, contraction to its fixpoint several. *)
-  let leaf_holds kind domains =
-    (if kind = kind_hc4 then
-       match contract ~max_rounds:1 st domains rts with exception Pruned -> true | () -> false
-     else if kind = kind_mvf then mvf_refutes domains
-     else forward_excludes domains)
-    || (kind <> kind_mvf && mvf_refutes domains)
-    || contracts_empty domains
-    || mvf_refutes domains
+  let rec close depth domains =
+    match leaf_test domains with
+    | Some kind ->
+      if kind = kind_forward then st.replay_forward <- st.replay_forward + 1
+      else st.replay_mvf <- st.replay_mvf + 1;
+      emit kind
+    | None -> (
+      match if depth < max_bisections then midpoint_split domains else None with
+      | None -> search domains
+      | Some (var, m) ->
+        st.replay_bisections <- st.replay_bisections + 1;
+        emit node_midpoint;
+        let left, right = halves domains var m in
+        visit ();
+        close (depth + 1) left;
+        visit ();
+        close (depth + 1) right)
   in
   let pos = ref 0 and point = ref 0 in
   let next () =
@@ -849,40 +935,50 @@ let replay_conjunction q st names make_rts initial tree =
     incr pos;
     node
   in
-  let rec skip () = if next () land 3 = kind_split then (incr point; skip (); skip ()) in
-  let rec walk domains =
-    st.replay_nodes <- st.replay_nodes + 1;
-    if st.branches + st.replay_nodes > q.opts.max_branches then
-      raise (Budget_exhausted Budget.Branch_budget);
-    (match Budget.consume_branches q.budget 1 with
-    | Some s -> raise (Budget_exhausted s)
-    | None -> ());
+  let rec skip () =
     let node = next () in
     if node land 3 = kind_split then begin
-      let var = node asr 2 and m = tree.points.(!point) in
-      incr point;
-      if var >= 0 && var < Array.length domains
-         && Interval.lo domains.(var) < m && m < Interval.hi domains.(var)
-      then begin
-        let half lo hi =
-          let d = Array.copy domains in
-          d.(var) <- Interval.make lo hi;
-          d
-        in
-        walk (half (Interval.lo domains.(var)) m);
-        walk (half m (Interval.hi domains.(var)))
-      end
-      else begin
+      if node <> node_midpoint then incr point;
+      skip ();
+      skip ()
+    end
+  in
+  let rec walk domains =
+    visit ();
+    let node = next () in
+    if node land 3 <> kind_split then close 0 domains
+    else begin
+      let split =
+        if node = node_midpoint then midpoint_split domains
+        else begin
+          let var = node asr 2 and m = tree.points.(!point) in
+          incr point;
+          if var >= 0 && var < Array.length domains
+             && Interval.lo domains.(var) < m && m < Interval.hi domains.(var)
+          then Some (var, m)
+          else None
+        end
+      in
+      match split with
+      | Some (var, m) ->
+        emit node;
+        if record && node <> node_midpoint then points_out := m :: !points_out;
+        let left, right = halves domains var m in
+        walk left;
+        walk right
+      | None ->
         skip ();
         skip ();
         search domains
-      end
     end
-    else if not (leaf_holds (node land 3) domains) then search domains
   in
-  match if well_formed tree then walk (Array.copy initial.dom) else search initial.dom with
-  | () -> Unsat
-  | exception Refuted v -> v
+  let verdict =
+    match if well_formed tree then walk (Array.copy initial.dom) else search initial.dom with
+    | () -> Unsat
+    | exception Refuted v -> v
+  in
+  ( verdict,
+    { nodes = Array.of_list (List.rev !nodes_out); points = Array.of_list (List.rev !points_out) } )
 
 (* Counters are bumped once per query with the merged totals (not inside
    the branch loop), so the numbers are identical across job counts. *)
@@ -970,6 +1066,9 @@ let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide
       refinements = Atomic.get q.level;
       replay_nodes = st.replay_nodes;
       replay_fallbacks = st.replay_fallbacks;
+      replay_forward = st.replay_forward;
+      replay_mvf = st.replay_mvf;
+      replay_bisections = st.replay_bisections;
       elapsed = Float.max 0.0 (Timing.now () -. t0);
       interrupted = !interrupted;
       cover = (match verdict with Unsat -> cover q | Delta_sat _ | Unknown -> None);
@@ -1002,7 +1101,7 @@ let solve_prepared ?options ?(budget = Budget.unlimited) ?spurious ?(record = fa
   in
   run_query ~opts:(resolve_options p options) ~budget ?spurious ~cover p ~bounds decide
 
-let replay ?options ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
+let replay ?options ?(budget = Budget.unlimited) ?(record = false) p ~bounds (cover : cover) =
   Obs.Trace.with_span "solver.replay" @@ fun () ->
   let opts = resolve_options p options in
   let opts =
@@ -1010,14 +1109,32 @@ let replay ?options ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
     else opts
   in
   let matched = Array.length cover.trees = List.length p.p_disjuncts in
+  (* A recording is a cover only when no box fell back to a search, which
+     files nothing. *)
+  let refined = ref [] and clean = ref matched in
   let decide q st i make_rts initial =
-    if matched then replay_conjunction q st p.p_names make_rts initial cover.trees.(i)
-    else begin
-      st.replay_fallbacks <- st.replay_fallbacks + 1;
-      solve_conjunction_par q st p.p_names make_rts initial
-    end
+    let verdict =
+      if matched then begin
+        let verdict, tree =
+          replay_conjunction ~record q st p.p_names make_rts initial cover.trees.(i)
+        in
+        refined := tree :: !refined;
+        verdict
+      end
+      else begin
+        st.replay_fallbacks <- st.replay_fallbacks + 1;
+        solve_conjunction_par q st p.p_names make_rts initial
+      end
+    in
+    if st.replay_fallbacks > 0 then clean := false;
+    verdict
   in
-  run_query ~opts ~budget ~cover:(fun _ -> None) p ~bounds decide
+  let cover q =
+    if record && !clean then
+      Some { delta = q.deltas.(0); trees = Array.of_list (List.rev !refined) }
+    else None
+  in
+  run_query ~opts ~budget ~cover p ~bounds decide
 
 let solve ?(options = default_options) ?(budget = Budget.unlimited) ~bounds formula =
   let vars = List.map (fun (n, _, _) -> n) bounds in

@@ -31,15 +31,23 @@ type verdict =
 
 (** {1 Covers}
 
-    The proof of an Unsat answer: per DNF disjunct, the bisection tree of
-    its search in preorder.  Each node is one int whose low two bits are
-    its kind — [0] a split, with the split variable's index in the bits
-    above ([var lsl 2]); [1] a leaf emptied by HC4 contraction; [2] a
-    leaf excluded by the mean-value form; [3] a leaf dropped by the
-    batched child pre-filter.  A split is followed by its left subtree,
-    then its right one, and takes its point from [points], in the same
-    order.  The packed layout keeps a cover pointer-free and cheap to
-    store. *)
+    The proof of an Unsat answer: per DNF disjunct, a bisection tree of
+    the query box in preorder.  Each node is one int whose low two bits
+    are its kind — [0] a split, with the split variable's index in the
+    bits above ([var lsl 2]); [1] a leaf emptied by HC4 contraction; [2]
+    a leaf excluded by the mean-value form; [3] a leaf excluded by the
+    forward enclosure of an atom.  A split is followed by its left
+    subtree, then its right one, and takes its point from [points], in the
+    same order.  The split of variable [-1] ([-4]) is a {e midpoint
+    split}: it bisects the widest variable at its midpoint and has no
+    point.
+
+    A search records splits at points and leaves of kinds 1–3 (its child
+    pre-filter is a forward test) — the v3 cover.  {!replay} under
+    [~record:true] refines it into a v4 cover: midpoint splits, and only
+    forward and mean-value leaves, each of which closes on its own box
+    with one sweep.  The packed layout keeps a cover pointer-free and
+    cheap to store. *)
 
 type tree = { nodes : int array; points : float array }
 
@@ -69,8 +77,14 @@ type stats = {
   refinements : int;  (** δ refinements made for [?spurious] witnesses *)
   replay_nodes : int;  (** cover nodes visited by {!replay} (0 for a search) *)
   replay_fallbacks : int;
-      (** boxes {!replay} had to search: failed leaves, splits that do not
-          fit their box, and malformed or mismatched trees *)
+      (** boxes {!replay} had to search: leaves still open after
+          bisection, splits that do not fit their box, and malformed or
+          mismatched trees *)
+  replay_forward : int;  (** leaves {!replay} closed by a forward enclosure *)
+  replay_mvf : int;  (** leaves {!replay} closed by the mean-value form *)
+  replay_bisections : int;
+      (** bisections {!replay} made of leaves its tests did not close
+          (0 for a v4 cover) *)
   elapsed : float;  (** seconds *)
   interrupted : Budget.stop option;
       (** [Some stop] iff the search was cut short by the per-call branch
@@ -188,6 +202,7 @@ val solve_prepared :
 val replay :
   ?options:options ->
   ?budget:Budget.t ->
+  ?record:bool ->
   prepared ->
   bounds:(string * float * float) list ->
   cover ->
@@ -196,23 +211,32 @@ val replay :
     the recorded [cover] instead of searching where it can.  Each tree is
     walked from the query box:
 
-    - a split bisects the {e uncontracted} box at its point, which must
-      lie strictly inside the variable's interval, so the two children
-      tile their parent by construction;
-    - a leaf runs its recorded test — one HC4 round empties the box, the
-      mean-value form excludes an atom, or the forward enclosure excludes
-      an atom's target.  A leaf's box is wider than the one the search
-      closed, since no ancestor was contracted, so when the recorded test
-      fails the leaf gets the mean-value form, contraction (up to 50
-      rounds, while they pay) and the mean-value form again.
+    - a split bisects the box at its point, which must lie strictly
+      inside the variable's interval, so the two children tile their
+      parent by construction; a midpoint split bisects the widest
+      variable at its midpoint, which must lie strictly inside too;
+    - a leaf, whatever its recorded kind, is closed when the forward
+      enclosure of an atom (cheapest atom first) excludes the atom's
+      target, or else when the mean-value form excludes an atom
+      ([stats.replay_forward], [stats.replay_mvf]).  A leaf neither closes
+      — a v3 leaf, whose box is wider than the one the search contracted
+      — is bisected at the midpoint of its widest variable, down to 24
+      levels, and each half tried again ([stats.replay_bisections]).
 
-    A leaf that none of these closes, a split that does not fit its box, a tree
-    that is not exactly one preorder tree with one point per split, and a
-    tree count that differs from the disjunct count fall back to the
-    search of that box ([stats.replay_fallbacks]).  The fallback searches
-    run at the cover's δ when it is finite and positive (else at
-    [options.delta]).  Every visited node counts against [max_branches]
-    and [budget] ([stats.replay_nodes]).
+    A box still open at the last level, a split that does not fit its
+    box, a tree that is not exactly one preorder tree with one point per
+    recorded split, and a tree count that differs from the disjunct count
+    fall back to the search of that box ([stats.replay_fallbacks]).  The
+    fallback searches run at the cover's δ when it is finite and positive
+    (else at [options.delta]).  Every visited node counts against
+    [max_branches] and [budget] ([stats.replay_nodes]).  Only a fallback
+    search calls HC4.
+
+    [record] (default [false]) makes an Unsat answer that needed no
+    fallback carry the refined v4 cover in [stats.cover]: the tree the
+    walk closed, with its bisections as midpoint splits and each leaf
+    filed under the test that closed it.  Replaying that cover closes
+    every leaf where it stands.
 
     The cover is untrusted and cannot weaken the answer: every box of the
     query box ends in a sound refutation or in a search, so Unsat is

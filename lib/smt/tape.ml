@@ -166,10 +166,10 @@ let set flo fhi k v =
     fhi.(k) <- Interval.hi v
   end
 
-let forward_range t b domains limit =
+let forward_range t b domains first limit =
   let flo = b.flo and fhi = b.fhi in
   let instrs = t.instrs in
-  for k = 0 to limit - 1 do
+  for k = first to limit - 1 do
     match Array.unsafe_get instrs k with
     | IConst _ -> () (* prefilled *)
     | IVar j ->
@@ -258,11 +258,13 @@ let forward_range t b domains limit =
   done
 
 let forward t b domains =
-  forward_range t b domains t.hc4_limit;
+  forward_range t b domains 0 t.hc4_limit;
   iv b.flo b.fhi t.atom_root
 
+let forward_partials t b domains = forward_range t b domains t.hc4_limit (Array.length t.instrs)
+
 let forward_all t b domains =
-  forward_range t b domains (Array.length t.instrs);
+  forward_range t b domains 0 (Array.length t.instrs);
   iv b.flo b.fhi t.atom_root
 
 let partial_ival t b i = iv b.flo b.fhi t.partial_roots.(i)
@@ -535,7 +537,7 @@ let target_bounds = function
 
 let revise t b domains =
   let n = t.hc4_limit in
-  forward_range t b domains n;
+  forward_range t b domains 0 n;
   let flo = b.flo and fhi = b.fhi and rlo = b.rlo and rhi = b.rhi in
   let root = t.atom_root in
   (* A NaN forward endpoint can only survive at the root itself (anywhere

@@ -68,6 +68,12 @@ val forward_all : t -> buffers -> Interval.t array -> Interval.t
 (** Like {!forward} but also evaluates the partial-derivative slots; their
     enclosures are then readable via {!partial_ival}. *)
 
+val forward_partials : t -> buffers -> Interval.t array -> unit
+(** [forward_partials t b domains] evaluates the partial-derivative slots
+    only, reading the atom slots that a {!forward} of the same [domains]
+    left in [b]: the two together are {!forward_all}, with no slot swept
+    twice.  Their enclosures are then readable via {!partial_ival}. *)
+
 val partial_ival : t -> buffers -> int -> Interval.t
 (** Enclosure of partial [i] from the last {!forward_all}. *)
 

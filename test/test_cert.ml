@@ -151,12 +151,18 @@ let bits_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
-let test_v3_roundtrip () =
-  let a = artifact () in
-  Alcotest.(check int) "written as v3" 3 a.Artifact.version;
+(* The cover a fresh export stores: [artifact ()]'s, refined. *)
+let refined_artifact = lazy (Checker.refine ~system (artifact ()))
+
+(* Serialization is bit-exact for either cover encoding. *)
+let check_roundtrip ~version (a : Artifact.t) =
   let s = Artifact.to_string a in
+  Alcotest.(check bool)
+    (Printf.sprintf "v%d header" version)
+    true
+    (contains ~sub:(Printf.sprintf "safebarrier-cert v%d\n" version) s);
   match Artifact.of_string s with
-  | Error e -> Alcotest.failf "v3 parse failed: %s" e
+  | Error e -> Alcotest.failf "v%d parse failed: %s" version e
   | Ok b ->
     Alcotest.(check string) "text round-trips byte for byte" s (Artifact.to_string b);
     let c = cover_of a and c' = cover_of b in
@@ -169,6 +175,44 @@ let test_v3_roundtrip () =
         Alcotest.(check (array int)) "nodes" t.Solver.nodes t'.Solver.nodes;
         Alcotest.(check bool) "point bits" true (bits_equal t.Solver.points t'.Solver.points))
       c.Solver.trees
+
+let test_v3_roundtrip () = check_roundtrip ~version:3 { (artifact ()) with Artifact.version = 3 }
+
+(* A v4 artifact packs its refined cover: every node kind, midpoint splits
+   (-4) included, and the split points survive bit for bit. *)
+let test_v4_roundtrip () =
+  let a = Lazy.force refined_artifact in
+  Alcotest.(check int) "written as v4" 4 a.Artifact.version;
+  let nodes =
+    Array.concat (List.map (fun t -> t.Solver.nodes) (Array.to_list (cover_of a).Solver.trees))
+  in
+  List.iter
+    (fun (name, pred) ->
+      Alcotest.(check bool) ("refined cover has " ^ name) true (Array.exists pred nodes))
+    [
+      ("midpoint splits", fun n -> n = -4);
+      ("recorded splits", fun n -> n >= 0 && n land 3 = 0);
+      ("forward leaves", fun n -> n land 3 = 3);
+      ("mean-value leaves", fun n -> n land 3 = 2);
+    ];
+  check_roundtrip ~version:4 a;
+  let packed = String.length (Artifact.to_string a)
+  and text = String.length (Artifact.to_string { a with Artifact.version = 3 }) in
+  Alcotest.(check bool) (Printf.sprintf "packed %d bytes < text %d" packed text) true (packed < text);
+  (* A packed cover that does not decode is a parse error, not a cover:
+     re-sealed with a character base64 lacks, the nodes line fails. *)
+  let body =
+    String.concat ""
+      (List.filter_map
+         (fun l ->
+           if l = "" || String.starts_with ~prefix:"checksum " l then None
+           else if String.starts_with ~prefix:"cover-nodes " l then Some (l ^ "!\n")
+           else Some (l ^ "\n"))
+         (String.split_on_char '\n' (Artifact.to_string a)))
+  in
+  match Artifact.of_string (body ^ "checksum " ^ Digest.to_hex (Digest.string body) ^ "\n") with
+  | Error e -> Alcotest.(check bool) ("rejected: " ^ e) true (contains ~sub:"base64" e)
+  | Ok _ -> Alcotest.fail "a malformed packed cover must not parse"
 
 (* Stores written before covers existed keep serving hits: a v2 entry is
    audited by search. *)
@@ -185,8 +229,24 @@ let test_v2_serves_hit () =
     Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
   | s -> Alcotest.failf "v2 entry should hit, got %s" (Cache.string_of_source s)
 
+(* A v3 entry (a cover recorded by the search, unrefined) keeps serving
+   hits: its leaves are bisected during the check, never searched. *)
+let test_v3_serves_hit () =
+  let root = fresh_store () in
+  ignore (Store.save ~root ~network { (artifact ()) with Artifact.version = 3 } : string);
+  let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
+  match r.Cache.source with
+  | Cache.Cache_hit { audit; _ } ->
+    Alcotest.(check int) "no fallback" 0 audit.Checker.replay_fallbacks;
+    Alcotest.(check bool) "leaves bisected" true (audit.Checker.bisections > 0)
+  | s -> Alcotest.failf "v3 entry should hit, got %s" (Cache.string_of_source s)
+
+let c_hc4 = Obs.Metrics.counter "solver.hc4_revise"
+
 (* Every proving registry scenario, exported once, is a hit whose audit
-   replays the recorded cover with no fallback search. *)
+   checks the stored v4 cover: each leaf closes where it stands, so the
+   check of condition (5) bisects nothing, falls back nowhere and calls no
+   HC4. *)
 let test_scenarios_replay_cleanly () =
   List.iter
     (fun (entry : Registry.entry) ->
@@ -202,16 +262,39 @@ let test_scenarios_replay_cleanly () =
           Cache.verify ~config ?network:c.Plant.network ~plant:c.Plant.id ~store:root
             ~rng:(Rng.create seed) c.Plant.system
         in
-        ignore (run 7);
-        match (run 8).Cache.source with
+        let name = entry.Registry.name in
+        let fp = (run 7).Cache.fingerprint in
+        (match (run 8).Cache.source with
         | Cache.Cache_hit { audit; _ } ->
-          Alcotest.(check bool) (entry.Registry.name ^ ": cover replayed") true
-            (audit.Checker.replay_nodes > 0);
-          Alcotest.(check int) (entry.Registry.name ^ ": no fallback") 0
-            audit.Checker.replay_fallbacks
-        | s ->
-          Alcotest.failf "%s: second run should hit, got %s" entry.Registry.name
-            (Cache.string_of_source s)
+          Alcotest.(check bool) (name ^ ": cover replayed") true (audit.Checker.replay_nodes > 0);
+          Alcotest.(check (list int)) (name ^ ": fallbacks, bisections") [ 0; 0 ]
+            [ audit.Checker.replay_fallbacks; audit.Checker.bisections ];
+          Alcotest.(check bool) (name ^ ": leaves by kind") true
+            (audit.Checker.forward_leaves + audit.Checker.mvf_leaves > 0)
+        | s -> Alcotest.failf "%s: second run should hit, got %s" name (Cache.string_of_source s));
+        let a =
+          match Store.load ~root fp.Artifact.combined with
+          | Ok entry -> entry.Store.artifact
+          | Error err -> Alcotest.failf "%s: %s" name (Store.string_of_error err)
+        in
+        Alcotest.(check int) (name ^ ": stored as v4") 4 a.Artifact.version;
+        let sys = c.Plant.system in
+        let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
+        let bounds = Cegis.rect_bounds sys.Engine.vars a.Artifact.safe_rect in
+        let p =
+          Solver.prepare ~options ~vars:(Array.to_list sys.Engine.vars)
+            (Engine.condition5_formula sys config (Artifact.certificate a))
+        in
+        Obs.Metrics.enable ();
+        let before = Obs.Metrics.value c_hc4 in
+        let v, st = Solver.replay p ~bounds (cover_of a) in
+        let hc4 = Obs.Metrics.value c_hc4 - before in
+        Obs.Metrics.disable ();
+        Alcotest.(check bool) (name ^ ": condition (5) unsat") true (v = Solver.Unsat);
+        Alcotest.(check (list int))
+          (name ^ ": solver.hc4_revise, fallbacks, bisections")
+          [ 0; 0; 0 ]
+          [ hc4; st.Solver.replay_fallbacks; st.Solver.replay_bisections ]
       end)
     (Registry.scenarios ())
 
@@ -260,7 +343,16 @@ let refuted_coeffs =
          && violates_condition5 coeffs)
        candidates)
 
-type tamper = Flip_kind | Point_on_bound | Point_outside | Wrong_var | Truncate | Append
+type tamper =
+  | Flip_kind
+  | Point_on_bound
+  | Point_outside
+  | Wrong_var
+  | Truncate
+  | Append
+  | Flip_leaf
+  | Midpoint_to_leaf
+  | Leaf_to_midpoint
 
 let tamper_name = function
   | Flip_kind -> "flipped kind"
@@ -269,8 +361,20 @@ let tamper_name = function
   | Wrong_var -> "wrong variable"
   | Truncate -> "truncated tree"
   | Append -> "appended nodes"
+  | Flip_leaf -> "leaf flipped between forward and MVF"
+  | Midpoint_to_leaf -> "midpoint split turned into a leaf"
+  | Leaf_to_midpoint -> "leaf turned into a midpoint split"
 
-(* Apply one tamper to tree [ti mod n] at position [pos mod length]. *)
+(* Position just past the subtree that starts at [i]. *)
+let subtree_end nodes i =
+  let rec go j pending =
+    if pending = 0 then j
+    else go (j + 1) (pending - 1 + if nodes.(j) land 3 = 0 then 2 else 0)
+  in
+  go i 1
+
+(* Apply one tamper to tree [ti mod n] at position [pos mod length]; the
+   v4 tampers pick among the nodes of their kind. *)
 let tamper_cover (c : Solver.cover) kind ti pos =
   let trees =
     Array.map
@@ -281,27 +385,58 @@ let tamper_cover (c : Solver.cover) kind ti pos =
   let ti = ti mod Array.length trees in
   let { Solver.nodes; points } = trees.(ti) in
   let n = Array.length nodes and np = Array.length points in
-  let splits = List.filter (fun j -> nodes.(j) land 3 = 0) (List.init n Fun.id) in
+  let where pred = List.filter (fun j -> pred nodes.(j)) (List.init n Fun.id) in
+  let nth l = List.nth l (pos mod List.length l) in
+  let splits = where (fun node -> node >= 0 && node land 3 = 0) in
+  let splice i j repl =
+    trees.(ti) <-
+      {
+        Solver.nodes = Array.concat [ Array.sub nodes 0 i; repl; Array.sub nodes j (n - j) ];
+        points;
+      }
+  in
   (match kind with
   | Flip_kind -> nodes.(pos mod n) <- nodes.(pos mod n) lxor (1 + (pos mod 3))
   | Point_on_bound when np > 0 -> points.(pos mod np) <- snd config.Engine.safe_rect.(0)
   | Point_outside when np > 0 -> points.(pos mod np) <- 1e9
   | Wrong_var when splits <> [] ->
-    let j = List.nth splits (pos mod List.length splits) in
+    let j = nth splits in
     nodes.(j) <- nodes.(j) lxor 4
   | Truncate -> trees.(ti) <- { Solver.nodes = Array.sub nodes 0 (pos mod n); points }
   | Append -> trees.(ti) <- { Solver.nodes = Array.append nodes [| 1; 0; 2 |]; points }
-  | Point_on_bound | Point_outside | Wrong_var -> ());
+  | Flip_leaf when where (fun node -> node land 3 >= 2) <> [] ->
+    let j = nth (where (fun node -> node land 3 >= 2)) in
+    nodes.(j) <- nodes.(j) lxor 1
+  | Midpoint_to_leaf when where (fun node -> node = -4) <> [] ->
+    let j = nth (where (fun node -> node = -4)) in
+    splice j (subtree_end nodes j) [| 3 |]
+  | Leaf_to_midpoint ->
+    let j = nth (where (fun node -> node land 3 <> 0)) in
+    splice j (j + 1) [| -4; 3; 2 |]
+  | Point_on_bound | Point_outside | Wrong_var | Flip_leaf | Midpoint_to_leaf -> ());
   { c with Solver.trees }
 
+let tampers =
+  [|
+    Flip_kind;
+    Point_on_bound;
+    Point_outside;
+    Wrong_var;
+    Truncate;
+    Append;
+    Flip_leaf;
+    Midpoint_to_leaf;
+    Leaf_to_midpoint;
+  |]
+
+(* Every tamper, of the search's cover (v3) or of its refinement (v4). *)
 let prop_tampered_cover_never_certifies =
-  QCheck.Test.make ~name:"tampered cover never certifies a refuted certificate" ~count:40
-    QCheck.(triple (int_range 0 5) (int_range 0 1000) (int_range 0 100_000))
-    (fun (kind_i, pick, pos) ->
-      let kind =
-        [| Flip_kind; Point_on_bound; Point_outside; Wrong_var; Truncate; Append |].(kind_i)
-      in
-      let a = artifact () in
+  QCheck.Test.make ~name:"tampered cover never certifies a refuted certificate" ~count:60
+    QCheck.(
+      quad (int_range 0 (Array.length tampers - 1)) (int_range 0 1000) (int_range 0 100_000) bool)
+    (fun (kind_i, pick, pos, v4) ->
+      let kind = tampers.(kind_i) in
+      let a = if v4 then Lazy.force refined_artifact else artifact () in
       let bad = Lazy.force refuted_coeffs in
       if bad = [] then QCheck.Test.fail_report "no perturbation refutes condition (5)";
       let coeffs = List.nth bad (pick mod List.length bad) in
@@ -310,8 +445,8 @@ let prop_tampered_cover_never_certifies =
       match Checker.audit ~network ~system { a with Artifact.coeffs; cover = Some cover } with
       | Checker.Rejected (Checker.Condition_refuted { condition = 5; _ }), _ -> true
       | v, _ ->
-        QCheck.Test.fail_reportf "%s cover: want condition (5) refuted, got %s" (tamper_name kind)
-          (Checker.string_of_verdict v)
+        QCheck.Test.fail_reportf "%s v%d cover: want condition (5) refuted, got %s"
+          (tamper_name kind) a.Artifact.version (Checker.string_of_verdict v)
       | exception e ->
         QCheck.Test.fail_reportf "%s cover raised %s" (tamper_name kind) (Printexc.to_string e))
 
@@ -828,6 +963,7 @@ let () =
           Alcotest.test_case "poly round-trip" `Quick test_poly_roundtrip;
           Alcotest.test_case "poly artifact certified" `Quick test_poly_audit_certifies;
           Alcotest.test_case "v3 round-trip is bit-exact" `Quick test_v3_roundtrip;
+          Alcotest.test_case "v4 round-trip is bit-exact" `Quick test_v4_roundtrip;
           Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "fingerprint ignores execution strategy" `Quick
             test_fingerprint_ignores_execution_strategy;
@@ -869,6 +1005,7 @@ let () =
           Alcotest.test_case "parameterization isolation" `Quick
             test_cache_parameterization_isolation;
           Alcotest.test_case "v2 entry serves a hit" `Quick test_v2_serves_hit;
+          Alcotest.test_case "v3 entry serves a hit" `Quick test_v3_serves_hit;
           Alcotest.test_case "exported scenarios replay cleanly" `Quick
             test_scenarios_replay_cleanly;
         ] );

@@ -646,18 +646,22 @@ let test_cover_replays () =
   Alcotest.(check int) "one tree per disjunct" (List.length (Formula.to_dnf corner))
     (Array.length cover.Solver.trees);
   Alcotest.(check (float 0.0)) "cover delta" 1e-7 cover.Solver.delta;
-  let searched = (snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.branches in
   let v, st = Solver.replay p ~bounds:bounds2 cover in
   expect_unsat "replayed corner" v;
-  Alcotest.(check int) "every node visited" nodes st.Solver.replay_nodes;
-  (* The replay does not contract at splits, so on this margin-tight query
-     some leaves of the deep tree stay open on their wider boxes; their
-     searches are small. *)
+  (* A visit reads a tree node or one half of a leaf's bisection. *)
+  Alcotest.(check int) "every node visited" nodes
+    (st.Solver.replay_nodes - (2 * st.Solver.replay_bisections));
+  (* This query's margin is 1.4e-7: near the tangent point the forward and
+     mean-value tests close only boxes narrower than that, so many leaves
+     HC4 closed fall back to a search — and a replay that fell back
+     records no cover. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%d fallbacks search %d boxes, < a quarter of the %d searched"
-       st.Solver.replay_fallbacks st.Solver.branches searched)
+    (Printf.sprintf "%d fallbacks after %d bisections" st.Solver.replay_fallbacks
+       st.Solver.replay_bisections)
     true
-    (st.Solver.branches < searched / 4);
+    (st.Solver.replay_fallbacks > 0 && st.Solver.replay_bisections > 0);
+  Alcotest.(check bool) "no refinement from a replay that fell back" true
+    ((snd (Solver.replay ~record:true p ~bounds:bounds2 cover)).Solver.cover = None);
   Alcotest.(check bool) "no cover unless recorded" true
     ((snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.cover = None);
   (* The tree engine replays a cover the tape engine recorded. *)
@@ -679,6 +683,97 @@ let test_cover_replays () =
   in
   ignore (expect_sat "foreign cover" (fst (Solver.replay sat_p ~bounds:bounds2 cover)))
 
+(* The disk against the half-plane x + y >= [c]: Unsat for c > √2. *)
+let disk_beyond c =
+  Formula.and_
+    [
+      Formula.le (Expr.( + ) (Expr.pow x 2) (Expr.pow y 2)) (Expr.const 1.0);
+      Formula.ge (Expr.( + ) x y) (Expr.const c);
+    ]
+
+(* A corner with margin, its recorded (v3) cover, and that cover refined
+   into v4 by a recording replay. *)
+let loose_corner =
+  lazy
+    (let p = Solver.prepare ~vars:[ "x"; "y" ] (disk_beyond 1.5) in
+     let v, st = Solver.solve_prepared ~record:true p ~bounds:bounds2 in
+     expect_unsat "loose corner" v;
+     let v3 = Option.get st.Solver.cover in
+     let v, st = Solver.replay ~record:true p ~bounds:bounds2 v3 in
+     expect_unsat "refining replay" v;
+     match st.Solver.cover with
+     | Some v4 -> (p, v3, v4, st)
+     | None -> Alcotest.failf "refinement fell back %d times" st.Solver.replay_fallbacks)
+
+let leaf_count (c : Solver.cover) =
+  Array.fold_left
+    (fun n t ->
+      Array.fold_left (fun n node -> if node land 3 <> 0 then n + 1 else n) n t.Solver.nodes)
+    0 c.Solver.trees
+
+(* A v4 cover closes every leaf where it stands: the check visits each
+   node once, bisects nothing, falls back nowhere and calls no HC4. *)
+let test_refined_cover () =
+  let p, v3, v4, st = Lazy.force loose_corner in
+  Alcotest.(check int) "one leaf more per bisection" (leaf_count v4 - leaf_count v3)
+    st.Solver.replay_bisections;
+  Alcotest.(check bool) "v4 kinds only" true
+    (Array.for_all
+       (fun t ->
+         Array.for_all
+           (fun node -> node = -4 || node land 3 >= 2 || (node land 3 = 0 && node >= 0))
+           t.Solver.nodes)
+       v4.Solver.trees);
+  let check_v4 name p =
+    let v, st = Solver.replay p ~bounds:bounds2 v4 in
+    expect_unsat name v;
+    Alcotest.(check (list int))
+      (name ^ ": nodes, fallbacks, bisections, HC4 calls")
+      [ Array.length v4.Solver.trees.(0).Solver.nodes; 0; 0; 0 ]
+      [
+        st.Solver.replay_nodes;
+        st.Solver.replay_fallbacks;
+        st.Solver.replay_bisections;
+        st.Solver.hc4_calls;
+      ];
+    Alcotest.(check int) (name ^ ": leaves by kind") (leaf_count v4)
+      (st.Solver.replay_forward + st.Solver.replay_mvf)
+  in
+  check_v4 "v4 check" p;
+  check_v4 "tree-engine v4 check"
+    (Solver.prepare
+       ~options:{ Solver.default_options with Solver.engine = Solver.Tree_eval }
+       ~vars:[ "x"; "y" ] (disk_beyond 1.5));
+  Alcotest.(check bool) "refining a v4 cover returns it" true
+    ((snd (Solver.replay ~record:true p ~bounds:bounds2 v4)).Solver.cover = Some v4)
+
+(* A midpoint split needs a midpoint strictly inside the widest variable's
+   interval; on a point box, or one a float wide, it falls back to the
+   search, which decides the box either way. *)
+let test_degenerate_midpoint () =
+  let cover =
+    { Solver.delta = 1e-3; trees = [| { Solver.nodes = [| -4; 3; 3 |]; points = [||] } |] }
+  in
+  List.iter
+    (fun (name, lo, hi) ->
+      let bounds = [ ("x", lo, hi); ("y", 0.5, 0.5) ] in
+      let decide c =
+        Solver.replay (Solver.prepare ~vars:[ "x"; "y" ] (disk_beyond c)) ~bounds cover
+      in
+      let v, st = decide 1.5 in
+      expect_unsat (name ^ ": unsat box") v;
+      Alcotest.(check int) (name ^ ": searched") 1 st.Solver.replay_fallbacks;
+      ignore (expect_sat (name ^ ": sat box") (fst (decide 0.9))))
+    [ ("point box", 0.5, 0.5); ("one float wide", 0.5, Float.succ 0.5) ]
+
+(* Position just past the subtree that starts at [i]. *)
+let subtree_end nodes i =
+  let rec go j pending =
+    if pending = 0 then j
+    else go (j + 1) (pending - 1 + if nodes.(j) land 3 = 0 then 2 else 0)
+  in
+  go i 1
+
 (* A cover proves nothing by itself: replayed against a query that has
    solutions, no tampering of it — a node's kind or variable flipped, a
    split point moved anywhere, nodes cut or appended — yields Unsat, and
@@ -695,7 +790,10 @@ let prop_tampered_cover_never_hides_solutions =
            Formula.ge (Expr.( + ) x y) (Expr.const 1.41);
          ])
   in
-  let reach = (snd (Solver.replay sat_p ~bounds:bounds2 cover)).Solver.replay_nodes in
+  let reach =
+    let st = snd (Solver.replay sat_p ~bounds:bounds2 cover) in
+    st.Solver.replay_nodes - (2 * st.Solver.replay_bisections)
+  in
   let t = cover.Solver.trees.(0) in
   let splits_reached =
     Array.fold_left (fun n node -> if node land 3 = 0 then n + 1 else n) 0
@@ -718,6 +816,52 @@ let prop_tampered_cover_never_hides_solutions =
       match Solver.replay sat_p ~bounds:bounds2 tampered with
       | Solver.Delta_sat _, _ -> true
       | v, _ -> QCheck.Test.fail_reportf "tampered cover answered %a" Solver.pp_verdict v)
+
+(* The same for a v4 cover and its own kinds: a leaf flipped between
+   forward and mean-value, a midpoint split turned into a leaf (its
+   subtrees dropped) or a leaf into a midpoint split over two forward
+   leaves, nodes cut or appended.  Every tamper but the append lands in
+   the prefix the untampered check walks before it searches a box with
+   solutions. *)
+let prop_tampered_v4_cover_never_hides_solutions =
+  let sat_p = lazy (Solver.prepare ~vars:[ "x"; "y" ] (disk_beyond 1.41)) in
+  QCheck.Test.make ~name:"tampered v4 cover never hides a solution" ~count:150
+    QCheck.(pair (int_range 0 4) (int_range 0 100_000))
+    (fun (kind, pos) ->
+      let _, _, v4, _ = Lazy.force loose_corner in
+      let sat_p = Lazy.force sat_p in
+      let t = v4.Solver.trees.(0) in
+      let nodes = t.Solver.nodes in
+      let reach =
+        let st = snd (Solver.replay sat_p ~bounds:bounds2 v4) in
+        st.Solver.replay_nodes - (2 * st.Solver.replay_bisections)
+      in
+      let pick pred =
+        match List.filter (fun i -> pred nodes.(i)) (List.init reach Fun.id) with
+        | [] -> pos mod reach
+        | l -> List.nth l (pos mod List.length l)
+      in
+      let splice i j repl =
+        Array.concat [ Array.sub nodes 0 i; repl; Array.sub nodes j (Array.length nodes - j) ]
+      in
+      let nodes =
+        match kind with
+        | 0 ->
+          let i = pick (fun n -> n land 3 >= 2) in
+          splice i (i + 1) [| nodes.(i) lxor 1 |]
+        | 1 ->
+          let i = pick (fun n -> n = -4) in
+          splice i (subtree_end nodes i) [| 3 |]
+        | 2 ->
+          let i = pick (fun n -> n land 3 <> 0) in
+          splice i (i + 1) [| -4; 3; 3 |]
+        | 3 -> Array.sub nodes 0 (pos mod reach)
+        | _ -> Array.append nodes [| -4; 3; 2 |]
+      in
+      let tampered = { v4 with Solver.trees = [| { t with Solver.nodes } |] } in
+      match Solver.replay sat_p ~bounds:bounds2 tampered with
+      | Solver.Delta_sat _, _ -> true
+      | v, _ -> QCheck.Test.fail_reportf "tampered v4 cover answered %a" Solver.pp_verdict v)
 
 (* Each box files its record under its own slot, so the cover does not
    depend on which worker expanded which box. *)
@@ -809,10 +953,13 @@ let () =
           Alcotest.test_case "imbalanced workload steals" `Quick test_solver_steal_imbalanced;
           Alcotest.test_case "prepared query reuse" `Quick test_solver_prepared_reuse;
           Alcotest.test_case "recorded cover replays" `Quick test_cover_replays;
+          Alcotest.test_case "refined cover closes every leaf" `Quick test_refined_cover;
+          Alcotest.test_case "degenerate midpoint split searched" `Quick test_degenerate_midpoint;
           Alcotest.test_case "cover is job-independent" `Quick test_cover_job_independent;
           Alcotest.test_case "in-search refinement is a restart" `Quick
             test_refinement_is_restart;
           QCheck_alcotest.to_alcotest prop_tampered_cover_never_hides_solutions;
+          QCheck_alcotest.to_alcotest prop_tampered_v4_cover_never_hides_solutions;
           QCheck_alcotest.to_alcotest prop_solver_sound_on_linear;
           QCheck_alcotest.to_alcotest prop_parallel_parity;
         ] );

@@ -254,6 +254,34 @@ let prop_forward_batch_parity =
       let i1, i2 = Tape.forward_pair tape bt d1 d2 in
       Interval.equal i1 (Tape.forward tape b d1) && Interval.equal i2 (Tape.forward tape b d2))
 
+let prop_forward_partials_parity =
+  (* A forward sweep continued over the partial slots is the fused sweep:
+     the same enclosures of the atom and of every partial, bit for bit —
+     on a fresh buffer and on one a sweep of another box left dirty. *)
+  QCheck.Test.make ~name:"forward then forward_partials ≡ forward_all" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let e = gen_expr rng 4 in
+      let partials = [| Expr.diff "x" e; Expr.diff "y" e |] in
+      let tape = compile_tape ~partials { Formula.expr = e; rel = Formula.Le0 } in
+      let box () =
+        [|
+          Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0);
+          Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0);
+        |]
+      in
+      let d = box () and other = box () in
+      let fused = Tape.make_buffers tape and split = Tape.make_buffers tape in
+      let root = Tape.forward_all tape fused d in
+      ignore (Tape.forward_all tape split other : Interval.t);
+      let root' = Tape.forward tape split d in
+      Tape.forward_partials tape split d;
+      Interval.equal root root'
+      && List.for_all
+           (fun i -> Interval.equal (Tape.partial_ival tape fused i) (Tape.partial_ival tape split i))
+           [ 0; 1 ])
+
 let test_batch_edges () =
   let e = Expr.( + ) (Expr.pow x 2) (Expr.sin y) in
   let tape = compile_tape { Formula.expr = e; rel = Formula.Le0 } in
@@ -485,6 +513,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_tape_revise_sound;
           QCheck_alcotest.to_alcotest prop_tape_at_least_as_tight;
           QCheck_alcotest.to_alcotest prop_forward_batch_parity;
+          QCheck_alcotest.to_alcotest prop_forward_partials_parity;
           Alcotest.test_case "batch width edge cases" `Quick test_batch_edges;
           Alcotest.test_case "nn export parity" `Quick test_nn_tape_parity;
         ] );
