@@ -150,8 +150,9 @@ cover-nodes ...             disjunct 2, and so on
     in unpadded base64 (RFC 4648 alphabet).  A node is [var lsl 2] for a
     split of variable [var], [-4] for a midpoint split (no point), or [1] /
     [2] / [3] for a leaf refuted by HC4 / the mean-value form / a forward
-    enclosure; every node kind takes one byte, and a refined cover has
-    only splits and leaves of kinds 2 and 3.
+    enclosure; every node kind takes one byte.  A refined cover has only
+    splits and leaves of kind [3]: its check runs the same test on every
+    leaf, whatever the leaf's kind.
 
     v3 is v4 with the cover in decimal text: [cover-nodes] lists the node
     ints and [cover-points] the hex points, space-separated.  v2 is v3

@@ -137,7 +137,7 @@ let verify ?(config = Engine.default_config) ?(budget = Budget.unlimited) ?(use_
            sees the refinement. *)
         let artifact, refine_s =
           Timing.time (fun () ->
-              Obs.Trace.with_span "cache.refine" (fun () -> Checker.refine ~system artifact))
+              Obs.Trace.with_span "cache.refine" (fun () -> Checker.refine ~budget ~system artifact))
         in
         let st = report.Engine.stats in
         st.Engine.smt5_time <- st.Engine.smt5_time +. refine_s;

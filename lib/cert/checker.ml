@@ -55,14 +55,16 @@ let condition5_query ~options ~(system : Engine.system) (a : Artifact.t) =
   ( rect_bounds system.Engine.vars a.Artifact.safe_rect,
     Engine.condition5_formula system config (Artifact.certificate a) )
 
-let refine ~system (a : Artifact.t) =
+let refine ?(budget = Budget.unlimited) ~system (a : Artifact.t) =
   match a.Artifact.cover with
   | None -> a
   | Some cover -> (
     let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
     let bounds, formula = condition5_query ~options ~system a in
     let vars = List.map (fun (v, _, _) -> v) bounds in
-    match Solver.replay ~record:true (Solver.prepare ~options ~vars formula) ~bounds cover with
+    match
+      Solver.replay ~budget ~record:true (Solver.prepare ~options ~vars formula) ~bounds cover
+    with
     | Solver.Unsat, { Solver.cover = Some refined; _ } -> { a with Artifact.cover = Some refined }
     | _ -> a)
 

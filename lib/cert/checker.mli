@@ -16,8 +16,9 @@
     construction, and each leaf of a v4 cover ({!refine}) closes with
     one forward sweep or the mean-value form on its own box, so the check
     evaluates and never contracts.  A v3 cover's leaves are bisected
-    until those tests close them, and whatever stays open is searched
-    afresh at the cover's δ.  The cover is untrusted — a wrong one costs
+    until those tests close them, and whatever stays open after a few
+    bisections falls back to HC4 contraction and a fresh search at the
+    cover's δ.  The cover is untrusted — a wrong one costs
     search time, never a wrong [Certified] — so it does not enlarge the
     trust boundary.  v2 artifacts, which have no cover, are searched
     whole at their δ.
@@ -97,14 +98,15 @@ val audit :
     hit, and the serve workers already occupy the cores, so a parallel
     search per hit would only contend with them. *)
 
-val refine : system:Engine.system -> Artifact.t -> Artifact.t
+val refine : ?budget:Budget.t -> system:Engine.system -> Artifact.t -> Artifact.t
 (** [refine ~system a] replaces [a]'s condition (5) cover by its v4
     refinement ({!Solver.replay} under [~record:true], on the query
     {!audit} poses), so that an audit of the result checks every leaf with
-    one sweep.  [a] is returned unchanged when it has no cover, or when
-    its cover needed a fallback search (a refuted certificate, or a leaf
-    the tests did not close within the bisection depth).  Call it on an
-    artifact bound to [system]; it checks nothing else. *)
+    one sweep.  [a] is returned unchanged when it has no cover, when its
+    cover needed a fallback (a refuted certificate, or a leaf the tests
+    did not close within its bisection budget), or when [budget] (default
+    unlimited) stops the refinement.  Call it on an artifact bound to
+    [system]; it checks nothing else. *)
 
 val exit_code : verdict -> int
 (** 0 for [Certified], 1 for any rejection — the [check] subcommand's

@@ -51,6 +51,10 @@ let kind_hc4 = 1
 let kind_mvf = 2
 let kind_forward = 3
 
+(* A refined (v4) cover files every leaf under this one kind: the check
+   runs the same test on every leaf, whatever its kind. *)
+let kind_leaf = kind_forward
+
 (* A split of variable -1: bisect the widest variable at its midpoint,
    with no recorded point. *)
 let node_midpoint = -1 lsl 2
@@ -833,8 +837,18 @@ let well_formed t =
 
 exception Refuted of verdict
 
-(* Bisections a leaf may take during a check before its box is searched. *)
-let max_bisections = 24
+(* Nodes the bisection of one leaf may visit before the leaf falls back.
+   A check spends few: HC4 closes most leaves of a v3 cover that the
+   forward and mean-value tests leave open.  A refinement spends more,
+   since one fallback leaves it no v4 cover, and after that first
+   fallback it is only a check. *)
+let check_budget = 32
+let refine_budget = 256
+
+(* HC4 rounds a fallback spends on its box before it searches. *)
+let fallback_rounds = 50
+
+exception Leaf_open
 
 (* The widest variable of a box and its midpoint, when the midpoint lies
    strictly inside the variable's interval (a degenerate width has none). *)
@@ -855,44 +869,51 @@ let midpoint_split domains =
      parent by construction; a midpoint split bisects the widest variable
      at its midpoint;
    - a leaf of any kind runs one test: the forward enclosure of each atom,
-     cheapest first, then the mean-value form.  Its recorded kind names
-     the test that closed it when the cover was refined; the check does
-     not trust it.
+     cheapest first, then the mean-value form.  The check does not read
+     the leaf's recorded kind.
    A leaf the test does not close is bisected at the midpoint of its
-   widest variable, and each half is tested the same way, down to
-   [max_bisections] levels; recording files those bisections as midpoint
-   splits, so a v4 leaf closes where it stands.  A box still open at the
-   last level, a split that does not fit its box, and a tree that is not
-   well formed fall back to the search of that box, at the query's δ.
-   Every visited node counts against the branch bound and the budget.
-   Only the fallback search calls HC4. *)
+   widest variable, and each half is tested the same way, until the
+   leaf's budget of nodes is spent; recording files those bisections as
+   midpoint splits and every closed box as a leaf, so a v4 leaf closes
+   where it stands.  A leaf still open after its budget, a split that does
+   not fit its box, and a tree that is not well formed fall back: HC4
+   contraction of that box, then the search of what it leaves, at the
+   query's δ.  Every visited node counts against the branch bound and the
+   budget.  Only a fallback calls HC4. *)
 let replay_conjunction ~record q st names make_rts initial tree =
   let rts = make_rts () in
   let by_cost = List.stable_sort (fun a b -> compare a.size b.size) rts in
   let with_mvf = List.filter (fun rt -> rt.n_partials > 0) by_cost in
   let nodes_out = ref [] and points_out = ref [] in
   let emit node = if record then nodes_out := node :: !nodes_out in
-  let search box =
+  let fall_back box =
     st.replay_fallbacks <- st.replay_fallbacks + 1;
-    match solve_conjunction_par q st names make_rts { dom = box; depth = 0; slot = -1 } with
-    | Unsat -> ()
-    | v -> raise (Refuted v)
+    let box = Array.copy box in
+    match contract ~max_rounds:fallback_rounds st box rts with
+    | exception Pruned -> ()
+    | () -> (
+      match solve_conjunction_par q st names make_rts { dom = box; depth = 0; slot = -1 } with
+      | Unsat -> ()
+      | v -> raise (Refuted v))
   in
   (* The forward enclosure of each atom, cheapest first, then the
      mean-value form of each atom with partials, whose sweep continues
      that atom's forward sweep: each tape slot is swept at most once. *)
   let leaf_test domains =
-    if List.exists (fun rt -> not (possibly_sat rt.atom (rt.forward domains))) by_cost then
-      Some kind_forward
+    if List.exists (fun rt -> not (possibly_sat rt.atom (rt.forward domains))) by_cost then begin
+      st.replay_forward <- st.replay_forward + 1;
+      true
+    end
     else begin
       let mid = Array.map Interval.midpoint domains in
-      if
-        List.exists
-          (fun rt ->
-            mvf_refutes rt.atom (mean_value domains (rt.eval_mid mid) (rt.partials domains)))
-          with_mvf
-      then Some kind_mvf
-      else None
+      List.exists
+        (fun rt ->
+          mvf_refutes rt.atom (mean_value domains (rt.eval_mid mid) (rt.partials domains)))
+        with_mvf
+      && begin
+        st.replay_mvf <- st.replay_mvf + 1;
+        true
+      end
     end
   in
   let visit () =
@@ -911,23 +932,25 @@ let replay_conjunction ~record q st names make_rts initial tree =
     in
     (half (Interval.lo domains.(var)) m, half m (Interval.hi domains.(var)))
   in
-  let rec close depth domains =
-    match leaf_test domains with
-    | Some kind ->
-      if kind = kind_forward then st.replay_forward <- st.replay_forward + 1
-      else st.replay_mvf <- st.replay_mvf + 1;
-      emit kind
-    | None -> (
-      match if depth < max_bisections then midpoint_split domains else None with
-      | None -> search domains
-      | Some (var, m) ->
-        st.replay_bisections <- st.replay_bisections + 1;
-        emit node_midpoint;
-        let left, right = halves domains var m in
-        visit ();
-        close (depth + 1) left;
-        visit ();
-        close (depth + 1) right)
+  let close_leaf domains =
+    let budget = if record && st.replay_fallbacks = 0 then refine_budget else check_budget in
+    let spent = ref 0 in
+    let rec close domains =
+      if leaf_test domains then emit kind_leaf
+      else
+        match if !spent < budget then midpoint_split domains else None with
+        | None -> raise_notrace Leaf_open
+        | Some (var, m) ->
+          st.replay_bisections <- st.replay_bisections + 1;
+          spent := !spent + 2;
+          emit node_midpoint;
+          let left, right = halves domains var m in
+          visit ();
+          visit ();
+          close left;
+          close right
+    in
+    match close domains with () -> () | exception Leaf_open -> fall_back domains
   in
   let pos = ref 0 and point = ref 0 in
   let next () =
@@ -946,7 +969,7 @@ let replay_conjunction ~record q st names make_rts initial tree =
   let rec walk domains =
     visit ();
     let node = next () in
-    if node land 3 <> kind_split then close 0 domains
+    if node land 3 <> kind_split then close_leaf domains
     else begin
       let split =
         if node = node_midpoint then midpoint_split domains
@@ -969,11 +992,11 @@ let replay_conjunction ~record q st names make_rts initial tree =
       | None ->
         skip ();
         skip ();
-        search domains
+        fall_back domains
     end
   in
   let verdict =
-    match if well_formed tree then walk (Array.copy initial.dom) else search initial.dom with
+    match if well_formed tree then walk (Array.copy initial.dom) else fall_back initial.dom with
     | () -> Unsat
     | exception Refuted v -> v
   in

@@ -44,9 +44,9 @@ type verdict =
 
     A search records splits at points and leaves of kinds 1–3 (its child
     pre-filter is a forward test) — the v3 cover.  {!replay} under
-    [~record:true] refines it into a v4 cover: midpoint splits, and only
-    forward and mean-value leaves, each of which closes on its own box
-    with one sweep.  The packed layout keeps a cover pointer-free and
+    [~record:true] refines it into a v4 cover: midpoint splits, and leaves
+    all of kind [3], each of which closes on its own box with one
+    sweep.  The packed layout keeps a cover pointer-free and
     cheap to store. *)
 
 type tree = { nodes : int array; points : float array }
@@ -220,23 +220,24 @@ val replay :
       target, or else when the mean-value form excludes an atom
       ([stats.replay_forward], [stats.replay_mvf]).  A leaf neither closes
       — a v3 leaf, whose box is wider than the one the search contracted
-      — is bisected at the midpoint of its widest variable, down to 24
-      levels, and each half tried again ([stats.replay_bisections]).
+      — is bisected at the midpoint of its widest variable, and each half
+      tried again ([stats.replay_bisections]), until the leaf has spent a
+      fixed budget of nodes: 32 in a check, 256 in a refinement until its
+      first fallback.
 
-    A box still open at the last level, a split that does not fit its
+    A leaf still open after its budget, a split that does not fit its
     box, a tree that is not exactly one preorder tree with one point per
     recorded split, and a tree count that differs from the disjunct count
-    fall back to the search of that box ([stats.replay_fallbacks]).  The
-    fallback searches run at the cover's δ when it is finite and positive
-    (else at [options.delta]).  Every visited node counts against
-    [max_branches] and [budget] ([stats.replay_nodes]).  Only a fallback
-    search calls HC4.
+    fall back ([stats.replay_fallbacks]): HC4 contraction of that box,
+    then the search of what contraction leaves.  The fallback searches run
+    at the cover's δ when it is finite and positive (else at
+    [options.delta]).  Every visited node counts against [max_branches]
+    and [budget] ([stats.replay_nodes]).  Only a fallback calls HC4.
 
     [record] (default [false]) makes an Unsat answer that needed no
     fallback carry the refined v4 cover in [stats.cover]: the tree the
-    walk closed, with its bisections as midpoint splits and each leaf
-    filed under the test that closed it.  Replaying that cover closes
-    every leaf where it stands.
+    walk closed, with its bisections as midpoint splits.  Replaying that
+    cover closes every leaf where it stands.
 
     The cover is untrusted and cannot weaken the answer: every box of the
     query box ends in a sound refutation or in a search, so Unsat is

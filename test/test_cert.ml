@@ -192,8 +192,7 @@ let test_v4_roundtrip () =
     [
       ("midpoint splits", fun n -> n = -4);
       ("recorded splits", fun n -> n >= 0 && n land 3 = 0);
-      ("forward leaves", fun n -> n land 3 = 3);
-      ("mean-value leaves", fun n -> n land 3 = 2);
+      ("leaves", fun n -> n = 3);
     ];
   check_roundtrip ~version:4 a;
   let packed = String.length (Artifact.to_string a)
@@ -240,6 +239,23 @@ let test_v3_serves_hit () =
     Alcotest.(check int) "no fallback" 0 audit.Checker.replay_fallbacks;
     Alcotest.(check bool) "leaves bisected" true (audit.Checker.bisections > 0)
   | s -> Alcotest.failf "v3 entry should hit, got %s" (Cache.string_of_source s)
+
+(* A refinement runs under its caller's budget: a spent one stops it at
+   its first node, and the artifact keeps the search's cover. *)
+let test_refine_budget () =
+  let a = artifact () in
+  let pool = 1_000_000 in
+  let drawn cancelled =
+    let budget = Budget.make ~branches:pool ~cancel:(fun () -> cancelled) () in
+    let b = Checker.refine ~budget ~system a in
+    (b.Artifact.cover = a.Artifact.cover, pool - Option.get (Budget.remaining_branches budget))
+  in
+  let kept, nodes = drawn true in
+  Alcotest.(check (pair bool int)) "spent: search's cover kept after one node" (true, 1)
+    (kept, nodes);
+  let kept, nodes = drawn false in
+  Alcotest.(check bool) (Printf.sprintf "live: refined over %d nodes" nodes) true
+    ((not kept) && nodes > 1)
 
 let c_hc4 = Obs.Metrics.counter "solver.hc4_revise"
 
@@ -350,7 +366,6 @@ type tamper =
   | Wrong_var
   | Truncate
   | Append
-  | Flip_leaf
   | Midpoint_to_leaf
   | Leaf_to_midpoint
 
@@ -361,7 +376,6 @@ let tamper_name = function
   | Wrong_var -> "wrong variable"
   | Truncate -> "truncated tree"
   | Append -> "appended nodes"
-  | Flip_leaf -> "leaf flipped between forward and MVF"
   | Midpoint_to_leaf -> "midpoint split turned into a leaf"
   | Leaf_to_midpoint -> "leaf turned into a midpoint split"
 
@@ -404,16 +418,13 @@ let tamper_cover (c : Solver.cover) kind ti pos =
     nodes.(j) <- nodes.(j) lxor 4
   | Truncate -> trees.(ti) <- { Solver.nodes = Array.sub nodes 0 (pos mod n); points }
   | Append -> trees.(ti) <- { Solver.nodes = Array.append nodes [| 1; 0; 2 |]; points }
-  | Flip_leaf when where (fun node -> node land 3 >= 2) <> [] ->
-    let j = nth (where (fun node -> node land 3 >= 2)) in
-    nodes.(j) <- nodes.(j) lxor 1
   | Midpoint_to_leaf when where (fun node -> node = -4) <> [] ->
     let j = nth (where (fun node -> node = -4)) in
     splice j (subtree_end nodes j) [| 3 |]
   | Leaf_to_midpoint ->
     let j = nth (where (fun node -> node land 3 <> 0)) in
-    splice j (j + 1) [| -4; 3; 2 |]
-  | Point_on_bound | Point_outside | Wrong_var | Flip_leaf | Midpoint_to_leaf -> ());
+    splice j (j + 1) [| -4; 3; 3 |]
+  | Point_on_bound | Point_outside | Wrong_var | Midpoint_to_leaf -> ());
   { c with Solver.trees }
 
 let tampers =
@@ -424,7 +435,6 @@ let tampers =
     Wrong_var;
     Truncate;
     Append;
-    Flip_leaf;
     Midpoint_to_leaf;
     Leaf_to_midpoint;
   |]
@@ -1006,6 +1016,7 @@ let () =
             test_cache_parameterization_isolation;
           Alcotest.test_case "v2 entry serves a hit" `Quick test_v2_serves_hit;
           Alcotest.test_case "v3 entry serves a hit" `Quick test_v3_serves_hit;
+          Alcotest.test_case "refinement stops with its budget" `Quick test_refine_budget;
           Alcotest.test_case "exported scenarios replay cleanly" `Quick
             test_scenarios_replay_cleanly;
         ] );

@@ -646,20 +646,21 @@ let test_cover_replays () =
   Alcotest.(check int) "one tree per disjunct" (List.length (Formula.to_dnf corner))
     (Array.length cover.Solver.trees);
   Alcotest.(check (float 0.0)) "cover delta" 1e-7 cover.Solver.delta;
+  let searched = (snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.branches in
   let v, st = Solver.replay p ~bounds:bounds2 cover in
   expect_unsat "replayed corner" v;
   (* A visit reads a tree node or one half of a leaf's bisection. *)
   Alcotest.(check int) "every node visited" nodes
     (st.Solver.replay_nodes - (2 * st.Solver.replay_bisections));
   (* This query's margin is 1.4e-7: near the tangent point the forward and
-     mean-value tests close only boxes narrower than that, so many leaves
-     HC4 closed fall back to a search — and a replay that fell back
-     records no cover. *)
+     mean-value tests close only boxes narrower than that, so the leaves
+     HC4 closed stay open through their bisections and fall back, to HC4
+     contraction first; the searches of what it leaves are small. *)
   Alcotest.(check bool)
-    (Printf.sprintf "%d fallbacks after %d bisections" st.Solver.replay_fallbacks
-       st.Solver.replay_bisections)
+    (Printf.sprintf "%d fallbacks search %d boxes, < a quarter of the %d searched"
+       st.Solver.replay_fallbacks st.Solver.branches searched)
     true
-    (st.Solver.replay_fallbacks > 0 && st.Solver.replay_bisections > 0);
+    (st.Solver.branches < searched / 4);
   Alcotest.(check bool) "no refinement from a replay that fell back" true
     ((snd (Solver.replay ~record:true p ~bounds:bounds2 cover)).Solver.cover = None);
   Alcotest.(check bool) "no cover unless recorded" true
@@ -721,7 +722,7 @@ let test_refined_cover () =
     (Array.for_all
        (fun t ->
          Array.for_all
-           (fun node -> node = -4 || node land 3 >= 2 || (node land 3 = 0 && node >= 0))
+           (fun node -> node = -4 || node = 3 || (node land 3 = 0 && node >= 0))
            t.Solver.nodes)
        v4.Solver.trees);
   let check_v4 name p =
@@ -817,16 +818,15 @@ let prop_tampered_cover_never_hides_solutions =
       | Solver.Delta_sat _, _ -> true
       | v, _ -> QCheck.Test.fail_reportf "tampered cover answered %a" Solver.pp_verdict v)
 
-(* The same for a v4 cover and its own kinds: a leaf flipped between
-   forward and mean-value, a midpoint split turned into a leaf (its
-   subtrees dropped) or a leaf into a midpoint split over two forward
-   leaves, nodes cut or appended.  Every tamper but the append lands in
+(* The same for a v4 cover and its own kinds: a midpoint split turned
+   into a leaf (its subtrees dropped) or a leaf into a midpoint split over
+   two leaves, nodes cut or appended.  Every tamper but the append lands in
    the prefix the untampered check walks before it searches a box with
    solutions. *)
 let prop_tampered_v4_cover_never_hides_solutions =
   let sat_p = lazy (Solver.prepare ~vars:[ "x"; "y" ] (disk_beyond 1.41)) in
   QCheck.Test.make ~name:"tampered v4 cover never hides a solution" ~count:150
-    QCheck.(pair (int_range 0 4) (int_range 0 100_000))
+    QCheck.(pair (int_range 0 3) (int_range 0 100_000))
     (fun (kind, pos) ->
       let _, _, v4, _ = Lazy.force loose_corner in
       let sat_p = Lazy.force sat_p in
@@ -847,16 +847,13 @@ let prop_tampered_v4_cover_never_hides_solutions =
       let nodes =
         match kind with
         | 0 ->
-          let i = pick (fun n -> n land 3 >= 2) in
-          splice i (i + 1) [| nodes.(i) lxor 1 |]
-        | 1 ->
           let i = pick (fun n -> n = -4) in
           splice i (subtree_end nodes i) [| 3 |]
-        | 2 ->
+        | 1 ->
           let i = pick (fun n -> n land 3 <> 0) in
           splice i (i + 1) [| -4; 3; 3 |]
-        | 3 -> Array.sub nodes 0 (pos mod reach)
-        | _ -> Array.append nodes [| -4; 3; 2 |]
+        | 2 -> Array.sub nodes 0 (pos mod reach)
+        | _ -> Array.append nodes [| -4; 3; 3 |]
       in
       let tampered = { v4 with Solver.trees = [| { t with Solver.nodes } |] } in
       match Solver.replay sat_p ~bounds:bounds2 tampered with
