@@ -358,12 +358,12 @@ let check_cmd =
       Format.printf "%s@." (Checker.string_of_verdict verdict);
       Format.printf
         "  fingerprint %s@.  audit: condition (5) %.3fs, conditions (6,7) %.3fs, %d branches, \
-         total %.3fs@.  replay: %d nodes, %d fallbacks, %d bisections; leaves closed by %d \
-         forward sweeps, %d MVF@."
+         total %.3fs@.  replay: %d nodes, %d fallbacks; leaves closed by %d forward sweeps, %d \
+         MVF@."
         entry.Store.artifact.Artifact.fingerprint.Artifact.combined stats.Checker.cond5_time
         stats.Checker.cond67_time stats.Checker.branches stats.Checker.total_time
-        stats.Checker.replay_nodes stats.Checker.replay_fallbacks stats.Checker.bisections
-        stats.Checker.forward_leaves stats.Checker.mvf_leaves;
+        stats.Checker.replay_nodes stats.Checker.replay_fallbacks stats.Checker.forward_leaves
+        stats.Checker.mvf_leaves;
       let code = Checker.exit_code verdict in
       if code <> 0 then exit code
   in

@@ -105,8 +105,8 @@ type report = {
   cover : Solver.cover option;
       (** the recorded proof of the proved certificate's condition (5)
           ({!condition5_formula} over [safe_rect]), which
-          {!Solver.replay} checks; [None] for failures and for engines that
-          do not record one *)
+          {!Solver.refine} refines for export; [None] for failures and for
+          engines that do not record one *)
 }
 
 val condition5_formula : system -> config -> certificate -> Formula.t

@@ -112,7 +112,6 @@ let fingerprint ?network ?(plant = dubins_plant_id) system config =
   { fp with combined = combine fp }
 
 type t = {
-  version : int;
   fingerprint : fingerprint;
   plant : plant_id;
   template_kind : Template.kind;
@@ -133,7 +132,6 @@ let tool_version = "safebarrier-1.0.0"
 let make ~fingerprint ?(plant = dubins_plant_id) ~config ?cover ?(stats = [])
     (cert : Engine.certificate) =
   {
-    version = 4;
     fingerprint;
     plant;
     template_kind = Template.kind cert.Engine.template;
@@ -272,7 +270,7 @@ let unpack_points s =
 let to_string a =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "safebarrier-cert v%d" a.version;
+  line "safebarrier-cert v4";
   line "tool %s" a.tool;
   line "plant %s %s %s" a.plant.name a.plant.version a.plant.param_hash;
   line "nn-hash %s" a.fingerprint.nn_hash;
@@ -293,16 +291,8 @@ let to_string a =
       line "cover-delta %s" (hex c.Solver.delta);
       Array.iter
         (fun (t : Solver.tree) ->
-          if a.version >= 4 then begin
-            line "cover-nodes %s" (pack_nodes t.Solver.nodes);
-            line "cover-points %s" (pack_points t.Solver.points)
-          end
-          else begin
-            line "cover-nodes %s"
-              (String.concat " " (List.map string_of_int (Array.to_list t.Solver.nodes)));
-            line "cover-points %s"
-              (String.concat " " (List.map hex (Array.to_list t.Solver.points)))
-          end)
+          line "cover-nodes %s" (pack_nodes t.Solver.nodes);
+          line "cover-points %s" (pack_points t.Solver.points))
         c.Solver.trees)
     a.cover;
   List.iter (fun (k, v) -> line "stat %s %s" k v) a.stats;
@@ -321,17 +311,6 @@ let parse_floats s =
     | t :: rest ->
       let* f = parse_float t in
       go (f :: acc) rest
-  in
-  go [] toks
-
-let parse_ints s =
-  let toks = String.split_on_char ' ' s |> List.filter (fun t -> t <> "") in
-  let rec go acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | t :: rest -> (
-      match int_of_string_opt t with
-      | Some n -> go (n :: acc) rest
-      | None -> Error (Printf.sprintf "malformed integer %S" t))
   in
   go [] toks
 
@@ -414,10 +393,11 @@ let of_string s =
   let* x0_rect = Result.bind (find "x0-rect") parse_rect in
   let* safe_rect = Result.bind (find "safe-rect") parse_rect in
   let all key = List.filter_map (fun (k, v) -> if k = key then Some v else None) fields in
+  (* A v3 cover was never refined: it is not read, and the entry is
+     searched like a v2 one. *)
   let* cover =
-    match (version, List.assoc_opt "cover-delta" fields) with
-    | 2, _ | _, None -> Ok None
-    | _, Some delta_s ->
+    match List.assoc_opt "cover-delta" fields with
+    | Some delta_s when version = 4 ->
       let* delta = parse_float delta_s in
       let nodes = all "cover-nodes" and points = all "cover-points" in
       if List.length nodes <> List.length points then
@@ -427,17 +407,17 @@ let of_string s =
           List.fold_right2
             (fun n p acc ->
               let* acc = acc in
-              let* nodes = if version >= 4 then unpack_nodes n else parse_ints n in
-              let* points = if version >= 4 then unpack_points p else parse_floats p in
+              let* nodes = unpack_nodes n in
+              let* points = unpack_points p in
               Ok ({ Solver.nodes; points } :: acc))
             nodes points (Ok [])
         in
         Ok (Some { Solver.delta; trees = Array.of_list trees })
+    | _ -> Ok None
   in
   let stats = List.map split_kv (all "stat") in
   Ok
     {
-      version;
       fingerprint = { nn_hash; dynamics_hash; config_hash; plant_hash; combined };
       plant;
       template_kind;

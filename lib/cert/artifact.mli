@@ -85,7 +85,6 @@ val combine : fingerprint -> string
     detect component/address tampering. *)
 
 type t = {
-  version : int;  (** format version: 4 when written, 2 and 3 still read *)
   fingerprint : fingerprint;
   plant : plant_id;
   template_kind : Template.kind;
@@ -99,8 +98,9 @@ type t = {
   cover : Solver.cover option;
       (** the recorded proof of condition (5), which {!Checker.audit}
           replays; untrusted, like [stats] — a wrong cover costs the audit
-          time, never soundness.  [None] in v2 artifacts.  An export
-          refines it first ({!Checker.refine}) *)
+          time, never soundness.  An export refines it first
+          ({!Checker.refine}) and stores none when that fails.  [None] in
+          v2 and v3 artifacts *)
   stats : (string * string) list;
       (** free-form provenance (iteration counts, wall clock, …) — carried
           for humans and dashboards, never trusted by the checker *)
@@ -148,16 +148,13 @@ cover-nodes ...             disjunct 2, and so on
     then the [stat] lines and the checksum.  The nodes are zigzag LEB128
     varints and the points their IEEE bits, 8 bytes little-endian, both
     in unpadded base64 (RFC 4648 alphabet).  A node is [var lsl 2] for a
-    split of variable [var], [-4] for a midpoint split (no point), or [1] /
-    [2] / [3] for a leaf refuted by HC4 / the mean-value form / a forward
-    enclosure; every node kind takes one byte.  A refined cover has only
-    splits and leaves of kind [3]: its check runs the same test on every
-    leaf, whatever the leaf's kind.
+    split of variable [var], [-4] for a midpoint split (no point), or [3]
+    for a leaf; every node kind takes one byte.
 
-    v3 is v4 with the cover in decimal text: [cover-nodes] lists the node
-    ints and [cover-points] the hex points, space-separated.  v2 is v3
-    without the cover lines; it parses with [cover = None].  Each version
-    re-serializes byte-identically, and none enters the fingerprint. *)
+    Only v4 is written.  v3 (v4 with an unrefined cover in decimal text)
+    and v2 (no cover lines) still parse, with [cover = None]: a hit on
+    such an entry searches condition (5) whole at its δ.  No version
+    enters the fingerprint. *)
 
 val of_string : string -> (t, string) result
 (** Parse and validate.  [Error reason] covers checksum mismatch (any

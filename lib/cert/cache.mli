@@ -24,10 +24,11 @@
     Every fresh proof (warm or cold) is exported back into the store under
     the problem's fingerprint, so the next identical run is an exact
     hit.  The export refines the proof's condition (5) cover first
-    ({!Checker.refine}, under the same [budget]; a refinement the budget
-    stops keeps the search's cover), so that the audit of every later hit
-    checks the cover's leaves with one sweep each; the returned report
-    counts the refinement's seconds in [smt5_time] and [total_time]. *)
+    ({!Checker.refine}, under the same [budget]; a refinement that fails
+    or that the budget stops stores no cover), so that the audit of every
+    later hit checks the cover's leaves with one sweep each; the returned
+    report counts the refinement's seconds in [smt5_time] and
+    [total_time]. *)
 
 type source =
   | Cold

@@ -30,7 +30,6 @@ type stats = {
   replay_fallbacks : int;
   forward_leaves : int;
   mvf_leaves : int;
-  bisections : int;
   total_time : float;
 }
 
@@ -55,24 +54,20 @@ let condition5_query ~options ~(system : Engine.system) (a : Artifact.t) =
   ( rect_bounds system.Engine.vars a.Artifact.safe_rect,
     Engine.condition5_formula system config (Artifact.certificate a) )
 
-let refine ?(budget = Budget.unlimited) ~system (a : Artifact.t) =
+let refine ?budget ~system (a : Artifact.t) =
   match a.Artifact.cover with
   | None -> a
-  | Some cover -> (
+  | Some cover ->
     let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
     let bounds, formula = condition5_query ~options ~system a in
     let vars = List.map (fun (v, _, _) -> v) bounds in
-    match
-      Solver.replay ~budget ~record:true (Solver.prepare ~options ~vars formula) ~bounds cover
-    with
-    | Solver.Unsat, { Solver.cover = Some refined; _ } -> { a with Artifact.cover = Some refined }
-    | _ -> a)
+    let p = Solver.prepare ~options ~vars formula in
+    { a with Artifact.cover = Solver.refine ?budget p ~bounds cover }
 
 let c_replay_nodes = Obs.Metrics.counter "checker.replay_nodes"
 let c_replay_fallbacks = Obs.Metrics.counter "checker.replay_fallbacks"
 let c_forward_leaves = Obs.Metrics.counter "checker.forward_leaves"
 let c_mvf_leaves = Obs.Metrics.counter "checker.mvf_leaves"
-let c_bisections = Obs.Metrics.counter "checker.bisections"
 
 let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
     ~(system : Engine.system) (a : Artifact.t) =
@@ -80,7 +75,7 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
   let t_start = Timing.now () in
   let acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 and branches = ref 0 in
   let replay_nodes = ref 0 and replay_fallbacks = ref 0 in
-  let forward_leaves = ref 0 and mvf_leaves = ref 0 and bisections = ref 0 in
+  let forward_leaves = ref 0 and mvf_leaves = ref 0 in
   let finish verdict =
     ( verdict,
       {
@@ -93,7 +88,6 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
         replay_fallbacks = !replay_fallbacks;
         forward_leaves = !forward_leaves;
         mvf_leaves = !mvf_leaves;
-        bisections = !bisections;
         total_time = Timing.now () -. t_start;
       } )
   in
@@ -101,8 +95,8 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
   let options = { Solver.default_options with Solver.delta = a.Artifact.delta; engine } in
   (* The audit decides each condition once, at the δ the proof was accepted
      at; Unsat is the only certifying answer.  A query with a recorded
-     [cover] replays it (searching, at the cover's δ, only what the replay
-     cannot close). *)
+     [cover] replays it (searching a disjunct whole, at the cover's δ, only
+     where the replay cannot close a leaf). *)
   let decide ?cover ~condition ~acc ~bounds formula k =
     let (verdict, st), dt =
       Timing.time (fun () ->
@@ -121,12 +115,10 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
     replay_fallbacks := !replay_fallbacks + st.Solver.replay_fallbacks;
     forward_leaves := !forward_leaves + st.Solver.replay_forward;
     mvf_leaves := !mvf_leaves + st.Solver.replay_mvf;
-    bisections := !bisections + st.Solver.replay_bisections;
     Obs.Metrics.add c_replay_nodes st.Solver.replay_nodes;
     Obs.Metrics.add c_replay_fallbacks st.Solver.replay_fallbacks;
     Obs.Metrics.add c_forward_leaves st.Solver.replay_forward;
     Obs.Metrics.add c_mvf_leaves st.Solver.replay_mvf;
-    Obs.Metrics.add c_bisections st.Solver.replay_bisections;
     match verdict with
     | Solver.Unsat -> k ()
     | Solver.Delta_sat witness -> reject (Condition_refuted { condition; witness })

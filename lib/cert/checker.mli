@@ -13,15 +13,14 @@
 
     Condition (5) is checked against the artifact's recorded cover when
     it has one ({!Solver.replay}): splits tile the query box by
-    construction, and each leaf of a v4 cover ({!refine}) closes with
-    one forward sweep or the mean-value form on its own box, so the check
-    evaluates and never contracts.  A v3 cover's leaves are bisected
-    until those tests close them, and whatever stays open after a few
-    bisections falls back to HC4 contraction and a fresh search at the
-    cover's δ.  The cover is untrusted — a wrong one costs
-    search time, never a wrong [Certified] — so it does not enlarge the
-    trust boundary.  v2 artifacts, which have no cover, are searched
-    whole at their δ.
+    construction, and each leaf of a refined cover ({!refine}) closes
+    with one forward sweep or the mean-value form on its own box, so the
+    check evaluates and never contracts.  At a leaf those tests leave
+    open, or a split that does not fit its box, the check searches that
+    disjunct whole at the cover's δ.  The cover is untrusted — a wrong
+    one costs search time, never a wrong [Certified] — so it does not
+    enlarge the trust boundary.  Artifacts without a cover (v2 and v3
+    entries among them) are searched whole at their δ.
 
     Passing [engine = Solver.Tree_eval] swaps in the tree-walking
     evaluation engine as a {e diversity} backend, so the audit does not even
@@ -66,13 +65,10 @@ type stats = {
           cover nodes *)
   replay_nodes : int;  (** condition (5) cover nodes visited *)
   replay_fallbacks : int;
-      (** boxes the condition (5) replay had to search; 0 when the cover
-          closes every leaf *)
+      (** condition (5) disjuncts the replay searched whole; 0 when the
+          cover closes every leaf *)
   forward_leaves : int;  (** condition (5) leaves closed by a forward sweep *)
   mvf_leaves : int;  (** condition (5) leaves closed by the mean-value form *)
-  bisections : int;
-      (** bisections the condition (5) replay made of leaves its tests did
-          not close; 0 for a v4 cover *)
   total_time : float;
 }
 
@@ -90,8 +86,8 @@ val audit :
     [engine] defaults to [Tape_eval]; [budget] defaults to unlimited.
 
     The replay counts are also added to the [checker.replay_nodes],
-    [checker.replay_fallbacks], [checker.forward_leaves],
-    [checker.mvf_leaves] and [checker.bisections] metric counters.
+    [checker.replay_fallbacks], [checker.forward_leaves] and
+    [checker.mvf_leaves] metric counters.
 
     The re-proofs run at [jobs = 1] on purpose, whatever the caller's
     [jobs]: the audit's main caller is a serve worker handling a store
@@ -99,14 +95,14 @@ val audit :
     search per hit would only contend with them. *)
 
 val refine : ?budget:Budget.t -> system:Engine.system -> Artifact.t -> Artifact.t
-(** [refine ~system a] replaces [a]'s condition (5) cover by its v4
-    refinement ({!Solver.replay} under [~record:true], on the query
-    {!audit} poses), so that an audit of the result checks every leaf with
-    one sweep.  [a] is returned unchanged when it has no cover, when its
-    cover needed a fallback (a refuted certificate, or a leaf the tests
-    did not close within its bisection budget), or when [budget] (default
-    unlimited) stops the refinement.  Call it on an artifact bound to
-    [system]; it checks nothing else. *)
+(** [refine ~system a] replaces [a]'s condition (5) cover by its
+    refinement ({!Solver.refine}, on the query {!audit} poses), so that an
+    audit of the result checks every leaf with one sweep.  When the
+    refinement fails — a leaf the tests do not close within its bisection
+    budget, a cover that does not fit, or a stop by [budget] (default
+    unlimited) — the result has no cover, and an audit searches condition
+    (5) whole.  [a] is returned unchanged when it has no cover.  Call it
+    on an artifact bound to [system]; it checks nothing else. *)
 
 val exit_code : verdict -> int
 (** 0 for [Certified], 1 for any rejection — the [check] subcommand's

@@ -18,7 +18,6 @@ type stats = {
   replay_fallbacks : int;
   replay_forward : int;
   replay_mvf : int;
-  replay_bisections : int;
   elapsed : float;
   interrupted : Budget.stop option;
   cover : cover option;
@@ -43,27 +42,18 @@ let default_options =
     steal_seed = 0;
   }
 
-(* Cover node kinds, in the low two bits of a node (the variable of a
-   split sits above them).  The search's child pre-filter is a forward
-   enclosure test, so its leaves are forward leaves. *)
-let kind_split = 0
-let kind_hc4 = 1
-let kind_mvf = 2
-let kind_forward = 3
-
-(* A refined (v4) cover files every leaf under this one kind: the check
-   runs the same test on every leaf, whatever its kind. *)
-let kind_leaf = kind_forward
-
-(* A split of variable -1: bisect the widest variable at its midpoint,
-   with no recorded point. *)
+(* Cover nodes: a split has its variable above two zero low bits
+   ([var lsl 2]); the split of variable -1 bisects the widest variable at
+   its midpoint, with no recorded point; every leaf is the one node 3. *)
+let is_split node = node land 3 = 0
 let node_midpoint = -1 lsl 2
+let node_leaf = 3
 
 (* How one box of a recording search ended, under the slot the box was
    given when its parent split (the root's slot is 0).  A split names its
    children's slots, so the preorder tree can be rebuilt however the
    drivers interleaved the boxes. *)
-type record = Leaf of int | Split of int * float * int * int  (* var, point, left, right *)
+type record = Leaf | Split of int * float * int * int  (* var, point, left, right *)
 
 type search_state = {
   mutable branches : int;
@@ -78,7 +68,6 @@ type search_state = {
   mutable replay_fallbacks : int;
   mutable replay_forward : int;
   mutable replay_mvf : int;
-  mutable replay_bisections : int;
   mutable records : (int * record) list;
 }
 
@@ -96,7 +85,6 @@ let fresh_state () =
     replay_fallbacks = 0;
     replay_forward = 0;
     replay_mvf = 0;
-    replay_bisections = 0;
     records = [];
   }
 
@@ -196,9 +184,9 @@ exception Pruned
 let fixpoint_ratio = 0.9
 
 (* Contract [domains] in place by rounds of HC4 [revise] over every atom,
-   at most [max_rounds], while a round still pays (see [fixpoint_ratio]);
-   raises Pruned on emptiness. *)
-let contract ?(max_rounds = 10) st domains rts =
+   at most 10, while a round still pays (see [fixpoint_ratio]); raises
+   Pruned on emptiness. *)
+let contract st domains rts =
   let rec round k =
     let start = Array.map Interval.width domains in
     List.iter
@@ -212,7 +200,7 @@ let contract ?(max_rounds = 10) st domains rts =
     Array.iteri
       (fun i d -> if Interval.width d < fixpoint_ratio *. start.(i) then paid := true)
       domains;
-    if !paid && k < max_rounds then round (k + 1)
+    if !paid && k < 10 then round (k + 1)
   in
   round 1
 
@@ -412,7 +400,7 @@ let make_stepper q st rts =
         rts;
       let drop c =
         st.prunes <- st.prunes + 1;
-        record c.slot (Leaf kind_forward)
+        record c.slot Leaf
       in
       if not !keep1 then drop c1;
       if not !keep2 then drop c2;
@@ -431,7 +419,7 @@ let make_stepper q st rts =
     match contract st domains rts with
     | exception Pruned ->
       st.prunes <- st.prunes + 1;
-      record box.slot (Leaf kind_hc4);
+      record box.slot Leaf;
       Step_pruned
     | () ->
       let mid = Array.map Interval.midpoint domains in
@@ -439,7 +427,7 @@ let make_stepper q st rts =
       if List.exists (fun (_, ev) -> ev.refuted) evals then begin
         st.prunes <- st.prunes + 1;
         st.mvf_prunes <- st.mvf_prunes + 1;
-        record box.slot (Leaf kind_mvf);
+        record box.slot Leaf;
         Step_pruned
       end
       else if List.for_all (fun (_, ev) -> ev.holds) evals then Step_witness mid
@@ -806,9 +794,9 @@ let build_tree ~n_slots records =
   let rec emit slot =
     match table.(slot) with
     | None -> failwith "Solver: a box of an Unsat search left no cover record"
-    | Some (Leaf kind) -> nodes := kind :: !nodes
+    | Some Leaf -> nodes := node_leaf :: !nodes
     | Some (Split (var, point, left, right)) ->
-      nodes := (var lsl 2) lor kind_split :: !nodes;
+      nodes := (var lsl 2) :: !nodes;
       points := point :: !points;
       emit left;
       emit right
@@ -816,16 +804,17 @@ let build_tree ~n_slots records =
   emit 0;
   { nodes = Array.of_list (List.rev !nodes); points = Array.of_list (List.rev !points) }
 
-(* Exactly one preorder tree, with one point per split at a recorded
-   point (a midpoint split has none). *)
+(* Exactly one preorder tree of splits and leaves, with one point per
+   split at a recorded point (a midpoint split has none). *)
 let well_formed t =
   let open_slots = ref 1 and points = ref 0 in
   Array.for_all
     (fun node ->
       !open_slots > 0
+      && (is_split node || node = node_leaf)
       && begin
         decr open_slots;
-        if node land 3 = kind_split then begin
+        if is_split node then begin
           open_slots := !open_slots + 2;
           if node <> node_midpoint then incr points
         end;
@@ -835,20 +824,10 @@ let well_formed t =
   && !open_slots = 0
   && !points = Array.length t.points
 
-exception Refuted of verdict
+exception Open
 
-(* Nodes the bisection of one leaf may visit before the leaf falls back.
-   A check spends few: HC4 closes most leaves of a v3 cover that the
-   forward and mean-value tests leave open.  A refinement spends more,
-   since one fallback leaves it no v4 cover, and after that first
-   fallback it is only a check. *)
-let check_budget = 32
-let refine_budget = 256
-
-(* HC4 rounds a fallback spends on its box before it searches. *)
-let fallback_rounds = 50
-
-exception Leaf_open
+(* Nodes a refinement may visit bisecting one leaf. *)
+let leaf_budget = 256
 
 (* The widest variable of a box and its midpoint, when the midpoint lies
    strictly inside the variable's interval (a degenerate width has none). *)
@@ -861,41 +840,28 @@ let midpoint_split domains =
   let m = Interval.midpoint d in
   if Interval.lo d < m && m < Interval.hi d then Some (!var, m) else None
 
-(* Check one disjunct's recorded tree; under [record], also return the tree
-   the check closed, which is the refined (v4) tree.  One walker serves
-   every cover version:
+(* Walk one disjunct's recorded tree from the query box [dom]:
    - a split bisects the box at its recorded point, which must lie
      strictly inside the variable's interval, so the children tile the
      parent by construction; a midpoint split bisects the widest variable
      at its midpoint;
-   - a leaf of any kind runs one test: the forward enclosure of each atom,
-     cheapest first, then the mean-value form.  The check does not read
-     the leaf's recorded kind.
-   A leaf the test does not close is bisected at the midpoint of its
-   widest variable, and each half is tested the same way, until the
-   leaf's budget of nodes is spent; recording files those bisections as
-   midpoint splits and every closed box as a leaf, so a v4 leaf closes
-   where it stands.  A leaf still open after its budget, a split that does
-   not fit its box, and a tree that is not well formed fall back: HC4
-   contraction of that box, then the search of what it leaves, at the
-   query's δ.  Every visited node counts against the branch bound and the
-   budget.  Only a fallback calls HC4. *)
-let replay_conjunction ~record q st names make_rts initial tree =
-  let rts = make_rts () in
+   - a leaf closes when the forward enclosure of an atom, cheapest first,
+     excludes the atom, or else the mean-value form does: either is a
+     sound refutation of the leaf's box.
+   The walk has one branch point: a leaf neither test closes, a split that
+   does not fit its box, or a tree that is not well formed.  A check
+   raises [Open] there.  A refinement ([refine]) bisects such a leaf at
+   the midpoint of its widest variable and tests each half the same way,
+   for at most [leaf_budget] nodes, and raises [Open] only at a leaf still
+   open then or at a misfit; it returns the tree it closed, with those
+   bisections as midpoint splits, so every leaf of that tree closes where
+   it stands.  Every visited node counts against the branch bound and the
+   budget.  The walk never calls HC4. *)
+let walk_tree ~refine q st rts dom tree =
   let by_cost = List.stable_sort (fun a b -> compare a.size b.size) rts in
   let with_mvf = List.filter (fun rt -> rt.n_partials > 0) by_cost in
   let nodes_out = ref [] and points_out = ref [] in
-  let emit node = if record then nodes_out := node :: !nodes_out in
-  let fall_back box =
-    st.replay_fallbacks <- st.replay_fallbacks + 1;
-    let box = Array.copy box in
-    match contract ~max_rounds:fallback_rounds st box rts with
-    | exception Pruned -> ()
-    | () -> (
-      match solve_conjunction_par q st names make_rts { dom = box; depth = 0; slot = -1 } with
-      | Unsat -> ()
-      | v -> raise (Refuted v))
-  in
+  let emit node = if refine then nodes_out := node :: !nodes_out in
   (* The forward enclosure of each atom, cheapest first, then the
      mean-value form of each atom with partials, whose sweep continues
      that atom's forward sweep: each tape slot is swept at most once. *)
@@ -933,15 +899,13 @@ let replay_conjunction ~record q st names make_rts initial tree =
     (half (Interval.lo domains.(var)) m, half m (Interval.hi domains.(var)))
   in
   let close_leaf domains =
-    let budget = if record && st.replay_fallbacks = 0 then refine_budget else check_budget in
     let spent = ref 0 in
     let rec close domains =
-      if leaf_test domains then emit kind_leaf
+      if leaf_test domains then emit node_leaf
       else
-        match if !spent < budget then midpoint_split domains else None with
-        | None -> raise_notrace Leaf_open
+        match if refine && !spent < leaf_budget then midpoint_split domains else None with
+        | None -> raise_notrace Open
         | Some (var, m) ->
-          st.replay_bisections <- st.replay_bisections + 1;
           spent := !spent + 2;
           emit node_midpoint;
           let left, right = halves domains var m in
@@ -950,26 +914,14 @@ let replay_conjunction ~record q st names make_rts initial tree =
           close left;
           close right
     in
-    match close domains with () -> () | exception Leaf_open -> fall_back domains
+    close domains
   in
   let pos = ref 0 and point = ref 0 in
-  let next () =
-    let node = tree.nodes.(!pos) in
-    incr pos;
-    node
-  in
-  let rec skip () =
-    let node = next () in
-    if node land 3 = kind_split then begin
-      if node <> node_midpoint then incr point;
-      skip ();
-      skip ()
-    end
-  in
   let rec walk domains =
     visit ();
-    let node = next () in
-    if node land 3 <> kind_split then close_leaf domains
+    let node = tree.nodes.(!pos) in
+    incr pos;
+    if node = node_leaf then close_leaf domains
     else begin
       let split =
         if node = node_midpoint then midpoint_split domains
@@ -983,25 +935,18 @@ let replay_conjunction ~record q st names make_rts initial tree =
         end
       in
       match split with
+      | None -> raise_notrace Open
       | Some (var, m) ->
         emit node;
-        if record && node <> node_midpoint then points_out := m :: !points_out;
+        if refine && node <> node_midpoint then points_out := m :: !points_out;
         let left, right = halves domains var m in
         walk left;
         walk right
-      | None ->
-        skip ();
-        skip ();
-        fall_back domains
     end
   in
-  let verdict =
-    match if well_formed tree then walk (Array.copy initial.dom) else fall_back initial.dom with
-    | () -> Unsat
-    | exception Refuted v -> v
-  in
-  ( verdict,
-    { nodes = Array.of_list (List.rev !nodes_out); points = Array.of_list (List.rev !points_out) } )
+  if not (well_formed tree) then raise_notrace Open;
+  walk dom;
+  { nodes = Array.of_list (List.rev !nodes_out); points = Array.of_list (List.rev !points_out) }
 
 (* Counters are bumped once per query with the merged totals (not inside
    the branch loop), so the numbers are identical across job counts. *)
@@ -1021,10 +966,10 @@ let resolve_options p = function
       invalid_arg "Solver.solve_prepared: engine differs from prepare-time engine";
     o
 
-(* What [solve_prepared] and [replay] share: bounds validation, the loop
-   over the disjuncts ([decide q st i make_rts initial] decides disjunct
-   [i]), the counters and the stats.  [cover q] is the proof of an Unsat
-   answer, when one was recorded. *)
+(* What [solve_prepared], [replay] and [refine] share: bounds validation,
+   the loop over the disjuncts ([decide q st i make_rts initial] decides
+   disjunct [i]), the counters and the stats.  [cover q] is the proof of
+   an Unsat answer, when one was recorded. *)
 let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide =
   let t0 = Timing.now () in
   let st = fresh_state () in
@@ -1091,7 +1036,6 @@ let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide
       replay_fallbacks = st.replay_fallbacks;
       replay_forward = st.replay_forward;
       replay_mvf = st.replay_mvf;
-      replay_bisections = st.replay_bisections;
       elapsed = Float.max 0.0 (Timing.now () -. t0);
       interrupted = !interrupted;
       cover = (match verdict with Unsat -> cover q | Delta_sat _ | Unknown -> None);
@@ -1124,7 +1068,7 @@ let solve_prepared ?options ?(budget = Budget.unlimited) ?spurious ?(record = fa
   in
   run_query ~opts:(resolve_options p options) ~budget ?spurious ~cover p ~bounds decide
 
-let replay ?options ?(budget = Budget.unlimited) ?(record = false) p ~bounds (cover : cover) =
+let replay ?options ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
   Obs.Trace.with_span "solver.replay" @@ fun () ->
   let opts = resolve_options p options in
   let opts =
@@ -1132,32 +1076,31 @@ let replay ?options ?(budget = Budget.unlimited) ?(record = false) p ~bounds (co
     else opts
   in
   let matched = Array.length cover.trees = List.length p.p_disjuncts in
-  (* A recording is a cover only when no box fell back to a search, which
-     files nothing. *)
-  let refined = ref [] and clean = ref matched in
   let decide q st i make_rts initial =
-    let verdict =
-      if matched then begin
-        let verdict, tree =
-          replay_conjunction ~record q st p.p_names make_rts initial cover.trees.(i)
-        in
-        refined := tree :: !refined;
-        verdict
-      end
-      else begin
-        st.replay_fallbacks <- st.replay_fallbacks + 1;
-        solve_conjunction_par q st p.p_names make_rts initial
-      end
-    in
-    if st.replay_fallbacks > 0 then clean := false;
-    verdict
+    match
+      if not matched then raise_notrace Open;
+      walk_tree ~refine:false q st (make_rts ()) initial.dom cover.trees.(i)
+    with
+    | (_ : tree) -> Unsat
+    | exception Open ->
+      st.replay_fallbacks <- st.replay_fallbacks + 1;
+      solve_conjunction_par q st p.p_names make_rts initial
   in
-  let cover q =
-    if record && !clean then
-      Some { delta = q.deltas.(0); trees = Array.of_list (List.rev !refined) }
-    else None
+  run_query ~opts ~budget ~cover:(fun _ -> None) p ~bounds decide
+
+let refine ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
+  Obs.Trace.with_span "solver.refine" @@ fun () ->
+  let trees = ref [] in
+  let decide q st i make_rts initial =
+    trees := walk_tree ~refine:true q st (make_rts ()) initial.dom cover.trees.(i) :: !trees;
+    Unsat
   in
-  run_query ~opts ~budget ~cover p ~bounds decide
+  let refined _ = Some { cover with trees = Array.of_list (List.rev !trees) } in
+  if Array.length cover.trees <> List.length p.p_disjuncts then None
+  else
+    match run_query ~opts:p.p_options ~budget ~cover:refined p ~bounds decide with
+    | _, stats -> stats.cover
+    | exception Open -> None
 
 let solve ?(options = default_options) ?(budget = Budget.unlimited) ~bounds formula =
   let vars = List.map (fun (n, _, _) -> n) bounds in

@@ -21,8 +21,9 @@
     mean-value-form prune and certainly-true tests and the smear choice of
     the variable to bisect.
 
-    An Unsat search can record its proof, a {!cover}, and {!replay} checks
-    a recorded cover far more cheaply than the search that found it. *)
+    An Unsat search can record its proof, a {!cover}; {!refine} turns it
+    into a cover whose every leaf closes where it stands, and {!replay}
+    checks such a cover far more cheaply than the search that found it. *)
 
 type verdict =
   | Unsat
@@ -32,22 +33,18 @@ type verdict =
 (** {1 Covers}
 
     The proof of an Unsat answer: per DNF disjunct, a bisection tree of
-    the query box in preorder.  Each node is one int whose low two bits
-    are its kind — [0] a split, with the split variable's index in the
-    bits above ([var lsl 2]); [1] a leaf emptied by HC4 contraction; [2]
-    a leaf excluded by the mean-value form; [3] a leaf excluded by the
-    forward enclosure of an atom.  A split is followed by its left
-    subtree, then its right one, and takes its point from [points], in the
-    same order.  The split of variable [-1] ([-4]) is a {e midpoint
-    split}: it bisects the widest variable at its midpoint and has no
-    point.
+    the query box in preorder.  Each node is one int: a split of variable
+    [var] is [var lsl 2], and every leaf is [3].  A split is followed by
+    its left subtree, then its right one, and takes its point from
+    [points], in the same order.  The split of variable [-1] ([-4]) is a
+    {e midpoint split}: it bisects the widest variable at its midpoint and
+    has no point.
 
-    A search records splits at points and leaves of kinds 1–3 (its child
-    pre-filter is a forward test) — the v3 cover.  {!replay} under
-    [~record:true] refines it into a v4 cover: midpoint splits, and leaves
-    all of kind [3], each of which closes on its own box with one
-    sweep.  The packed layout keeps a cover pointer-free and
-    cheap to store. *)
+    A search records splits at points and leaves its own search closed,
+    some of them by HC4 contraction.  {!refine} turns that into a {e
+    refined} cover: it adds midpoint splits until each leaf closes on its
+    own box with one forward sweep or the mean-value form.  The packed
+    layout keeps a cover pointer-free and cheap to store. *)
 
 type tree = { nodes : int array; points : float array }
 
@@ -77,14 +74,10 @@ type stats = {
   refinements : int;  (** δ refinements made for [?spurious] witnesses *)
   replay_nodes : int;  (** cover nodes visited by {!replay} (0 for a search) *)
   replay_fallbacks : int;
-      (** boxes {!replay} had to search: leaves still open after
-          bisection, splits that do not fit their box, and malformed or
-          mismatched trees *)
+      (** disjuncts {!replay} searched whole: at an open leaf, a split
+          that does not fit its box, or a malformed or mismatched tree *)
   replay_forward : int;  (** leaves {!replay} closed by a forward enclosure *)
   replay_mvf : int;  (** leaves {!replay} closed by the mean-value form *)
-  replay_bisections : int;
-      (** bisections {!replay} made of leaves its tests did not close
-          (0 for a v4 cover) *)
   elapsed : float;  (** seconds *)
   interrupted : Budget.stop option;
       (** [Some stop] iff the search was cut short by the per-call branch
@@ -157,8 +150,8 @@ val solve :
     (validation, DNF expansion, symbolic partials, tape compilation) and
     the numeric search over a concrete box.  Callers that decide the same
     formula over many different bounds — level-search bisections — can
-    split them to pay preparation once, and {!replay} takes the prepared
-    form too. *)
+    split them to pay preparation once, and {!replay} and {!refine} take
+    the prepared form too. *)
 
 type prepared
 (** Immutable compiled form of one formula against a fixed variable order;
@@ -202,7 +195,6 @@ val solve_prepared :
 val replay :
   ?options:options ->
   ?budget:Budget.t ->
-  ?record:bool ->
   prepared ->
   bounds:(string * float * float) list ->
   cover ->
@@ -215,34 +207,36 @@ val replay :
       inside the variable's interval, so the two children tile their
       parent by construction; a midpoint split bisects the widest
       variable at its midpoint, which must lie strictly inside too;
-    - a leaf, whatever its recorded kind, is closed when the forward
-      enclosure of an atom (cheapest atom first) excludes the atom's
-      target, or else when the mean-value form excludes an atom
-      ([stats.replay_forward], [stats.replay_mvf]).  A leaf neither closes
-      — a v3 leaf, whose box is wider than the one the search contracted
-      — is bisected at the midpoint of its widest variable, and each half
-      tried again ([stats.replay_bisections]), until the leaf has spent a
-      fixed budget of nodes: 32 in a check, 256 in a refinement until its
-      first fallback.
+    - a leaf is closed when the forward enclosure of an atom (cheapest
+      atom first) excludes the atom's target, or else when the mean-value
+      form excludes an atom ([stats.replay_forward], [stats.replay_mvf]).
 
-    A leaf still open after its budget, a split that does not fit its
-    box, a tree that is not exactly one preorder tree with one point per
-    recorded split, and a tree count that differs from the disjunct count
-    fall back ([stats.replay_fallbacks]): HC4 contraction of that box,
-    then the search of what contraction leaves.  The fallback searches run
-    at the cover's δ when it is finite and positive (else at
+    The check never bisects.  At the first leaf neither test closes, the
+    first split that does not fit its box, a tree that is not exactly one
+    preorder tree of splits and leaves with one point per recorded split,
+    or a tree count that differs from the disjunct count, it drops the
+    walk and searches that disjunct whole ([stats.replay_fallbacks]), at
+    the cover's δ when it is finite and positive (else at
     [options.delta]).  Every visited node counts against [max_branches]
-    and [budget] ([stats.replay_nodes]).  Only a fallback calls HC4.
+    and [budget] ([stats.replay_nodes]).  Only a search calls HC4.
 
-    [record] (default [false]) makes an Unsat answer that needed no
-    fallback carry the refined v4 cover in [stats.cover]: the tree the
-    walk closed, with its bisections as midpoint splits.  Replaying that
-    cover closes every leaf where it stands.
-
-    The cover is untrusted and cannot weaken the answer: every box of the
-    query box ends in a sound refutation or in a search, so Unsat is
+    The cover is untrusted and cannot weaken the answer: every leaf ends
+    in a sound refutation, or its disjunct is searched, so Unsat is
     exactly as sound as the search's, and a tampered cover can only cost
-    time.  A witness of a fallback search is returned as [Delta_sat]. *)
+    time.  A witness of that search is returned as [Delta_sat]. *)
+
+val refine :
+  ?budget:Budget.t -> prepared -> bounds:(string * float * float) list -> cover -> cover option
+(** [refine p ~bounds cover] walks [cover] as {!replay} does, but where
+    the check would search, it bisects the open leaf at the midpoint of
+    its widest variable and tests each half, up to a fixed budget of 256
+    nodes per leaf.  It returns the cover the walk closed, with those
+    bisections as midpoint splits, so {!replay} closes every leaf of it
+    where it stands; refining such a cover returns it unchanged.  It
+    returns [None] at the first leaf still open after its budget, at the
+    first split that does not fit its box, for a malformed or mismatched
+    tree, and when [budget] (default unlimited) or [max_branches] stops
+    it.  It never searches. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

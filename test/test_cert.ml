@@ -44,6 +44,11 @@ let check_verdict =
     (fun ppf v -> Format.pp_print_string ppf (Checker.string_of_verdict v))
     ( = )
 
+let write_raw path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 let contains ~sub s =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -154,15 +159,12 @@ let bits_equal a b =
 (* The cover a fresh export stores: [artifact ()]'s, refined. *)
 let refined_artifact = lazy (Checker.refine ~system (artifact ()))
 
-(* Serialization is bit-exact for either cover encoding. *)
-let check_roundtrip ~version (a : Artifact.t) =
+(* Serialization is bit-exact, the packed cover included. *)
+let check_roundtrip (a : Artifact.t) =
   let s = Artifact.to_string a in
-  Alcotest.(check bool)
-    (Printf.sprintf "v%d header" version)
-    true
-    (contains ~sub:(Printf.sprintf "safebarrier-cert v%d\n" version) s);
+  Alcotest.(check bool) "v4 header" true (String.starts_with ~prefix:"safebarrier-cert v4\n" s);
   match Artifact.of_string s with
-  | Error e -> Alcotest.failf "v%d parse failed: %s" version e
+  | Error e -> Alcotest.failf "v4 parse failed: %s" e
   | Ok b ->
     Alcotest.(check string) "text round-trips byte for byte" s (Artifact.to_string b);
     let c = cover_of a and c' = cover_of b in
@@ -176,13 +178,48 @@ let check_roundtrip ~version (a : Artifact.t) =
         Alcotest.(check bool) "point bits" true (bits_equal t.Solver.points t'.Solver.points))
       c.Solver.trees
 
-let test_v3_roundtrip () = check_roundtrip ~version:3 { (artifact ()) with Artifact.version = 3 }
+(* [text] hand-sealed: each line replaced by the lines [f] maps it to, and
+   the checksum recomputed. *)
+let reseal f text =
+  let body =
+    String.concat ""
+      (List.concat_map
+         (fun l ->
+           if l = "" || String.starts_with ~prefix:"checksum " l then []
+           else List.map (fun l -> l ^ "\n") (f l))
+         (String.split_on_char '\n' text))
+  in
+  body ^ "checksum " ^ Digest.to_hex (Digest.string body) ^ "\n"
+
+(* [a] as a store written before v4 would hold it: a [version] header
+   and, for v3, [a]'s cover in decimal text. *)
+let legacy_text ~version (a : Artifact.t) =
+  let cover_lines =
+    match (version, a.Artifact.cover) with
+    | 3, Some c ->
+      Printf.sprintf "cover-delta %h" c.Solver.delta
+      :: List.concat_map
+           (fun (t : Solver.tree) ->
+             [
+               "cover-nodes "
+               ^ String.concat " " (List.map string_of_int (Array.to_list t.Solver.nodes));
+               "cover-points "
+               ^ String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list t.Solver.points));
+             ])
+           (Array.to_list c.Solver.trees)
+    | _ -> []
+  in
+  reseal
+    (fun l ->
+      if l = "safebarrier-cert v4" then [ Printf.sprintf "safebarrier-cert v%d" version ]
+      else if String.starts_with ~prefix:"safe-rect " l then l :: cover_lines
+      else [ l ])
+    (Artifact.to_string { a with Artifact.cover = None })
 
 (* A v4 artifact packs its refined cover: every node kind, midpoint splits
    (-4) included, and the split points survive bit for bit. *)
 let test_v4_roundtrip () =
   let a = Lazy.force refined_artifact in
-  Alcotest.(check int) "written as v4" 4 a.Artifact.version;
   let nodes =
     Array.concat (List.map (fun t -> t.Solver.nodes) (Array.to_list (cover_of a).Solver.trees))
   in
@@ -194,75 +231,89 @@ let test_v4_roundtrip () =
       ("recorded splits", fun n -> n >= 0 && n land 3 = 0);
       ("leaves", fun n -> n = 3);
     ];
-  check_roundtrip ~version:4 a;
-  let packed = String.length (Artifact.to_string a)
-  and text = String.length (Artifact.to_string { a with Artifact.version = 3 }) in
-  Alcotest.(check bool) (Printf.sprintf "packed %d bytes < text %d" packed text) true (packed < text);
+  check_roundtrip a;
   (* A packed cover that does not decode is a parse error, not a cover:
      re-sealed with a character base64 lacks, the nodes line fails. *)
-  let body =
-    String.concat ""
-      (List.filter_map
-         (fun l ->
-           if l = "" || String.starts_with ~prefix:"checksum " l then None
-           else if String.starts_with ~prefix:"cover-nodes " l then Some (l ^ "!\n")
-           else Some (l ^ "\n"))
-         (String.split_on_char '\n' (Artifact.to_string a)))
+  let broken =
+    reseal
+      (fun l -> if String.starts_with ~prefix:"cover-nodes " l then [ l ^ "!" ] else [ l ])
+      (Artifact.to_string a)
   in
-  match Artifact.of_string (body ^ "checksum " ^ Digest.to_hex (Digest.string body) ^ "\n") with
+  match Artifact.of_string broken with
   | Error e -> Alcotest.(check bool) ("rejected: " ^ e) true (contains ~sub:"base64" e)
   | Ok _ -> Alcotest.fail "a malformed packed cover must not parse"
 
-(* Stores written before covers existed keep serving hits: a v2 entry is
-   audited by search. *)
-let test_v2_serves_hit () =
+(* Stores written before v4 keep serving hits: a v2 entry (no cover) and
+   a v3 entry (a cover the search recorded, never refined) parse without
+   a cover, and their audit searches condition (5) whole. *)
+let test_legacy_serves_hit ~version () =
   let root = fresh_store () in
-  let v2 = { (artifact ()) with Artifact.version = 2; cover = None } in
-  let text = Artifact.to_string v2 in
-  Alcotest.(check bool) "v2 header" true (contains ~sub:"safebarrier-cert v2" text);
-  Alcotest.(check bool) "no cover lines" false (contains ~sub:"cover" text);
-  ignore (Store.save ~root ~network v2 : string);
+  let a = artifact () in
+  let dir = Store.save ~root ~network a in
+  let text = legacy_text ~version a in
+  Alcotest.(check bool)
+    (Printf.sprintf "v%d header" version)
+    true
+    (String.starts_with ~prefix:(Printf.sprintf "safebarrier-cert v%d\n" version) text);
+  Alcotest.(check bool) "cover lines" (version = 3) (contains ~sub:"\ncover-nodes " text);
+  write_raw (Filename.concat dir Store.cert_file) text;
+  (match Store.load_dir dir with
+  | Ok e ->
+    Alcotest.(check bool) "read without a cover" true (e.Store.artifact.Artifact.cover = None)
+  | Error err -> Alcotest.failf "v%d entry: %s" version (Store.string_of_error err));
   let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
   match r.Cache.source with
   | Cache.Cache_hit { audit; _ } ->
     Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
-  | s -> Alcotest.failf "v2 entry should hit, got %s" (Cache.string_of_source s)
-
-(* A v3 entry (a cover recorded by the search, unrefined) keeps serving
-   hits: its leaves are bisected during the check, never searched. *)
-let test_v3_serves_hit () =
-  let root = fresh_store () in
-  ignore (Store.save ~root ~network { (artifact ()) with Artifact.version = 3 } : string);
-  let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
-  match r.Cache.source with
-  | Cache.Cache_hit { audit; _ } ->
-    Alcotest.(check int) "no fallback" 0 audit.Checker.replay_fallbacks;
-    Alcotest.(check bool) "leaves bisected" true (audit.Checker.bisections > 0)
-  | s -> Alcotest.failf "v3 entry should hit, got %s" (Cache.string_of_source s)
+  | s -> Alcotest.failf "v%d entry should hit, got %s" version (Cache.string_of_source s)
 
 (* A refinement runs under its caller's budget: a spent one stops it at
-   its first node, and the artifact keeps the search's cover. *)
+   its first node, and the artifact is left with no cover. *)
 let test_refine_budget () =
   let a = artifact () in
   let pool = 1_000_000 in
   let drawn cancelled =
     let budget = Budget.make ~branches:pool ~cancel:(fun () -> cancelled) () in
     let b = Checker.refine ~budget ~system a in
-    (b.Artifact.cover = a.Artifact.cover, pool - Option.get (Budget.remaining_branches budget))
+    (b.Artifact.cover, pool - Option.get (Budget.remaining_branches budget))
   in
-  let kept, nodes = drawn true in
-  Alcotest.(check (pair bool int)) "spent: search's cover kept after one node" (true, 1)
-    (kept, nodes);
-  let kept, nodes = drawn false in
+  let cover, nodes = drawn true in
+  Alcotest.(check (pair bool int)) "spent: no cover after one node" (true, 1) (cover = None, nodes);
+  let cover, nodes = drawn false in
   Alcotest.(check bool) (Printf.sprintf "live: refined over %d nodes" nodes) true
-    ((not kept) && nodes > 1)
+    (cover <> None && cover <> a.Artifact.cover && nodes > 1)
+
+(* A cover the refinement cannot close — here one split at a point outside
+   its box — is exported as none: the entry still hits, searched whole. *)
+let test_unrefinable_cover_dropped () =
+  let a =
+    {
+      (artifact ()) with
+      Artifact.cover =
+        Some
+          {
+            Solver.delta = config.Engine.smt.Solver.delta;
+            trees = [| { Solver.nodes = [| 0; 3; 3 |]; points = [| 1e9 |] } |];
+          };
+    }
+  in
+  let refined = Checker.refine ~system a in
+  Alcotest.(check bool) "cover dropped" true (refined.Artifact.cover = None);
+  let root = fresh_store () in
+  let dir = Store.save ~root ~network refined in
+  let text = In_channel.with_open_bin (Filename.concat dir Store.cert_file) In_channel.input_all in
+  Alcotest.(check bool) "no cover- line" false (contains ~sub:"\ncover-" text);
+  let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
+  match r.Cache.source with
+  | Cache.Cache_hit { audit; _ } ->
+    Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
+  | s -> Alcotest.failf "an entry with no cover should hit, got %s" (Cache.string_of_source s)
 
 let c_hc4 = Obs.Metrics.counter "solver.hc4_revise"
 
 (* Every proving registry scenario, exported once, is a hit whose audit
-   checks the stored v4 cover: each leaf closes where it stands, so the
-   check of condition (5) bisects nothing, falls back nowhere and calls no
-   HC4. *)
+   checks the stored refined cover: each leaf closes where it stands, so
+   the check of condition (5) searches nowhere and calls no HC4. *)
 let test_scenarios_replay_cleanly () =
   List.iter
     (fun (entry : Registry.entry) ->
@@ -283,8 +334,7 @@ let test_scenarios_replay_cleanly () =
         (match (run 8).Cache.source with
         | Cache.Cache_hit { audit; _ } ->
           Alcotest.(check bool) (name ^ ": cover replayed") true (audit.Checker.replay_nodes > 0);
-          Alcotest.(check (list int)) (name ^ ": fallbacks, bisections") [ 0; 0 ]
-            [ audit.Checker.replay_fallbacks; audit.Checker.bisections ];
+          Alcotest.(check int) (name ^ ": fallbacks") 0 audit.Checker.replay_fallbacks;
           Alcotest.(check bool) (name ^ ": leaves by kind") true
             (audit.Checker.forward_leaves + audit.Checker.mvf_leaves > 0)
         | s -> Alcotest.failf "%s: second run should hit, got %s" name (Cache.string_of_source s));
@@ -293,7 +343,6 @@ let test_scenarios_replay_cleanly () =
           | Ok entry -> entry.Store.artifact
           | Error err -> Alcotest.failf "%s: %s" name (Store.string_of_error err)
         in
-        Alcotest.(check int) (name ^ ": stored as v4") 4 a.Artifact.version;
         let sys = c.Plant.system in
         let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
         let bounds = Cegis.rect_bounds sys.Engine.vars a.Artifact.safe_rect in
@@ -308,9 +357,9 @@ let test_scenarios_replay_cleanly () =
         Obs.Metrics.disable ();
         Alcotest.(check bool) (name ^ ": condition (5) unsat") true (v = Solver.Unsat);
         Alcotest.(check (list int))
-          (name ^ ": solver.hc4_revise, fallbacks, bisections")
-          [ 0; 0; 0 ]
-          [ hc4; st.Solver.replay_fallbacks; st.Solver.replay_bisections ]
+          (name ^ ": solver.hc4_revise, fallbacks")
+          [ 0; 0 ]
+          [ hc4; st.Solver.replay_fallbacks ]
       end)
     (Registry.scenarios ())
 
@@ -439,7 +488,7 @@ let tampers =
     Leaf_to_midpoint;
   |]
 
-(* Every tamper, of the search's cover (v3) or of its refinement (v4). *)
+(* Every tamper, of the search's cover or of its refinement. *)
 let prop_tampered_cover_never_certifies =
   QCheck.Test.make ~name:"tampered cover never certifies a refuted certificate" ~count:60
     QCheck.(
@@ -455,8 +504,10 @@ let prop_tampered_cover_never_certifies =
       match Checker.audit ~network ~system { a with Artifact.coeffs; cover = Some cover } with
       | Checker.Rejected (Checker.Condition_refuted { condition = 5; _ }), _ -> true
       | v, _ ->
-        QCheck.Test.fail_reportf "%s v%d cover: want condition (5) refuted, got %s"
-          (tamper_name kind) a.Artifact.version (Checker.string_of_verdict v)
+        QCheck.Test.fail_reportf "%s %s cover: want condition (5) refuted, got %s"
+          (tamper_name kind)
+          (if v4 then "refined" else "searched")
+          (Checker.string_of_verdict v)
       | exception e ->
         QCheck.Test.fail_reportf "%s cover raised %s" (tamper_name kind) (Printexc.to_string e))
 
@@ -798,11 +849,6 @@ let test_dump_smt2_golden () =
 
 (* --- store fsck -------------------------------------------------------- *)
 
-let write_raw path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 let issue_name = function
   | Store.Corrupt_entry _ -> "corrupt"
   | Store.Address_mismatch _ -> "address"
@@ -972,7 +1018,6 @@ let () =
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
           Alcotest.test_case "poly round-trip" `Quick test_poly_roundtrip;
           Alcotest.test_case "poly artifact certified" `Quick test_poly_audit_certifies;
-          Alcotest.test_case "v3 round-trip is bit-exact" `Quick test_v3_roundtrip;
           Alcotest.test_case "v4 round-trip is bit-exact" `Quick test_v4_roundtrip;
           Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "fingerprint ignores execution strategy" `Quick
@@ -1014,9 +1059,11 @@ let () =
           Alcotest.test_case "cross-plant isolation" `Quick test_cache_cross_plant_isolation;
           Alcotest.test_case "parameterization isolation" `Quick
             test_cache_parameterization_isolation;
-          Alcotest.test_case "v2 entry serves a hit" `Quick test_v2_serves_hit;
-          Alcotest.test_case "v3 entry serves a hit" `Quick test_v3_serves_hit;
+          Alcotest.test_case "v2 entry serves a hit" `Quick (test_legacy_serves_hit ~version:2);
+          Alcotest.test_case "v3 entry serves a hit" `Quick (test_legacy_serves_hit ~version:3);
           Alcotest.test_case "refinement stops with its budget" `Quick test_refine_budget;
+          Alcotest.test_case "unrefinable cover exported as none" `Quick
+            test_unrefinable_cover_dropped;
           Alcotest.test_case "exported scenarios replay cleanly" `Quick
             test_scenarios_replay_cleanly;
         ] );

@@ -620,8 +620,8 @@ let test_solver_prepared_reuse () =
 (* --- Covers: recorded Unsat proofs and their replay ----------------------- *)
 
 (* The imbalanced corner refutation of [test_solver_steal_imbalanced]: an
-   Unsat answer with hundreds of boxes, steals at jobs > 1, and leaves of
-   all three kinds. *)
+   Unsat answer with hundreds of boxes, steals at jobs > 1, and leaves
+   closed by HC4, the mean-value form and the forward pre-filter. *)
 let corner =
   Formula.and_
     [
@@ -649,20 +649,21 @@ let test_cover_replays () =
   let searched = (snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.branches in
   let v, st = Solver.replay p ~bounds:bounds2 cover in
   expect_unsat "replayed corner" v;
-  (* A visit reads a tree node or one half of a leaf's bisection. *)
-  Alcotest.(check int) "every node visited" nodes
-    (st.Solver.replay_nodes - (2 * st.Solver.replay_bisections));
   (* This query's margin is 1.4e-7: near the tangent point the forward and
-     mean-value tests close only boxes narrower than that, so the leaves
-     HC4 closed stay open through their bisections and fall back, to HC4
-     contraction first; the searches of what it leaves are small. *)
+     mean-value tests close only boxes narrower than that, so the walk
+     stops at the first leaf they leave open and searches the disjunct
+     whole, at the cover's δ: no more boxes than a plain search. *)
+  Alcotest.(check int) "one disjunct searched" 1 st.Solver.replay_fallbacks;
   Alcotest.(check bool)
-    (Printf.sprintf "%d fallbacks search %d boxes, < a quarter of the %d searched"
-       st.Solver.replay_fallbacks st.Solver.branches searched)
+    (Printf.sprintf "%d boxes searched, <= the %d of a plain search" st.Solver.branches searched)
     true
-    (st.Solver.branches < searched / 4);
-  Alcotest.(check bool) "no refinement from a replay that fell back" true
-    ((snd (Solver.replay ~record:true p ~bounds:bounds2 cover)).Solver.cover = None);
+    (st.Solver.branches <= searched);
+  Alcotest.(check bool)
+    (Printf.sprintf "walk stopped after %d of %d nodes" st.Solver.replay_nodes nodes)
+    true
+    (st.Solver.replay_nodes < nodes);
+  Alcotest.(check bool) "the cover does not refine" true
+    (Solver.refine p ~bounds:bounds2 cover = None);
   Alcotest.(check bool) "no cover unless recorded" true
     ((snd (Solver.solve_prepared p ~bounds:bounds2)).Solver.cover = None);
   (* The tree engine replays a cover the tape engine recorded. *)
@@ -692,33 +693,32 @@ let disk_beyond c =
       Formula.ge (Expr.( + ) x y) (Expr.const c);
     ]
 
-(* A corner with margin, its recorded (v3) cover, and that cover refined
-   into v4 by a recording replay. *)
+(* A corner with margin, the cover its search recorded, and that cover
+   refined. *)
 let loose_corner =
   lazy
     (let p = Solver.prepare ~vars:[ "x"; "y" ] (disk_beyond 1.5) in
      let v, st = Solver.solve_prepared ~record:true p ~bounds:bounds2 in
      expect_unsat "loose corner" v;
-     let v3 = Option.get st.Solver.cover in
-     let v, st = Solver.replay ~record:true p ~bounds:bounds2 v3 in
-     expect_unsat "refining replay" v;
-     match st.Solver.cover with
-     | Some v4 -> (p, v3, v4, st)
-     | None -> Alcotest.failf "refinement fell back %d times" st.Solver.replay_fallbacks)
+     let searched = Option.get st.Solver.cover in
+     match Solver.refine p ~bounds:bounds2 searched with
+     | Some refined -> (p, searched, refined)
+     | None -> Alcotest.fail "the loose corner's cover refines")
 
-let leaf_count (c : Solver.cover) =
+let count_nodes pred (c : Solver.cover) =
   Array.fold_left
-    (fun n t ->
-      Array.fold_left (fun n node -> if node land 3 <> 0 then n + 1 else n) n t.Solver.nodes)
+    (fun n t -> Array.fold_left (fun n node -> if pred node then n + 1 else n) n t.Solver.nodes)
     0 c.Solver.trees
 
-(* A v4 cover closes every leaf where it stands: the check visits each
-   node once, bisects nothing, falls back nowhere and calls no HC4. *)
+let leaf_count = count_nodes (fun node -> node land 3 <> 0)
+
+(* A refined cover closes every leaf where it stands: the check visits
+   each node once, searches nowhere and calls no HC4. *)
 let test_refined_cover () =
-  let p, v3, v4, st = Lazy.force loose_corner in
-  Alcotest.(check int) "one leaf more per bisection" (leaf_count v4 - leaf_count v3)
-    st.Solver.replay_bisections;
-  Alcotest.(check bool) "v4 kinds only" true
+  let p, searched, v4 = Lazy.force loose_corner in
+  Alcotest.(check int) "one leaf more per midpoint split" (leaf_count v4 - leaf_count searched)
+    (count_nodes (( = ) (-4)) v4);
+  Alcotest.(check bool) "splits and leaves only" true
     (Array.for_all
        (fun t ->
          Array.for_all
@@ -729,14 +729,9 @@ let test_refined_cover () =
     let v, st = Solver.replay p ~bounds:bounds2 v4 in
     expect_unsat name v;
     Alcotest.(check (list int))
-      (name ^ ": nodes, fallbacks, bisections, HC4 calls")
-      [ Array.length v4.Solver.trees.(0).Solver.nodes; 0; 0; 0 ]
-      [
-        st.Solver.replay_nodes;
-        st.Solver.replay_fallbacks;
-        st.Solver.replay_bisections;
-        st.Solver.hc4_calls;
-      ];
+      (name ^ ": nodes, fallbacks, HC4 calls")
+      [ Array.length v4.Solver.trees.(0).Solver.nodes; 0; 0 ]
+      [ st.Solver.replay_nodes; st.Solver.replay_fallbacks; st.Solver.hc4_calls ];
     Alcotest.(check int) (name ^ ": leaves by kind") (leaf_count v4)
       (st.Solver.replay_forward + st.Solver.replay_mvf)
   in
@@ -745,8 +740,8 @@ let test_refined_cover () =
     (Solver.prepare
        ~options:{ Solver.default_options with Solver.engine = Solver.Tree_eval }
        ~vars:[ "x"; "y" ] (disk_beyond 1.5));
-  Alcotest.(check bool) "refining a v4 cover returns it" true
-    ((snd (Solver.replay ~record:true p ~bounds:bounds2 v4)).Solver.cover = Some v4)
+  Alcotest.(check bool) "refining a refined cover returns it" true
+    (Solver.refine p ~bounds:bounds2 v4 = Some v4)
 
 (* A midpoint split needs a midpoint strictly inside the widest variable's
    interval; on a point box, or one a float wide, it falls back to the
@@ -791,10 +786,7 @@ let prop_tampered_cover_never_hides_solutions =
            Formula.ge (Expr.( + ) x y) (Expr.const 1.41);
          ])
   in
-  let reach =
-    let st = snd (Solver.replay sat_p ~bounds:bounds2 cover) in
-    st.Solver.replay_nodes - (2 * st.Solver.replay_bisections)
-  in
+  let reach = (snd (Solver.replay sat_p ~bounds:bounds2 cover)).Solver.replay_nodes in
   let t = cover.Solver.trees.(0) in
   let splits_reached =
     Array.fold_left (fun n node -> if node land 3 = 0 then n + 1 else n) 0
@@ -828,14 +820,11 @@ let prop_tampered_v4_cover_never_hides_solutions =
   QCheck.Test.make ~name:"tampered v4 cover never hides a solution" ~count:150
     QCheck.(pair (int_range 0 3) (int_range 0 100_000))
     (fun (kind, pos) ->
-      let _, _, v4, _ = Lazy.force loose_corner in
+      let _, _, v4 = Lazy.force loose_corner in
       let sat_p = Lazy.force sat_p in
       let t = v4.Solver.trees.(0) in
       let nodes = t.Solver.nodes in
-      let reach =
-        let st = snd (Solver.replay sat_p ~bounds:bounds2 v4) in
-        st.Solver.replay_nodes - (2 * st.Solver.replay_bisections)
-      in
+      let reach = (snd (Solver.replay sat_p ~bounds:bounds2 v4)).Solver.replay_nodes in
       let pick pred =
         match List.filter (fun i -> pred nodes.(i)) (List.init reach Fun.id) with
         | [] -> pos mod reach
