@@ -106,11 +106,16 @@ let sample_outside ~rng ~domain ~excluded n =
   in
   draw [] n 0
 
-let simulate ?(budget = Budget.unlimited) ~rect ~dt ~steps ~converged field x0 =
+let simulate ?(budget = Budget.unlimited) ?until ~rect ~dt ~steps ~converged field x0 =
   (* The budget check inside the stop predicate means even a stalled or
      divergent field cannot keep a single trace running past the
      deadline. *)
-  let stop _t x = Vec.norm2 x < converged || (not (in_rect rect x)) || Budget.expired budget in
+  let stop _t x =
+    Vec.norm2 x < converged
+    || (not (in_rect rect x))
+    || (match until with Some inner -> in_rect inner x | None -> false)
+    || Budget.expired budget
+  in
   let tr = Ode.simulate_rk45 ~stop field ~t0:0.0 ~x0 ~dt ~t_end:(dt *. float_of_int steps) in
   (* The stop predicate ends the trace at its first sample outside [rect],
      so only the last sample can lie outside; a lone [x0] outside stays as

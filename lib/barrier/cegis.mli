@@ -157,6 +157,7 @@ val sample_outside :
 
 val simulate :
   ?budget:Budget.t ->
+  ?until:(float * float) array ->
   rect:(float * float) array ->
   dt:float ->
   steps:int ->
@@ -165,6 +166,7 @@ val simulate :
   float array ->
   Ode.trace
 (** {!Ode.simulate_rk45} trace on the [dt] grid up to [steps·dt], stopped
-    once [‖x‖ < converged], on leaving [rect] or at the budget's expiry;
-    samples outside [rect] are dropped, keeping at least the initial
-    state. *)
+    once [‖x‖ < converged], on leaving [rect], at the first sample inside
+    [until] (that sample kept) or at the budget's expiry; samples outside
+    [rect] are dropped, keeping at least the initial state.  Up to its
+    stop, a trace is bit-identical to the one without [until]. *)

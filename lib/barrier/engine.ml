@@ -124,13 +124,15 @@ let sample_initial_states ~rng config n =
   let seeds = Cegis.sample_outside ~rng ~domain:config.safe_rect ~excluded:config.x0_rect n in
   if List.length seeds = n then Ok seeds else Error (List.length seeds)
 
-(* Simulate one trace; stop once the state converges to the equilibrium or
-   leaves the safe rectangle.  Samples outside the safe rectangle are
-   dropped: condition (5) is only checked inside it, so constraining W
-   there would needlessly over-constrain (or kill) the LP. *)
+(* Simulate one trace; stop once the state converges to the equilibrium,
+   leaves the safe rectangle or enters X0.  Samples outside the safe
+   rectangle are dropped: condition (5) is only checked inside it, so
+   constraining W there would needlessly over-constrain (or kill) the LP.
+   The LP reads no sample inside X0 ([Synthesis.excluded]), so the first
+   one ends the trace; it stays as the target of the last decrease row. *)
 let simulate_trace ?budget config system x0 =
-  Cegis.simulate ?budget ~rect:config.safe_rect ~dt:config.sim_dt ~steps:config.sim_steps
-    ~converged:1e-4 system.numeric_field x0
+  Cegis.simulate ?budget ~until:config.x0_rect ~rect:config.safe_rect ~dt:config.sim_dt
+    ~steps:config.sim_steps ~converged:1e-4 system.numeric_field x0
 
 let verify ?(config = default_config) ?(budget = Budget.unlimited) ?warm_start ~rng system =
   Obs.Trace.with_span "engine.verify" @@ fun () ->

@@ -173,11 +173,24 @@ let stages_finite k =
   done;
   !ok
 
+(* [a]'s first [n] entries in an array of length [cap], padded with
+   [fill]. *)
+let grown a n cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* A trace's arrays start at this many samples and double up to the full
+   grid, so a trace its stop ends early never allocates the grid (401
+   entries at the engine's default, past the minor heap's size limit). *)
+let initial_samples = 64
+
 let simulate_rk45 ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
   if not (dt > 0.0) then invalid_arg "Ode.simulate_rk45: dt must be positive";
   if t_end < t0 then invalid_arg "Ode.simulate_rk45: t_end < t0";
   let last = int_of_float (Float.floor (((t_end -. t0) /. dt) +. 1e-9)) in
-  let times = Array.make (last + 1) t0 and states = Array.make (last + 1) x0 in
+  let cap = min (last + 1) initial_samples in
+  let times = ref (Array.make cap t0) and states = ref (Array.make cap x0) in
   let count = ref 1 and evals = ref 0 in
   let k = Array.make 7 x0 in
   (* Every way out of the loop ends the trace at the last recorded sample:
@@ -207,8 +220,13 @@ let simulate_rk45 ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
           let xg = if theta >= 1.0 then x5 else dense !x x5 hs k theta in
           if not (all_finite xg) then live := false
           else begin
-            times.(!count) <- tg;
-            states.(!count) <- xg;
+            if !count = Array.length !times then begin
+              let cap = min (last + 1) (2 * !count) in
+              times := grown !times !count cap t0;
+              states := grown !states !count cap x0
+            end;
+            !times.(!count) <- tg;
+            !states.(!count) <- xg;
             incr count;
             if stop tg xg then live := false
           end
@@ -237,5 +255,5 @@ let simulate_rk45 ?(stop = fun _ _ -> false) f ~t0 ~x0 ~dt ~t_end =
     end
   done;
   Obs.Metrics.add c_field_evals !evals;
-  if !count = last + 1 then { times; states }
-  else { times = Array.sub times 0 !count; states = Array.sub states 0 !count }
+  if !count = Array.length !times then { times = !times; states = !states }
+  else { times = Array.sub !times 0 !count; states = Array.sub !states 0 !count }

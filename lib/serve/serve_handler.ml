@@ -43,6 +43,10 @@ let problem ?default (p : Protocol.verify_params) =
   | None, Some e -> elaborate e.Scenario.closed.Plant.network
   | network, _ -> elaborate network
 
+(* The most problems a handler keeps elaborated; a new one past it starts
+   the table over. *)
+let memo_limit = 64
+
 let make ?store ?scenario () : Daemon.handler =
   let default =
     Option.map
@@ -52,8 +56,32 @@ let make ?store ?scenario () : Daemon.handler =
         | Error reason -> invalid_arg (Printf.sprintf "Serve_handler.make: %s" reason))
       scenario
   in
+  (* A request that names no file is elaborated once, like the daemon's
+     scenario: widening a controller and compiling a plant's field tapes
+     take milliseconds a request.  The key is the request without the
+     fields [problem] does not read.  Files are read every time, so a
+     replaced one is picked up.  Closed systems are domain-safe
+     (DESIGN.md §5n), so every worker shares them. *)
+  let memo = Hashtbl.create 16 and lock = Mutex.create () in
+  let resolve (p : Protocol.verify_params) =
+    match (p.Protocol.network_path, p.Protocol.scenario_path) with
+    | Some _, _ | _, Some _ -> problem ?default p
+    | None, None -> (
+      let key = { p with Protocol.seed = 0; timeout = None; no_cache = false } in
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt memo key) with
+      | Some e -> Ok e
+      | None ->
+        let resolved = problem ?default p in
+        Result.iter
+          (fun e ->
+            Mutex.protect lock (fun () ->
+                if Hashtbl.length memo >= memo_limit then Hashtbl.reset memo;
+                Hashtbl.replace memo key e))
+          resolved;
+        resolved)
+  in
   fun ~budget (p : Protocol.verify_params) ->
-    match problem ?default p with
+    match resolve p with
     | Error (field, reason) ->
       ( "invalid",
         [ ("field", Obs.Json.String field); ("reason", Obs.Json.String reason) ] )

@@ -21,10 +21,13 @@ val make : ?store:string -> ?scenario:string -> unit -> Daemon.handler
     proofs exported, fingerprints carrying the plant identity); without
     [store] it runs the plain engine.  [scenario] is a scenario-file path
     elaborated once at construction (its controller kept from then on) —
-    raises [Invalid_argument] if it does not elaborate.  Response fields: [outcome]/[level] or
-    [failure], [plant], [seconds], and — with a store — [source]
-    ("cache_hit" | "warm_start" | "cold") plus [exported] for fresh
-    proofs. *)
+    raises [Invalid_argument] if it does not elaborate.  A request naming
+    no [network] or [scenario] file is elaborated once and kept (up to 64
+    problems, keyed on every field but [seed], [timeout] and [no_cache]);
+    one naming a file reads it on every request.  Response fields:
+    [outcome]/[level] or [failure], [plant], [seconds], and — with a
+    store — [source] ("cache_hit" | "warm_start" | "cold") plus [exported]
+    for fresh proofs. *)
 
 val problem :
   ?default:Scenario.elaborated ->

@@ -584,8 +584,9 @@ let test_seed_shortfall () =
 
 let test_seed_field_evals () =
   (* The seed traces' cost as a deterministic count.  A cold Nh=10 Dubins
-     run (one candidate, so its only traces are the 20 seeds) takes under
-     9,000 field evaluations; fixed-step RK4 on the same sample grid took
+     run (one candidate, so its only traces are the 20 seeds) takes 2,174
+     field evaluations now that a trace ends on entering X0; run on to
+     convergence it took 8,540, and fixed-step RK4 on the same sample grid
      32,000. *)
   let system = dubins_system (Error_dynamics.controller_of_width 10) in
   Obs.Metrics.reset ();
@@ -598,8 +599,8 @@ let test_seed_field_evals () =
   Obs.Metrics.reset ();
   Alcotest.(check int) "one candidate" 1 report.Engine.stats.Engine.candidate_iterations;
   Alcotest.(check int) "seed traces only" 20 (List.length report.Engine.traces);
-  Alcotest.(check bool) (Printf.sprintf "%d field evaluations <= 9000" evals) true
-    (evals > 0 && evals <= 9000)
+  Alcotest.(check bool) (Printf.sprintf "%d field evaluations <= 3000" evals) true
+    (evals > 0 && evals <= 3000)
 
 (* The solver's search policy, pinned on the real query: the condition (5)
    check of the widened Nh=100 Dubins loop at jobs 1.  A fixpoint that

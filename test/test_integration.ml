@@ -129,15 +129,15 @@ let test_registry_counters_pinned () =
                 : Engine.report))
         (Registry.scenarios ()));
   let expect name v = Alcotest.(check int) name v (Obs.Metrics.value (Obs.Metrics.counter name)) in
-  expect "solver.branches" 7_084;
-  expect "solver.hc4_revise" 20_625;
-  expect "solver.prunes" 3_630;
-  expect "solver.prunes_mvf" 1_057;
-  expect "tape.batched_sweeps" 7_159;
-  expect "tape.compile" 160;
-  expect "cegis.cex_cuts" 6;
-  expect "cegis.delta_refinements" 21;
-  expect "lp.pivots" 206;
+  expect "solver.branches" 6_884;
+  expect "solver.hc4_revise" 19_519;
+  expect "solver.prunes" 3_604;
+  expect "solver.prunes_mvf" 1_074;
+  expect "tape.batched_sweeps" 7_099;
+  expect "tape.compile" 150;
+  expect "cegis.cex_cuts" 4;
+  expect "cegis.delta_refinements" 17;
+  expect "lp.pivots" 201;
   expect "level_search.bisections" 9;
   Obs.Metrics.reset ()
 
@@ -214,6 +214,50 @@ let test_seed_traces_pinned () =
   Alcotest.(check int) "ode.field_evals" 5_991 evals;
   Alcotest.(check string) "FNV-1a of the trace bits" "d12e482abcf0e3a5"
     (Printf.sprintf "%Lx" (fnv1a_traces traces))
+
+let test_traces_end_in_x0 () =
+  (* Every trace the engine returns, seeds and counterexample traces alike,
+     ends at its first sample inside X0 and is, up to there, the trace
+     simulated without that stop.  Inverted-pendulum at rng 7 cuts three
+     counterexamples, so its traces include theirs. *)
+  let registry name =
+    match Registry.find_scenario name with
+    | None -> Alcotest.failf "no scenario %s" name
+    | Some e -> (
+      match Registry.elaborate { e.Registry.scenario with Scenario.jobs = Some 1 } with
+      | Error why -> Alcotest.failf "%s: %s" name why
+      | Ok el -> (el.Scenario.config, el.Scenario.closed.Plant.system))
+  in
+  let ip_config, ip_system = registry "inverted-pendulum" in
+  List.iter
+    (fun (name, config, system, seed, min_traces) ->
+      let report = Engine.verify ~config ~rng:(Rng.create seed) system in
+      let traces = report.Engine.traces in
+      Alcotest.(check bool) (name ^ ": traces") true (List.length traces >= min_traces);
+      List.iter
+        (fun tr ->
+          let n = Ode.trace_length tr in
+          for i = 0 to n - 2 do
+            if Cegis.in_rect config.Engine.x0_rect tr.Ode.states.(i) then
+              Alcotest.failf "%s: sample %d of %d lies in X0" name i n
+          done;
+          let full =
+            Cegis.simulate ~rect:config.Engine.safe_rect ~dt:config.Engine.sim_dt
+              ~steps:config.Engine.sim_steps ~converged:1e-4 system.Engine.numeric_field
+              tr.Ode.states.(0)
+          in
+          let bits = Array.map Int64.bits_of_float in
+          if Ode.trace_length full < n then Alcotest.failf "%s: a stopped trace grew" name;
+          for i = 0 to n - 1 do
+            if Int64.bits_of_float tr.Ode.times.(i) <> Int64.bits_of_float full.Ode.times.(i)
+               || bits tr.Ode.states.(i) <> bits full.Ode.states.(i)
+            then Alcotest.failf "%s: sample %d differs from the unstopped trace" name i
+          done)
+        traces)
+    [
+      ("dubins", Engine.default_config, reference_system, 2024, 20);
+      ("inverted-pendulum", ip_config, ip_system, 7, 23);
+    ]
 
 let test_determinism () =
   let r1 = verify 99 reference_system and r2 = verify 99 reference_system in
@@ -325,6 +369,7 @@ let () =
           Alcotest.test_case "registry search counters pinned" `Quick
             test_registry_counters_pinned;
           Alcotest.test_case "seed traces pinned" `Quick test_seed_traces_pinned;
+          Alcotest.test_case "traces end in X0" `Quick test_traces_end_in_x0;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
         ] );
       ( "failure injection",

@@ -811,6 +811,49 @@ let test_daemon_scenario_kept () =
     (g.Scenario.closed.Plant.network = e.Scenario.closed.Plant.network);
   Alcotest.(check (float 0.0)) "the request's gamma" 1e-3 g.Scenario.config.Engine.gamma
 
+(* A request naming no file is elaborated once per handler: a repeat, under
+   another seed too, compiles no field tape.  A request naming a network
+   file reads it every time, so a file replaced between two requests is
+   picked up. *)
+let test_handler_keeps_elaborations () =
+  let handler = Serve_handler.make () in
+  (* A cancelled budget ends the engine before its first solver query, so
+     what compiles is the plant's field. *)
+  let cancelled = Budget.make ~cancel:(fun () -> true) () in
+  let compiles line =
+    Obs.Metrics.reset ();
+    Obs.Metrics.enable ();
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        ignore (handler ~budget:cancelled (verify_params line)));
+    let n = Obs.Metrics.value (Obs.Metrics.counter "tape.compile") in
+    Obs.Metrics.reset ();
+    n
+  in
+  let duffing = Protocol.verify_line ~id:"a" ~plant:"duffing" () in
+  Alcotest.(check bool) "the first request compiles the field" true (compiles duffing > 0);
+  Alcotest.(check int) "a repeat compiles nothing" 0 (compiles duffing);
+  Alcotest.(check int) "nor one under another seed" 0
+    (compiles (Protocol.verify_line ~id:"b" ~plant:"duffing" ~seed:3 ~no_cache:true ()));
+  let store = fresh_dir () in
+  let handler = Serve_handler.make ~store () in
+  let path = Filename.concat (fresh_dir ()) "c.nn" in
+  let line = Protocol.verify_line ~id:"n" ~network_path:path () in
+  let exported width =
+    Nn.save (Error_dynamics.controller_of_width width) path;
+    match handler ~budget:(Budget.with_timeout 10.0) (verify_params line) with
+    | "ok", fields -> (
+      match List.assoc_opt "exported" fields with
+      | Some (Obs.Json.String dir) -> Filename.basename dir
+      | _ -> Alcotest.failf "width %d: fresh proof not exported" width)
+    | status, _ -> Alcotest.failf "width %d: %s" width status
+  in
+  let first = exported 2 in
+  Alcotest.(check string) "the file's controller" (combined (request_problem line)) first;
+  let second = exported 4 in
+  Alcotest.(check string) "the replaced file's controller" (combined (request_problem line))
+    second;
+  Alcotest.(check bool) "a different entry" true (first <> second)
+
 (* --- run --------------------------------------------------------------- *)
 
 let () =
@@ -856,5 +899,6 @@ let () =
             test_plant_requests_without_width;
           Alcotest.test_case "store fingerprints pinned" `Quick test_store_fingerprints_pinned;
           Alcotest.test_case "daemon scenario kept" `Quick test_daemon_scenario_kept;
+          Alcotest.test_case "request elaborations kept" `Quick test_handler_keeps_elaborations;
         ] );
     ]
