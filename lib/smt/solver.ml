@@ -116,28 +116,45 @@ type atom_rt = {
          of the last [forward]: with the tape the sweep continues over the
          partial slots, sharing every node the atom computed *)
   eval_mid : float array -> float;  (* point evaluation, indexed by variable *)
-  forward_pair : (Interval.t array -> Interval.t array -> Interval.t * Interval.t) option;
-      (* batched SoA sweep over the two children of a bisection (tape
-         engine only; [None] keeps the tree oracle byte-for-byte on the
-         historical search) *)
 }
 
+(* The tape engine sweeps each box's atom once.  [swept] holds the domains
+   of the last forward sweep over [b], which a [revise] runs before it
+   narrows anything.  When the domains [forward] is asked about are those,
+   element by element, the enclosure is still in [b] and is read there:
+   [Interval.t] is immutable and [revise] replaces an element only when it
+   narrows it, so physical equality means the same bounds.  After
+   [contract], that holds for every atom no later [revise] narrowed. *)
 let tape_rt ((a : Formula.atom), tape) =
   let b = Tape.make_buffers tape in
-  let pair = Tape.make_batch tape ~width:2 in
+  let swept = ref [||] in
+  let remember domains =
+    if Array.length !swept = Array.length domains then
+      Array.blit domains 0 !swept 0 (Array.length domains)
+    else swept := Array.copy domains
+  in
   let n_partials = Tape.n_partials tape in
   {
     atom = a;
     size = Expr.size a.Formula.expr;
     n_partials;
-    revise = (fun domains -> Tape.revise tape b domains);
-    forward = (fun domains -> Tape.forward tape b domains);
+    revise =
+      (fun domains ->
+        remember domains;
+        Tape.revise tape b domains);
+    forward =
+      (fun domains ->
+        if Array.length !swept = Array.length domains && Array.for_all2 ( == ) !swept domains then
+          Tape.atom_ival tape b
+        else begin
+          remember domains;
+          Tape.forward tape b domains
+        end);
     partials =
       (fun domains ->
         Tape.forward_partials tape b domains;
         Array.init n_partials (Tape.partial_ival tape b));
     eval_mid = (fun x -> Tape.eval_point tape b x);
-    forward_pair = Some (fun d1 d2 -> Tape.forward_pair tape pair d1 d2);
   }
 
 let tree_rt ~index_of ((a : Formula.atom), partial_exprs) =
@@ -155,7 +172,6 @@ let tree_rt ~index_of ((a : Formula.atom), partial_exprs) =
     forward = (fun domains -> Hc4.forward domains c);
     partials = (fun domains -> Array.map (Hc4.forward domains) cps);
     eval_mid = (fun x -> Expr.eval (fun v -> x.(index_of v)) a.Formula.expr);
-    forward_pair = None;
   }
 
 (* Atom satisfiable somewhere in the box, from the forward enclosure alone. *)
@@ -290,17 +306,17 @@ let evaluate domains mid rt =
 
 (* One expansion step of the branch-and-prune search: everything that
    happens to a box after it is claimed — contraction, MVF pruning, the
-   three witness tests, bisection and the batched child pre-filter.  Both
-   drivers (sequential and work-stealing) call this same closure, so the
-   verdict logic cannot drift between them: a driver merely chooses the
-   order in which boxes are expanded.  A box carries its cover slot ([-1]
-   when the search does not record). *)
+   three witness tests and bisection.  Both drivers (sequential and
+   work-stealing) call this same closure, so the verdict logic cannot
+   drift between them: a driver merely chooses the order in which boxes
+   are expanded.  A box carries its cover slot ([-1] when the search does
+   not record). *)
 type box = { dom : Interval.t array; depth : int; slot : int }
 
 type step =
   | Step_pruned
   | Step_witness of float array
-  | Step_split of box list
+  | Step_split of box * box  (* left, right *)
 
 (* What every box of one disjunct's search shares: the options, the
    budget, the witness oracle with the δ-refinement level it drives, and
@@ -367,13 +383,6 @@ let make_stepper q st rts =
         (List.assq rt evals).grads;
       if !best < 0 then widest () else !best
   in
-  (* Batched child pre-filter (tape engine only): one SoA sweep evaluates
-     both bisection children per atom.  A child whose root enclosure
-     already excludes an atom's target is exactly a child whose first
-     [revise] would raise Empty_box on its root meet, so dropping it here
-     never changes a verdict — it only skips the push/claim cycle the
-     doomed box would have cost.  The filter is driver- and
-     job-independent, keeping counters identical across both. *)
   let record slot r = if slot >= 0 then st.records <- (slot, r) :: st.records in
   let fresh_slots () =
     match q.slots with
@@ -381,35 +390,6 @@ let make_stepper q st rts =
     | Some next ->
       let s = Atomic.fetch_and_add next 2 in
       (s, s + 1)
-  in
-  let can_pair = List.for_all (fun rt -> rt.forward_pair <> None) rts in
-  let filter_children c1 c2 =
-    if not can_pair then [ c1; c2 ]
-    else begin
-      let keep1 = ref true and keep2 = ref true in
-      List.iter
-        (fun rt ->
-          if !keep1 || !keep2 then begin
-            match rt.forward_pair with
-            | None -> ()
-            | Some fp ->
-              let i1, i2 = fp c1.dom c2.dom in
-              if !keep1 && not (possibly_sat rt.atom i1) then keep1 := false;
-              if !keep2 && not (possibly_sat rt.atom i2) then keep2 := false
-          end)
-        rts;
-      let drop c =
-        st.prunes <- st.prunes + 1;
-        record c.slot Leaf
-      in
-      if not !keep1 then drop c1;
-      if not !keep2 then drop c2;
-      match (!keep1, !keep2) with
-      | true, true -> [ c1; c2 ]
-      | true, false -> [ c1 ]
-      | false, true -> [ c2 ]
-      | false, false -> []
-    end
   in
   fun ~delta box ->
     if box.depth > st.max_depth then st.max_depth <- box.depth;
@@ -446,7 +426,7 @@ let make_stepper q st rts =
             d.(split_var) <- half;
             { dom = d; depth = box.depth + 1; slot }
           in
-          Step_split (filter_children (child s1 left) (child s2 right))
+          Step_split (child s1 left, child s2 right)
         end
       end
 
@@ -488,7 +468,7 @@ let solve_conjunction q st names rts initial =
         Atomic.set q.level (level + 1);
         stack := box :: !stack
       | Step_witness mid -> result := Some mid
-      | Step_split children -> stack := children @ !stack)
+      | Step_split (left, right) -> stack := left :: right :: !stack)
   done;
   match !result with
   | Some mid -> witness_of names mid
@@ -682,14 +662,12 @@ let solve_conjunction_steal q st names make_rts initial =
                 | Step_witness mid ->
                   set_once witness mid;
                   box_done ()
-                | Step_split [] -> box_done ()
-                | Step_split children ->
-                  let n = List.length children in
+                | Step_split (left, right) ->
                   (* Grow [live] before the children are visible so a
                      thief can never observe an empty system while work
                      remains in flight. *)
-                  if n > 1 then ignore (Atomic.fetch_and_add live (n - 1) : int);
-                  push_children my children;
+                  ignore (Atomic.fetch_and_add live 1 : int);
+                  push_children my [ left; right ];
                   bump_frontier ())
             end
         end

@@ -56,8 +56,8 @@ type cover = {
 type stats = {
   branches : int;  (** boxes examined *)
   prunes : int;
-      (** boxes discarded: emptied by contraction, excluded by the
-          mean-value form, or dropped by the batched child pre-filter *)
+      (** boxes discarded: emptied by contraction or excluded by the
+          mean-value form *)
   mvf_prunes : int;  (** the share of [prunes] excluded by the mean-value form *)
   hc4_calls : int;  (** individual HC4-revise invocations *)
   max_depth : int;

@@ -140,11 +140,27 @@ let[@inline] up x =
   else if x = infinity || Float.is_nan x then x
   else Float.succ x
 
-let wide_down x = down (down (down x))
+(* Float.min and Float.max without their [caml_signbit] call: plain
+   comparisons decide every ordered pair, and the two cases they cannot
+   (a ±0 pair, a NaN) fall to an addition, which gives max (+0, -0) = +0
+   and, negated around it, min (+0, -0) = -0, and a NaN for a NaN — the
+   stdlib's result bit for bit, up to which NaN.  An equal nonzero pair
+   has one bit pattern, returned as is. *)
 
-let wide_up x = up (up (up x))
+let[@inline] fmax (x : float) y =
+  if x > y then x else if y > x then y else if x = y && x <> 0.0 then x else x +. y
 
-let bound_mul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
+let[@inline] fmin (x : float) y =
+  if x < y then x else if y < x then y else if x = y && x <> 0.0 then x else -.((-.x) +. (-.y))
+
+(* Inlined like the kernels above: a call to a float function that is
+   not inlined boxes its argument and its result, which on a tanh or a
+   product node is an allocation per bound. *)
+let[@inline] wide_down x = down (down (down x))
+
+let[@inline] wide_up x = up (up (up x))
+
+let[@inline] bound_mul x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
 
 let sigmoid_f x = 1.0 /. (1.0 +. Stdlib.exp (-.x))
 
@@ -197,8 +213,8 @@ let forward_range t b domains first limit =
         and p2 = bound_mul flo.(a) fhi.(c)
         and p3 = bound_mul fhi.(a) flo.(c)
         and p4 = bound_mul fhi.(a) fhi.(c) in
-        flo.(k) <- down (Float.min (Float.min p1 p2) (Float.min p3 p4));
-        fhi.(k) <- up (Float.max (Float.max p1 p2) (Float.max p3 p4))
+        flo.(k) <- down (fmin (fmin p1 p2) (fmin p3 p4));
+        fhi.(k) <- up (fmax (fmax p1 p2) (fmax p3 p4))
       end
       else set_empty flo fhi k
     | INeg a ->
@@ -221,32 +237,32 @@ let forward_range t b domains first limit =
         end
         else begin
           flo.(k) <- 0.0;
-          fhi.(k) <- Float.max (-.l) h
+          fhi.(k) <- fmax (-.l) h
         end
       end
       else set_empty flo fhi k
     | ITanh a ->
       if flo.(a) <= fhi.(a) then begin
-        flo.(k) <- Float.max (-1.0) (wide_down (Stdlib.tanh flo.(a)));
-        fhi.(k) <- Float.min 1.0 (wide_up (Stdlib.tanh fhi.(a)))
+        flo.(k) <- fmax (-1.0) (wide_down (Stdlib.tanh flo.(a)));
+        fhi.(k) <- fmin 1.0 (wide_up (Stdlib.tanh fhi.(a)))
       end
       else set_empty flo fhi k
     | ISigmoid a ->
       if flo.(a) <= fhi.(a) then begin
-        flo.(k) <- Float.max 0.0 (wide_down (sigmoid_f flo.(a)));
-        fhi.(k) <- Float.min 1.0 (wide_up (sigmoid_f fhi.(a)))
+        flo.(k) <- fmax 0.0 (wide_down (sigmoid_f flo.(a)));
+        fhi.(k) <- fmin 1.0 (wide_up (sigmoid_f fhi.(a)))
       end
       else set_empty flo fhi k
     | IExp a ->
       if flo.(a) <= fhi.(a) then begin
-        flo.(k) <- Float.max 0.0 (wide_down (Stdlib.exp flo.(a)));
+        flo.(k) <- fmax 0.0 (wide_down (Stdlib.exp flo.(a)));
         fhi.(k) <- (if fhi.(a) = neg_infinity then 0.0 else wide_up (Stdlib.exp fhi.(a)))
       end
       else set_empty flo fhi k
     | IAtan a ->
       if flo.(a) <= fhi.(a) then begin
-        flo.(k) <- Float.max (-.half_pi) (wide_down (Stdlib.atan flo.(a)));
-        fhi.(k) <- Float.min half_pi (wide_up (Stdlib.atan fhi.(a)))
+        flo.(k) <- fmax (-.half_pi) (wide_down (Stdlib.atan flo.(a)));
+        fhi.(k) <- fmin half_pi (wide_up (Stdlib.atan fhi.(a)))
       end
       else set_empty flo fhi k
     | IDiv (a, c) -> set flo fhi k (Interval.div (iv flo fhi a) (iv flo fhi c))
@@ -257,225 +273,19 @@ let forward_range t b domains first limit =
     | ISqrt a -> set flo fhi k (Interval.sqrt (iv flo fhi a))
   done
 
+let atom_ival t b = iv b.flo b.fhi t.atom_root
+
 let forward t b domains =
   forward_range t b domains 0 t.hc4_limit;
-  iv b.flo b.fhi t.atom_root
+  atom_ival t b
 
 let forward_partials t b domains = forward_range t b domains t.hc4_limit (Array.length t.instrs)
 
 let forward_all t b domains =
   forward_range t b domains 0 (Array.length t.instrs);
-  iv b.flo b.fhi t.atom_root
+  atom_ival t b
 
 let partial_ival t b i = iv b.flo b.fhi t.partial_roots.(i)
-
-(* Batched structure-of-arrays forward sweeps.  A batch holds [width] lanes
-   per atom slot, laid out slot-major ([blo.(k * width + i)] is lane [i] of
-   slot [k]), so one left-to-right pass over the instruction array decodes
-   each opcode once and applies it to every lane while the operand lanes
-   are still cache-resident.  Lanes reuse the scalar kernels and the scalar
-   [iv]/[set]/[set_empty] bridges on flat indices, so a batched sweep is
-   bit-for-bit the scalar [forward] applied lane by lane — the qcheck suite
-   asserts exactly that.  Only the forward sweep batches; HC4 [revise]
-   stays per-box (its requirement accumulators are inherently per-box). *)
-
-type batch = {
-  width : int;
-  blo : float array;
-  bhi : float array;
-}
-
-let sweep_counter = Atomic.make 0
-
-let batched_sweep_count () = Atomic.get sweep_counter
-
-let c_batched_sweeps = Obs.Metrics.counter "tape.batched_sweeps"
-
-let make_batch t ~width =
-  if width < 1 then invalid_arg "Tape.make_batch: width must be >= 1";
-  let n = t.hc4_limit * width in
-  let blo = Array.make n infinity and bhi = Array.make n neg_infinity in
-  (* Constant lanes are prefilled once, like [make_buffers]. *)
-  Array.iteri
-    (fun k ins ->
-      match ins with
-      | IConst c when k < t.hc4_limit ->
-        for i = 0 to width - 1 do
-          blo.((k * width) + i) <- c;
-          bhi.((k * width) + i) <- c
-        done
-      | _ -> ())
-    t.instrs;
-  { width; blo; bhi }
-
-let batch_width bt = bt.width
-
-let forward_batch t bt boxes =
-  let n = Array.length boxes in
-  if n < 1 || n > bt.width then
-    invalid_arg "Tape.forward_batch: batch size must be in [1, width]";
-  Atomic.incr sweep_counter;
-  Obs.Metrics.incr c_batched_sweeps;
-  let w = bt.width in
-  let blo = bt.blo and bhi = bt.bhi in
-  let instrs = t.instrs in
-  for k = 0 to t.hc4_limit - 1 do
-    let kb = k * w in
-    match Array.unsafe_get instrs k with
-    | IConst _ -> () (* prefilled *)
-    | IVar j ->
-      for i = 0 to n - 1 do
-        let d = boxes.(i).(j) in
-        if Interval.is_empty d then set_empty blo bhi (kb + i)
-        else begin
-          blo.(kb + i) <- Interval.lo d;
-          bhi.(kb + i) <- Interval.hi d
-        end
-      done
-    | IAdd (a, c) ->
-      let ab = a * w and cb = c * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        let clo = blo.(cb + i) and chi = bhi.(cb + i) in
-        if alo <= ahi && clo <= chi then begin
-          blo.(kb + i) <- down (alo +. clo);
-          bhi.(kb + i) <- up (ahi +. chi)
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | ISub (a, c) ->
-      let ab = a * w and cb = c * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        let clo = blo.(cb + i) and chi = bhi.(cb + i) in
-        if alo <= ahi && clo <= chi then begin
-          blo.(kb + i) <- down (alo -. chi);
-          bhi.(kb + i) <- up (ahi -. clo)
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | IMul (a, c) ->
-      let ab = a * w and cb = c * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        let clo = blo.(cb + i) and chi = bhi.(cb + i) in
-        if alo <= ahi && clo <= chi then begin
-          let p1 = bound_mul alo clo
-          and p2 = bound_mul alo chi
-          and p3 = bound_mul ahi clo
-          and p4 = bound_mul ahi chi in
-          blo.(kb + i) <- down (Float.min (Float.min p1 p2) (Float.min p3 p4));
-          bhi.(kb + i) <- up (Float.max (Float.max p1 p2) (Float.max p3 p4))
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | INeg a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        if alo <= ahi then begin
-          blo.(kb + i) <- -.ahi;
-          bhi.(kb + i) <- -.alo
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | IAbs a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let l = blo.(ab + i) and h = bhi.(ab + i) in
-        if l <= h then
-          if l >= 0.0 then begin
-            blo.(kb + i) <- l;
-            bhi.(kb + i) <- h
-          end
-          else if h <= 0.0 then begin
-            blo.(kb + i) <- -.h;
-            bhi.(kb + i) <- -.l
-          end
-          else begin
-            blo.(kb + i) <- 0.0;
-            bhi.(kb + i) <- Float.max (-.l) h
-          end
-        else set_empty blo bhi (kb + i)
-      done
-    | ITanh a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        if alo <= ahi then begin
-          blo.(kb + i) <- Float.max (-1.0) (wide_down (Stdlib.tanh alo));
-          bhi.(kb + i) <- Float.min 1.0 (wide_up (Stdlib.tanh ahi))
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | ISigmoid a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        if alo <= ahi then begin
-          blo.(kb + i) <- Float.max 0.0 (wide_down (sigmoid_f alo));
-          bhi.(kb + i) <- Float.min 1.0 (wide_up (sigmoid_f ahi))
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | IExp a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        if alo <= ahi then begin
-          blo.(kb + i) <- Float.max 0.0 (wide_down (Stdlib.exp alo));
-          bhi.(kb + i) <-
-            (if ahi = neg_infinity then 0.0 else wide_up (Stdlib.exp ahi))
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | IAtan a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        let alo = blo.(ab + i) and ahi = bhi.(ab + i) in
-        if alo <= ahi then begin
-          blo.(kb + i) <- Float.max (-.half_pi) (wide_down (Stdlib.atan alo));
-          bhi.(kb + i) <- Float.min half_pi (wide_up (Stdlib.atan ahi))
-        end
-        else set_empty blo bhi (kb + i)
-      done
-    | IDiv (a, c) ->
-      let ab = a * w and cb = c * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i)
-          (Interval.div (iv blo bhi (ab + i)) (iv blo bhi (cb + i)))
-      done
-    | IPow (a, p) ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i) (Interval.pow (iv blo bhi (ab + i)) p)
-      done
-    | ISin a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i) (Interval.sin (iv blo bhi (ab + i)))
-      done
-    | ICos a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i) (Interval.cos (iv blo bhi (ab + i)))
-      done
-    | ILog a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i) (Interval.log (iv blo bhi (ab + i)))
-      done
-    | ISqrt a ->
-      let ab = a * w in
-      for i = 0 to n - 1 do
-        set blo bhi (kb + i) (Interval.sqrt (iv blo bhi (ab + i)))
-      done
-  done;
-  Array.init n (fun i -> iv blo bhi ((t.atom_root * w) + i))
-
-let forward_pair t bt d1 d2 =
-  let roots = forward_batch t bt [| d1; d2 |] in
-  (roots.(0), roots.(1))
 
 let eval_point t b x =
   let v = b.vals in
@@ -523,7 +333,7 @@ let push_iv rlo rhi c p =
    parent).  This is what sibling projections read, recovering — and, with
    shared nodes, tightening — the tree contractor's sibling refinement. *)
 let cur flo fhi rlo rhi c =
-  let lo = Float.max flo.(c) rlo.(c) and hi = Float.min fhi.(c) rhi.(c) in
+  let lo = fmax flo.(c) rlo.(c) and hi = fmin fhi.(c) rhi.(c) in
   if lo <= hi then Interval.make lo hi else raise Empty_box
 
 let even_preimage current root_pos =
@@ -542,7 +352,7 @@ let revise t b domains =
   let root = t.atom_root in
   (* A NaN forward endpoint can only survive at the root itself (anywhere
      else it propagates upward as emptiness), so this check also keeps NaN
-     out of the Float.max/min meets below. *)
+     out of the fmax/fmin meets below. *)
   if not (flo.(root) <= fhi.(root)) then raise Empty_box;
   Array.fill rlo 0 n neg_infinity;
   Array.fill rhi 0 n infinity;
@@ -555,7 +365,7 @@ let revise t b domains =
     (* Narrowed value of slot k.  Operand slots are strictly below k, so by
        the time k is processed every parent's push has landed: shared nodes
        are contracted once, with the meet of all parents' requirements. *)
-    let klo = Float.max flo.(k) rlo.(k) and khi = Float.min fhi.(k) rhi.(k) in
+    let klo = fmax flo.(k) rlo.(k) and khi = fmin fhi.(k) rhi.(k) in
     if not (klo <= khi) then raise Empty_box;
     rlo.(k) <- klo;
     rhi.(k) <- khi;
@@ -575,7 +385,7 @@ let revise t b domains =
     | IVar j ->
       let d = domains.(j) in
       let dlo = Interval.lo d and dhi = Interval.hi d in
-      let nlo = Float.max dlo klo and nhi = Float.min dhi khi in
+      let nlo = fmax dlo klo and nhi = fmin dhi khi in
       if not (nlo <= nhi) then raise Empty_box;
       if nlo > dlo || nhi < dhi then begin
         domains.(j) <- Interval.make nlo nhi;
@@ -627,11 +437,11 @@ let revise t b domains =
     | ITanh a -> push_iv rlo rhi a (Interval.atanh (Interval.make klo khi))
     | ISigmoid a -> push_iv rlo rhi a (Interval.logit (Interval.make klo khi))
     | ISqrt a ->
-      let rpos_lo = Float.max klo 0.0 in
+      let rpos_lo = fmax klo 0.0 in
       if not (rpos_lo <= khi) then raise Empty_box;
       push_iv rlo rhi a (Interval.sqr (Interval.make rpos_lo khi))
     | IAbs a ->
-      let rpos_lo = Float.max klo 0.0 in
+      let rpos_lo = fmax klo 0.0 in
       if not (rpos_lo <= khi) then raise Empty_box;
       push_iv rlo rhi a (even_preimage (cur flo fhi rlo rhi a) (Interval.make rpos_lo khi))
   done;

@@ -70,46 +70,30 @@ val forward_all : t -> buffers -> Interval.t array -> Interval.t
 
 val forward_partials : t -> buffers -> Interval.t array -> unit
 (** [forward_partials t b domains] evaluates the partial-derivative slots
-    only, reading the atom slots that a {!forward} of the same [domains]
-    left in [b]: the two together are {!forward_all}, with no slot swept
+    only, reading the atom slots that a {!forward} (or the forward sweep
+    of a {!revise}) of the same [domains] left in [b]: the two together are {!forward_all}, with no slot swept
     twice.  Their enclosures are then readable via {!partial_ival}. *)
 
 val partial_ival : t -> buffers -> int -> Interval.t
 (** Enclosure of partial [i] from the last {!forward_all}. *)
 
-type batch
-(** Structure-of-arrays lanes for batched forward sweeps: [width] boxes
-    evaluated in one pass over the instruction array, decoding each opcode
-    once for the whole batch (slot-major layout, so operand lanes are
-    cache-adjacent).  Like {!buffers}, a batch is per-task mutable state:
-    never share one across domains. *)
+val atom_ival : t -> buffers -> Interval.t
+(** The atom's enclosure from the last sweep over [b] of its slots, by
+    {!forward}, {!forward_all} or {!revise}: no slot is swept again.  A
+    {!revise} leaves the enclosure over the domains as they were before
+    it narrowed them (its backward pass writes no forward slot). *)
 
-val make_batch : t -> width:int -> batch
-(** Preallocated lanes for up to [width] boxes over the atom slots of [t]
-    (constant lanes prefilled).  Raises [Invalid_argument] if [width < 1]. *)
+val fmin : float -> float -> float
+(** [Float.min] with no C call, bit for bit up to which NaN it returns;
+    exported for test_tape's check of exactly that. *)
 
-val batch_width : batch -> int
-
-val forward_batch : t -> batch -> Interval.t array array -> Interval.t array
-(** [forward_batch t batch boxes] evaluates the atom's enclosure over every
-    box in [boxes] (at most [batch_width batch] of them) in a single
-    instruction-array pass; element [i] of the result is bit-identical to
-    [forward t b boxes.(i)].  Counts one [tape.batched_sweeps] tick.
-    Raises [Invalid_argument] when [boxes] is empty or wider than the
-    batch.  HC4 {!revise} deliberately has no batched form — its backward
-    requirement accumulators are per-box state. *)
-
-val forward_pair : t -> batch -> Interval.t array -> Interval.t array -> Interval.t * Interval.t
-(** [forward_pair t batch d1 d2]: the two-lane special case used for the
-    children of a bisection (requires [batch_width >= 2]). *)
-
-val batched_sweep_count : unit -> int
-(** Cumulative {!forward_batch} calls in this process (all domains), like
-    {!compile_count}; also mirrored in the [tape.batched_sweeps] metric. *)
+val fmax : float -> float -> float
+(** [Float.max], likewise. *)
 
 val revise : t -> buffers -> Interval.t array -> bool
 (** One forward–backward pass.  Narrows [domains] in place; returns whether
     any domain changed; raises {!Empty_box} on infeasibility.  The backward
     sweep descends only through nodes their parents narrowed, which gives
     the same domains and the same {!Empty_box} outcome as full descent
-    (DESIGN.md §5e). *)
+    (DESIGN.md §5e).  Its forward sweep runs over the whole atom before
+    anything is narrowed or raised, and {!atom_ival} reads it. *)

@@ -15,24 +15,31 @@ let is_rounded_sum r x =
   same_bits (Interval.lo r) (ref_down (x +. 0.0))
   && same_bits (Interval.hi r) (ref_up (x +. 0.0))
 
-(* Every binary exponent from -1074 to 1023 with the mantissas 1, 1+ulp,
-   1+2ulp, 2-ulp and 2-2ulp; two neighbours either side of 2^-969 (where
-   the multiply-add kernel takes over) and of max_float; 0, inf and the
-   smallest subnormal; all of it with both signs, and NaN. *)
-let sweep =
-  let u = epsilon_float in
-  let mantissas = [ 1.0; 1.0 +. u; 1.0 +. (2.0 *. u); 2.0 -. u; 2.0 -. (2.0 *. u) ] in
+(* Two neighbours either side of 2^-969 (where the multiply-add kernel
+   takes over) and of max_float; 0, inf and the smallest subnormal. *)
+let edge_magnitudes =
   let near c =
     [ Float.pred (Float.pred c); Float.pred c; c; Float.succ c; Float.succ (Float.succ c) ]
   in
-  let pos =
-    List.concat_map
-      (fun e -> List.map (fun m -> Float.ldexp m e) mantissas)
-      (List.init 2098 (fun i -> i - 1074))
-    @ near 0x1p-969 @ near max_float
-    @ [ 0.0; infinity; Float.succ 0.0 ]
-  in
-  (Float.nan :: pos) @ List.map Float.neg pos
+  near 0x1p-969 @ near max_float @ [ 0.0; infinity; Float.succ 0.0 ]
+
+let with_signs pos = (Float.nan :: pos) @ List.map Float.neg pos
+
+(* Every binary exponent from -1074 to 1023 with the mantissas 1, 1+ulp,
+   1+2ulp, 2-ulp and 2-2ulp, and the edge magnitudes; all of it with both
+   signs, and NaN. *)
+let sweep =
+  let u = epsilon_float in
+  let mantissas = [ 1.0; 1.0 +. u; 1.0 +. (2.0 *. u); 2.0 -. u; 2.0 -. (2.0 *. u) ] in
+  with_signs
+    (List.concat_map
+       (fun e -> List.map (fun m -> Float.ldexp m e) mantissas)
+       (List.init 2098 (fun i -> i - 1074))
+    @ edge_magnitudes)
+
+(* The edge magnitudes, the largest subnormal, the smallest normal and 1,
+   with both signs, and NaN: few enough to take every pair of. *)
+let specials = with_signs (edge_magnitudes @ [ Float.pred 0x1p-1022; 0x1p-1022; 1.0 ])
 
 (* Raw 64-bit patterns, so every exponent (and NaN) is equally likely. *)
 let arb_bits = QCheck.make ~print:(Printf.sprintf "%h") QCheck.Gen.(map Int64.float_of_bits int64)

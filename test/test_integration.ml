@@ -108,32 +108,32 @@ let test_pretrained_delta_refinements () =
   Alcotest.(check bool) (Printf.sprintf "%d delta refinements > 0" refinements) true
     (refinements > 0)
 
+(* Every registry scenario at jobs 1 under the CLI's default seed, as
+   `scenarios run --jobs 1` runs them. *)
+let registry_reports () =
+  List.map
+    (fun (e : Registry.entry) ->
+      match Registry.elaborate { e.Registry.scenario with Scenario.jobs = Some 1 } with
+      | Error why -> Alcotest.failf "%s: %s" e.Registry.name why
+      | Ok el ->
+        Engine.verify ~config:el.Scenario.config ~rng:(Rng.create 7)
+          el.Scenario.closed.Plant.system)
+    (Registry.scenarios ())
+
 let test_registry_counters_pinned () =
-  (* Every registry scenario at jobs 1 under the CLI's default seed, as
-     `scenarios run --jobs 1` runs them.  At jobs 1 the search is
-     deterministic, so these counters are the search itself: a change to
-     the interval kernels, the tape or the solver that means to keep the
-     search keeps them, and one that changes it updates them with a
-     reason. *)
+  (* At jobs 1 the search is deterministic, so these counters are the
+     search itself: a change to the interval kernels, the tape or the
+     solver that means to keep the search keeps them, and one that changes
+     it updates them with a reason. *)
   Obs.Metrics.reset ();
   Obs.Metrics.enable ();
   Fun.protect ~finally:Obs.Metrics.disable (fun () ->
-      List.iter
-        (fun (e : Registry.entry) ->
-          match Registry.elaborate { e.Registry.scenario with Scenario.jobs = Some 1 } with
-          | Error why -> Alcotest.failf "%s: %s" e.Registry.name why
-          | Ok el ->
-            ignore
-              (Engine.verify ~config:el.Scenario.config ~rng:(Rng.create 7)
-                 el.Scenario.closed.Plant.system
-                : Engine.report))
-        (Registry.scenarios ()));
+      ignore (registry_reports () : Engine.report list));
   let expect name v = Alcotest.(check int) name v (Obs.Metrics.value (Obs.Metrics.counter name)) in
-  expect "solver.branches" 6_884;
-  expect "solver.hc4_revise" 19_519;
+  expect "solver.branches" 7_197;
+  expect "solver.hc4_revise" 20_131;
   expect "solver.prunes" 3_604;
   expect "solver.prunes_mvf" 1_074;
-  expect "tape.batched_sweeps" 7_099;
   expect "tape.compile" 150;
   expect "cegis.cex_cuts" 4;
   expect "cegis.delta_refinements" 17;
@@ -141,18 +141,18 @@ let test_registry_counters_pinned () =
   expect "level_search.bisections" 9;
   Obs.Metrics.reset ()
 
+(* One FNV-1a (64-bit) step per byte of [bits], into the state [h]. *)
+let fnv1a_bits h bits =
+  for b = 0 to 7 do
+    let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+  done
+
 (* FNV-1a (64-bit) over the bits of every time and state coordinate of
    [traces], byte by byte: equal hashes mean bit-identical traces. *)
 let fnv1a_traces traces =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let add_float v =
-    let bits = Int64.bits_of_float v in
-    for b = 0 to 7 do
-      let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
-      h := Int64.mul (Int64.logxor !h byte) prime
-    done
-  in
+  let add_float v = fnv1a_bits h (Int64.bits_of_float v) in
   List.iter
     (fun tr ->
       Array.iteri
@@ -162,6 +162,35 @@ let fnv1a_traces traces =
         tr.Ode.times)
     traces;
   !h
+
+(* FNV-1a (64-bit) over every registry scenario's condition (5) cover at
+   jobs 1: its δ, then per disjunct the node count, the nodes and the split
+   points, and a marker for a scenario with no cover.  Equal hashes mean
+   the same proofs, box for box, so a search change that keeps every
+   verdict and cover (such as one that only moves where a doomed box is
+   pruned) keeps this hash. *)
+let test_registry_covers_pinned () =
+  let h = ref 0xcbf29ce484222325L in
+  let add_int i = fnv1a_bits h (Int64.of_int i) in
+  let covered = ref 0 and nodes = ref 0 in
+  List.iter
+    (fun (r : Engine.report) ->
+      match r.Engine.cover with
+      | None -> add_int (-1)
+      | Some c ->
+        incr covered;
+        fnv1a_bits h (Int64.bits_of_float c.Solver.delta);
+        add_int (Array.length c.Solver.trees);
+        Array.iter
+          (fun (t : Solver.tree) ->
+            add_int (Array.length t.Solver.nodes);
+            nodes := !nodes + Array.length t.Solver.nodes;
+            Array.iter add_int t.Solver.nodes;
+            Array.iter (fun p -> fnv1a_bits h (Int64.bits_of_float p)) t.Solver.points)
+          c.Solver.trees)
+    (registry_reports ());
+  Alcotest.(check (pair int int)) "scenarios with a cover, cover nodes" (9, 5_458) (!covered, !nodes);
+  Alcotest.(check string) "FNV-1a of the covers" "2c3313fa7fbbd95a" (Printf.sprintf "%Lx" !h)
 
 let test_seed_traces_pinned () =
   (* Seed simulation exactly as the engine runs it (default rect, dt,
@@ -368,6 +397,7 @@ let () =
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "registry search counters pinned" `Quick
             test_registry_counters_pinned;
+          Alcotest.test_case "registry covers pinned" `Quick test_registry_covers_pinned;
           Alcotest.test_case "seed traces pinned" `Quick test_seed_traces_pinned;
           Alcotest.test_case "traces end in X0" `Quick test_traces_end_in_x0;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;

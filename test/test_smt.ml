@@ -621,7 +621,7 @@ let test_solver_prepared_reuse () =
 
 (* The imbalanced corner refutation of [test_solver_steal_imbalanced]: an
    Unsat answer with hundreds of boxes, steals at jobs > 1, and leaves
-   closed by HC4, the mean-value form and the forward pre-filter. *)
+   closed by HC4 and by the mean-value form. *)
 let corner =
   Formula.and_
     [

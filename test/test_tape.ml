@@ -231,29 +231,6 @@ let prop_tape_at_least_as_tight =
         (not tape_alive)
         || (Interval.subset dp.(0) dt.(0) && Interval.subset dp.(1) dt.(1)))
 
-let prop_forward_batch_parity =
-  (* Each lane of a batched sweep runs the same transcribed kernels over
-     flat slot indices, so it must agree bit-for-bit with a scalar forward
-     of that lane's box — on every expression, including ones that go
-     non-finite. *)
-  QCheck.Test.make ~name:"batched forward ≡ scalar forward per lane" ~count:300
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let e = gen_expr rng 4 in
-      let tape = compile_tape { Formula.expr = e; rel = Formula.Le0 } in
-      let b = Tape.make_buffers tape in
-      let box () =
-        [|
-          Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0);
-          Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0);
-        |]
-      in
-      let d1 = box () and d2 = box () in
-      let bt = Tape.make_batch tape ~width:2 in
-      let i1, i2 = Tape.forward_pair tape bt d1 d2 in
-      Interval.equal i1 (Tape.forward tape b d1) && Interval.equal i2 (Tape.forward tape b d2))
-
 let prop_forward_partials_parity =
   (* A forward sweep continued over the partial slots is the fused sweep:
      the same enclosures of the atom and of every partial, bit for bit —
@@ -282,36 +259,57 @@ let prop_forward_partials_parity =
            (fun i -> Interval.equal (Tape.partial_ival tape fused i) (Tape.partial_ival tape split i))
            [ 0; 1 ])
 
-let test_batch_edges () =
-  let e = Expr.( + ) (Expr.pow x 2) (Expr.sin y) in
-  let tape = compile_tape { Formula.expr = e; rel = Formula.Le0 } in
-  let b = Tape.make_buffers tape in
-  let bt = Tape.make_batch tape ~width:3 in
-  Alcotest.(check int) "width" 3 (Tape.batch_width bt);
-  let d = [| Interval.make 0.0 1.0; Interval.make (-1.0) 1.0 |] in
-  let scalar = Tape.forward tape b d in
-  let r1 = Tape.forward_batch tape bt [| d |] in
-  Alcotest.(check int) "n=1 result length" 1 (Array.length r1);
-  Alcotest.(check bool) "n=1 matches scalar" true (Interval.equal r1.(0) scalar);
-  let r3 = Tape.forward_batch tape bt [| d; d; d |] in
-  Alcotest.(check int) "n=width result length" 3 (Array.length r3);
-  Array.iteri
-    (fun i iv ->
-      Alcotest.(check bool) (Printf.sprintf "lane %d matches scalar" i) true
-        (Interval.equal iv scalar))
-    r3;
-  (match Tape.make_batch tape ~width:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "width 0 must be rejected");
-  (match Tape.forward_batch tape bt [||] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty batch must be rejected");
-  (match Tape.forward_batch tape bt [| d; d; d; d |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "overfull batch must be rejected");
-  Alcotest.(check bool) "batched sweeps counted" true (Tape.batched_sweep_count () > 0)
+(* The enclosure a [revise] leaves in its buffers, which the solver reads
+   instead of sweeping again when no domain changed, is a fresh forward
+   sweep of the domains the revise started from, bit for bit; a revise that
+   narrows nothing leaves every domain element physically in place, which
+   is what lets the solver see that. *)
+let prop_revise_leaves_forward =
+  QCheck.Test.make ~name:"revise leaves the forward enclosure of its domains" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let e = gen_expr rng 4 in
+      let rel = if Rng.int rng 4 = 0 then Formula.Eq0 else Formula.Le0 in
+      let tape = compile_tape { Formula.expr = e; rel } in
+      let bound () = Rng.uniform rng (-3.0) 3.0 in
+      let d =
+        Array.init 2 (fun _ ->
+            let a = bound () and c = bound () in
+            Interval.make (Float.min a c) (Float.max a c))
+      in
+      let before = Array.copy d in
+      let b = Tape.make_buffers tape in
+      let changed = match Tape.revise tape b d with c -> c | exception Tape.Empty_box -> true in
+      let bits i =
+        if Interval.is_empty i then None
+        else Some (Int64.bits_of_float (Interval.lo i), Int64.bits_of_float (Interval.hi i))
+      in
+      bits (Tape.atom_ival tape b) = bits (Tape.forward tape (Tape.make_buffers tape) before)
+      && (changed || Array.for_all2 ( == ) d before))
 
 (* --- Rounding kernels and edge containment ------------------------------ *)
+
+(* The tape's fmin/fmax are Float.min/Float.max bit for bit; which NaN a NaN
+   operand gives is not compared ([Edge_floats.same_bits]). *)
+let same_min_max x y =
+  Edge_floats.same_bits (Tape.fmin x y) (Float.min x y)
+  && Edge_floats.same_bits (Tape.fmax x y) (Float.max x y)
+
+let test_min_max_specials () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          if not (same_min_max x y) then
+            Alcotest.failf "fmin/fmax (%h, %h) differ from Float.min/Float.max" x y)
+        Edge_floats.specials)
+    Edge_floats.specials
+
+let prop_min_max_bits =
+  QCheck.Test.make ~name:"fmin/fmax = Float.min/Float.max on raw bit patterns" ~count:2000
+    (QCheck.pair Edge_floats.arb_bits Edge_floats.arb_bits)
+    (fun (x, y) -> same_min_max x y && same_min_max x x && same_min_max x (-.x))
 
 (* The tape keeps its own copy of Interval's rounding kernels.  A one-node
    x + 0 tape exposes them as [down (x + 0), up (x + 0)]; test_interval
@@ -512,16 +510,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_interval_eval_parity;
           QCheck_alcotest.to_alcotest prop_tape_revise_sound;
           QCheck_alcotest.to_alcotest prop_tape_at_least_as_tight;
-          QCheck_alcotest.to_alcotest prop_forward_batch_parity;
           QCheck_alcotest.to_alcotest prop_forward_partials_parity;
-          Alcotest.test_case "batch width edge cases" `Quick test_batch_edges;
+          QCheck_alcotest.to_alcotest prop_revise_leaves_forward;
           Alcotest.test_case "nn export parity" `Quick test_nn_tape_parity;
         ] );
       ( "rounding",
         Alcotest.test_case "down/up = guarded pred/succ at every exponent" `Quick
           test_tape_rounding_sweep
+        :: Alcotest.test_case "fmin/fmax = Float.min/Float.max at every edge pair" `Quick
+             test_min_max_specials
         :: List.map QCheck_alcotest.to_alcotest
-             (prop_tape_rounding_bits :: prop_tape_edge_containment) );
+             (prop_tape_rounding_bits :: prop_min_max_bits :: prop_tape_edge_containment) );
       ( "solver",
         [
           Alcotest.test_case "compile once per disjunct" `Quick test_compile_once_per_disjunct;
