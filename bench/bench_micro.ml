@@ -53,15 +53,6 @@ let lie_atom width =
 
 let index_of v = if String.equal v Error_dynamics.var_derr then 0 else 1
 
-let hc4_revise_test width =
-  let atom = lie_atom width in
-  let compiled = Hc4.compile ~index_of atom in
-  Test.make
-    ~name:(Printf.sprintf "hc4_revise_%d" width)
-    (Staged.stage (fun () ->
-         let domains = [| Interval.make (-5.0) 5.0; Interval.make (-1.5) 1.5 |] in
-         try ignore (Hc4.revise domains compiled) with Hc4.Empty_box -> ()))
-
 let tape_revise_test width =
   let atom = lie_atom width in
   let tape = Tape.compile ~index_of atom in
@@ -142,8 +133,6 @@ let run () =
         interval_eval_test 100;
         tape_interval_eval_test 10;
         tape_interval_eval_test 100;
-        hc4_revise_test 10;
-        hc4_revise_test 100;
         tape_revise_test 10;
         tape_revise_test 100;
         tape_forward_all_test 100;

@@ -314,9 +314,9 @@ let check_cmd =
   in
   let diverse =
     let doc =
-      "Audit with the tree-walking solver engine instead of the compiled-tape one, so the \
-       re-proof shares no evaluation code path with the synthesis run that produced the \
-       artifact."
+      "Walk every cover with expression-tree evaluation (Expr.ieval over each atom and its \
+       partials) instead of the compiled tape, so the certifying step shares no evaluation \
+       code path with the synthesis run that produced the artifact."
     in
     Arg.(value & flag & info [ "diverse" ] ~doc)
   in
@@ -347,29 +347,29 @@ let check_cmd =
       exit 1
     | Ok entry ->
       let system = rebuild_system ~scenario entry in
-      let engine = if diverse then Solver.Tree_eval else Solver.Tape_eval in
       let budget =
         match deadline with None -> Budget.unlimited | Some s -> Budget.with_timeout s
       in
       let verdict, stats =
-        Checker.audit ~engine ~budget ?network:entry.Store.network ~system
+        Checker.audit ~diverse ~budget ?network:entry.Store.network ~system
           entry.Store.artifact
       in
       Format.printf "%s@." (Checker.string_of_verdict verdict);
       Format.printf
         "  fingerprint %s@.  audit: condition (5) %.3fs, conditions (6,7) %.3fs, %d branches, \
-         total %.3fs@.  replay: %d nodes, %d fallbacks; leaves closed by %d forward sweeps, %d \
-         MVF@."
+         total %.3fs@.  replay: %d nodes, %d dropped covers; leaves closed by %d forward \
+         sweeps, %d MVF@."
         entry.Store.artifact.Artifact.fingerprint.Artifact.combined stats.Checker.cond5_time
         stats.Checker.cond67_time stats.Checker.branches stats.Checker.total_time
-        stats.Checker.replay_nodes stats.Checker.replay_fallbacks stats.Checker.forward_leaves
+        stats.Checker.replay_nodes stats.Checker.dropped_covers stats.Checker.forward_leaves
         stats.Checker.mvf_leaves;
       let code = Checker.exit_code verdict in
       if code <> 0 then exit code
   in
   let doc =
     "Independently audit a stored certificate artifact: rebuild conditions (5)–(7) from the \
-     artifact alone and re-prove them with a fresh solver.  Exits nonzero on rejection."
+     artifact alone and certify each by walking a refined cover: the stored one, or one the \
+     check proposes by a recording search.  Exits nonzero on rejection."
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(const run $ dir $ scenario_arg $ diverse $ deadline)
 

@@ -51,9 +51,9 @@ let hash_dynamics (system : Engine.system) =
   digest (Buffer.contents buf)
 
 (* Canonical rendering of every config field that can change the problem or
-   the search semantics.  Execution-strategy fields (jobs, smt.jobs,
-   smt.engine) are excluded on purpose: they cannot change the verdict, so
-   they must not fragment the cache. *)
+   the search semantics.  Execution-strategy fields (jobs, smt.jobs) are
+   excluded on purpose: they cannot change the verdict, so they must not
+   fragment the cache. *)
 let hash_config (c : Engine.config) =
   let syn = c.Engine.synthesis and smt = c.Engine.smt in
   let opt_rect = function None -> "-" | Some r -> rect_str r in

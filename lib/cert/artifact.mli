@@ -27,7 +27,7 @@
       the verification {e problem} or the search semantics (rectangles, γ,
       seed counts, synthesis options, template kind, iteration bounds, δ,
       the branch bound).  Execution-strategy fields that cannot change
-      the verdict — [jobs], [smt.jobs], [smt.engine] — are deliberately
+      the verdict — [jobs], [smt.jobs] — are deliberately
       excluded, so a certificate proved sequentially is a cache hit for a
       parallel run.
     - [plant_hash] — digest of the plant identity (registry name, semantic

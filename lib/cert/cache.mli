@@ -65,4 +65,4 @@ val verify :
     alongside the artifact so [check] can re-derive the system later.
     [plant] (default {!Artifact.dubins_plant_id}) is the scenario's plant
     identity; it enters the fingerprint, the hit binding, and the exported
-    artifact.  Hits are audited with {!Checker.audit}'s default engine. *)
+    artifact.  Hits are audited with {!Checker.audit}, walking with the tape. *)

@@ -27,7 +27,7 @@ type stats = {
   cond7_time : float;
   branches : int;
   replay_nodes : int;
-  replay_fallbacks : int;
+  dropped_covers : int;
   forward_leaves : int;
   mvf_leaves : int;
   total_time : float;
@@ -65,16 +65,16 @@ let refine ?budget ~system (a : Artifact.t) =
     { a with Artifact.cover = Solver.refine ?budget p ~bounds cover }
 
 let c_replay_nodes = Obs.Metrics.counter "checker.replay_nodes"
-let c_replay_fallbacks = Obs.Metrics.counter "checker.replay_fallbacks"
+let c_dropped_covers = Obs.Metrics.counter "checker.dropped_covers"
 let c_forward_leaves = Obs.Metrics.counter "checker.forward_leaves"
 let c_mvf_leaves = Obs.Metrics.counter "checker.mvf_leaves"
 
-let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
+let audit ?(diverse = false) ?(budget = Budget.unlimited) ?network
     ~(system : Engine.system) (a : Artifact.t) =
   Obs.Trace.with_span "checker.audit" @@ fun () ->
   let t_start = Timing.now () in
   let acc5 = ref 0.0 and acc6 = ref 0.0 and acc7 = ref 0.0 and branches = ref 0 in
-  let replay_nodes = ref 0 and replay_fallbacks = ref 0 in
+  let replay_nodes = ref 0 and dropped_covers = ref 0 in
   let forward_leaves = ref 0 and mvf_leaves = ref 0 in
   let finish verdict =
     ( verdict,
@@ -85,44 +85,68 @@ let audit ?(engine = Solver.Tape_eval) ?(budget = Budget.unlimited) ?network
         cond7_time = !acc7;
         branches = !branches;
         replay_nodes = !replay_nodes;
-        replay_fallbacks = !replay_fallbacks;
+        dropped_covers = !dropped_covers;
         forward_leaves = !forward_leaves;
         mvf_leaves = !mvf_leaves;
         total_time = Timing.now () -. t_start;
       } )
   in
   let reject r = finish (Rejected r) in
-  let options = { Solver.default_options with Solver.delta = a.Artifact.delta; engine } in
-  (* The audit decides each condition once, at the δ the proof was accepted
-     at; Unsat is the only certifying answer.  A query with a recorded
-     [cover] replays it (searching a disjunct whole, at the cover's δ, only
-     where the replay cannot close a leaf). *)
+  let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
+  (* The audit certifies a condition only by a closed walk of a refined
+     cover ([Solver.replay]): the stored one, when condition (5) has one
+     and it closes, else one the audit proposes.  A proposal is a
+     recording search at the artifact's δ, refined: the search can refute
+     (a δ-sat witness) or propose, never certify, and a proposal that
+     does not refine is inconclusive. *)
   let decide ?cover ~condition ~acc ~bounds formula k =
-    let (verdict, st), dt =
+    let inconclusive what =
+      Error (Inconclusive (Printf.sprintf "condition (%d)%s" condition what))
+    in
+    let outcome, dt =
       Timing.time (fun () ->
           Obs.Trace.with_span
             (Printf.sprintf "checker.condition%d" condition)
             (fun () ->
-              match cover with
-              | None -> Solver.solve ~options ~budget ~bounds formula
-              | Some cover ->
-                let vars = List.map (fun (v, _, _) -> v) bounds in
-                Solver.replay ~budget (Solver.prepare ~options ~vars formula) ~bounds cover))
+              let vars = List.map (fun (v, _, _) -> v) bounds in
+              let p = Solver.prepare ~options ~vars formula in
+              let walk cover =
+                let verdict, st = Solver.replay ~diverse ~budget p ~bounds cover in
+                branches := !branches + st.Solver.replay_nodes;
+                replay_nodes := !replay_nodes + st.Solver.replay_nodes;
+                forward_leaves := !forward_leaves + st.Solver.replay_forward;
+                mvf_leaves := !mvf_leaves + st.Solver.replay_mvf;
+                Obs.Metrics.add c_replay_nodes st.Solver.replay_nodes;
+                Obs.Metrics.add c_forward_leaves st.Solver.replay_forward;
+                Obs.Metrics.add c_mvf_leaves st.Solver.replay_mvf;
+                match (verdict, st.Solver.interrupted) with
+                | Solver.Unsat, _ -> `Closed
+                | _, Some _ -> `Stopped
+                | _, None -> `Open
+              in
+              let propose () =
+                let verdict, st = Solver.solve_prepared ~budget ~record:true p ~bounds in
+                branches := !branches + st.Solver.branches;
+                match (verdict, st.Solver.cover) with
+                | Solver.Delta_sat witness, _ -> Error (Condition_refuted { condition; witness })
+                | Solver.Unsat, Some proposed -> (
+                  match Option.map walk (Solver.refine ~budget p ~bounds proposed) with
+                  | Some `Closed -> Ok ()
+                  | Some (`Open | `Stopped) | None ->
+                    inconclusive ": the proposed cover does not refine")
+                | (Solver.Unsat | Solver.Unknown), _ -> inconclusive ""
+              in
+              match Option.map walk cover with
+              | Some `Closed -> Ok ()
+              | Some `Stopped -> inconclusive ""
+              | Some `Open ->
+                incr dropped_covers;
+                Obs.Metrics.incr c_dropped_covers;
+                propose ()
+              | None -> propose ()))
     in
     acc := !acc +. dt;
-    branches := !branches + st.Solver.replay_nodes + st.Solver.branches;
-    replay_nodes := !replay_nodes + st.Solver.replay_nodes;
-    replay_fallbacks := !replay_fallbacks + st.Solver.replay_fallbacks;
-    forward_leaves := !forward_leaves + st.Solver.replay_forward;
-    mvf_leaves := !mvf_leaves + st.Solver.replay_mvf;
-    Obs.Metrics.add c_replay_nodes st.Solver.replay_nodes;
-    Obs.Metrics.add c_replay_fallbacks st.Solver.replay_fallbacks;
-    Obs.Metrics.add c_forward_leaves st.Solver.replay_forward;
-    Obs.Metrics.add c_mvf_leaves st.Solver.replay_mvf;
-    match verdict with
-    | Solver.Unsat -> k ()
-    | Solver.Delta_sat witness -> reject (Condition_refuted { condition; witness })
-    | Solver.Unknown -> reject (Inconclusive (Printf.sprintf "condition (%d)" condition))
+    match outcome with Ok () -> k () | Error r -> reject r
   in
   (* 1. Structure: the artifact must speak the system's language. *)
   if

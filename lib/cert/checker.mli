@@ -4,28 +4,32 @@
     trusting the pipeline that produced it}: starting from the artifact
     alone it rebuilds the paper's three conditions — (5) decrease on
     [D \ X0], (6) [X0 ⊂ {W ≤ ℓ}], (7) [{W ≤ ℓ} ∩ U = ∅] — with the
-    engine's own formula builders and decides each with a {e fresh} solver
-    instance at the artifact's recorded δ.  The trust boundary is therefore
-    the formula builders + δ-SAT solver + the caller-supplied system, never
-    the CEGIS loop, the LP, the store, or the artifact's own provenance
-    fields: a verdict of [Certified] means the proof was reproduced from
-    scratch.
+    engine's own formula builders and decides each at the artifact's
+    recorded δ.  The trust boundary is the formula builders, the cover
+    walk and the caller-supplied system, never the CEGIS loop, the LP,
+    the search, the store, or the artifact's own provenance fields: a
+    verdict of [Certified] means the proof was checked from scratch.
 
-    Condition (5) is checked against the artifact's recorded cover when
-    it has one ({!Solver.replay}): splits tile the query box by
-    construction, and each leaf of a refined cover ({!refine}) closes
-    with one forward sweep or the mean-value form on its own box, so the
-    check evaluates and never contracts.  At a leaf those tests leave
-    open, or a split that does not fit its box, the check searches that
-    disjunct whole at the cover's δ.  The cover is untrusted — a wrong
-    one costs search time, never a wrong [Certified] — so it does not
-    enlarge the trust boundary.  Artifacts without a cover (v2 and v3
-    entries among them) are searched whole at their δ.
+    Each condition is certified only by a closed walk of a refined cover
+    ({!Solver.replay}): splits tile the query box by construction, and
+    each leaf closes with one forward sweep or the mean-value form on its
+    own box, so the walk evaluates and never contracts, bisects a leaf or
+    searches.  For condition (5) that is the artifact's stored cover
+    ({!refine}).  Where there is none (v2 and v3 entries, exports whose
+    refinement failed, and always for (6) and (7)), or the stored one does
+    not close, the audit proposes a cover: a recording search at the
+    artifact's δ ({!Solver.solve_prepared} [~record:true]), refined
+    ({!Solver.refine}) and then walked.  The search can only refute — a
+    δ-sat witness is [Condition_refuted] — or propose; a proposal that
+    does not refine is [Inconclusive].  Covers are untrusted — a wrong one
+    costs a proposal, never a wrong [Certified] — so the trusted base is
+    the walk, its leaf tests and evaluators, and the formula builders, not
+    the search (DESIGN.md §5f).
 
-    Passing [engine = Solver.Tree_eval] swaps in the tree-walking
-    evaluation engine as a {e diversity} backend, so the audit does not even
-    share the compiled-tape code path with the synthesis run that produced
-    the artifact.
+    Passing [diverse] walks every cover with [Expr.ieval]/[Expr.eval] over
+    each atom and its [Expr.diff] partials instead of the compiled tape,
+    so the certifying step does not even share the tape's code with the
+    synthesis run that produced the artifact.
 
     Tampered artifacts are rejected structurally: a perturbed coefficient
     or inflated level fails one of the re-proved conditions
@@ -61,19 +65,19 @@ type stats = {
   cond6_time : float;
   cond7_time : float;
   branches : int;
-      (** boxes over all three queries: searched boxes plus replayed
+      (** boxes over all three conditions: searched boxes plus walked
           cover nodes *)
-  replay_nodes : int;  (** condition (5) cover nodes visited *)
-  replay_fallbacks : int;
-      (** condition (5) disjuncts the replay searched whole; 0 when the
-          cover closes every leaf *)
-  forward_leaves : int;  (** condition (5) leaves closed by a forward sweep *)
-  mvf_leaves : int;  (** condition (5) leaves closed by the mean-value form *)
+  replay_nodes : int;  (** cover nodes walked, over all three conditions *)
+  dropped_covers : int;
+      (** stored covers the walk left open (not stopped by the budget),
+          so the audit proposed its own: 0 or 1 (condition (5)) *)
+  forward_leaves : int;  (** leaves closed by a forward sweep *)
+  mvf_leaves : int;  (** leaves closed by the mean-value form *)
   total_time : float;
 }
 
 val audit :
-  ?engine:Solver.engine ->
+  ?diverse:bool ->
   ?budget:Budget.t ->
   ?network:Nn.t ->
   system:Engine.system ->
@@ -83,13 +87,13 @@ val audit :
     (when the caller has one, e.g. loaded from the store entry) is
     additionally checked against the artifact's [nn_hash]; artifacts
     recorded without a network ({!Artifact.no_nn}) skip that comparison.
-    [engine] defaults to [Tape_eval]; [budget] defaults to unlimited.
+    [diverse] defaults to [false]; [budget] defaults to unlimited.
 
-    The replay counts are also added to the [checker.replay_nodes],
-    [checker.replay_fallbacks], [checker.forward_leaves] and
+    The walk counts are also added to the [checker.replay_nodes],
+    [checker.dropped_covers], [checker.forward_leaves] and
     [checker.mvf_leaves] metric counters.
 
-    The re-proofs run at [jobs = 1] on purpose, whatever the caller's
+    The proposals search at [jobs = 1] on purpose, whatever the caller's
     [jobs]: the audit's main caller is a serve worker handling a store
     hit, and the serve workers already occupy the cores, so a parallel
     search per hit would only contend with them. *)
@@ -100,8 +104,7 @@ val refine : ?budget:Budget.t -> system:Engine.system -> Artifact.t -> Artifact.
     audit of the result checks every leaf with one sweep.  When the
     refinement fails — a leaf the tests do not close within its bisection
     budget, a cover that does not fit, or a stop by [budget] (default
-    unlimited) — the result has no cover, and an audit searches condition
-    (5) whole.  [a] is returned unchanged when it has no cover.  Call it
+    unlimited) — the result has no cover, and an audit proposes one.  [a] is returned unchanged when it has no cover.  Call it
     on an artifact bound to [system]; it checks nothing else. *)
 
 val exit_code : verdict -> int

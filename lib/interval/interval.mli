@@ -97,7 +97,7 @@ val root : t -> int -> t
     when [r] is entirely negative).  Each end starts from [b ** (1/n)] and
     steps outward by 1, 2, 4, … ulps until an outward-rounded product
     bound on its n-th power lies on its side of [b].  The backward
-    projections of [x^n] in {!Hc4} and {!Tape} use it. *)
+    projection of [x^n] in {!Tape} uses it. *)
 
 val abs : t -> t
 

@@ -15,7 +15,6 @@ type stats = {
   frontier_high_water : int;
   refinements : int;
   replay_nodes : int;
-  replay_fallbacks : int;
   replay_forward : int;
   replay_mvf : int;
   elapsed : float;
@@ -23,13 +22,10 @@ type stats = {
   cover : cover option;
 }
 
-type engine = Tree_eval | Tape_eval
-
 type options = {
   delta : float;
   max_branches : int;
   jobs : int;
-  engine : engine;
   steal_seed : int;
 }
 
@@ -38,7 +34,6 @@ let default_options =
     delta = 1e-3;
     max_branches = 200_000;
     jobs = 1;
-    engine = Tape_eval;
     steal_seed = 0;
   }
 
@@ -65,7 +60,6 @@ type search_state = {
   mutable steal_failures : int;
   mutable frontier_hw : int;
   mutable replay_nodes : int;
-  mutable replay_fallbacks : int;
   mutable replay_forward : int;
   mutable replay_mvf : int;
   mutable records : (int * record) list;
@@ -82,7 +76,6 @@ let fresh_state () =
     steal_failures = 0;
     frontier_hw = 0;
     replay_nodes = 0;
-    replay_fallbacks = 0;
     replay_forward = 0;
     replay_mvf = 0;
     records = [];
@@ -99,17 +92,16 @@ let merge_state st s =
   if s.frontier_hw > st.frontier_hw then st.frontier_hw <- s.frontier_hw;
   st.records <- List.rev_append s.records st.records
 
-(* Per-task runtime view of one atom: the search below is written against
-   this record only, so the compiled-tape engine and the tree-walking
-   oracle engine are interchangeable (and differentially testable).  The
-   closures own whatever mutable evaluation state the engine needs, which
-   is why an [atom_rt] must not be shared across tasks — only the
-   immutable artifacts behind it (tapes, prepared partial exprs) are. *)
+(* Per-task runtime view of one atom: the search and the walk below are
+   written against this record only, so a walk can evaluate its leaves
+   with the tape or with [Expr] trees.  The closures own whatever mutable
+   evaluation state they need, which is why an [atom_rt] must not be
+   shared across tasks — only the immutable tapes behind it are. *)
 type atom_rt = {
   atom : Formula.atom;
   size : int;  (* Expr.size of the atom, for the smear-atom choice *)
   n_partials : int;
-  revise : Interval.t array -> bool;  (* raises Hc4.Empty_box / Tape.Empty_box *)
+  revise : Interval.t array -> bool;  (* raises Tape.Empty_box *)
   forward : Interval.t array -> Interval.t;  (* forward enclosure of the atom alone *)
   partials : Interval.t array -> Interval.t array;
       (* enclosures of the partials, indexed by variable, over the domains
@@ -157,20 +149,19 @@ let tape_rt ((a : Formula.atom), tape) =
     eval_mid = (fun x -> Tape.eval_point tape b x);
   }
 
-let tree_rt ~index_of ((a : Formula.atom), partial_exprs) =
-  let c = Hc4.compile ~index_of a in
-  let cps =
-    Array.map
-      (fun p -> Hc4.compile ~index_of { Formula.expr = p; rel = Formula.Le0 })
-      partial_exprs
-  in
+(* The diverse walk's view of an atom: [Expr.ieval] and [Expr.eval] over
+   the atom and its [Expr.diff] partials.  The kernels are the tape's, the
+   code that runs them is not, and test_tape checks the two bit for bit.
+   A walk never contracts, so nothing calls [revise]. *)
+let expr_rt ~index_of (a : Formula.atom) partial_exprs =
+  let ieval domains e = Expr.ieval (fun v -> domains.(index_of v)) e in
   {
     atom = a;
     size = Expr.size a.Formula.expr;
-    n_partials = Array.length cps;
-    revise = (fun domains -> Hc4.revise domains c);
-    forward = (fun domains -> Hc4.forward domains c);
-    partials = (fun domains -> Array.map (Hc4.forward domains) cps);
+    n_partials = Array.length partial_exprs;
+    revise = (fun _ -> invalid_arg "Solver: a walk never contracts");
+    forward = (fun domains -> ieval domains a.Formula.expr);
+    partials = (fun domains -> Array.map (ieval domains) partial_exprs);
     eval_mid = (fun x -> Expr.eval (fun v -> x.(index_of v)) a.Formula.expr);
   }
 
@@ -210,7 +201,7 @@ let contract st domains rts =
         st.hc4_calls <- st.hc4_calls + 1;
         match rt.revise domains with
         | (_ : bool) -> ()
-        | exception (Hc4.Empty_box | Tape.Empty_box) -> raise Pruned)
+        | exception Tape.Empty_box -> raise Pruned)
       rts;
     let paid = ref false in
     Array.iteri
@@ -234,12 +225,9 @@ exception Budget_exhausted of Budget.stop
    search so the expensive [Expr.diff] of e.g. a deep NN composite runs once
    per query, not once per parallel task.  Tiny box-membership atoms gain
    nothing from partials and get [[||]]. *)
-let prepare_atom names (a : Formula.atom) =
-  let partials =
-    if Expr.size a.Formula.expr < 4 then [||]
-    else Array.map (fun v -> Expr.diff v a.Formula.expr) names
-  in
-  (a, partials)
+let partials_of names (a : Formula.atom) =
+  if Expr.size a.Formula.expr < 4 then [||]
+  else Array.map (fun v -> Expr.diff v a.Formula.expr) names
 
 (* What the search needs to know about one atom on a contracted box,
    computed once per box from one midpoint evaluation and one forward
@@ -706,7 +694,8 @@ let solve_conjunction_par q st names make_rts initial =
 type prepared = {
   p_options : options;
   p_names : string array;
-  p_disjuncts : (unit -> atom_rt list) list;
+  p_index_of : string -> int;
+  p_disjuncts : (Formula.atom * Tape.t) list list;  (* each atom with its one tape *)
 }
 
 let prepare ?(options = default_options) ~vars formula =
@@ -725,42 +714,27 @@ let prepare ?(options = default_options) ~vars formula =
     | None -> invalid_arg (Printf.sprintf "Solver.solve: variable %s has no bounds" n)
   in
   List.iter (fun v -> ignore (index_of v : int)) (Formula.free_vars formula);
-  let disjuncts = Formula.to_dnf formula in
-  (* Engine split.  Tape: each atom (with its partials) is compiled ONCE
-     per prepare — the tapes are immutable and shared by every parallel
-     task and every later [solve_prepared], which only allocate their own
-     evaluation buffers.  Tree: the HC4 nodes carry mutable interval
-     scratch state, so every task must compile private copies (the
-     pre-tape behaviour, kept as the differential-testing oracle). *)
-  (* An atom shared by several disjuncts — condition (5)'s decrease atom
+  (* Each atom (with its partials) is compiled ONCE per prepare — the
+     tapes are immutable and shared by every parallel task and every later
+     [solve_prepared], which only allocate their own evaluation buffers.
+     An atom shared by several disjuncts — condition (5)'s decrease atom
      is in every one — is differentiated and compiled once; [to_dnf]
      shares it physically. *)
-  let memo f =
-    let seen = ref [] in
-    fun (a : Formula.atom) ->
-      match List.assq_opt a !seen with
-      | Some r -> r
-      | None ->
-        let r = f a in
-        seen := (a, r) :: !seen;
-        r
+  let seen = ref [] in
+  let compile (a : Formula.atom) =
+    match List.assq_opt a !seen with
+    | Some r -> r
+    | None ->
+      let r = (a, Tape.compile ~index_of ~partials:(partials_of names a) a) in
+      seen := (a, r) :: !seen;
+      r
   in
-  let prepared = memo (prepare_atom names) in
-  let tape =
-    memo (fun a ->
-        let a, partials = prepared a in
-        (a, Tape.compile ~index_of ~partials a))
-  in
-  let prep_conjunction conj =
-    match options.engine with
-    | Tape_eval ->
-      let tapes = List.map tape conj in
-      fun () -> List.map tape_rt tapes
-    | Tree_eval ->
-      let atoms = List.map prepared conj in
-      fun () -> List.map (tree_rt ~index_of) atoms
-  in
-  { p_options = options; p_names = names; p_disjuncts = List.map prep_conjunction disjuncts }
+  {
+    p_options = options;
+    p_names = names;
+    p_index_of = index_of;
+    p_disjuncts = List.map (List.map compile) (Formula.to_dnf formula);
+  }
 
 (* The preorder tree of one recorded Unsat disjunct, from its records
    filed by slot: a split emits its node and point, then its left and its
@@ -937,17 +911,12 @@ let c_steals = Obs.Metrics.counter "solver.steals"
 let c_steal_failures = Obs.Metrics.counter "solver.steal_failures"
 let c_frontier_hw = Obs.Metrics.counter "solver.frontier_high_water"
 
-let resolve_options p = function
-  | None -> p.p_options
-  | Some o ->
-    if o.engine <> p.p_options.engine then
-      invalid_arg "Solver.solve_prepared: engine differs from prepare-time engine";
-    o
-
 (* What [solve_prepared], [replay] and [refine] share: bounds validation,
-   the loop over the disjuncts ([decide q st i make_rts initial] decides
-   disjunct [i]), the counters and the stats.  [cover q] is the proof of
-   an Unsat answer, when one was recorded. *)
+   the loop over the disjuncts ([decide q st i conj initial] decides
+   disjunct [i], the prepared atoms [conj]), the counters and the stats.
+   A walk that meets an open leaf ([Open]) ends the query with Unknown,
+   like a budget stop but with no stop recorded.  [cover q] is the proof
+   of an Unsat answer, when one was recorded. *)
 let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide =
   let t0 = Timing.now () in
   let st = fresh_state () in
@@ -981,11 +950,12 @@ let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide
      Unsat) and the stop reason is recorded in the stats. *)
   let rec try_disjuncts i unknown = function
     | [] -> if unknown then Unknown else Unsat
-    | make_rts :: rest -> (
-      match decide q st i make_rts initial with
+    | conj :: rest -> (
+      match decide q st i conj initial with
       | Delta_sat w -> Delta_sat w
       | Unsat -> try_disjuncts (i + 1) unknown rest
       | Unknown -> try_disjuncts (i + 1) true rest
+      | exception Open -> Unknown
       | exception Budget_exhausted stop ->
         interrupted := Some stop;
         Unknown)
@@ -1011,7 +981,6 @@ let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide
       frontier_high_water = st.frontier_hw;
       refinements = Atomic.get q.level;
       replay_nodes = st.replay_nodes;
-      replay_fallbacks = st.replay_fallbacks;
       replay_forward = st.replay_forward;
       replay_mvf = st.replay_mvf;
       elapsed = Float.max 0.0 (Timing.now () -. t0);
@@ -1024,7 +993,8 @@ let run_query ~opts ~budget ?(spurious = fun _ -> false) ~cover p ~bounds decide
 let solve_prepared ?options ?(budget = Budget.unlimited) ?spurious ?(record = false) p ~bounds =
   Obs.Trace.with_span "solver.solve" @@ fun () ->
   let trees = ref [] in
-  let decide q st _ make_rts initial =
+  let decide q st _ conj initial =
+    let make_rts () = List.map tape_rt conj in
     if not record then solve_conjunction_par q st p.p_names make_rts initial
     else begin
       let slots = Atomic.make 1 in
@@ -1044,41 +1014,37 @@ let solve_prepared ?options ?(budget = Budget.unlimited) ?spurious ?(record = fa
       Some { delta = q.deltas.(Atomic.get q.level); trees = Array.of_list (List.rev !trees) }
     else None
   in
-  run_query ~opts:(resolve_options p options) ~budget ?spurious ~cover p ~bounds decide
+  run_query ~opts:(Option.value options ~default:p.p_options) ~budget ?spurious ~cover p ~bounds
+    decide
 
-let replay ?options ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
+(* Disjunct [i]'s tree, or [Open] when the cover has another tree count. *)
+let tree_of p (cover : cover) i =
+  if Array.length cover.trees <> List.length p.p_disjuncts then raise_notrace Open;
+  cover.trees.(i)
+
+let replay ?(diverse = false) ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
   Obs.Trace.with_span "solver.replay" @@ fun () ->
-  let opts = resolve_options p options in
-  let opts =
-    if Float.is_finite cover.delta && cover.delta > 0.0 then { opts with delta = cover.delta }
-    else opts
+  let runtime =
+    if diverse then fun (a, _) -> expr_rt ~index_of:p.p_index_of a (partials_of p.p_names a)
+    else tape_rt
   in
-  let matched = Array.length cover.trees = List.length p.p_disjuncts in
-  let decide q st i make_rts initial =
-    match
-      if not matched then raise_notrace Open;
-      walk_tree ~refine:false q st (make_rts ()) initial.dom cover.trees.(i)
-    with
-    | (_ : tree) -> Unsat
-    | exception Open ->
-      st.replay_fallbacks <- st.replay_fallbacks + 1;
-      solve_conjunction_par q st p.p_names make_rts initial
+  let decide q st i conj initial =
+    let rts = List.map runtime conj in
+    ignore (walk_tree ~refine:false q st rts initial.dom (tree_of p cover i) : tree);
+    Unsat
   in
-  run_query ~opts ~budget ~cover:(fun _ -> None) p ~bounds decide
+  run_query ~opts:p.p_options ~budget ~cover:(fun _ -> None) p ~bounds decide
 
 let refine ?(budget = Budget.unlimited) p ~bounds (cover : cover) =
   Obs.Trace.with_span "solver.refine" @@ fun () ->
   let trees = ref [] in
-  let decide q st i make_rts initial =
-    trees := walk_tree ~refine:true q st (make_rts ()) initial.dom cover.trees.(i) :: !trees;
+  let decide q st i conj initial =
+    trees :=
+      walk_tree ~refine:true q st (List.map tape_rt conj) initial.dom (tree_of p cover i) :: !trees;
     Unsat
   in
   let refined _ = Some { cover with trees = Array.of_list (List.rev !trees) } in
-  if Array.length cover.trees <> List.length p.p_disjuncts then None
-  else
-    match run_query ~opts:p.p_options ~budget ~cover:refined p ~bounds decide with
-    | _, stats -> stats.cover
-    | exception Open -> None
+  (snd (run_query ~opts:p.p_options ~budget ~cover:refined p ~bounds decide)).cover
 
 let solve ?(options = default_options) ?(budget = Budget.unlimited) ~bounds formula =
   let vars = List.map (fun (n, _, _) -> n) bounds in
@@ -1094,15 +1060,3 @@ let pp_verdict fmt = function
       w;
     Format.fprintf fmt ")"
   | Unknown -> Format.pp_print_string fmt "unknown"
-
-type proof_verdict = Proved | Refuted of (string * float) list | Not_decided
-
-let prove ?options ?budget ~bounds formula =
-  let verdict, stats = solve ?options ?budget ~bounds (Formula.not_ formula) in
-  let proof =
-    match verdict with
-    | Unsat -> Proved
-    | Delta_sat witness -> Refuted witness
-    | Unknown -> Not_decided
-  in
-  (proof, stats)

@@ -23,7 +23,8 @@
 
     An Unsat search can record its proof, a {!cover}; {!refine} turns it
     into a cover whose every leaf closes where it stands, and {!replay}
-    checks such a cover far more cheaply than the search that found it. *)
+    checks such a cover far more cheaply than the search that found it.
+    The search only proposes: a check never searches. *)
 
 type verdict =
   | Unsat
@@ -73,9 +74,6 @@ type stats = {
           0 for sequential runs) *)
   refinements : int;  (** δ refinements made for [?spurious] witnesses *)
   replay_nodes : int;  (** cover nodes visited by {!replay} (0 for a search) *)
-  replay_fallbacks : int;
-      (** disjuncts {!replay} searched whole: at an open leaf, a split
-          that does not fit its box, or a malformed or mismatched tree *)
   replay_forward : int;  (** leaves {!replay} closed by a forward enclosure *)
   replay_mvf : int;  (** leaves {!replay} closed by the mean-value form *)
   elapsed : float;  (** seconds *)
@@ -84,16 +82,6 @@ type stats = {
           bound or the threaded budget; the verdict is then [Unknown] *)
   cover : cover option;  (** the recorded proof of an Unsat answer, under [~record:true] *)
 }
-
-type engine = Tree_eval
-      (** recursive evaluation/contraction over expression trees (the
-          original engine) — kept as the differential-testing oracle *)
-  | Tape_eval
-      (** hash-consed DAG compiled to a flat SSA tape: shared subterms are
-          evaluated (and HC4-contracted) once, evaluation state lives in
-          preallocated unboxed float buffers, and each disjunct is compiled
-          once per [solve] call and shared across parallel tasks.  Same
-          enclosures and verdicts as [Tree_eval], faster. *)
 
 type options = {
   delta : float;  (** box-size threshold for δ-sat answers, default 1e-3 *)
@@ -115,11 +103,6 @@ type options = {
           sequential search, independent of [jobs] and of steal
           interleaving; only the choice of witness (among equally valid
           ones) and the stats may vary. *)
-  engine : engine;
-      (** evaluation/contraction engine, default [Tape_eval].  Verdicts are
-          engine-independent on any query where both engines decide (the
-          tape contracts at least as tightly, so it can only decide more
-          boxes per branch). *)
   steal_seed : int;
       (** perturbs the work-stealing victim-scan rotation; distinct seeds
           give distinct, reproducible steal interleavings (the parity
@@ -161,8 +144,8 @@ val prepare : ?options:options -> vars:string list -> Formula.t -> prepared
 (** [prepare ~vars f] validates [f] against the variable order [vars]
     (duplicates and free variables of [f] outside [vars] raise
     [Invalid_argument], as in {!solve}) and compiles each DNF disjunct.
-    With the tape engine this is where all [Tape.compile] calls happen:
-    one per atom, however many times the result is solved. *)
+    This is where all [Tape.compile] calls happen: one per distinct atom,
+    however many times the result is solved. *)
 
 val solve_prepared :
   ?options:options ->
@@ -175,9 +158,8 @@ val solve_prepared :
 (** [solve_prepared p ~bounds] runs the branch-and-prune search; [bounds]
     must list exactly the prepared variables in prepare-time order (else
     [Invalid_argument]).  [options] overrides the prepare-time options for
-    this call — any field except [engine], which is baked into the
-    compiled form ([Invalid_argument] on mismatch).  [solve] is precisely
-    [prepare] followed by [solve_prepared].
+    this call.  [solve] is precisely [prepare] followed by
+    [solve_prepared].
 
     [spurious] (default: never) is asked about each δ-sat witness, a point
     in the prepared variable order.  When it answers [true], the search
@@ -193,15 +175,14 @@ val solve_prepared :
     and steal interleaving. *)
 
 val replay :
-  ?options:options ->
+  ?diverse:bool ->
   ?budget:Budget.t ->
   prepared ->
   bounds:(string * float * float) list ->
   cover ->
   verdict * stats
-(** [replay p ~bounds cover] decides [p] like {!solve_prepared}, checking
-    the recorded [cover] instead of searching where it can.  Each tree is
-    walked from the query box:
+(** [replay p ~bounds cover] checks the recorded [cover] of [p] over
+    [bounds], and never searches.  Each tree is walked from the query box:
 
     - a split bisects the box at its point, which must lie strictly
       inside the variable's interval, so the two children tile their
@@ -211,24 +192,28 @@ val replay :
       atom first) excludes the atom's target, or else when the mean-value
       form excludes an atom ([stats.replay_forward], [stats.replay_mvf]).
 
-    The check never bisects.  At the first leaf neither test closes, the
-    first split that does not fit its box, a tree that is not exactly one
-    preorder tree of splits and leaves with one point per recorded split,
-    or a tree count that differs from the disjunct count, it drops the
-    walk and searches that disjunct whole ([stats.replay_fallbacks]), at
-    the cover's δ when it is finite and positive (else at
-    [options.delta]).  Every visited node counts against [max_branches]
-    and [budget] ([stats.replay_nodes]).  Only a search calls HC4.
+    The answer is [Unsat] when every leaf of every tree closes.  It is
+    [Unknown] at the first leaf neither test closes, the first split that
+    does not fit its box, a tree that is not exactly one preorder tree of
+    splits and leaves with one point per recorded split, or a tree count
+    that differs from the disjunct count; [stats.interrupted] is [None]
+    then.  Every visited node counts against the prepare-time
+    [max_branches] and [budget] ([stats.replay_nodes]); a stop by either
+    is [Unknown] with [stats.interrupted] set.  The walk never bisects a
+    leaf and never calls HC4, and it never answers [Delta_sat].
 
-    The cover is untrusted and cannot weaken the answer: every leaf ends
-    in a sound refutation, or its disjunct is searched, so Unsat is
-    exactly as sound as the search's, and a tampered cover can only cost
-    time.  A witness of that search is returned as [Delta_sat]. *)
+    The cover is untrusted: every leaf ends in a sound refutation of its
+    box and the splits tile the query box, so a tampered cover can only
+    leave the walk open.
+
+    [diverse] (default [false]) evaluates the leaves with [Expr.ieval]
+    and [Expr.eval] over each atom and its [Expr.diff] partials instead of
+    the compiled tape: the same interval kernels, not the same code. *)
 
 val refine :
   ?budget:Budget.t -> prepared -> bounds:(string * float * float) list -> cover -> cover option
 (** [refine p ~bounds cover] walks [cover] as {!replay} does, but where
-    the check would search, it bisects the open leaf at the midpoint of
+    the check stays open, it bisects the open leaf at the midpoint of
     its widest variable and tests each half, up to a fixed budget of 256
     nodes per leaf.  It returns the cover the walk closed, with those
     bisections as midpoint splits, so {!replay} closes every leaf of it
@@ -239,27 +224,3 @@ val refine :
     it.  It never searches. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-(** {1 Universal queries} *)
-
-type proof_verdict =
-  | Proved  (** the property holds everywhere in the box (sound) *)
-  | Refuted of (string * float) list
-      (** a point where the δ-weakened negation holds — a genuine or
-          near-violation witness *)
-  | Not_decided
-
-val prove :
-  ?options:options ->
-  ?budget:Budget.t ->
-  bounds:(string * float * float) list ->
-  Formula.t ->
-  proof_verdict * stats
-(** [prove ~bounds f] decides [∀x ∈ bounds. f(x)] by refuting its negation:
-    the barrier conditions are universal statements, and this is the
-    wrapper the engines' SMT checks are an instance of.
-
-    δ-decidability caveat: a property that holds with zero margin (e.g.
-    [x² ≤ 1] on exactly [[-1, 1]]) is [Refuted] with a boundary witness —
-    only properties with a strictly positive margin are provable, which is
-    why the barrier conditions carry the slack [γ]. *)

@@ -19,12 +19,12 @@
     Three interpreters run over the same tape:
     - {!eval_point}: float point evaluation (midpoint witness checks);
     - {!forward} / {!forward_all}: outward-rounded interval evaluation,
-      identical enclosures to [Expr.ieval] (same kernels, each shared node
-      evaluated once);
+      identical enclosures to [Expr.ieval] over the atom and over each
+      partial (same kernels, each shared node evaluated once);
     - {!revise}: HC4 forward–backward contraction where each shared node
       is contracted once with the *meet* of all its parents' requirements
-      — sound, and at least as tight as the tree contractor in [Hc4]
-      (which is kept as the differential-testing oracle). *)
+      — sound, and at least as tight as a tree contractor (test_tape
+      checks it against one, test/hc4.ml). *)
 
 type t
 

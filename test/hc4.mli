@@ -6,8 +6,10 @@
     points that cannot satisfy the constraint are ever removed (soundness of
     UNSAT answers relies on this).
 
-    Expression trees are compiled once per query against a fixed variable
-    order and then revised many times as the search branches. *)
+    A test oracle, not part of the solver: the tape's contractor
+    ([Tape.revise]) must keep every solution this tree contractor keeps
+    and be at least as tight (test_tape), and test_smt checks its own
+    projections (zero products, cube roots at 1e30). *)
 
 type compiled
 (** A constraint [e ⋈ 0] compiled against a variable ordering. *)

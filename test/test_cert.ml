@@ -178,6 +178,13 @@ let check_roundtrip (a : Artifact.t) =
         Alcotest.(check bool) "point bits" true (bits_equal t.Solver.points t'.Solver.points))
       c.Solver.trees
 
+(* The audit of an entry without a cover proposes one for condition (5)
+   and walks it: no stored cover dropped, every walked leaf closed. *)
+let check_proposed (audit : Checker.stats) =
+  Alcotest.(check int) "no stored cover dropped" 0 audit.Checker.dropped_covers;
+  Alcotest.(check bool) "proposed covers walked" true
+    (audit.Checker.replay_nodes > 0 && audit.Checker.forward_leaves + audit.Checker.mvf_leaves > 0)
+
 (* [text] hand-sealed: each line replaced by the lines [f] maps it to, and
    the checksum recomputed. *)
 let reseal f text =
@@ -245,7 +252,8 @@ let test_v4_roundtrip () =
 
 (* Stores written before v4 keep serving hits: a v2 entry (no cover) and
    a v3 entry (a cover the search recorded, never refined) parse without
-   a cover, and their audit searches condition (5) whole. *)
+   a cover, and their audit proposes a cover for condition (5) and walks
+   it. *)
 let test_legacy_serves_hit ~version () =
   let root = fresh_store () in
   let a = artifact () in
@@ -263,8 +271,7 @@ let test_legacy_serves_hit ~version () =
   | Error err -> Alcotest.failf "v%d entry: %s" version (Store.string_of_error err));
   let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
   match r.Cache.source with
-  | Cache.Cache_hit { audit; _ } ->
-    Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
+  | Cache.Cache_hit { audit; _ } -> check_proposed audit
   | s -> Alcotest.failf "v%d entry should hit, got %s" version (Cache.string_of_source s)
 
 (* A refinement runs under its caller's budget: a spent one stops it at
@@ -284,7 +291,8 @@ let test_refine_budget () =
     (cover <> None && cover <> a.Artifact.cover && nodes > 1)
 
 (* A cover the refinement cannot close — here one split at a point outside
-   its box — is exported as none: the entry still hits, searched whole. *)
+   its box — is exported as none: the entry still hits, on a proposed
+   cover. *)
 let test_unrefinable_cover_dropped () =
   let a =
     {
@@ -305,15 +313,15 @@ let test_unrefinable_cover_dropped () =
   Alcotest.(check bool) "no cover- line" false (contains ~sub:"\ncover-" text);
   let r = Cache.verify ~config ~network ~store:root ~rng:(Rng.create 8) system in
   match r.Cache.source with
-  | Cache.Cache_hit { audit; _ } ->
-    Alcotest.(check int) "searched, not replayed" 0 audit.Checker.replay_nodes
+  | Cache.Cache_hit { audit; _ } -> check_proposed audit
   | s -> Alcotest.failf "an entry with no cover should hit, got %s" (Cache.string_of_source s)
 
 let c_hc4 = Obs.Metrics.counter "solver.hc4_revise"
 
 (* Every proving registry scenario, exported once, is a hit whose audit
    checks the stored refined cover: each leaf closes where it stands, so
-   the check of condition (5) searches nowhere and calls no HC4. *)
+   the check of condition (5) searches nowhere and calls no HC4.  The
+   diverse audit, which walks with [Expr] trees, certifies it alike. *)
 let test_scenarios_replay_cleanly () =
   List.iter
     (fun (entry : Registry.entry) ->
@@ -331,12 +339,15 @@ let test_scenarios_replay_cleanly () =
         in
         let name = entry.Registry.name in
         let fp = (run 7).Cache.fingerprint in
-        (match (run 8).Cache.source with
-        | Cache.Cache_hit { audit; _ } ->
-          Alcotest.(check bool) (name ^ ": cover replayed") true (audit.Checker.replay_nodes > 0);
-          Alcotest.(check int) (name ^ ": fallbacks") 0 audit.Checker.replay_fallbacks;
-          Alcotest.(check bool) (name ^ ": leaves by kind") true
+        let check_audit what (audit : Checker.stats) =
+          Alcotest.(check bool) (name ^ what ^ ": cover replayed") true
+            (audit.Checker.replay_nodes > 0);
+          Alcotest.(check int) (name ^ what ^ ": dropped covers") 0 audit.Checker.dropped_covers;
+          Alcotest.(check bool) (name ^ what ^ ": leaves by kind") true
             (audit.Checker.forward_leaves + audit.Checker.mvf_leaves > 0)
+        in
+        (match (run 8).Cache.source with
+        | Cache.Cache_hit { audit; _ } -> check_audit "" audit
         | s -> Alcotest.failf "%s: second run should hit, got %s" name (Cache.string_of_source s));
         let a =
           match Store.load ~root fp.Artifact.combined with
@@ -344,6 +355,10 @@ let test_scenarios_replay_cleanly () =
           | Error err -> Alcotest.failf "%s: %s" name (Store.string_of_error err)
         in
         let sys = c.Plant.system in
+        (match Checker.audit ~diverse:true ?network:c.Plant.network ~system:sys a with
+        | Checker.Certified, audit -> check_audit " (diverse)" audit
+        | Checker.Rejected r, _ ->
+          Alcotest.failf "%s: diverse audit: %s" name (Checker.string_of_rejection r));
         let options = { Solver.default_options with Solver.delta = a.Artifact.delta } in
         let bounds = Cegis.rect_bounds sys.Engine.vars a.Artifact.safe_rect in
         let p =
@@ -357,9 +372,55 @@ let test_scenarios_replay_cleanly () =
         Obs.Metrics.disable ();
         Alcotest.(check bool) (name ^ ": condition (5) unsat") true (v = Solver.Unsat);
         Alcotest.(check (list int))
-          (name ^ ": solver.hc4_revise, fallbacks")
+          (name ^ ": solver.hc4_revise, boxes searched")
           [ 0; 0 ]
-          [ hc4; st.Solver.replay_fallbacks ]
+          [ hc4; st.Solver.branches ]
+      end)
+    (Registry.scenarios ())
+
+(* A certificate re-audited with no cover, as a benchmark re-audits what
+   [Engine.verify] returns: for every proving registry scenario at rng 1
+   and 2, the audit proposes each condition's cover, refines and walks it,
+   and certifies — or refutes condition (5) at a point where the
+   certificate does decrease, a δ gray-zone answer (DESIGN.md §5k). *)
+let test_coverless_reaudit () =
+  List.iter
+    (fun (entry : Registry.entry) ->
+      if entry.Registry.scenario.Scenario.expectation = Some Scenario.Should_prove then begin
+        let e =
+          match Registry.elaborate { entry.Registry.scenario with Scenario.jobs = Some 1 } with
+          | Ok e -> e
+          | Error msg -> Alcotest.failf "%s: %s" entry.Registry.name msg
+        in
+        let c = e.Scenario.closed and config = e.Scenario.config in
+        let sys = c.Plant.system in
+        List.iter
+          (fun seed ->
+            let name = Printf.sprintf "%s rng %d" entry.Registry.name seed in
+            let cert =
+              match (Engine.verify ~config ~rng:(Rng.create seed) sys).Engine.outcome with
+              | Engine.Proved cert -> cert
+              | Engine.Failed r -> Alcotest.failf "%s: %s" name (Cegis.string_of_failure r)
+            in
+            let fingerprint =
+              Artifact.fingerprint ?network:c.Plant.network ~plant:c.Plant.id sys config
+            in
+            let a = Artifact.make ~fingerprint ~plant:c.Plant.id ~config cert in
+            let decreases_at w =
+              let x = Array.map (fun v -> List.assoc v w) sys.Engine.vars in
+              let f = sys.Engine.numeric_field 0.0 x in
+              let basis = Template.basis_lie cert.Engine.template x f in
+              let lie = ref 0.0 in
+              Array.iteri (fun k b -> lie := !lie +. (cert.Engine.coeffs.(k) *. b)) basis;
+              !lie < -.config.Engine.gamma
+            in
+            match Checker.audit ?network:c.Plant.network ~system:sys a with
+            | Checker.Certified, audit -> check_proposed audit
+            | Checker.Rejected (Checker.Condition_refuted { condition = 5; witness }), _
+              when decreases_at witness ->
+              ()
+            | Checker.Rejected r, _ -> Alcotest.failf "%s: %s" name (Checker.string_of_rejection r))
+          [ 1; 2 ]
       end)
     (Registry.scenarios ())
 
@@ -536,10 +597,10 @@ let test_fingerprint_ignores_execution_strategy () =
       {
         config with
         Engine.jobs = 8;
-        smt = { config.Engine.smt with Solver.jobs = 8; engine = Solver.Tree_eval };
+        smt = { config.Engine.smt with Solver.jobs = 8 };
       }
   in
-  Alcotest.(check string) "jobs/engine do not change the fingerprint" fp.Artifact.combined
+  Alcotest.(check string) "jobs do not change the fingerprint" fp.Artifact.combined
     fp_par.Artifact.combined
 
 (* --- store ------------------------------------------------------------ *)
@@ -587,9 +648,10 @@ let audit ?network:net a =
 let test_audit_certifies_genuine () =
   Alcotest.check check_verdict "genuine artifact" Checker.Certified
     (audit ~network (artifact ()));
-  (* Diversity engine: same verdict via the tree-walking evaluator. *)
-  Alcotest.check check_verdict "diverse engine" Checker.Certified
-    (fst (Checker.audit ~engine:Solver.Tree_eval ~network ~system (artifact ())))
+  (* Diversity: the same verdict when every cover is walked with [Expr]
+     trees instead of the tape. *)
+  Alcotest.check check_verdict "diverse walk" Checker.Certified
+    (fst (Checker.audit ~diverse:true ~network ~system (artifact ())))
 
 let test_audit_rejects_tampered_coeff () =
   let a = artifact () in
@@ -1066,6 +1128,7 @@ let () =
             test_unrefinable_cover_dropped;
           Alcotest.test_case "exported scenarios replay cleanly" `Quick
             test_scenarios_replay_cleanly;
+          Alcotest.test_case "cover-less re-audits certify" `Quick test_coverless_reaudit;
         ] );
       ( "fsck",
         [

@@ -1,8 +1,8 @@
 (* Tests for the compiled-tape pipeline: hash-consed DAG construction,
-   tape/tree evaluation parity, tape HC4 soundness and tightness versus the
-   tree contractor, the solver's compile-once-per-disjunct contract, and
-   tree/tape engine verdict agreement (including the Dubins barrier
-   conditions). *)
+   tape/tree evaluation parity (atom and partials), tape HC4 soundness and
+   tightness versus the tree contractor in hc4.ml, the solver's
+   compile-once-per-disjunct contract, and agreement of the tape search
+   with the diverse walk (including the Dubins barrier conditions). *)
 
 let x = Expr.var "x"
 
@@ -83,7 +83,7 @@ let test_dag_partials_share_primal () =
 
 (* The [shared] argument is spliced in at the leaves, so the generated tree
    mentions it several times — exactly the structural sharing the tape is
-   supposed to exploit (and the tree engine re-evaluates). *)
+   supposed to exploit (and a tree evaluator re-evaluates). *)
 let gen_expr rng depth =
   let shared =
     match Rng.int rng 3 with
@@ -132,10 +132,21 @@ let prop_point_eval_parity =
       Int64.equal (Int64.bits_of_float tree) (Int64.bits_of_float v)
       || (Float.is_nan tree && Float.is_nan v))
 
+(* Equal enclosures, bit for bit (an empty one equals any empty one). *)
+let same_ival a b =
+  let bits i =
+    if Interval.is_empty i then None
+    else Some (Int64.bits_of_float (Interval.lo i), Int64.bits_of_float (Interval.hi i))
+  in
+  bits a = bits b
+
 let prop_interval_eval_parity =
   (* The tape's forward kernels are transcriptions of Interval's, and CSE
      cannot change a deterministic result — enclosures must be equal, which
-     subsumes the soundness requirement that the tape encloses the tree. *)
+     subsumes the soundness requirement that the tape encloses the tree.
+     The same holds for the partial slots against [Expr.ieval] of each
+     [Expr.diff] partial: the diverse walk (Solver.replay ~diverse) tests
+     its leaves with those, the tape walk with these. *)
   QCheck.Test.make ~name:"tape interval eval ≡ tree ieval" ~count:500
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -143,11 +154,16 @@ let prop_interval_eval_parity =
       let e = gen_expr rng 4 in
       let dx = Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0)
       and dy = Interval.make (Rng.uniform rng (-3.0) 0.0) (Rng.uniform rng 0.0 3.0) in
-      let tree = Expr.ieval (fun v -> if String.equal v "x" then dx else dy) e in
-      let tape = compile_tape { Formula.expr = e; rel = Formula.Le0 } in
+      let ieval = Expr.ieval (fun v -> if String.equal v "x" then dx else dy) in
+      let partials = [| Expr.diff "x" e; Expr.diff "y" e |] in
+      let tape = compile_tape ~partials { Formula.expr = e; rel = Formula.Le0 } in
       let b = Tape.make_buffers tape in
       let tv = Tape.forward tape b [| dx; dy |] in
-      Interval.equal tree tv)
+      Tape.forward_partials tape b [| dx; dy |];
+      same_ival (ieval e) tv
+      && List.for_all
+           (fun i -> same_ival (ieval partials.(i)) (Tape.partial_ival tape b i))
+           [ 0; 1 ])
 
 (* Whether [e] has a value at [env]: a division by 0 has none, even where
    a saturating activation above it hides the infinity from the root. *)
@@ -398,7 +414,7 @@ let circle_conjunction =
 let bounds2 = [ ("x", -2.0, 2.0); ("y", -2.0, 2.0) ]
 
 let test_compile_once_per_disjunct () =
-  (* The tape engine compiles each disjunct's atoms once per solve call;
+  (* The solver compiles each disjunct's atoms once per solve call;
      parallel search must not add per-task compiles (tasks share the tapes
      and only allocate buffers). *)
   let compiles_for jobs =
@@ -412,38 +428,35 @@ let test_compile_once_per_disjunct () =
   Alcotest.(check int) "one compile per atom (2 atoms, 1 disjunct)" 2 seq;
   Alcotest.(check int) "parallel adds no compiles" seq par
 
-let test_tree_engine_still_available () =
-  (* The oracle engine must not compile tapes at all. *)
-  let before = Tape.compile_count () in
-  let options = { Solver.default_options with Solver.engine = Solver.Tree_eval } in
-  (match fst (Solver.solve ~options ~bounds:bounds2 circle_conjunction) with
-  | Solver.Unsat -> ()
-  | _ -> Alcotest.fail "tree engine must refute the circle conjunction");
-  Alcotest.(check int) "no tape compiles" 0 (Tape.compile_count () - before)
-
-let verdict_name = function
-  | Solver.Unsat -> "unsat"
-  | Solver.Delta_sat _ -> "delta-sat"
-  | Solver.Unknown -> "unknown"
-
+(* The tape search and the diverse walk agree, at jobs 1 and 4: an Unsat
+   search's recorded cover refines, and its refinement closes under the
+   walk over [Expr] trees as under the tape walk; a witness δ-holds. *)
 let check_engines_agree name bounds f =
   List.iter
     (fun jobs ->
-      let run engine =
-        fst (Solver.solve ~options:{ Solver.default_options with Solver.engine; jobs } ~bounds f)
+      let label what = Printf.sprintf "%s (jobs=%d): %s" name jobs what in
+      let p =
+        Solver.prepare
+          ~options:{ Solver.default_options with Solver.jobs }
+          ~vars:(List.map (fun (v, _, _) -> v) bounds)
+          f
       in
-      match (run Solver.Tree_eval, run Solver.Tape_eval) with
-      | Solver.Unsat, Solver.Unsat | Solver.Unknown, Solver.Unknown -> ()
-      | Solver.Delta_sat w1, Solver.Delta_sat w2 ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (jobs=%d): tree witness delta-holds" name jobs)
-          true (Formula.holds_delta 1e-2 w1 f);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (jobs=%d): tape witness delta-holds" name jobs)
-          true (Formula.holds_delta 1e-2 w2 f)
-      | v1, v2 ->
-        Alcotest.failf "%s (jobs=%d): tree gives %s but tape gives %s" name jobs
-          (verdict_name v1) (verdict_name v2))
+      match Solver.solve_prepared ~record:true p ~bounds with
+      | Solver.Unsat, st -> (
+        match Solver.refine p ~bounds (Option.get st.Solver.cover) with
+        | None -> Alcotest.fail (label "the recorded cover does not refine")
+        | Some refined ->
+          List.iter
+            (fun diverse ->
+              let v, walk = Solver.replay ~diverse p ~bounds refined in
+              Alcotest.(check (pair bool int))
+                (label (if diverse then "Expr walk closes" else "tape walk closes"))
+                (true, 0)
+                (v = Solver.Unsat, walk.Solver.hc4_calls))
+            [ true; false ])
+      | Solver.Delta_sat w, _ ->
+        Alcotest.(check bool) (label "witness delta-holds") true (Formula.holds_delta 1e-2 w f)
+      | Solver.Unknown, _ -> Alcotest.fail (label "search undecided"))
     [ 1; 4 ]
 
 let test_engine_agreement_formulas () =
@@ -470,9 +483,9 @@ let test_engine_agreement_formulas () =
   check_engines_agree "tanh bound" [ ("x", -100.0, 100.0) ] tanh_unsat
 
 let test_engine_agreement_dubins () =
-  (* Smoke-sized Dubins barrier queries (the stealing timing gate's smoke setup):
-     conditions (5), (6) and (7) must get the same verdict from both
-     engines at jobs 1 and 4. *)
+  (* Smoke-sized Dubins barrier queries (the stealing timing gate's smoke
+     setup): conditions (5), (6) and (7), decided by the tape search and
+     checked by both walks at jobs 1 and 4. *)
   let net = Error_dynamics.reference_controller in
   let system = (Plant.close_exn Registry.dubins_error (Plant.Network net)).Plant.system in
   let config =
@@ -524,7 +537,6 @@ let () =
       ( "solver",
         [
           Alcotest.test_case "compile once per disjunct" `Quick test_compile_once_per_disjunct;
-          Alcotest.test_case "tree engine available" `Quick test_tree_engine_still_available;
           Alcotest.test_case "engine agreement (formulas)" `Quick test_engine_agreement_formulas;
           Alcotest.test_case "engine agreement (dubins)" `Slow test_engine_agreement_dubins;
         ] );
